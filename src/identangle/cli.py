@@ -3,7 +3,8 @@
 Subcommands: ``amplitude`` (transition amplitude between two configured
 states), ``project`` (detector projection with sector entanglement),
 ``sweep`` (parameter grids streamed as CSV), ``schmidt`` (mode-splitting
-equivalence report) and ``verify`` (randomized verification suites).
+equivalence report), ``verify`` (randomized verification suites) and
+``echo-config`` (canonical serialization of a config).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 The environment variable ``IDENTANGLE_TOL`` overrides the default
@@ -35,7 +36,8 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 
 
 def _fail_usage(message: str):
-    click.echo(f"error: {message}", err=True)
+    # not click.echo: it caches every stream it writes to and never frees it
+    sys.stderr.write(f"error: {message}\n")
     sys.exit(2)
 
 
@@ -59,11 +61,13 @@ def _load_config(path: str) -> EnsembleConfig:
 
 
 def _write_output(text: str, output: str):
+    if not text.endswith("\n"):
+        text += "\n"
     if output == "-":
-        click.echo(text, nl=not text.endswith("\n"))
+        sys.stdout.write(text)
         return
     with open(output, "w", encoding="utf-8") as handle:
-        handle.write(text if text.endswith("\n") else text + "\n")
+        handle.write(text)
 
 
 def _fmt(value: float) -> str:
@@ -114,15 +118,13 @@ def amplitude(config_path: str, bra_path: str, method: str, output: str):
     _write_output(json.dumps(record, indent=2), output)
 
 
-def _project_record(
-    config: EnsembleConfig, method: str, tol: Tolerances
-) -> Dict:
+def _project_record(config: EnsembleConfig, tol: Tolerances) -> Dict:
     if config.statistics is not Statistics.BOSON:
         raise IdentangleError(
             "detector projection is defined for bosonic ensembles only"
         )
     ensemble = config.ensemble()
-    decomposition = project_onto_detectors(ensemble, method=method, tol=tol)
+    decomposition = project_onto_detectors(ensemble, tol=tol)
     sectors = []
     for sector in decomposition.sectors:
         amps = [
@@ -132,7 +134,7 @@ def _project_record(
         sectors.append({"q": sector.q, "p": sector.probability, "amplitudes": amps})
     entanglement = {
         measure: entanglement_of_particles(
-            ensemble, measure, method=method, tol=tol, decomposition=decomposition
+            ensemble, measure, tol=tol, decomposition=decomposition
         )
         for measure in ("entropy", "concurrence")
     }
@@ -148,15 +150,14 @@ def _project_record(
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--method", type=click.Choice(["ryser", "naive"]), default="ryser", show_default=True)
 @click.option("--output", default="-", show_default=True)
-def project(config_path: str, method: str, output: str):
+def project(config_path: str, output: str):
     """Project the configured ensemble onto the detectors and report the
     sector decomposition plus both entanglement averages."""
     tol = _tolerances()
     config = _load_config(config_path)
     try:
-        record = _project_record(config, method, tol)
+        record = _project_record(config, tol)
     except IdentangleError as exc:
         _fail_usage(str(exc))
     _write_output(json.dumps(record, indent=2), output)
@@ -167,16 +168,15 @@ def _sweep_point(
     paths: Sequence[str],
     values: Sequence[float],
     measure: str,
-    method: str,
     tol: Tolerances,
 ) -> Tuple[Tuple[float, ...], Dict[int, float], float, float]:
     point_config = config
     for path, value in zip(paths, values):
         point_config = point_config.with_value(path, value)
     ensemble = point_config.ensemble()
-    decomposition = project_onto_detectors(ensemble, method=method, tol=tol)
+    decomposition = project_onto_detectors(ensemble, tol=tol)
     entanglement = entanglement_of_particles(
-        ensemble, measure, method=method, tol=tol, decomposition=decomposition
+        ensemble, measure, tol=tol, decomposition=decomposition
     )
     return (
         tuple(values),
@@ -190,11 +190,10 @@ def _sweep_point(
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--sweep", "sweep_path", required=True, type=click.Path(), help="Sweep spec (JSON).")
 @click.option("--measure", type=click.Choice(["entropy", "concurrence"]), default="concurrence", show_default=True)
-@click.option("--method", type=click.Choice(["ryser", "naive"]), default="ryser", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--output", default="-", show_default=True)
-def sweep(config_path, sweep_path, measure, method, fmt, threads, output):
+def sweep(config_path, sweep_path, measure, fmt, threads, output):
     """Evaluate the projection over a parameter grid.
 
     Rows follow the lexicographic grid order of the sweep axes regardless
@@ -218,7 +217,7 @@ def sweep(config_path, sweep_path, measure, method, fmt, threads, output):
     n = config.n_total
 
     def evaluate(values):
-        return _sweep_point(config, paths, values, measure, method, tol)
+        return _sweep_point(config, paths, values, measure, tol)
 
     try:
         if threads == 1:
@@ -303,7 +302,7 @@ def _parse_angles(text: str):
 @main.command()
 @click.argument("suite", type=click.Choice(sorted(SUITES)))
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--cases", type=int, default=None, help="Override the suite's sample count.")
+@click.option("--cases", type=int, default=None, help="Override the suite's sample count (not for schmidt).")
 @click.option("--output", default="-", show_default=True)
 def verify(suite: str, seed: int, cases: Optional[int], output: str):
     """Run a named verification suite; exits 1 on any failure."""

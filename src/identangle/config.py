@@ -83,13 +83,19 @@ def parse_parameter_path(path: str, n_particles: int) -> Tuple[int, str]:
     return index, m.group(2)
 
 
+def _number(value, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return float(value)
+
+
 def _angle(entry: dict, key: str, default: float, scale: float, where: str) -> float:
     value = entry.get(key, None)
     if value is None:
         return default
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}: field {key!r} must be a number, got {value!r}")
-    return float(value) * scale
+    return _number(value, f"{where}: field {key!r}") * scale
 
 
 def parse_ensemble_config(text: str) -> EnsembleConfig:
@@ -202,37 +208,54 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid sweep JSON: {exc.msg}") from None
-    if not isinstance(data, dict) or not isinstance(data.get("axes"), list):
-        raise ConfigError("sweep spec must be an object with an 'axes' list")
-    if not data["axes"]:
-        raise ConfigError("sweep spec needs at least one axis")
+    if not isinstance(data, dict) or set(data) != {"axes"}:
+        raise ConfigError("sweep spec must be an object holding only 'axes'")
+    if not isinstance(data["axes"], list) or not data["axes"]:
+        raise ConfigError("sweep spec needs a non-empty 'axes' list")
     axes: List[SweepAxis] = []
     for i, entry in enumerate(data["axes"]):
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise ConfigError(f"axes[{i}]: each axis needs a 'path'")
+        where = f"axes[{i}]"
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise ConfigError(f"{where}: each axis needs a string 'path'")
         path = entry["path"]
-        parse_parameter_path(path, config.n_total)
+        _, attr = parse_parameter_path(path, config.n_total)
+        if "values" in entry:
+            expected = {"path", "values"}
+        else:
+            expected = {"path", "start", "stop", "steps"}
+        if set(entry) != expected:
+            raise ConfigError(
+                f"{where}: an axis holds 'path' and either 'values' or "
+                f"'start'/'stop'/'steps', got keys {sorted(entry)}"
+            )
         if "values" in entry:
             values = entry["values"]
             if not isinstance(values, list) or not values:
-                raise ConfigError(f"axes[{i}]: 'values' must be a non-empty list")
-            points = tuple(float(v) for v in values)
+                raise ConfigError(f"{where}: 'values' must be a non-empty list")
+            points = tuple(
+                _number(v, f"{where}: values[{k}]") for k, v in enumerate(values)
+            )
         else:
-            missing = [k for k in ("start", "stop", "steps") if k not in entry]
-            if missing:
-                raise ConfigError(
-                    f"axes[{i}]: needs 'values' or 'start'/'stop'/'steps' "
-                    f"(missing {missing})"
-                )
             steps = entry["steps"]
-            if not isinstance(steps, int) or steps < 1:
-                raise ConfigError(f"axes[{i}]: 'steps' must be an integer >= 1")
-            start, stop = float(entry["start"]), float(entry["stop"])
+            if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
+                raise ConfigError(f"{where}: 'steps' must be an integer >= 1")
+            if steps > MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"{where}: {steps} steps exceed the grid cap of {MAX_GRID_POINTS}"
+                )
+            start = _number(entry["start"], f"{where}: 'start'")
+            stop = _number(entry["stop"], f"{where}: 'stop'")
             if steps == 1:
                 points = (start,)
             else:
                 h = (stop - start) / (steps - 1)
                 points = tuple(start + k * h for k in range(steps))
+        if attr in ("theta", "phi"):
+            outside = [v for v in points if not 0.0 <= v <= math.pi / 2]
+            if outside:
+                raise ConfigError(
+                    f"{where}: {path} must lie in [0, pi/2], got {outside[0]!r}"
+                )
         axes.append(SweepAxis(path, points))
     spec = SweepSpec(tuple(axes))
     if spec.size > MAX_GRID_POINTS:

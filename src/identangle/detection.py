@@ -11,44 +11,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (
-    DensityMatrix,
-    pure_to_density,
-    symmetrized_partial_trace,
-    transition_amplitude,
-)
+from .algebra import DensityMatrix, pure_to_density, symmetrized_partial_trace
 from .errors import (
     BoundsError,
     ConsistencyError,
     SectorError,
     SizeLimitError,
 )
-from .measures import von_neumann_entropy
-from .permanent import permanent_naive, permanent_ryser
+from .measures import ModeSplit, entropy_bits, mode_split_matrix
 from .states import (
+    REMAINDER_LABEL,
     OccupationKey,
     SingleParticleKet,
     SpatialMode,
     Spin,
     Statistics,
     SymmetricKet,
-    ket_multiplicities,
-    make_product_state,
     mode_ket,
-    normalization_total,
     occupation_key,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-PROJECTION_SIZE_LIMIT = 12
+#: a block's unnormalized norm^2 reaches N! when all its modes coincide,
+#: and 171! overflows a double
+PROJECTION_SIZE_LIMIT = 170
 
 MEASURES = ("entropy", "concurrence")
-
-_PERMANENT_KERNELS = {"ryser": permanent_ryser, "naive": permanent_naive}
 
 
 def coherence(mode: SpatialMode) -> float:
@@ -128,7 +120,10 @@ class SectorDecomposition:
 def detection_key(ensemble: ParticleEnsemble, spec: DetectionMatrixSpec) -> OccupationKey:
     """Occupation key of the detector outcome |L^a up, L^b down, R...>."""
     n, total = ensemble.n_up, ensemble.n_total
-    _check_spec(ensemble, spec)
+    if not 0 <= spec.alpha <= n:
+        raise BoundsError(f"alpha = {spec.alpha} outside [0, {n}]")
+    if not 0 <= spec.beta <= total - n:
+        raise BoundsError(f"beta = {spec.beta} outside [0, {total - n}]")
     labels = (
         [("L", Spin.UP)] * spec.alpha
         + [("L", Spin.DOWN)] * spec.beta
@@ -136,17 +131,6 @@ def detection_key(ensemble: ParticleEnsemble, spec: DetectionMatrixSpec) -> Occu
         + [("R", Spin.DOWN)] * (total - n - spec.beta)
     )
     return occupation_key(labels)
-
-
-def _check_spec(ensemble: ParticleEnsemble, spec: DetectionMatrixSpec):
-    if not 0 <= spec.alpha <= ensemble.n_up:
-        raise BoundsError(
-            f"alpha = {spec.alpha} outside [0, {ensemble.n_up}]"
-        )
-    if not 0 <= spec.beta <= ensemble.n_total - ensemble.n_up:
-        raise BoundsError(
-            f"beta = {spec.beta} outside [0, {ensemble.n_total - ensemble.n_up}]"
-        )
 
 
 def build_detection_matrix(
@@ -159,17 +143,11 @@ def build_detection_matrix(
     entries vanish, so the matrix splits into the block pattern
     [[C_a, 0, S_(n-a), 0], [0, C_b, 0, S_(N-n-b)]] up to a row ordering.
     """
-    _check_spec(ensemble, spec)
-    n, total = ensemble.n_up, ensemble.n_total
+    total = ensemble.n_total
     a = np.zeros((total, total), dtype=complex)
-    bras: List[Tuple[str, Spin]] = (
-        [("L", Spin.UP)] * spec.alpha
-        + [("L", Spin.DOWN)] * spec.beta
-        + [("R", Spin.UP)] * (n - spec.alpha)
-        + [("R", Spin.DOWN)] * (total - n - spec.beta)
-    )
     spins = ensemble.spins()
-    for j, (side, bra_spin) in enumerate(bras):
+    # the canonical key order is the row order above
+    for j, (side, bra_spin) in enumerate(detection_key(ensemble, spec)):
         for k, (mode, ket_spin) in enumerate(zip(ensemble.modes, spins)):
             if bra_spin is not ket_spin:
                 continue
@@ -185,78 +163,91 @@ def build_detection_matrix(
     return a
 
 
+def _detector_block(
+    kets: Sequence[SingleParticleKet], spin: Spin, tol: Tolerances
+) -> Tuple[np.ndarray, float, float]:
+    """Detector amplitudes of one spin block, with its detected and leaked weights.
+
+    The block state a'(k_1) ... a'(k_n)|vac> over the modes (L, R, chi) has
+    amplitude sqrt(a_L! a_R! a_chi!) times the coefficient of
+    x^a_L y^a_R z^a_chi in prod_k (c_k x + s_k y + r_k z), a_chi = n - a_L - a_R.
+    Returns the normalized amplitudes B[a] of the outcomes a_L = a, a_R = n - a,
+    their total weight, and the weight of the outcomes with a_chi > 0.
+    """
+    n = len(kets)
+    coeffs = np.zeros((n + 1, n + 1), dtype=complex)
+    coeffs[0, 0] = 1.0
+    for ket in kets:
+        c = ket.amplitude(("L", spin))
+        s = ket.amplitude(("R", spin))
+        r = ket.amplitude((REMAINDER_LABEL, spin))
+        nxt = r * coeffs
+        nxt[1:, :] += c * coeffs[:-1, :]
+        nxt[:, 1:] += s * coeffs[:, :-1]
+        coeffs = nxt
+    a = np.arange(n + 1)
+    # a_chi, clipped to 0 where a_L + a_R > n and the coefficients vanish
+    a_chi = np.clip(n - np.add.outer(a, a), 0, None)
+    root_fact = np.sqrt([float(math.factorial(k)) for k in a])
+    amps = coeffs * np.outer(root_fact, root_fact) * root_fact[a_chi]
+    weights = np.abs(amps) ** 2
+    detected = amps[a, n - a]
+    detected_sq = float(np.sum(weights[a, n - a]))
+    leaked_sq = float(np.sum(weights[a_chi > 0]))
+    norm_sq = detected_sq + leaked_sq
+    if not norm_sq > tol.pruning:
+        raise ConsistencyError("input state has vanishing norm")
+    return detected / math.sqrt(norm_sq), detected_sq / norm_sq, leaked_sq / norm_sq
+
+
 def project_onto_detectors(
     ensemble: ParticleEnsemble,
-    method: str = "ryser",
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SectorDecomposition:
     """Project the symmetrized ensemble state onto the two-detector subspace.
 
-    Each outcome amplitude is a permanent of the corresponding detection
-    matrix with the multiplicity normalizations of the outcome and input
-    states; outcomes are grouped into sectors by q = alpha + beta.  Weight
-    on remainder modes (phi < pi/2) appears as ``leak_probability``,
-    computed independently from the expanded state so that probabilities
-    plus leak summing to one is a genuine cross-check.
+    Up and down particles never share a mode, so the state is a product of
+    an up and a down block (:func:`_detector_block`), and the outcome with
+    alpha up and beta down particles at L has amplitude U[alpha] * D[beta];
+    outcomes are grouped into sectors by q = alpha + beta.  The weight of
+    the a_chi > 0 outcomes (phi < pi/2) is ``leak_probability``, summed
+    rather than taken as the complement, so that probabilities plus leak
+    summing to one is a genuine cross-check.
     """
     total = ensemble.n_total
     if total > PROJECTION_SIZE_LIMIT:
         raise SizeLimitError(
             f"projection is capped at N <= {PROJECTION_SIZE_LIMIT}, got N = {total}"
         )
-    try:
-        kernel = _PERMANENT_KERNELS[method]
-    except KeyError:
-        raise ConsistencyError(f"unknown permanent kernel {method!r}") from None
     kets = ensemble.kets(tol=tol)
     n = ensemble.n_up
-    norm_input = normalization_total(ket_multiplicities(kets), total)
-    norm_sq = transition_amplitude(kets, kets, Statistics.BOSON, method=method).real
-    if norm_sq <= tol.pruning:
-        raise ConsistencyError("input state has vanishing norm")
-    scale = math.factorial(total) * norm_input * math.sqrt(norm_sq)
-
-    groups: Dict[int, Dict[OccupationKey, complex]] = {}
-    for alpha in range(n + 1):
-        for beta in range(total - n + 1):
-            spec = DetectionMatrixSpec(alpha, beta)
-            key = detection_key(ensemble, spec)
-            outcome_norm = math.sqrt(
-                math.factorial(alpha)
-                * math.factorial(beta)
-                * math.factorial(n - alpha)
-                * math.factorial(total - n - beta)
-                / math.factorial(total)
-            )
-            amp = kernel(build_detection_matrix(ensemble, spec)) / (
-                scale * outcome_norm
-            )
-            if abs(amp) <= tol.pruning:
-                continue
-            groups.setdefault(alpha + beta, {})[key] = amp
+    up, up_detected, up_leaked = _detector_block(kets[:n], Spin.UP, tol)
+    down, _, down_leaked = _detector_block(kets[n:], Spin.DOWN, tol)
+    amps = np.outer(up, down)
 
     sectors: List[Sector] = []
-    for q in sorted(groups, reverse=True):
-        amps = groups[q]
-        p = sum(abs(v) ** 2 for v in amps.values())
+    for q in range(total, -1, -1):
+        group: Dict[OccupationKey, complex] = {}
+        for alpha in range(max(0, q - (total - n)), min(q, n) + 1):
+            amp = complex(amps[alpha, q - alpha])
+            if abs(amp) > tol.pruning:
+                key = detection_key(ensemble, DetectionMatrixSpec(alpha, q - alpha))
+                group[key] = amp
+        p = sum(abs(v) ** 2 for v in group.values())
         if p < tol.pruning:
             continue
         root = math.sqrt(p)
         state = SymmetricKet(
             total,
             Statistics.BOSON,
-            {k: v / root for k, v in amps.items()},
+            {k: v / root for k, v in group.items()},
             normalized=True,
             tol=tol,
         )
         sectors.append(Sector(q, p, state))
 
-    # independent leak estimate from the expanded state's remainder weight
-    full = make_product_state(kets, Statistics.BOSON, tol=tol)
-    leak = 0.0
-    for key, value in full.items():
-        if any(lab[0] not in ("L", "R") for lab in key):
-            leak += abs(value) ** 2
+    # an outcome leaks when either block has a particle in its remainder mode
+    leak = up_leaked + up_detected * down_leaked
     return SectorDecomposition(tuple(sectors), leak)
 
 
@@ -295,52 +286,39 @@ def sector_reduced_density(
     return symmetrized_partial_trace(pure_to_density(state, tol=tol), basis, tol=tol)
 
 
-def _measure_value(rho: DensityMatrix, measure: str, tol: Tolerances) -> float:
-    if measure == "entropy":
-        return von_neumann_entropy(rho, tol=tol)
-    if measure == "concurrence":
-        # cross-term normalization: sqrt((1 - Tr rho^2)/2), equal to l1*l2
-        # on rank-2 sectors and to half the I-concurrence; this is the
-        # convention whose postselected average reproduces the closed forms
-        # in measures.two_boson_average_concurrence and
-        # measures.three_boson_average_concurrence.  Evaluated through
-        # pairwise eigenvalue products, which stays exact for rank-1
-        # reduced states where the subtraction 1 - purity would turn
-        # normalization residue into sqrt-amplified noise.
-        evs = [max(0.0, float(v)) for v in rho.eigenvalues()]
-        trace = sum(evs)
-        if trace <= tol.pruning:
-            return 0.0
-        pair_sum = 0.0
-        for i in range(len(evs)):
-            if evs[i] == 0.0:
-                continue
-            for j in range(i + 1, len(evs)):
-                pair_sum += evs[i] * evs[j]
-        return math.sqrt(pair_sum) / trace
-    raise ConsistencyError(f"unknown measure {measure!r}, expected one of {MEASURES}")
-
-
 def sector_entanglement(
     state: SymmetricKet,
     measure: str = "entropy",
-    traced_side: str = "L",
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Entanglement of one sector state across the two detector sides.
 
-    Traces out ``traced_side`` over its spin-resolved basis and evaluates
-    the chosen measure ("entropy" in bits, or "concurrence" with the
-    cross-term normalization, see :func:`sector_reduced_density`).
+    Reads the squared Schmidt coefficients l_i across L|R and evaluates
+    the chosen measure: "entropy" in bits, or "concurrence" with the
+    cross-term normalization sqrt(sum_{i<j} l_i l_j) = sqrt((1 - sum l_i^2)/2),
+    equal to the product of the two Schmidt coefficients on two-term
+    sectors and to half the I-concurrence.  This is the convention whose
+    postselected average reproduces the closed forms in
+    measures.two_boson_average_concurrence and
+    measures.three_boson_average_concurrence.
     """
-    rho = sector_reduced_density(state, traced_side=traced_side, tol=tol)
-    return _measure_value(rho, measure, tol)
+    if measure not in MEASURES:
+        raise ConsistencyError(
+            f"unknown measure {measure!r}, expected one of {MEASURES}"
+        )
+    matrix = mode_split_matrix(state, ModeSplit())[0]
+    weights = np.linalg.svd(matrix, compute_uv=False) ** 2
+    weights /= np.sum(weights)
+    if measure == "entropy":
+        return entropy_bits(weights, tol)
+    # pairwise products, not 1 - sum l^2: the subtraction would turn
+    # normalization residue of rank-1 sectors into sqrt-amplified noise
+    return math.sqrt(float(np.sum(weights[1:] * np.cumsum(weights)[:-1])))
 
 
 def entanglement_of_particles(
     ensemble: ParticleEnsemble,
     measure: str = "concurrence",
-    method: str = "ryser",
     tol: Tolerances = DEFAULT_TOLERANCES,
     decomposition: Optional[SectorDecomposition] = None,
 ) -> float:
@@ -351,7 +329,7 @@ def entanglement_of_particles(
     misses both detectors.
     """
     if decomposition is None:
-        decomposition = project_onto_detectors(ensemble, method=method, tol=tol)
+        decomposition = project_onto_detectors(ensemble, tol=tol)
     total_p = sum(s.probability for s in decomposition.sectors)
     if total_p <= tol.pruning:
         return 0.0
@@ -374,7 +352,6 @@ class SeparabilityVerdict:
 def theorem1_separability_check(
     ensemble: ParticleEnsemble,
     measure: str = "concurrence",
-    method: str = "ryser",
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SeparabilityVerdict:
     """Check the coherence criterion: if every spin-up particle or every
@@ -387,5 +364,5 @@ def theorem1_separability_check(
     criterion = all(c <= tol.coherence_zero for c in ups) or all(
         c <= tol.coherence_zero for c in downs
     )
-    value = entanglement_of_particles(ensemble, measure=measure, method=method, tol=tol)
+    value = entanglement_of_particles(ensemble, measure=measure, tol=tol)
     return SeparabilityVerdict(criterion, value, value < tol.separability)

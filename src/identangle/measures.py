@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,19 +29,24 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 def von_neumann_entropy(
     rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
-    """Entropy -sum(l * log2(l)) over eigenvalues of a trace-1 density matrix.
-
-    Eigenvalues below the entropy cutoff are skipped to avoid 0*log(0)
-    noise.  The result is clamped to [0, log2(dim)].
-    """
+    """Entropy in bits (:func:`entropy_bits`) of the eigenvalues of a
+    trace-1 density matrix."""
     trace = rho.trace
     if abs(trace - 1.0) > tol.trace_check:
         raise NormalizationError(
             f"entropy requires unit trace, got {trace!r}"
         )
-    evs = rho.eigenvalues()
-    s = -sum(float(v) * math.log2(float(v)) for v in evs if v > tol.entropy_cutoff)
-    return min(max(s, 0.0), math.log2(len(rho.basis)) if len(rho.basis) > 1 else 0.0)
+    return entropy_bits(rho.eigenvalues(), tol)
+
+
+def entropy_bits(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+    """Entropy -sum(l * log2(l)) of a probability vector, in bits.
+
+    Weights below the entropy cutoff are skipped to avoid 0*log(0) noise.
+    The result is clamped to [0, log2(len(weights))].
+    """
+    s = -sum(float(v) * math.log2(float(v)) for v in weights if v > tol.entropy_cutoff)
+    return min(max(s, 0.0), math.log2(len(weights)) if len(weights) > 1 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -95,15 +100,24 @@ def schmidt_decompose(
     if abs(norm - 1.0) > tol.comparison:
         raise NormalizationError(f"schmidt_decompose needs a unit ket, norm = {norm!r}")
     if isinstance(bipartition, ModeSplit):
-        return _schmidt_modes(psi, bipartition, tol)
+        m, left_keys, right_keys, n_left = mode_split_matrix(psi, bipartition)
+        split = ("modes", n_left, psi.n_particles - n_left)
+        return _svd_result(m, left_keys, right_keys, split, psi.statistics, tol)
     if isinstance(bipartition, LabelSplit):
         return _schmidt_labels(psi, bipartition, tol)
     raise BipartitionError(f"unsupported bipartition {bipartition!r}")
 
 
-def _schmidt_modes(
-    psi: SymmetricKet, split: ModeSplit, tol: Tolerances
-) -> SchmidtResult:
+def mode_split_matrix(
+    psi: SymmetricKet, split: ModeSplit
+) -> Tuple[np.ndarray, List[OccupationKey], List[OccupationKey], int]:
+    """Coefficient matrix of a state across a mode split.
+
+    Returns (M, left_keys, right_keys, n_left) with
+    M[i, j] = <left_keys[i], right_keys[j]|psi>; the singular values of M
+    are the Schmidt coefficients.  Every key must hold the same number
+    n_left of particles on the left side.
+    """
     left_set = set(split.left)
     right_set = set(split.right)
     if left_set & right_set:
@@ -124,8 +138,6 @@ def _schmidt_modes(
             "mode split requires a fixed particle number on each side; "
             f"left counts seen: {sorted(counts)}"
         )
-    n_left = counts.pop()
-    n_right = psi.n_particles - n_left
     left_keys = sorted({lk for lk, _ in pairs})
     right_keys = sorted({rk for _, rk in pairs})
     m = np.zeros((len(left_keys), len(right_keys)), dtype=complex)
@@ -133,16 +145,7 @@ def _schmidt_modes(
     ri = {k: i for i, k in enumerate(right_keys)}
     for (lk, rk), value in pairs.items():
         m[li[lk], ri[rk]] = value
-    return _svd_result(
-        m,
-        left_keys,
-        right_keys,
-        n_left,
-        n_right,
-        ("modes", n_left, n_right),
-        psi.statistics,
-        tol,
-    )
+    return m, left_keys, right_keys, counts.pop()
 
 
 def _schmidt_labels(
@@ -178,16 +181,7 @@ def _schmidt_labels(
             m[kx, ky] += value * weight
     left_keys = [_dicke_key(mode, nx, kx) for kx in range(nx + 1)]
     right_keys = [_dicke_key(mode, ny, ky) for ky in range(ny + 1)]
-    return _svd_result(
-        m,
-        left_keys,
-        right_keys,
-        nx,
-        ny,
-        ("labels", nx, ny),
-        psi.statistics,
-        tol,
-    )
+    return _svd_result(m, left_keys, right_keys, ("labels", nx, ny), psi.statistics, tol)
 
 
 def _dicke_key(mode: str, n: int, ups: int) -> OccupationKey:
@@ -200,12 +194,11 @@ def _svd_result(
     m: np.ndarray,
     left_keys: Sequence[OccupationKey],
     right_keys: Sequence[OccupationKey],
-    n_left: int,
-    n_right: int,
     bipartition: Tuple[str, int, int],
     statistics: Statistics,
     tol: Tolerances,
 ) -> SchmidtResult:
+    _, n_left, n_right = bipartition
     u, s, vh = np.linalg.svd(m)
     keep = [i for i, val in enumerate(s) if val > tol.schmidt_cutoff]
     coeffs = tuple(float(s[i]) for i in keep)

@@ -72,8 +72,11 @@ def permanent_ryser(matrix) -> complex:
     """Permanent via Ryser inclusion-exclusion over column subsets.
 
     Subsets are visited in Gray-code order so each step updates the running
-    row sums with a single column, for O(2^n * n) total cost.  Agrees with
-    ``permanent_naive`` to relative 1e-10 on well-conditioned input.
+    row sums with a single column, for O(2^n * n) total cost.  The
+    alternating sum cancels in double precision: on overlap matrices of
+    nearby random configurations it missed relative 1e-10 on 3 of 32 pairs
+    at n = 16 (up to 1.8e-10) and 1 of 40 at n = 15; at n = 14 the worst of
+    2570 pairs was 5.4e-11.
 
     Parameters
     ----------

@@ -21,6 +21,9 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 EXPANSION_SIZE_LIMIT = 6
 
+#: spatial label of the undetected remainder mode shared by all particles
+REMAINDER_LABEL = "chi"
+
 
 class Spin(enum.Enum):
     UP = "up"
@@ -63,15 +66,14 @@ class SpatialMode:
     theta mixes the two detector modes, omega is the relative phase of the
     R component, phi weights the detector subspace against an orthogonal
     remainder mode (phi = pi/2 puts the particle fully in span{L, R}), and
-    gamma is the phase of that remainder.  Modes sharing ``chi_id`` share
-    one remainder state; distinct ids are mutually orthogonal.
+    gamma is the phase of that remainder.  All modes share one remainder
+    state, labeled ``REMAINDER_LABEL``.
     """
 
     theta: float
     omega: float = 0.0
     phi: float = math.pi / 2
     gamma: float = 0.0
-    chi_id: str = "chi"
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi / 2:
@@ -160,14 +162,15 @@ def mode_ket(mode: SpatialMode, spin: Spin, tol: Tolerances = DEFAULT_TOLERANCES
     """Unit-norm single-particle ket for a spatial mode with a fixed spin.
 
     Amplitudes are sin(phi)cos(theta) on (L, spin), sin(phi)sin(theta)e^{i omega}
-    on (R, spin) and cos(phi)e^{i gamma} on the remainder mode (chi_id, spin).
+    on (R, spin) and cos(phi)e^{i gamma} on the remainder mode
+    (REMAINDER_LABEL, spin).
     """
     sin_phi = math.sin(mode.phi)
     cos_phi = math.cos(mode.phi)
     amps = {
         ("L", spin): sin_phi * math.cos(mode.theta),
         ("R", spin): sin_phi * math.sin(mode.theta) * _phase(mode.omega),
-        (mode.chi_id, spin): cos_phi * _phase(mode.gamma),
+        (REMAINDER_LABEL, spin): cos_phi * _phase(mode.gamma),
     }
     return SingleParticleKet(amps, tol=tol)
 

@@ -367,7 +367,7 @@ def run_suite(
     if cases is not None:
         if cases < 1:
             raise ConfigError("cases must be >= 1")
-        keyword = _SIZE_KEYWORD.get(name)
-        if keyword:
-            kwargs[keyword] = cases
+        if name not in _SIZE_KEYWORD:
+            raise ConfigError(f"suite {name!r} has a fixed size and takes no cases")
+        kwargs[_SIZE_KEYWORD[name]] = cases
     return suite(seed=seed, tol=tol, **kwargs)

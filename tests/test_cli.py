@@ -1,13 +1,18 @@
 """Command-line interface tests."""
 
+import contextlib
+import gc
+import io
 import json
 import math
+import weakref
 
 import pytest
 from click.testing import CliRunner
 
 from identangle.cli import main
 from identangle.config import (
+    MAX_GRID_POINTS,
     dump_ensemble_config,
     parse_ensemble_config,
     parse_parameter_path,
@@ -354,3 +359,87 @@ def test_csv_formatting_precision(runner, tmp_path):
     result = runner.invoke(main, ["sweep", "--config", cfg, "--sweep", sweep])
     first_field = result.output.strip().splitlines()[1].split(",")[0]
     assert first_field == "%.17g" % (1.0 / 3.0)
+
+
+def test_in_process_calls_free_their_streams(tmp_path):
+    # a caller that redirects the streams must get them back: click.echo
+    # keeps every stream it wrote to in a module-level cache
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.3, 0.4))
+    for argv, redirect in (
+        (["echo-config", "--config", cfg], contextlib.redirect_stdout),
+        (["project", "--config", str(tmp_path / "missing.json")], contextlib.redirect_stderr),
+    ):
+        stream = io.StringIO()
+        with redirect(stream):
+            try:
+                main(argv, standalone_mode=False)
+            except SystemExit:
+                pass
+        assert stream.getvalue()
+        ref = weakref.ref(stream)
+        del stream
+        gc.collect()
+        assert ref() is None
+
+
+def assert_usage_error(result, *fragments):
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+def run_sweep(runner, tmp_path, spec):
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+    sweep = write(tmp_path, "sweep.json", spec)
+    return runner.invoke(main, ["sweep", "--config", cfg, "--sweep", sweep])
+
+
+def test_sweep_rejects_non_numeric_values(runner, tmp_path):
+    for axis in (
+        {"values": [0.1, "abc"]},
+        {"start": "abc", "stop": 1.0, "steps": 3},
+        {"start": 0.0, "stop": "abc", "steps": 3},
+    ):
+        spec = {"axes": [dict(path="particles[0].omega", **axis)]}
+        assert_usage_error(run_sweep(runner, tmp_path, spec), "must be a number", "'abc'")
+    spec = '{"axes": [{"path": "particles[0].omega", "values": [NaN]}]}'
+    assert_usage_error(run_sweep(runner, tmp_path, spec), "must be finite")
+
+
+def test_sweep_rejects_booleans(runner, tmp_path):
+    for axis in (
+        {"values": [True]},
+        {"start": 0.0, "stop": False, "steps": 3},
+        {"start": 0.0, "stop": 1.0, "steps": True},
+    ):
+        spec = {"axes": [dict(path="particles[0].omega", **axis)]}
+        assert_usage_error(run_sweep(runner, tmp_path, spec), "axes[0]")
+
+
+def test_sweep_rejects_unknown_keys(runner, tmp_path):
+    axis = {"path": "particles[0].omega", "values": [0.1]}
+    for spec, fragment in (
+        ({"axes": [axis], "extra": 1}, "only 'axes'"),
+        ({"axes": [dict(axis, step=2)]}, "'step'"),
+        ({"axes": [dict(axis, start=0.0)]}, "'start'"),
+    ):
+        assert_usage_error(run_sweep(runner, tmp_path, spec), fragment)
+
+
+def test_sweep_rejects_out_of_range_angles_before_evaluation(runner, tmp_path):
+    for axis in (
+        {"path": "particles[0].theta", "start": 0.0, "stop": 1.6, "steps": 5},
+        {"path": "particles[1].theta", "values": [0.1, -0.1]},
+        {"path": "particles[0].phi", "values": [1.0, 2.0]},
+    ):
+        assert_usage_error(run_sweep(runner, tmp_path, {"axes": [axis]}), "[0, pi/2]")
+    # the cap holds for one axis too, before its points are built
+    axis = {"path": "particles[0].omega", "start": 0.0, "stop": 1.0, "steps": MAX_GRID_POINTS + 1}
+    assert_usage_error(run_sweep(runner, tmp_path, {"axes": [axis]}), "grid cap")
+
+
+def test_verify_schmidt_rejects_cases(runner):
+    result = runner.invoke(main, ["verify", "schmidt", "--cases", "3"])
+    assert_usage_error(result, "schmidt")

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from identangle.algebra import overlap_matrix
 from identangle.detection import (
+    PROJECTION_SIZE_LIMIT,
     DetectionMatrixSpec,
     ParticleEnsemble,
     build_detection_matrix,
@@ -19,7 +22,7 @@ from identangle.detection import (
     theorem1_separability_check,
 )
 from identangle.errors import BoundsError, ConsistencyError, SectorError, SizeLimitError
-from identangle.measures import two_boson_average_concurrence
+from identangle.measures import two_boson_average_concurrence, von_neumann_entropy
 from identangle.oracles import project_by_substitution
 from identangle.permanent import permanent_naive
 from identangle.states import SpatialMode, Spin, mode_ket
@@ -189,7 +192,9 @@ def test_projection_completeness(rng):
 
 
 def test_projection_size_guard():
-    ens = ParticleEnsemble(0, tuple(SpatialMode(theta=0.3) for _ in range(13)))
+    ens = ParticleEnsemble(
+        0, tuple(SpatialMode(theta=0.3) for _ in range(PROJECTION_SIZE_LIMIT + 1))
+    )
     with pytest.raises(SizeLimitError):
         project_onto_detectors(ens)
 
@@ -206,6 +211,121 @@ def test_projection_matches_substitution_oracle(rng):
                 root_p = math.sqrt(sector.probability)
                 for key, value in sector.state.items():
                     assert abs(value * root_p - reference[key]) < 1e-10
+
+
+PROPERTY_SETTINGS = settings(
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# theta and phi at their ends put a particle wholly on one detector or
+# wholly in the remainder mode
+ENDPOINT_ANGLES = st.one_of(
+    st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi / 2)
+)
+PHASES = st.floats(0.0, 2 * math.pi)
+MODES = st.builds(
+    SpatialMode, theta=ENDPOINT_ANGLES, omega=PHASES, phi=ENDPOINT_ANGLES, gamma=PHASES
+)
+
+
+@st.composite
+def ensembles(draw, max_n):
+    """Ensembles of up to ``max_n`` particles drawn from a smaller pool of
+    modes, so that particles often repeat a mode."""
+    n_total = draw(st.integers(1, max_n))
+    pool = draw(st.lists(MODES, min_size=1, max_size=n_total))
+    picks = draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=n_total, max_size=n_total)
+    )
+    n_up = draw(st.integers(0, n_total))
+    return ParticleEnsemble(n_up, tuple(pool[i] for i in picks))
+
+
+def assert_projection_matches(dec, reference, reference_leak):
+    """Compare unnormalized sector amplitudes with a reference
+    {q: {key: amplitude}}; a sector the projection drops below the pruning
+    threshold must carry no reference weight beyond the tolerance."""
+    assert abs(dec.leak_probability - reference_leak) < 1e-10
+    got = dec.probabilities()
+    for q in set(reference) | set(got):
+        ref = reference.get(q, {})
+        if q not in got:
+            assert sum(abs(v) ** 2 for v in ref.values()) < 1e-10
+            continue
+        root_p = math.sqrt(got[q])
+        amps = {k: v * root_p for k, v in dec.sector(q).state.items()}
+        for key in set(ref) | set(amps):
+            assert abs(amps.get(key, 0j) - ref.get(key, 0j)) < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(ensembles(max_n=5))
+def test_projection_fold_matches_substitution_property(ens):
+    sectors, leak = project_by_substitution(ens)
+    assert_projection_matches(project_onto_detectors(ens), sectors, leak)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=12)
+@given(ensembles(max_n=8))
+def test_projection_fold_matches_detection_permanents(ens):
+    # <outcome|a'(k_1)...a'(k_N)|vac> = perm(A) / sqrt(prod of occupation
+    # factorials), over the input norm sqrt(perm(Gram))
+    kets = ens.kets()
+    gram = permanent_naive(overlap_matrix(kets, kets)).real
+    n, total = ens.n_up, ens.n_total
+    reference = {}
+    for alpha in range(n + 1):
+        for beta in range(total - n + 1):
+            spec = DetectionMatrixSpec(alpha, beta)
+            occupations = math.prod(
+                math.factorial(m) for m in (alpha, beta, n - alpha, total - n - beta)
+            )
+            amp = permanent_naive(build_detection_matrix(ens, spec)) / math.sqrt(
+                occupations * gram
+            )
+            reference.setdefault(alpha + beta, {})[detection_key(ens, spec)] = amp
+    leak = 1.0 - sum(abs(v) ** 2 for amps in reference.values() for v in amps.values())
+    assert_projection_matches(project_onto_detectors(ens), reference, leak)
+
+
+@st.composite
+def single_spin_ensembles(draw):
+    n_total = draw(st.sampled_from([12, 16]))
+    # per particle sin(theta) sin(phi) > 0.41, so that at N = 16 both
+    # all-at-one-side sectors keep a probability far above tol.pruning
+    theta = st.floats(0.45, math.pi / 2 - 0.45)
+    modes = draw(
+        st.lists(
+            st.builds(SpatialMode, theta=theta, omega=PHASES, phi=st.floats(1.3, math.pi / 2)),
+            min_size=n_total,
+            max_size=n_total,
+        )
+    )
+    return ParticleEnsemble(draw(st.sampled_from([0, n_total])), tuple(modes))
+
+
+@PROPERTY_SETTINGS
+@given(single_spin_ensembles())
+def test_single_spin_all_left_to_all_right_ratio(ens):
+    # one spin block: all-at-L and all-at-R each come from one product
+    total = ens.n_total
+    up = ens.n_up == total
+    dec = project_onto_detectors(ens)
+    left = detection_key(ens, DetectionMatrixSpec(total, 0) if up else DetectionMatrixSpec(0, total))
+    right = detection_key(ens, DetectionMatrixSpec(0, 0))
+    ratio = (
+        dec.sector(total).state.amplitude(left)
+        * math.sqrt(dec.sector(total).probability)
+        / (dec.sector(0).state.amplitude(right) * math.sqrt(dec.sector(0).probability))
+    )
+    expected = math.prod(math.cos(m.theta) for m in ens.modes) / math.prod(
+        math.sin(m.theta) * complex(math.cos(m.omega), math.sin(m.omega))
+        for m in ens.modes
+    )
+    assert abs(ratio / expected - 1) < 1e-12
 
 
 def test_detection_matrix_row_exchange_invariance(rng):
@@ -263,9 +383,10 @@ def test_sector_entanglement_side_symmetry(rng):
     ens = uniform_ensemble(rng, 3)
     dec = project_onto_detectors(ens)
     for sector in dec.sectors:
-        left = sector_entanglement(sector.state, "entropy", traced_side="L")
-        right = sector_entanglement(sector.state, "entropy", traced_side="R")
-        assert abs(left - right) < 1e-10
+        schmidt = sector_entanglement(sector.state, "entropy")
+        for side in ("L", "R"):
+            traced = von_neumann_entropy(sector_reduced_density(sector.state, side))
+            assert abs(schmidt - traced) < 1e-10
 
 
 def test_sector_reduced_density_eigenvalues():
