@@ -17,6 +17,7 @@ from .errors import (
 )
 from .permanent import determinant, permanent_naive, permanent_ryser
 from .states import (
+    BasisLabel,
     OccupationKey,
     SingleParticleKet,
     Statistics,
@@ -37,12 +38,24 @@ _PERMANENT_KERNELS = {
 def overlap_matrix(
     bras: Sequence[SingleParticleKet], kets: Sequence[SingleParticleKet]
 ) -> np.ndarray:
-    """Matrix A with A[i, j] = <bra_i|ket_j>."""
-    a = np.empty((len(bras), len(kets)), dtype=complex)
-    for i, bra in enumerate(bras):
-        for j, ket in enumerate(kets):
-            a[i, j] = bra.inner(ket)
-    return a
+    """Matrix A with A[i, j] = <bra_i|ket_j>.
+
+    The basis labels of all kets on both sides become the columns of one
+    dense amplitude array per side, and A is their product B^* K^T.
+    """
+    columns: Dict[BasisLabel, int] = {}
+    for ket in (*bras, *kets):
+        for label in ket.labels():
+            columns.setdefault(label, len(columns))
+
+    def dense(side: Sequence[SingleParticleKet]) -> np.ndarray:
+        out = np.zeros((len(side), len(columns)), dtype=complex)
+        for i, ket in enumerate(side):
+            for label, amp in ket.items():
+                out[i, columns[label]] = amp
+        return out
+
+    return dense(bras).conj() @ dense(kets).T
 
 
 def transition_amplitude(

@@ -212,7 +212,8 @@ def project_onto_detectors(
     outcomes are grouped into sectors by q = alpha + beta.  The weight of
     the a_chi > 0 outcomes (phi < pi/2) is ``leak_probability``, summed
     rather than taken as the complement, so that probabilities plus leak
-    summing to one is a genuine cross-check.
+    summing to one is a genuine cross-check: a deviation above
+    ``tol.comparison`` raises ConsistencyError.
     """
     total = ensemble.n_total
     if total > PROJECTION_SIZE_LIMIT:
@@ -248,6 +249,11 @@ def project_onto_detectors(
 
     # an outcome leaks when either block has a particle in its remainder mode
     leak = up_leaked + up_detected * down_leaked
+    deviation = sum(s.probability for s in sectors) + leak - 1.0
+    if abs(deviation) > tol.comparison:
+        raise ConsistencyError(
+            f"sector probabilities plus leak miss one by {deviation:.3e}"
+        )
     return SectorDecomposition(tuple(sectors), leak)
 
 

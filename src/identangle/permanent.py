@@ -2,14 +2,16 @@
 
 The permanent governs bosonic transition amplitudes, the determinant the
 fermionic ones.  Two permanent paths are provided: a factorial-cost
-reference that sums over all permutations, and a Ryser inclusion-exclusion
-kernel in Gray-code order that serves as the production path.  Everything
+reference that sums over all permutations, and the production Ryser
+inclusion-exclusion kernel, which builds the row sums of every column
+subset as numpy tables and sums their signed row products.  Everything
 runs in double-precision complex arithmetic; there is no arbitrary
 precision fallback.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -20,6 +22,9 @@ from .errors import DimensionError, SizeLimitError
 NAIVE_SIZE_LIMIT = 10
 #: hard guard for the O(2^n * n) Ryser kernel
 RYSER_SIZE_LIMIT = 30
+#: columns per subset table of the Ryser kernel; with 2^11 subsets a call
+#: took 1.2 to 3.3 times as long at n = 11..14
+_CHUNK_COLUMNS = 10
 
 
 def as_square_matrix(matrix) -> np.ndarray:
@@ -71,12 +76,21 @@ def permanent_naive(matrix) -> complex:
 def permanent_ryser(matrix) -> complex:
     """Permanent via Ryser inclusion-exclusion over column subsets.
 
-    Subsets are visited in Gray-code order so each step updates the running
-    row sums with a single column, for O(2^n * n) total cost.  The
-    alternating sum cancels in double precision: on overlap matrices of
-    nearby random configurations it missed relative 1e-10 on 3 of 32 pairs
-    at n = 16 (up to 1.8e-10) and 1 of 40 at n = 15; at n = 14 the worst of
-    2570 pairs was 5.4e-11.
+    Ryser's formula perm(A) = (-1)^n sum_S (-1)^|S| prod_i (x_i + sum_{j in S}
+    a_ij) holds for any shift x.  With x_i = -1/2 sum_j a_ij (the form of
+    Nijenhuis and Wilf) the subsets S and S^c give equal terms, so the sum
+    runs over the subsets of the first n - 1 columns and doubles, and the
+    centred row sums are far smaller than the plain ones, which keeps the
+    cancellation in check.  Those columns are split into a low chunk of at
+    most 10 and a high rest; the row sums of every subset of each part are
+    built directly by doubling (the subsets that hold column j are those
+    without it plus column j), and each high subset adds its row sums to
+    the whole low table and takes the signed sum of the column products.
+    Cost O(2^n * n), in numpy operations on tables of at most 2^10 subsets.
+    On overlap matrices of nearby rank-3 configurations (transition
+    amplitudes between nearby ensembles) the worst relative error was
+    1.3e-14 at n = 15 and 16, where the same sums without the shift missed
+    1e-10 on 11 of the 80 pairs.
 
     Parameters
     ----------
@@ -95,31 +109,53 @@ def permanent_ryser(matrix) -> complex:
         )
     if n == 0:
         return 1 + 0j
-    cols = [m[:, j].tolist() for j in range(n)]
-    row_sums = [0j] * n
-    total = 0j
-    gray = 0
-    for k in range(1, 1 << n):
-        g = k ^ (k >> 1)
-        changed = g ^ gray
-        j = changed.bit_length() - 1
-        col = cols[j]
-        if g & changed:
-            for i in range(n):
-                row_sums[i] += col[i]
-        else:
-            for i in range(n):
-                row_sums[i] -= col[i]
-        gray = g
-        p = 1 + 0j
-        for v in row_sums:
-            p *= v
-        # sign of (-1)^(n - |S|)
-        if (n - g.bit_count()) % 2:
-            total -= p
-        else:
-            total += p
-    return total
+    k = min(n - 1, _CHUNK_COLUMNS)
+    low = _subset_row_sums(m[:, :k], -0.5 * np.add.reduce(m, axis=1))
+    low_parity = _subset_parity(k)
+    # the empty high subset adds nothing to the low table
+    total = np.dot(np.multiply.reduce(low, axis=0), low_parity)
+    if n - 1 > k:
+        for high, high_parity in _nonempty_subset_blocks(m[:, k : n - 1]):
+            for col, sign in zip(high.T[:, :, None], high_parity):
+                products = np.multiply.reduce(low + col, axis=0)
+                total += sign * np.dot(products, low_parity)
+    return complex(2 * (-total if n % 2 else total))
+
+
+def _subset_row_sums(cols: np.ndarray, start) -> np.ndarray:
+    """(n, 2^k) table whose column s holds ``start`` plus the row sums of the
+    columns in subset s; bit j of s selects column j of ``cols``."""
+    n, k = cols.shape
+    sums = np.empty((n, 1 << k), dtype=complex)
+    sums[:, 0] = start
+    for j in range(k):
+        w = 1 << j
+        np.add(sums[:, :w], cols[:, j, None], sums[:, w : 2 * w])
+    return sums
+
+
+def _nonempty_subset_blocks(cols: np.ndarray):
+    """Row sums and parities of every nonempty subset of ``cols``, in blocks
+    of at most 2^10 subsets: those of the first 10 columns, shifted by one
+    subset of the rest per block, so that no table outgrows 2^10 subsets
+    (n <= 30 leaves at most 9 columns for the shifts)."""
+    k = min(cols.shape[1], _CHUNK_COLUMNS)
+    inner = _subset_row_sums(cols[:, :k], 0)
+    inner_parity = _subset_parity(k)
+    yield inner[:, 1:], inner_parity[1:]
+    outer = _subset_row_sums(cols[:, k:], 0)
+    for col, sign in zip(outer.T[1:, :, None], _subset_parity(cols.shape[1] - k)[1:]):
+        yield inner + col, sign * inner_parity
+
+
+@lru_cache(maxsize=None)
+def _subset_parity(k: int) -> np.ndarray:
+    """(-1)^|s| for the 2^k subsets s, in the order of :func:`_subset_row_sums`."""
+    parity = np.ones(1, dtype=complex)
+    for _ in range(k):
+        parity = np.concatenate((parity, -parity))
+    parity.flags.writeable = False
+    return parity
 
 
 def determinant(matrix) -> complex:

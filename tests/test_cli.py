@@ -10,6 +10,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
+from identangle import detection
 from identangle.cli import main
 from identangle.config import (
     MAX_GRID_POINTS,
@@ -18,7 +19,7 @@ from identangle.config import (
     parse_parameter_path,
     parse_sweep_spec,
 )
-from identangle.errors import ConfigError
+from identangle.errors import ConfigError, ConsistencyError
 from identangle.tolerances import TOLERANCE_ENV_VAR
 
 
@@ -443,3 +444,23 @@ def test_sweep_rejects_out_of_range_angles_before_evaluation(runner, tmp_path):
 def test_verify_schmidt_rejects_cases(runner):
     result = runner.invoke(main, ["verify", "schmidt", "--cases", "3"])
     assert_usage_error(result, "schmidt")
+
+
+def test_probability_sum_invariant_exits_2(runner, tmp_path, monkeypatch):
+    block = detection._detector_block
+
+    def skewed_block(kets, spin, tol):
+        amps, detected, leaked = block(kets, spin, tol)
+        return amps, detected, leaked + 1e-6
+
+    monkeypatch.setattr(detection, "_detector_block", skewed_block)
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+    ensemble = parse_ensemble_config((tmp_path / "cfg.json").read_text()).ensemble()
+    with pytest.raises(ConsistencyError, match="miss one by"):
+        detection.project_onto_detectors(ensemble)
+    assert_usage_error(runner.invoke(main, ["project", "--config", cfg]), "miss one by")
+    sweep = write(tmp_path, "sweep.json", {
+        "axes": [{"path": "particles[0].theta", "values": [0.2, 0.4]}]
+    })
+    result = runner.invoke(main, ["sweep", "--config", cfg, "--sweep", sweep])
+    assert_usage_error(result, "miss one by")

@@ -7,6 +7,7 @@ import pytest
 
 from identangle.errors import DimensionError, SizeLimitError
 from identangle.permanent import (
+    NAIVE_SIZE_LIMIT,
     determinant,
     determinant_reference,
     permanent_naive,
@@ -55,6 +56,62 @@ def test_ryser_matches_naive(rng):
             slow = permanent_naive(m)
             fast = permanent_ryser(m)
             assert abs(fast - slow) <= 1e-10 * (1 + abs(slow))
+
+
+def _row_polynomial(rows):
+    """Coefficients of x^a y^b z^c in prod_i (rows[i] . (x, y, z))."""
+    n = len(rows)
+    coeffs = np.zeros((n + 1,) * 3, dtype=complex)
+    coeffs[0, 0, 0] = 1
+    for x, y, z in rows:
+        nxt = np.zeros_like(coeffs)
+        nxt[1:] += x * coeffs[:-1]
+        nxt[:, 1:] += y * coeffs[:, :-1]
+        nxt[:, :, 1:] += z * coeffs[:, :, :-1]
+        coeffs = nxt
+    return coeffs
+
+
+def _rank3_permanent(bra, ket):
+    """perm(conj(B) K^T) for n x 3 arrays B and K, by Cauchy-Binet:
+    sum_a a_L! a_R! a_chi! conj(B^[a]) K^[a] over the row polynomials."""
+    fact = np.array([float(math.factorial(k)) for k in range(len(bra) + 1)])
+    weight = fact[:, None, None] * fact[None, :, None] * fact[None, None, :]
+    return complex(np.sum(weight * _row_polynomial(bra).conj() * _row_polynomial(ket)))
+
+
+def _nearby_rank3_pair(rng, n):
+    """Rows (L, R, chi) of nearby single-particle states, as in transition
+    amplitudes between nearby configurations.  All terms of the rank-3
+    permanent are then close to positive, so it is exact to rounding."""
+    theta = rng.uniform(0, np.pi / 2, n)
+    omega = rng.uniform(0, 2 * np.pi, n)
+    phi = np.where(rng.random(n) < 0.5, np.pi / 2, rng.uniform(0.6, np.pi / 2, n))
+    gamma = rng.uniform(0, 2 * np.pi, n)
+    bra = np.stack(
+        [
+            np.sin(phi) * np.cos(theta),
+            np.sin(phi) * np.sin(theta) * np.exp(1j * omega),
+            np.cos(phi) * np.exp(1j * gamma),
+        ],
+        axis=1,
+    )
+    ket = bra + 0.05 * (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))
+    return bra, ket
+
+
+@pytest.mark.parametrize(
+    "n,pairs", [(6, 40), (11, 40), (12, 40), (15, 40), (16, 40), (23, 1)]
+)
+def test_ryser_matches_rank3_overlap(n, pairs):
+    rng = np.random.default_rng([1, n])
+    for _ in range(pairs):
+        bra, ket = _nearby_rank3_pair(rng, n)
+        exact = _rank3_permanent(bra, ket)
+        overlap = bra.conj() @ ket.T
+        assert abs(permanent_ryser(overlap) - exact) <= 1e-10 * abs(exact)
+        if n <= NAIVE_SIZE_LIMIT:
+            assert abs(permanent_naive(overlap) - exact) <= 1e-10 * abs(exact)
 
 
 def test_permanent_row_and_column_swap_invariance(rng):
