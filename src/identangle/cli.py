@@ -13,21 +13,25 @@ comparison tolerance.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import click
+import numpy as np
 
 from .config import (
     EnsembleConfig,
     dump_ensemble_config,
     parse_ensemble_config,
+    parse_parameter_path,
     parse_sweep_spec,
 )
-from .detection import entanglement_of_particles, project_onto_detectors
-from .errors import IdentangleError
+from .detection import entanglement_of_particles, project_onto_detectors, sweep_grid
+from .errors import ConsistencyError, IdentangleError, RowError
 from .measures import verify_schmidt_equivalence
 from .states import Statistics
 from .algebra import transition_amplitude
@@ -60,18 +64,20 @@ def _load_config(path: str) -> EnsembleConfig:
         _fail_usage(f"{path}: {exc}")
 
 
+@contextlib.contextmanager
+def _output_stream(output: str):
+    if output == "-":
+        yield sys.stdout
+        return
+    with open(output, "w", encoding="utf-8") as handle:
+        yield handle
+
+
 def _write_output(text: str, output: str):
     if not text.endswith("\n"):
         text += "\n"
-    if output == "-":
-        sys.stdout.write(text)
-        return
-    with open(output, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-
-def _fmt(value: float) -> str:
-    return "%.17g" % value
+    with _output_stream(output) as stream:
+        stream.write(text)
 
 
 def _key_json(key) -> List[List[str]]:
@@ -163,27 +169,49 @@ def project(config_path: str, output: str):
     _write_output(json.dumps(record, indent=2), output)
 
 
-def _sweep_point(
+#: complex entries in one fold array of a sweep chunk: G * (n + 1)^2 for
+#: the larger spin block.  The chunk size follows from this and the block
+#: sizes alone, so rows do not depend on --threads.
+SWEEP_CHUNK_ENTRIES = 1 << 16
+
+_ANGLES = ("theta", "omega", "phi", "gamma")
+
+#: one sweep axis: its path, the (particle, angle) it sets and its values
+_Axis = Tuple[str, Tuple[int, str], np.ndarray]
+
+
+def _sweep_chunk(
+    bounds: Tuple[int, int],
     config: EnsembleConfig,
-    paths: Sequence[str],
-    values: Sequence[float],
+    axes: List[_Axis],
     measure: str,
     tol: Tolerances,
-) -> Tuple[Tuple[float, ...], Dict[int, float], float, float]:
-    point_config = config
-    for path, value in zip(paths, values):
-        point_config = point_config.with_value(path, value)
-    ensemble = point_config.ensemble()
-    decomposition = project_onto_detectors(ensemble, tol=tol)
-    entanglement = entanglement_of_particles(
-        ensemble, measure, tol=tol, decomposition=decomposition
-    )
-    return (
-        tuple(values),
-        decomposition.probabilities(),
-        decomposition.leak_probability,
-        entanglement,
-    )
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Grid rows [start, stop) as (axis values, p, leak, entanglement) arrays.
+
+    A failed consistency check names the first failing row and its axis
+    values.
+    """
+    start, stop = bounds
+    index = np.unravel_index(np.arange(start, stop), [len(v) for _, _, v in axes])
+    values = np.column_stack([v[i] for (_, _, v), i in zip(axes, index)])
+    angles = {
+        attr: np.tile([getattr(p, attr) for p in config.particles], (stop - start, 1))
+        for attr in _ANGLES
+    }
+    for column, (_, (particle, attr), _) in enumerate(axes):
+        angles[attr][:, particle] = values[:, column]
+    try:
+        p, leak, entanglement = sweep_grid(
+            config.n_up, *(angles[attr] for attr in _ANGLES), measure, tol
+        )
+    except RowError as exc:
+        point = ", ".join(
+            f"{path} = {value!r}"
+            for (path, _, _), value in zip(axes, values[exc.row].tolist())
+        )
+        raise ConsistencyError(f"grid row {start + exc.row} ({point}): {exc}") from None
+    return values, p, leak, entanglement
 
 
 @main.command()
@@ -196,8 +224,12 @@ def _sweep_point(
 def sweep(config_path, sweep_path, measure, fmt, threads, output):
     """Evaluate the projection over a parameter grid.
 
-    Rows follow the lexicographic grid order of the sweep axes regardless
-    of the thread count.
+    The grid is evaluated in chunks of rows as numpy arrays
+    (:func:`detection.sweep_grid`); with --threads above one, up to that
+    many threads (never more than there are chunks) evaluate chunks side by
+    side.  Every chunk is evaluated before anything is written, so a failing
+    grid row writes no output.  Rows follow the lexicographic grid order of
+    the sweep axes and are identical for any thread count.
     """
     tol = _tolerances()
     config = _load_config(config_path)
@@ -213,43 +245,51 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
     if threads < 1:
         _fail_usage("--threads must be >= 1")
 
+    axes = [
+        (axis.path, parse_parameter_path(axis.path, config.n_total), np.asarray(axis.values))
+        for axis in spec.axes
+    ]
     paths = [axis.path for axis in spec.axes]
     n = config.n_total
-
-    def evaluate(values):
-        return _sweep_point(config, paths, values, measure, tol)
-
+    block = max(config.n_up, n - config.n_up) + 1
+    chunk = max(1, SWEEP_CHUNK_ENTRIES // block ** 2)
+    bounds = [(start, min(start + chunk, spec.size)) for start in range(0, spec.size, chunk)]
+    evaluate = functools.partial(
+        _sweep_chunk, config=config, axes=axes, measure=measure, tol=tol
+    )
+    workers = min(threads, len(bounds))
     try:
-        if threads == 1:
-            results = [evaluate(v) for v in spec.grid()]
+        if workers == 1:
+            results = [evaluate(b) for b in bounds]
         else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(evaluate, spec.grid()))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(evaluate, bounds))
     except IdentangleError as exc:
         _fail_usage(str(exc))
 
     if fmt == "json":
         records = [
             {
-                "parameters": dict(zip(paths, values)),
-                "p": {str(q): p for q, p in sorted(probs.items())},
+                "parameters": dict(zip(paths, point)),
+                "p": {str(q): value for q, value in enumerate(probs) if value != 0.0},
                 "leak": leak,
                 "entanglement": ent,
             }
-            for values, probs, leak, ent in results
+            for values, p, leaks, ents in results
+            for point, probs, leak, ent in zip(
+                values.tolist(), p.tolist(), leaks.tolist(), ents.tolist()
+            )
         ]
         _write_output(json.dumps(records, indent=2), output)
         return
 
     header = paths + [f"p_{q}" for q in range(n + 1)] + ["leak", "entanglement"]
-    lines = [",".join(header)]
-    for values, probs, leak, ent in results:
-        row = [_fmt(v) for v in values]
-        row += [_fmt(probs.get(q, 0.0)) for q in range(n + 1)]
-        row.append(_fmt(leak))
-        row.append(_fmt(ent))
-        lines.append(",".join(row))
-    _write_output("\n".join(lines) + "\n", output)
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    with _output_stream(output) as stream:
+        stream.write(",".join(header) + "\n")
+        for values, p, leak, ent in results:
+            rows = np.column_stack([values, p, leak, ent]).tolist()
+            stream.write("".join(row_format % tuple(row) for row in rows))
 
 
 @main.command()

@@ -8,12 +8,11 @@ callers can report results against the original ordering.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from .detection import ParticleEnsemble
 from .errors import ConfigError
@@ -192,17 +191,14 @@ class SweepSpec:
             size *= len(axis.values)
         return size
 
-    def grid(self) -> Iterator[Tuple[float, ...]]:
-        """Grid points in lexicographic order of the axis value lists."""
-        return itertools.product(*(axis.values for axis in self.axes))
-
 
 def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
     """Parse a sweep spec from JSON text.
 
     Schema: {"axes": [{"path": "particles[0].theta", "start": a, "stop": b,
     "steps": k} | {"path": ..., "values": [...]}]}.  Multiple axes form the
-    cross product, capped at 10^6 points.
+    cross product, capped at 10^6 points; no two axes may sweep the same
+    angle.
     """
     try:
         data = json.loads(text)
@@ -213,12 +209,20 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
     if not isinstance(data["axes"], list) or not data["axes"]:
         raise ConfigError("sweep spec needs a non-empty 'axes' list")
     axes: List[SweepAxis] = []
+    # (particle, angle) -> index of the axis that sweeps it
+    swept: Dict[Tuple[int, str], int] = {}
     for i, entry in enumerate(data["axes"]):
         where = f"axes[{i}]"
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise ConfigError(f"{where}: each axis needs a string 'path'")
         path = entry["path"]
-        _, attr = parse_parameter_path(path, config.n_total)
+        parameter = parse_parameter_path(path, config.n_total)
+        if parameter in swept:
+            raise ConfigError(
+                f"{where}: {path} sweeps the same angle as axes[{swept[parameter]}]"
+            )
+        swept[parameter] = i
+        attr = parameter[1]
         if "values" in entry:
             expected = {"path", "values"}
         else:

@@ -9,9 +9,10 @@ weighted entanglement is the postselected "entanglement of particles".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,10 +20,11 @@ from .algebra import DensityMatrix, pure_to_density, symmetrized_partial_trace
 from .errors import (
     BoundsError,
     ConsistencyError,
+    RowError,
     SectorError,
     SizeLimitError,
 )
-from .measures import ModeSplit, entropy_bits, mode_split_matrix
+from .measures import ModeSplit, mode_split_matrix, weight_measure
 from .states import (
     REMAINDER_LABEL,
     OccupationKey,
@@ -39,8 +41,6 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 #: a block's unnormalized norm^2 reaches N! when all its modes coincide,
 #: and 171! overflows a double
 PROJECTION_SIZE_LIMIT = 170
-
-MEASURES = ("entropy", "concurrence")
 
 
 def coherence(mode: SpatialMode) -> float:
@@ -124,13 +124,13 @@ def detection_key(ensemble: ParticleEnsemble, spec: DetectionMatrixSpec) -> Occu
         raise BoundsError(f"alpha = {spec.alpha} outside [0, {n}]")
     if not 0 <= spec.beta <= total - n:
         raise BoundsError(f"beta = {spec.beta} outside [0, {total - n}]")
-    labels = (
-        [("L", Spin.UP)] * spec.alpha
-        + [("L", Spin.DOWN)] * spec.beta
-        + [("R", Spin.UP)] * (n - spec.alpha)
-        + [("R", Spin.DOWN)] * (total - n - spec.beta)
+    # already canonical: L before R, up before down
+    return (
+        (("L", Spin.UP),) * spec.alpha
+        + (("L", Spin.DOWN),) * spec.beta
+        + (("R", Spin.UP),) * (n - spec.alpha)
+        + (("R", Spin.DOWN),) * (total - n - spec.beta)
     )
-    return occupation_key(labels)
 
 
 def build_detection_matrix(
@@ -163,41 +163,125 @@ def build_detection_matrix(
     return a
 
 
-def _detector_block(
-    kets: Sequence[SingleParticleKet], spin: Spin, tol: Tolerances
-) -> Tuple[np.ndarray, float, float]:
-    """Detector amplitudes of one spin block, with its detected and leaked weights.
+def _require_rows(ok: np.ndarray, message: Callable[[int], str]):
+    """Raise RowError naming the first row where ``ok`` is False."""
+    if not ok.all():
+        row = int(ok.argmin())
+        raise RowError(row, message(row))
 
-    The block state a'(k_1) ... a'(k_n)|vac> over the modes (L, R, chi) has
-    amplitude sqrt(a_L! a_R! a_chi!) times the coefficient of
-    x^a_L y^a_R z^a_chi in prod_k (c_k x + s_k y + r_k z), a_chi = n - a_L - a_R.
-    Returns the normalized amplitudes B[a] of the outcomes a_L = a, a_R = n - a,
-    their total weight, and the weight of the outcomes with a_chi > 0.
-    """
-    n = len(kets)
-    coeffs = np.zeros((n + 1, n + 1), dtype=complex)
-    coeffs[0, 0] = 1.0
-    for ket in kets:
-        c = ket.amplitude(("L", spin))
-        s = ket.amplitude(("R", spin))
-        r = ket.amplitude((REMAINDER_LABEL, spin))
-        nxt = r * coeffs
-        nxt[1:, :] += c * coeffs[:-1, :]
-        nxt[:, 1:] += s * coeffs[:, :-1]
-        coeffs = nxt
+
+def _check_projection_size(total: int):
+    if total > PROJECTION_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"projection is capped at N <= {PROJECTION_SIZE_LIMIT}, got N = {total}"
+        )
+
+
+@functools.lru_cache(maxsize=PROJECTION_SIZE_LIMIT + 1)
+def _block_layout(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Constants of the n-particle fold: the outcome indices (a, n - a),
+    the sqrt(a_L! a_R! a_chi!) scale and the a_chi > 0 mask."""
     a = np.arange(n + 1)
     # a_chi, clipped to 0 where a_L + a_R > n and the coefficients vanish
     a_chi = np.clip(n - np.add.outer(a, a), 0, None)
     root_fact = np.sqrt([float(math.factorial(k)) for k in a])
-    amps = coeffs * np.outer(root_fact, root_fact) * root_fact[a_chi]
-    weights = np.abs(amps) ** 2
-    detected = amps[a, n - a]
-    detected_sq = float(np.sum(weights[a, n - a]))
-    leaked_sq = float(np.sum(weights[a_chi > 0]))
+    scale = np.outer(root_fact, root_fact) * root_fact[a_chi]
+    layout = (a, n - a, scale, a_chi > 0)
+    for array in layout:  # shared by every caller
+        array.setflags(write=False)
+    return layout
+
+
+def _detector_block(
+    c: np.ndarray, s: np.ndarray, r: np.ndarray, tol: Tolerances
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Detector amplitudes of one spin block over a batch of G states.
+
+    ``c``, ``s`` and ``r`` have shape (G, n) and hold each particle's
+    amplitude on L, R and the remainder mode chi.  The block state
+    a'(k_1) ... a'(k_n)|vac> over the modes (L, R, chi) has amplitude
+    sqrt(a_L! a_R! a_chi!) times the coefficient of x^a_L y^a_R z^a_chi in
+    prod_k (c_k x + s_k y + r_k z), a_chi = n - a_L - a_R.  Returns the
+    normalized amplitudes B[:, a] of the outcomes a_L = a, a_R = n - a, shape
+    (G, n+1), their total weight (G,), and the weight of the outcomes with
+    a_chi > 0 (G,).  Raises RowError on the first state of vanishing norm.
+    """
+    g, n = c.shape
+    # after k particles only a_L, a_R <= k carry coefficients
+    coeffs = np.ones((g, 1, 1), dtype=complex)
+    # particle k's amplitudes at [k], shaped (G, 1, 1) to scale whole arrays
+    cs, ss, rs = (x.T[:, :, None, None] for x in (c, s, r))
+    for k in range(n):
+        nxt = np.zeros((g, k + 2, k + 2), dtype=complex)
+        nxt[:, :-1, :-1] = rs[k] * coeffs
+        nxt[:, 1:, :-1] += cs[k] * coeffs
+        nxt[:, :-1, 1:] += ss[k] * coeffs
+        coeffs = nxt
+    left, right, scale, leaks = _block_layout(n)
+    amps = coeffs * scale
+    weights = amps.real ** 2 + amps.imag ** 2
+    detected = amps[:, left, right]
+    detected_sq = weights[:, left, right].sum(axis=1)
+    leaked_sq = weights[:, leaks].sum(axis=1)
     norm_sq = detected_sq + leaked_sq
-    if not norm_sq > tol.pruning:
-        raise ConsistencyError("input state has vanishing norm")
-    return detected / math.sqrt(norm_sq), detected_sq / norm_sq, leaked_sq / norm_sq
+    _require_rows(norm_sq > tol.pruning, lambda row: "input state has vanishing norm")
+    return (
+        detected / np.sqrt(norm_sq)[:, None],
+        detected_sq / norm_sq,
+        leaked_sq / norm_sq,
+    )
+
+
+@functools.lru_cache(maxsize=PROJECTION_SIZE_LIMIT + 1)
+def _sector_layout(n_up: int, n_down: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(q, alpha) position of each outcome (alpha, beta), q = alpha + beta."""
+    alpha, beta = np.indices((n_up + 1, n_down + 1))
+    layout = (alpha + beta, alpha)
+    for array in layout:  # shared by every caller
+        array.setflags(write=False)
+    return layout
+
+
+def _project_batch(
+    n_up: int, c: np.ndarray, s: np.ndarray, r: np.ndarray, tol: Tolerances
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Detector projection of G ensembles given their (G, N) mode amplitudes,
+    particles ordered spin-up first.
+
+    Up and down particles never share a mode, so each state is a product of
+    an up and a down block (:func:`_detector_block`), and the outcome with
+    alpha up and beta down particles at L has amplitude U[alpha] * D[beta].
+    Outcomes with |amplitude| <= ``tol.pruning`` are dropped and the rest
+    grouped into sectors by q = alpha + beta; a sector below
+    ``tol.pruning`` reads as empty (probability 0).  Returns the outcome
+    amplitudes (G, n_up+1, N-n_up+1), their kept weights by sector
+    (G, N+1, n_up+1) indexed by (q, alpha), the sector probabilities
+    (G, N+1) and the leak (G,).
+
+    The leak is the weight of the a_chi > 0 outcomes (phi < pi/2), summed
+    rather than taken as the complement, so that probabilities plus leak
+    summing to one is a genuine cross-check: a deviation above
+    ``tol.comparison`` raises RowError on the first failing row.
+    """
+    total = c.shape[1]
+    up, up_detected, up_leaked = _detector_block(c[:, :n_up], s[:, :n_up], r[:, :n_up], tol)
+    down, _, down_leaked = _detector_block(c[:, n_up:], s[:, n_up:], r[:, n_up:], tol)
+    outcomes = up[:, :, None] * down[:, None, :]
+    weights = outcomes.real ** 2 + outcomes.imag ** 2
+    weights[np.abs(outcomes) <= tol.pruning] = 0.0
+    q, alpha = _sector_layout(n_up, total - n_up)
+    by_sector = np.zeros((len(outcomes), total + 1, n_up + 1))
+    by_sector[:, q, alpha] = weights
+    p = by_sector.sum(axis=2)
+    p[p < tol.pruning] = 0.0
+    # an outcome leaks when either block has a particle in its remainder mode
+    leak = up_leaked + up_detected * down_leaked
+    deviation = p.sum(axis=1) + leak - 1.0
+    _require_rows(
+        np.abs(deviation) <= tol.comparison,
+        lambda row: f"sector probabilities plus leak miss one by {deviation[row]:.3e}",
+    )
+    return outcomes, by_sector, p, leak
 
 
 def project_onto_detectors(
@@ -206,38 +290,36 @@ def project_onto_detectors(
 ) -> SectorDecomposition:
     """Project the symmetrized ensemble state onto the two-detector subspace.
 
-    Up and down particles never share a mode, so the state is a product of
-    an up and a down block (:func:`_detector_block`), and the outcome with
-    alpha up and beta down particles at L has amplitude U[alpha] * D[beta];
-    outcomes are grouped into sectors by q = alpha + beta.  The weight of
-    the a_chi > 0 outcomes (phi < pi/2) is ``leak_probability``, summed
-    rather than taken as the complement, so that probabilities plus leak
-    summing to one is a genuine cross-check: a deviation above
-    ``tol.comparison`` raises ConsistencyError.
+    The projection of :func:`_project_batch` for one ensemble, with each
+    sector returned as a normalized state over the detector outcome keys
+    and the weight of the outcomes outside the detectors as
+    ``leak_probability``.  Raises ConsistencyError when the sector
+    probabilities plus the leak miss one by more than ``tol.comparison``.
     """
     total = ensemble.n_total
-    if total > PROJECTION_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"projection is capped at N <= {PROJECTION_SIZE_LIMIT}, got N = {total}"
-        )
-    kets = ensemble.kets(tol=tol)
+    _check_projection_size(total)
+    labels = ("L", "R", REMAINDER_LABEL)
+    amplitudes = np.array(
+        [
+            [ket.amplitude((label, spin)) for label in labels]
+            for ket, spin in zip(ensemble.kets(tol=tol), ensemble.spins())
+        ]
+    ).T[:, None, :]
     n = ensemble.n_up
-    up, up_detected, up_leaked = _detector_block(kets[:n], Spin.UP, tol)
-    down, _, down_leaked = _detector_block(kets[n:], Spin.DOWN, tol)
-    amps = np.outer(up, down)
+    outcomes, _, p, leak = _project_batch(n, *amplitudes, tol)
+    outcomes = outcomes[0].tolist()
 
     sectors: List[Sector] = []
-    for q in range(total, -1, -1):
+    for q, probability in reversed(list(enumerate(p[0].tolist()))):
+        if probability == 0.0:
+            continue
         group: Dict[OccupationKey, complex] = {}
         for alpha in range(max(0, q - (total - n)), min(q, n) + 1):
-            amp = complex(amps[alpha, q - alpha])
+            amp = outcomes[alpha][q - alpha]
             if abs(amp) > tol.pruning:
                 key = detection_key(ensemble, DetectionMatrixSpec(alpha, q - alpha))
                 group[key] = amp
-        p = sum(abs(v) ** 2 for v in group.values())
-        if p < tol.pruning:
-            continue
-        root = math.sqrt(p)
+        root = math.sqrt(probability)
         state = SymmetricKet(
             total,
             Statistics.BOSON,
@@ -245,16 +327,68 @@ def project_onto_detectors(
             normalized=True,
             tol=tol,
         )
-        sectors.append(Sector(q, p, state))
+        sectors.append(Sector(q, probability, state))
+    return SectorDecomposition(tuple(sectors), float(leak[0]))
 
-    # an outcome leaks when either block has a particle in its remainder mode
-    leak = up_leaked + up_detected * down_leaked
-    deviation = sum(s.probability for s in sectors) + leak - 1.0
-    if abs(deviation) > tol.comparison:
-        raise ConsistencyError(
-            f"sector probabilities plus leak miss one by {deviation:.3e}"
-        )
-    return SectorDecomposition(tuple(sectors), leak)
+
+def _phases(angles: np.ndarray) -> np.ndarray:
+    """e^{i angle}, with the angle wrapped into [0, 2*pi) as SpatialMode does."""
+    wrapped = angles % (2.0 * math.pi)
+    phases = np.empty(angles.shape, dtype=complex)
+    phases.real = np.cos(wrapped)
+    phases.imag = np.sin(wrapped)
+    return phases
+
+
+def sweep_grid(
+    n_up: int,
+    theta: np.ndarray,
+    omega: np.ndarray,
+    phi: np.ndarray,
+    gamma: np.ndarray,
+    measure: str = "concurrence",
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projection and postselected entanglement of G ensembles at once.
+
+    The angle arrays have shape (G, N), particles ordered spin-up first
+    (n_up of them), and lie in the ranges SpatialMode accepts.  Returns the
+    sector probabilities p (G, N+1), the leak (G,) and the postselected
+    average of ``measure`` (G,), equal to :func:`project_onto_detectors`
+    with :func:`entanglement_of_particles` per row within rounding.
+
+    Mode amplitudes follow :func:`states.mode_ket`, including its pruning
+    and unit-norm check.  Each sector's Schmidt weights across L|R are its
+    outcome weights |U[alpha] D[q-alpha]|^2 / p_q, one term per kept
+    outcome, since distinct alpha give distinct keys on both sides.  A
+    failed check raises RowError naming the first failing row.
+    """
+    total = theta.shape[1]
+    _check_projection_size(total)
+    sin_phi = np.sin(phi)
+    c = sin_phi * np.cos(theta)
+    s = sin_phi * np.sin(theta) * _phases(omega)
+    r = np.cos(phi) * _phases(gamma)
+    for amps in (c, s, r):
+        amps[np.abs(amps) <= tol.pruning] = 0.0
+    norm = np.sqrt(np.abs(c) ** 2 + np.abs(s) ** 2 + np.abs(r) ** 2)
+    unit = np.abs(norm - 1.0) <= tol.normalization
+    _require_rows(
+        unit.all(axis=1),
+        lambda row: "single-particle ket must be unit norm, "
+        f"got {float(norm[row][~unit[row]][0])!r}",
+    )
+    _, by_sector, p, leak = _project_batch(n_up, c, s, r, tol)
+
+    schmidt = np.divide(
+        by_sector, p[..., None], out=np.zeros_like(by_sector), where=p[..., None] > 0.0
+    )
+    terms = np.count_nonzero(by_sector, axis=2)
+    sector_values = weight_measure(schmidt, terms, measure, tol)
+    # postselected: sector weights renormalized over the detected probability
+    total_p = p.sum(axis=1)[:, None]
+    share = np.divide(p, total_p, out=np.zeros_like(p), where=total_p > tol.pruning)
+    return p, leak, (share * sector_values).sum(axis=1)
 
 
 def _side_particle_count(state: SymmetricKet, side_labels: Tuple[str, ...]) -> int:
@@ -300,26 +434,19 @@ def sector_entanglement(
     """Entanglement of one sector state across the two detector sides.
 
     Reads the squared Schmidt coefficients l_i across L|R and evaluates
-    the chosen measure: "entropy" in bits, or "concurrence" with the
-    cross-term normalization sqrt(sum_{i<j} l_i l_j) = sqrt((1 - sum l_i^2)/2),
-    equal to the product of the two Schmidt coefficients on two-term
-    sectors and to half the I-concurrence.  This is the convention whose
+    the chosen measure with :func:`measures.weight_measure`: "entropy" in
+    bits, or "concurrence" with the cross-term normalization
+    sqrt(sum_{i<j} l_i l_j) = sqrt((1 - sum l_i^2)/2), equal to the product
+    of the two Schmidt coefficients on two-term sectors and to half the
+    I-concurrence.  This is the convention whose
     postselected average reproduces the closed forms in
     measures.two_boson_average_concurrence and
     measures.three_boson_average_concurrence.
     """
-    if measure not in MEASURES:
-        raise ConsistencyError(
-            f"unknown measure {measure!r}, expected one of {MEASURES}"
-        )
     matrix = mode_split_matrix(state, ModeSplit())[0]
     weights = np.linalg.svd(matrix, compute_uv=False) ** 2
-    weights /= np.sum(weights)
-    if measure == "entropy":
-        return entropy_bits(weights, tol)
-    # pairwise products, not 1 - sum l^2: the subtraction would turn
-    # normalization residue of rank-1 sectors into sqrt-amplified noise
-    return math.sqrt(float(np.sum(weights[1:] * np.cumsum(weights)[:-1])))
+    weights /= weights.sum()
+    return float(weight_measure(weights, weights.size, measure, tol))
 
 
 def entanglement_of_particles(

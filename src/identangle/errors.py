@@ -17,6 +17,18 @@ class ConsistencyError(IdentangleError):
     """Inputs are mutually inconsistent (lengths, counts, multiplicities)."""
 
 
+class RowError(ConsistencyError):
+    """A consistency check failed on one row of a batched evaluation.
+
+    ``row`` is the index of the first failing row within the batch; the
+    message itself does not name it.
+    """
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 class BoundsError(IdentangleError):
     """A detection outcome count is outside its allowed range."""
 

@@ -40,13 +40,43 @@ def von_neumann_entropy(
 
 
 def entropy_bits(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Entropy -sum(l * log2(l)) of a probability vector, in bits.
+    """Entropy -sum(l * log2(l)) of a probability vector, in bits
+    (:func:`weight_measure` with every weight counted as a term)."""
+    weights = np.asarray(weights, dtype=float)
+    return float(weight_measure(weights, weights.size, "entropy", tol))
 
-    Weights below the entropy cutoff are skipped to avoid 0*log(0) noise.
-    The result is clamped to [0, log2(len(weights))].
+
+MEASURES = ("entropy", "concurrence")
+
+
+def weight_measure(
+    weights: np.ndarray,
+    terms,
+    measure: str,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> np.ndarray:
+    """Entanglement of each row of squared Schmidt coefficients.
+
+    ``weights`` has shape (..., K), each row summing to one and padded with
+    zeros; ``terms`` (an int or an array of shape (...)) counts the Schmidt
+    terms of each row.  "entropy" is -sum(l * log2(l)) in bits, skipping
+    weights below the entropy cutoff to avoid 0*log(0) noise and clamped
+    to [0, log2(terms)].  "concurrence" is the cross-term
+    sqrt(sum_{i<j} l_i l_j) = sqrt((1 - sum l_i^2)/2), summed as pairwise
+    products: the subtraction would turn the normalization residue of
+    rank-1 rows into sqrt-amplified noise.
     """
-    s = -sum(float(v) * math.log2(float(v)) for v in weights if v > tol.entropy_cutoff)
-    return min(max(s, 0.0), math.log2(len(weights)) if len(weights) > 1 else 0.0)
+    if measure not in MEASURES:
+        raise ConsistencyError(
+            f"unknown measure {measure!r}, expected one of {MEASURES}"
+        )
+    if measure == "entropy":
+        # weights at or below the cutoff become 1, whose term is 0
+        kept = np.where(weights > tol.entropy_cutoff, weights, 1.0)
+        s = -(kept * np.log2(kept)).sum(axis=-1)
+        return np.minimum(np.maximum(s, 0.0), np.log2(np.maximum(terms, 1)))
+    pairs = weights[..., 1:] * weights.cumsum(axis=-1)[..., :-1]
+    return np.sqrt(pairs.sum(axis=-1))
 
 
 @dataclass(frozen=True)

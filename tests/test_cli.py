@@ -10,7 +10,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from identangle import detection
+from identangle import cli, detection
 from identangle.cli import main
 from identangle.config import (
     MAX_GRID_POINTS,
@@ -19,6 +19,7 @@ from identangle.config import (
     parse_parameter_path,
     parse_sweep_spec,
 )
+from identangle.detection import entanglement_of_particles, project_onto_detectors
 from identangle.errors import ConfigError, ConsistencyError
 from identangle.tolerances import TOLERANCE_ENV_VAR
 
@@ -449,8 +450,8 @@ def test_verify_schmidt_rejects_cases(runner):
 def test_probability_sum_invariant_exits_2(runner, tmp_path, monkeypatch):
     block = detection._detector_block
 
-    def skewed_block(kets, spin, tol):
-        amps, detected, leaked = block(kets, spin, tol)
+    def skewed_block(c, s, r, tol):
+        amps, detected, leaked = block(c, s, r, tol)
         return amps, detected, leaked + 1e-6
 
     monkeypatch.setattr(detection, "_detector_block", skewed_block)
@@ -464,3 +465,160 @@ def test_probability_sum_invariant_exits_2(runner, tmp_path, monkeypatch):
     })
     result = runner.invoke(main, ["sweep", "--config", cfg, "--sweep", sweep])
     assert_usage_error(result, "miss one by")
+
+
+def test_sweep_rejects_repeated_path(runner, tmp_path):
+    # each row would print both axes' values but be evaluated at the last
+    for second in ("particles[0].theta", "particles[00].theta"):
+        spec = {"axes": [
+            {"path": "particles[0].theta", "values": [0.1, 0.5]},
+            {"path": second, "values": [1.2]},
+        ]}
+        assert_usage_error(run_sweep(runner, tmp_path, spec), "axes[1]", "axes[0]")
+
+
+class RecordingPool(cli.ThreadPoolExecutor):
+    """Thread pool that records the worker counts it is asked for."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.sizes = []
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    return RecordingPool.sizes
+
+
+def test_sweep_pool_never_exceeds_chunk_count(runner, tmp_path, recording_pool):
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+    sweep = write(tmp_path, "sweep.json", {
+        "axes": [{"path": "particles[0].theta", "start": 0.1, "stop": 1.4, "steps": 40}]
+    })
+    single = runner.invoke(main, ["sweep", "--config", cfg, "--sweep", sweep])
+    many = runner.invoke(main, ["sweep", "--config", cfg, "--sweep", sweep, "--threads", "8"])
+    assert single.exit_code == 0 and many.exit_code == 0
+    assert single.output == many.output
+    # one chunk: evaluated inline, no pool
+    assert recording_pool == []
+
+
+def leaky_three_boson_config():
+    return {
+        "particles": [
+            {"spin": "up", "theta": 0.3, "omega": 0.4},
+            {"spin": "up", "theta": 1.1, "omega": 2.0, "phi": 1.2, "gamma": 0.5},
+            {"spin": "down", "theta": 0.8, "omega": 5.0},
+        ]
+    }
+
+
+def project_row(config, values, paths):
+    """p_q, leak and both entanglement averages of one grid point, per point."""
+    parsed = parse_ensemble_config(json.dumps(config))
+    for path, value in zip(paths, values):
+        parsed = parsed.with_value(path, value)
+    ensemble = parsed.ensemble()
+    dec = project_onto_detectors(ensemble)
+    probs = dec.probabilities()
+    return (
+        [probs.get(q, 0.0) for q in range(parsed.n_total + 1)],
+        dec.leak_probability,
+        {
+            m: entanglement_of_particles(ensemble, m, decomposition=dec)
+            for m in ("entropy", "concurrence")
+        },
+    )
+
+
+def test_sweep_chunk_boundary_rows(runner, tmp_path, recording_pool):
+    config = leaky_three_boson_config()
+    cfg = write(tmp_path, "cfg.json", config)
+    # the larger spin block holds two particles
+    chunk = cli.SWEEP_CHUNK_ENTRIES // 3 ** 2
+    paths = ["particles[0].theta"]
+    sweep = write(tmp_path, "sweep.json", {
+        "axes": [{"path": paths[0], "start": 0.0, "stop": math.pi / 2, "steps": chunk + 3}]
+    })
+    outputs = [
+        runner.invoke(main, [
+            "sweep", "--config", cfg, "--sweep", sweep, "--measure", "entropy", "--threads", threads
+        ])
+        for threads in ("1", "3")
+    ]
+    assert all(result.exit_code == 0 for result in outputs)
+    assert outputs[0].output == outputs[1].output
+    # two chunks: never more workers than chunks
+    assert recording_pool == [2]
+    rows = outputs[0].output.splitlines()[1:]
+    assert len(rows) == chunk + 3
+    for index in (0, chunk - 1, chunk, chunk + 2):
+        fields = [float(v) for v in rows[index].split(",")]
+        p, leak, ent = project_row(config, fields[:1], paths)
+        assert max(abs(a - b) for a, b in zip(fields[1:5], p)) < 1e-10
+        assert abs(fields[5] - leak) < 1e-10
+        assert abs(fields[6] - ent["entropy"]) < 1e-10
+
+
+def test_sweep_json_matches_csv(runner, tmp_path):
+    cfg = write(tmp_path, "cfg.json", leaky_three_boson_config())
+    axes = [
+        {"path": "particles[1].phi", "values": [0.0, 0.7, math.pi / 2]},
+        {"path": "particles[2].omega", "start": 0.0, "stop": 9.0, "steps": 4},
+    ]
+    sweep = write(tmp_path, "sweep.json", {"axes": axes})
+    base = ["sweep", "--config", cfg, "--sweep", sweep]
+    csv_out = runner.invoke(main, base)
+    json_out = runner.invoke(main, base + ["--format", "json"])
+    assert csv_out.exit_code == 0 and json_out.exit_code == 0
+    records = json.loads(json_out.output)
+    lines = csv_out.output.splitlines()
+    assert lines[0] == "particles[1].phi,particles[2].omega,p_0,p_1,p_2,p_3,leak,entanglement"
+    assert len(records) == len(lines) - 1 == 12
+    for record, line in zip(records, lines[1:]):
+        fields = [float(v) for v in line.split(",")]
+        assert list(record["parameters"]) == [axis["path"] for axis in axes]
+        assert list(record["parameters"].values()) == fields[:2]
+        assert [record["p"].get(str(q), 0.0) for q in range(4)] == fields[2:6]
+        assert record["leak"] == fields[6]
+        assert record["entanglement"] == fields[7]
+    # phi = 0 puts particle 1 wholly in the remainder mode
+    assert all(records[k]["leak"] > 0.9 for k in range(4))
+
+
+def test_sweep_failure_names_first_failing_row(runner, tmp_path, monkeypatch):
+    block = detection._detector_block
+    cut = math.cos(1.0)
+
+    def skewed_block(c, s, r, tol):
+        amps, detected, leaked = block(c, s, r, tol)
+        # only the up block, and only where particle 0 has theta > 1
+        if c.shape[1] == 1 and r.shape[1] == 1:
+            leaked = leaked + 1e-6 * (abs(c[:, 0]) < cut)
+        return amps, detected, leaked
+
+    monkeypatch.setattr(detection, "_detector_block", skewed_block)
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+    chunk = cli.SWEEP_CHUNK_ENTRIES // 2 ** 2
+    values = [0.3] * (chunk + 1) + [1.2, 0.3, 1.4]
+    sweep = write(tmp_path, "sweep.json", {
+        "axes": [
+            {"path": "particles[0].theta", "values": values},
+            {"path": "particles[1].omega", "values": [0.5]},
+        ]
+    })
+    out = tmp_path / "out.csv"
+    for threads in ("1", "2"):
+        result = runner.invoke(main, [
+            "sweep", "--config", cfg, "--sweep", sweep, "--threads", threads, "--output", str(out)
+        ])
+        assert_usage_error(
+            result,
+            f"grid row {chunk + 1} (particles[0].theta = 1.2, particles[1].omega = 0.5)",
+            "miss one by 1.000e-06",
+        )
+        assert not out.exists()

@@ -19,13 +19,22 @@ from identangle.detection import (
     project_onto_detectors,
     sector_entanglement,
     sector_reduced_density,
+    sweep_grid,
     theorem1_separability_check,
 )
-from identangle.errors import BoundsError, ConsistencyError, SectorError, SizeLimitError
+from identangle import detection
+from identangle.errors import (
+    BoundsError,
+    ConsistencyError,
+    RowError,
+    SectorError,
+    SizeLimitError,
+)
 from identangle.measures import two_boson_average_concurrence, von_neumann_entropy
 from identangle.oracles import project_by_substitution
 from identangle.permanent import permanent_naive
 from identangle.states import SpatialMode, Spin, mode_ket
+from identangle.tolerances import DEFAULT_TOLERANCES
 
 
 def uniform_ensemble(rng, n_total, n_up=None, allow_leak=False):
@@ -289,6 +298,81 @@ def test_projection_fold_matches_detection_permanents(ens):
             reference.setdefault(alpha + beta, {})[detection_key(ens, spec)] = amp
     leak = 1.0 - sum(abs(v) ** 2 for amps in reference.values() for v in amps.values())
     assert_projection_matches(project_onto_detectors(ens), reference, leak)
+
+
+ANGLE_VALUES = {
+    "theta": ENDPOINT_ANGLES,
+    "phi": ENDPOINT_ANGLES,
+    # beyond [0, 2*pi): the grid wraps phases as SpatialMode does
+    "omega": st.floats(-7.0, 14.0),
+    "gamma": st.floats(-7.0, 14.0),
+}
+
+
+@st.composite
+def grids(draw):
+    """A base ensemble and one or two axes, each setting one angle of one
+    particle, crossed into a grid of (G, N) angle arrays."""
+    ens = draw(ensembles(max_n=8))
+    n = ens.n_total
+    base = {
+        attr: np.array([getattr(m, attr) for m in ens.modes]) for attr in ANGLE_VALUES
+    }
+    axes = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(ANGLE_VALUES))),
+            min_size=1,
+            max_size=2,
+            unique=True,
+        )
+    )
+    values = [
+        draw(st.lists(ANGLE_VALUES[attr], min_size=1, max_size=4)) for _, attr in axes
+    ]
+    points = [()]
+    for vals in values:
+        points = [p + (v,) for p in points for v in vals]
+    angles = {attr: np.tile(row, (len(points), 1)) for attr, row in base.items()}
+    for g, point in enumerate(points):
+        for (particle, attr), v in zip(axes, point):
+            angles[attr][g, particle] = v
+    return ens.n_up, angles
+
+
+@PROPERTY_SETTINGS
+@given(grids())
+def test_sweep_grid_matches_per_point_projection(grid):
+    n_up, angles = grid
+    tol = DEFAULT_TOLERANCES.comparison
+    theta, omega, phi, gamma = (angles[a] for a in ("theta", "omega", "phi", "gamma"))
+    values = {m: sweep_grid(n_up, theta, omega, phi, gamma, m) for m in ("entropy", "concurrence")}
+    p, leak, _ = values["entropy"]
+    assert np.array_equal(values["concurrence"][0], p)
+    for g in range(len(theta)):
+        ens = ParticleEnsemble(
+            n_up,
+            tuple(
+                SpatialMode(theta[g, k], omega[g, k], phi[g, k], gamma[g, k])
+                for k in range(theta.shape[1])
+            ),
+        )
+        dec = project_onto_detectors(ens)
+        probs = dec.probabilities()
+        expected_p = [probs.get(q, 0.0) for q in range(ens.n_total + 1)]
+        assert np.all(np.abs(p[g] - expected_p) < tol)
+        assert abs(leak[g] - dec.leak_probability) < tol
+        for measure, (_, _, ent) in values.items():
+            expected = entanglement_of_particles(ens, measure, decomposition=dec)
+            assert abs(ent[g] - expected) < tol
+
+
+def test_detector_block_names_first_vanishing_row():
+    c = np.array([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    s = np.array([[0.8, 1.0], [0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    r = np.zeros((3, 2), dtype=complex)
+    with pytest.raises(RowError, match="vanishing norm") as info:
+        detection._detector_block(c, s, r, DEFAULT_TOLERANCES)
+    assert info.value.row == 1
 
 
 @st.composite
