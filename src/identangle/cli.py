@@ -27,7 +27,6 @@ from .config import (
     EnsembleConfig,
     dump_ensemble_config,
     parse_ensemble_config,
-    parse_parameter_path,
     parse_sweep_spec,
 )
 from .detection import entanglement_of_particles, project_onto_detectors, sweep_grid
@@ -139,9 +138,7 @@ def _project_record(config: EnsembleConfig, tol: Tolerances) -> Dict:
         ]
         sectors.append({"q": sector.q, "p": sector.probability, "amplitudes": amps})
     entanglement = {
-        measure: entanglement_of_particles(
-            ensemble, measure, tol=tol, decomposition=decomposition
-        )
+        measure: entanglement_of_particles(ensemble, measure, tol=tol)
         for measure in ("entropy", "concurrence")
     }
     return {
@@ -246,7 +243,7 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
         _fail_usage("--threads must be >= 1")
 
     axes = [
-        (axis.path, parse_parameter_path(axis.path, config.n_total), np.asarray(axis.values))
+        (axis.path, config.locate(axis.path), np.asarray(axis.values))
         for axis in spec.axes
     ]
     paths = [axis.path for axis in spec.axes]

@@ -59,9 +59,16 @@ class EnsembleConfig:
         )
         return ParticleEnsemble(self.n_up, modes)
 
-    def with_value(self, path: str, value: float) -> "EnsembleConfig":
-        """Copy of the config with one angle replaced (sweep support)."""
+    def locate(self, path: str) -> Tuple[int, str]:
+        """Stored position and angle of a parameter path, whose
+        ``particles[i]`` counts the particles in file order."""
         index, attr = parse_parameter_path(path, self.n_total)
+        return (self.source_order or range(self.n_total)).index(index), attr
+
+    def with_value(self, path: str, value: float) -> "EnsembleConfig":
+        """Copy of the config with the angle at ``path`` (file order, see
+        :meth:`locate`) set to ``value``."""
+        index, attr = self.locate(path)
         particles = list(self.particles)
         particles[index] = replace(particles[index], **{attr: value})
         return replace(self, particles=tuple(particles))
@@ -196,9 +203,9 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
     """Parse a sweep spec from JSON text.
 
     Schema: {"axes": [{"path": "particles[0].theta", "start": a, "stop": b,
-    "steps": k} | {"path": ..., "values": [...]}]}.  Multiple axes form the
-    cross product, capped at 10^6 points; no two axes may sweep the same
-    angle.
+    "steps": k} | {"path": ..., "values": [...]}]}.  ``particles[i]`` counts
+    the config's particles in file order.  Multiple axes form the cross
+    product, capped at 10^6 points; no two axes may sweep the same angle.
     """
     try:
         data = json.loads(text)
@@ -216,7 +223,7 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise ConfigError(f"{where}: each axis needs a string 'path'")
         path = entry["path"]
-        parameter = parse_parameter_path(path, config.n_total)
+        parameter = config.locate(path)
         if parameter in swept:
             raise ConfigError(
                 f"{where}: {path} sweeps the same angle as axes[{swept[parameter]}]"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import (
 )
 from .measures import ModeSplit, mode_split_matrix, weight_measure
 from .states import (
-    REMAINDER_LABEL,
     OccupationKey,
     SingleParticleKet,
     SpatialMode,
@@ -170,13 +169,6 @@ def _require_rows(ok: np.ndarray, message: Callable[[int], str]):
         raise RowError(row, message(row))
 
 
-def _check_projection_size(total: int):
-    if total > PROJECTION_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"projection is capped at N <= {PROJECTION_SIZE_LIMIT}, got N = {total}"
-        )
-
-
 @functools.lru_cache(maxsize=PROJECTION_SIZE_LIMIT + 1)
 def _block_layout(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Constants of the n-particle fold: the outcome indices (a, n - a),
@@ -242,13 +234,30 @@ def _sector_layout(n_up: int, n_down: int) -> Tuple[np.ndarray, np.ndarray]:
     return layout
 
 
+def _phases(angles: np.ndarray) -> np.ndarray:
+    """e^{i angle}, with the angle wrapped into [0, 2*pi) as SpatialMode does."""
+    wrapped = angles % (2.0 * math.pi)
+    phases = np.empty(angles.shape, dtype=complex)
+    phases.real = np.cos(wrapped)
+    phases.imag = np.sin(wrapped)
+    return phases
+
+
 def _project_batch(
-    n_up: int, c: np.ndarray, s: np.ndarray, r: np.ndarray, tol: Tolerances
+    n_up: int,
+    theta: np.ndarray,
+    omega: np.ndarray,
+    phi: np.ndarray,
+    gamma: np.ndarray,
+    tol: Tolerances,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Detector projection of G ensembles given their (G, N) mode amplitudes,
+    """Detector projection of G ensembles given their (G, N) mode angles,
     particles ordered spin-up first.
 
-    Up and down particles never share a mode, so each state is a product of
+    Each particle's amplitudes on L, R and the remainder mode chi are those
+    of :func:`states.mode_ket`, pruned at ``tol.pruning``; a particle off
+    unit norm by more than ``tol.normalization`` raises RowError.  Up and
+    down particles never share a mode, so each state is a product of
     an up and a down block (:func:`_detector_block`), and the outcome with
     alpha up and beta down particles at L has amplitude U[alpha] * D[beta].
     Outcomes with |amplitude| <= ``tol.pruning`` are dropped and the rest
@@ -263,7 +272,24 @@ def _project_batch(
     summing to one is a genuine cross-check: a deviation above
     ``tol.comparison`` raises RowError on the first failing row.
     """
-    total = c.shape[1]
+    total = theta.shape[1]
+    if total > PROJECTION_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"projection is capped at N <= {PROJECTION_SIZE_LIMIT}, got N = {total}"
+        )
+    sin_phi = np.sin(phi)
+    c = sin_phi * np.cos(theta)
+    s = sin_phi * np.sin(theta) * _phases(omega)
+    r = np.cos(phi) * _phases(gamma)
+    for amps in (c, s, r):
+        amps[np.abs(amps) <= tol.pruning] = 0.0
+    norm = np.sqrt(np.abs(c) ** 2 + np.abs(s) ** 2 + np.abs(r) ** 2)
+    unit = np.abs(norm - 1.0) <= tol.normalization
+    _require_rows(
+        unit.all(axis=1),
+        lambda row: "single-particle ket must be unit norm, "
+        f"got {float(norm[row][~unit[row]][0])!r}",
+    )
     up, up_detected, up_leaked = _detector_block(c[:, :n_up], s[:, :n_up], r[:, :n_up], tol)
     down, _, down_leaked = _detector_block(c[:, n_up:], s[:, n_up:], r[:, n_up:], tol)
     outcomes = up[:, :, None] * down[:, None, :]
@@ -284,6 +310,13 @@ def _project_batch(
     return outcomes, by_sector, p, leak
 
 
+def _angle_rows(ensemble: ParticleEnsemble) -> np.ndarray:
+    """theta, omega, phi and gamma of the ensemble's particles, shape (4, 1, N)."""
+    return np.array(
+        [[(m.theta, m.omega, m.phi, m.gamma) for m in ensemble.modes]]
+    ).transpose(2, 0, 1)
+
+
 def project_onto_detectors(
     ensemble: ParticleEnsemble,
     tol: Tolerances = DEFAULT_TOLERANCES,
@@ -296,17 +329,8 @@ def project_onto_detectors(
     ``leak_probability``.  Raises ConsistencyError when the sector
     probabilities plus the leak miss one by more than ``tol.comparison``.
     """
-    total = ensemble.n_total
-    _check_projection_size(total)
-    labels = ("L", "R", REMAINDER_LABEL)
-    amplitudes = np.array(
-        [
-            [ket.amplitude((label, spin)) for label in labels]
-            for ket, spin in zip(ensemble.kets(tol=tol), ensemble.spins())
-        ]
-    ).T[:, None, :]
-    n = ensemble.n_up
-    outcomes, _, p, leak = _project_batch(n, *amplitudes, tol)
+    total, n = ensemble.n_total, ensemble.n_up
+    outcomes, _, p, leak = _project_batch(n, *_angle_rows(ensemble), tol)
     outcomes = outcomes[0].tolist()
 
     sectors: List[Sector] = []
@@ -331,15 +355,6 @@ def project_onto_detectors(
     return SectorDecomposition(tuple(sectors), float(leak[0]))
 
 
-def _phases(angles: np.ndarray) -> np.ndarray:
-    """e^{i angle}, with the angle wrapped into [0, 2*pi) as SpatialMode does."""
-    wrapped = angles % (2.0 * math.pi)
-    phases = np.empty(angles.shape, dtype=complex)
-    phases.real = np.cos(wrapped)
-    phases.imag = np.sin(wrapped)
-    return phases
-
-
 def sweep_grid(
     n_up: int,
     theta: np.ndarray,
@@ -354,31 +369,17 @@ def sweep_grid(
     The angle arrays have shape (G, N), particles ordered spin-up first
     (n_up of them), and lie in the ranges SpatialMode accepts.  Returns the
     sector probabilities p (G, N+1), the leak (G,) and the postselected
-    average of ``measure`` (G,), equal to :func:`project_onto_detectors`
-    with :func:`entanglement_of_particles` per row within rounding.
+    average of ``measure`` (G,); row g equals :func:`project_onto_detectors`
+    of the ensemble in that row.
 
-    Mode amplitudes follow :func:`states.mode_ket`, including its pruning
-    and unit-norm check.  Each sector's Schmidt weights across L|R are its
-    outcome weights |U[alpha] D[q-alpha]|^2 / p_q, one term per kept
-    outcome, since distinct alpha give distinct keys on both sides.  A
-    failed check raises RowError naming the first failing row.
+    Each sector's Schmidt weights across L|R are its outcome weights
+    |U[alpha] D[q-alpha]|^2 / p_q, one term per kept outcome, since distinct
+    alpha give distinct keys on both sides (:func:`sector_entanglement`
+    reads them from an SVD instead).  A row whose sum(p) is at most
+    ``tol.pruning`` reads 0.  A failed check raises RowError naming the
+    first failing row.
     """
-    total = theta.shape[1]
-    _check_projection_size(total)
-    sin_phi = np.sin(phi)
-    c = sin_phi * np.cos(theta)
-    s = sin_phi * np.sin(theta) * _phases(omega)
-    r = np.cos(phi) * _phases(gamma)
-    for amps in (c, s, r):
-        amps[np.abs(amps) <= tol.pruning] = 0.0
-    norm = np.sqrt(np.abs(c) ** 2 + np.abs(s) ** 2 + np.abs(r) ** 2)
-    unit = np.abs(norm - 1.0) <= tol.normalization
-    _require_rows(
-        unit.all(axis=1),
-        lambda row: "single-particle ket must be unit norm, "
-        f"got {float(norm[row][~unit[row]][0])!r}",
-    )
-    _, by_sector, p, leak = _project_batch(n_up, c, s, r, tol)
+    _, by_sector, p, leak = _project_batch(n_up, theta, omega, phi, gamma, tol)
 
     schmidt = np.divide(
         by_sector, p[..., None], out=np.zeros_like(by_sector), where=p[..., None] > 0.0
@@ -433,15 +434,17 @@ def sector_entanglement(
 ) -> float:
     """Entanglement of one sector state across the two detector sides.
 
-    Reads the squared Schmidt coefficients l_i across L|R and evaluates
-    the chosen measure with :func:`measures.weight_measure`: "entropy" in
-    bits, or "concurrence" with the cross-term normalization
-    sqrt(sum_{i<j} l_i l_j) = sqrt((1 - sum l_i^2)/2), equal to the product
-    of the two Schmidt coefficients on two-term sectors and to half the
-    I-concurrence.  This is the convention whose
-    postselected average reproduces the closed forms in
-    measures.two_boson_average_concurrence and
-    measures.three_boson_average_concurrence.
+    Splits the state's keys into an L|R coefficient matrix
+    (:func:`measures.mode_split_matrix`), takes its squared singular values
+    l_i and evaluates the chosen measure with
+    :func:`measures.weight_measure`: "entropy" in bits, or "concurrence"
+    with the cross-term normalization sqrt(sum_{i<j} l_i l_j) =
+    sqrt((1 - sum l_i^2)/2), equal to the product of the two Schmidt
+    coefficients on two-term sectors and to half the I-concurrence.  This
+    is the convention whose postselected average reproduces the closed
+    forms in measures.two_boson_average_concurrence and
+    measures.three_boson_average_concurrence.  The reference route for
+    :func:`sweep_grid`, which reads the same weights from the outcomes.
     """
     matrix = mode_split_matrix(state, ModeSplit())[0]
     weights = np.linalg.svd(matrix, compute_uv=False) ** 2
@@ -453,24 +456,15 @@ def entanglement_of_particles(
     ensemble: ParticleEnsemble,
     measure: str = "concurrence",
     tol: Tolerances = DEFAULT_TOLERANCES,
-    decomposition: Optional[SectorDecomposition] = None,
 ) -> float:
     """Postselected average entanglement sum_q p_q E(sector_q).
 
-    Sector weights are renormalized to sum to one when some probability
-    leaks outside the detector subspace.  Returns 0 when every particle
-    misses both detectors.
+    :func:`sweep_grid` on the ensemble's one row: each sector's measure is
+    read from its outcome weights, and the sector weights are renormalized
+    to sum to one when some probability leaks outside the detector
+    subspace.  Returns 0 when every particle misses both detectors.
     """
-    if decomposition is None:
-        decomposition = project_onto_detectors(ensemble, tol=tol)
-    total_p = sum(s.probability for s in decomposition.sectors)
-    if total_p <= tol.pruning:
-        return 0.0
-    value = 0.0
-    for sector in decomposition.sectors:
-        weight = sector.probability / total_p
-        value += weight * sector_entanglement(sector.state, measure, tol=tol)
-    return value
+    return float(sweep_grid(ensemble.n_up, *_angle_rows(ensemble), measure, tol)[2][0])
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from identangle.detection import entanglement_of_particles, project_onto_detecto
 from identangle.errors import ConfigError, ConsistencyError
 from identangle.tolerances import TOLERANCE_ENV_VAR
 
+from conftest import svd_route_entanglement
+
 
 @pytest.fixture
 def runner():
@@ -528,10 +530,7 @@ def project_row(config, values, paths):
     return (
         [probs.get(q, 0.0) for q in range(parsed.n_total + 1)],
         dec.leak_probability,
-        {
-            m: entanglement_of_particles(ensemble, m, decomposition=dec)
-            for m in ("entropy", "concurrence")
-        },
+        {m: svd_route_entanglement(dec, m) for m in ("entropy", "concurrence")},
     )
 
 
@@ -622,3 +621,43 @@ def test_sweep_failure_names_first_failing_row(runner, tmp_path, monkeypatch):
             "miss one by 1.000e-06",
         )
         assert not out.exists()
+
+
+def test_sweep_paths_use_file_order(runner, tmp_path):
+    # stored spin-up first, so file particle 0 is stored second
+    particles = [{"spin": "down", "theta": 0.2}, {"spin": "up", "theta": 0.9, "phi": 1.0}]
+    cfg = write(tmp_path, "cfg.json", {"particles": particles})
+    config = parse_ensemble_config((tmp_path / "cfg.json").read_text())
+    assert config.locate("particles[0].phi") == (1, "phi")
+    moved = [dict(particles[0], phi=0.5), particles[1]]
+    expected = parse_ensemble_config(json.dumps({"particles": moved}))
+    assert config.with_value("particles[0].phi", 0.5) == expected
+    sweep = write(tmp_path, "sweep.json", {"axes": [{"path": "particles[0].phi", "values": [0.5]}]})
+    result = runner.invoke(main, ["sweep", "--config", cfg, "--sweep", sweep])
+    assert result.exit_code == 0, result.output
+    leak = float(result.output.splitlines()[1].split(",")[-2])
+    project = runner.invoke(main, ["project", "--config", write(tmp_path, "moved.json", {"particles": moved})])
+    assert abs(leak - json.loads(project.output)["leak"]) < 1e-12
+    assert abs(leak - (1 - math.sin(0.5) ** 2 * math.sin(1.0) ** 2)) < 1e-12
+
+
+def test_verify_negative_seed_is_usage_error(runner):
+    result = runner.invoke(main, ["verify", "theorem1", "--seed", "-1"])
+    assert_usage_error(result, "seed must be >= 0")
+
+
+def test_ensemble_missing_both_detectors(runner, tmp_path):
+    for particles in (
+        [{"spin": "up", "theta": 0.3, "phi": 0.0}, {"spin": "down", "theta": 1.0, "phi": 0.0, "gamma": 0.4}],
+        [{"spin": "down", "theta": 0.7, "omega": 2.0, "phi": 0.0}] * 3,
+    ):
+        cfg = write(tmp_path, "cfg.json", {"particles": particles})
+        ensemble = parse_ensemble_config((tmp_path / "cfg.json").read_text()).ensemble()
+        for measure in ("entropy", "concurrence"):
+            assert entanglement_of_particles(ensemble, measure) == 0.0
+        result = runner.invoke(main, ["project", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output)
+        assert record["sectors"] == []
+        assert abs(record["leak"] - 1.0) < 1e-12
+        assert record["entanglement"] == {"entropy": 0.0, "concurrence": 0.0}

@@ -36,6 +36,8 @@ from identangle.permanent import permanent_naive
 from identangle.states import SpatialMode, Spin, mode_ket
 from identangle.tolerances import DEFAULT_TOLERANCES
 
+from conftest import svd_route_entanglement
+
 
 def uniform_ensemble(rng, n_total, n_up=None, allow_leak=False):
     if n_up is None:
@@ -362,8 +364,7 @@ def test_sweep_grid_matches_per_point_projection(grid):
         assert np.all(np.abs(p[g] - expected_p) < tol)
         assert abs(leak[g] - dec.leak_probability) < tol
         for measure, (_, _, ent) in values.items():
-            expected = entanglement_of_particles(ens, measure, decomposition=dec)
-            assert abs(ent[g] - expected) < tol
+            assert abs(ent[g] - svd_route_entanglement(dec, measure)) < tol
 
 
 def test_detector_block_names_first_vanishing_row():
