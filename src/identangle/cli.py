@@ -16,9 +16,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import click
 import numpy as np
@@ -29,7 +30,7 @@ from .config import (
     parse_ensemble_config,
     parse_sweep_spec,
 )
-from .detection import entanglement_of_particles, project_onto_detectors, sweep_grid
+from .detection import _angle_rows, _postselected, _project_batch, sweep_grid
 from .errors import ConsistencyError, IdentangleError, RowError
 from .measures import verify_schmidt_equivalence
 from .states import Statistics
@@ -55,7 +56,7 @@ def _load_config(path: str) -> EnsembleConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail_usage(f"cannot read config {path}: {exc}")
     try:
         return parse_ensemble_config(text)
@@ -68,7 +69,11 @@ def _output_stream(output: str):
     if output == "-":
         yield sys.stdout
         return
-    with open(output, "w", encoding="utf-8") as handle:
+    try:
+        handle = open(output, "w", encoding="utf-8")
+    except OSError as exc:
+        _fail_usage(f"cannot write output {output}: {exc}")
+    with handle:
         yield handle
 
 
@@ -77,10 +82,6 @@ def _write_output(text: str, output: str):
         text += "\n"
     with _output_stream(output) as stream:
         stream.write(text)
-
-
-def _key_json(key) -> List[List[str]]:
-    return [[label, spin.value] for label, spin in key]
 
 
 @click.group()
@@ -123,32 +124,86 @@ def amplitude(config_path: str, bra_path: str, method: str, output: str):
     _write_output(json.dumps(record, indent=2), output)
 
 
-def _project_record(config: EnsembleConfig, tol: Tolerances) -> Dict:
+#: the labels of an outcome key, L-up, L-down, R-up and R-down, each as
+#: json.dumps(record, indent=2) renders it inside a "key" list, plus ",\n"
+_KEY_LABELS = tuple(
+    f'            [\n              "{side}",\n              "{spin}"\n            ],\n'
+    for side in ("L", "R")
+    for spin in ("up", "down")
+)
+
+
+def _sector_json(
+    q: int, probability: float, outcomes: List[List[complex]], n_up: int, tol: Tolerances
+) -> str:
+    """JSON text of sector q in the ``project`` record: its outcomes above
+    ``tol.pruning``, alpha descending, divided by sqrt(p_q) and pruned
+    again, each key rendered from its four label counts.  Raises
+    ConsistencyError when they are off unit norm by more than
+    ``tol.normalization`` (at least 1e-12).  The fold's checks admit only
+    finite values, whose repr is their JSON.
+    """
+    n_down = len(outcomes[0]) - 1
+    root = math.sqrt(probability)
+    entries, values = [], []
+    for alpha in range(min(q, n_up), max(0, q - n_down) - 1, -1):
+        beta = q - alpha
+        amp = outcomes[alpha][beta]
+        if abs(amp) <= tol.pruning:
+            continue
+        value = amp / root
+        if abs(value) <= tol.pruning:
+            continue
+        values.append(value)
+        counts = (alpha, beta, n_up - alpha, n_down - beta)
+        labels = "".join(label * count for label, count in zip(_KEY_LABELS, counts))
+        entries.append(
+            f'        {{\n          "key": [\n{labels[:-2]}\n          ],\n'
+            f'          "re": {value.real!r},\n          "im": {value.imag!r}\n        }}'
+        )
+    # summed alpha ascending, as SymmetricKet.norm sums
+    norm = math.sqrt(sum(abs(v) ** 2 for v in reversed(values)))
+    if abs(norm - 1.0) > max(tol.normalization, 1e-12):
+        raise ConsistencyError(f"sector q = {q} has norm {norm!r}")
+    amplitudes = ",\n".join(entries)
+    return (
+        f'    {{\n      "q": {q},\n      "p": {probability!r},\n'
+        f'      "amplitudes": [\n{amplitudes}\n      ]\n    }}'
+    )
+
+
+def _project_json(config: EnsembleConfig, tol: Tolerances) -> str:
+    """The ``project`` record as json.dumps(record, indent=2) renders it,
+    from one fold (:func:`detection._project_batch`): sectors q descending,
+    the leak and both postselected measures."""
     if config.statistics is not Statistics.BOSON:
         raise IdentangleError(
             "detector projection is defined for bosonic ensembles only"
         )
-    ensemble = config.ensemble()
-    decomposition = project_onto_detectors(ensemble, tol=tol)
-    sectors = []
-    for sector in decomposition.sectors:
-        amps = [
-            {"key": _key_json(key), "re": value.real, "im": value.imag}
-            for key, value in sorted(sector.state.items())
-        ]
-        sectors.append({"q": sector.q, "p": sector.probability, "amplitudes": amps})
-    entanglement = {
-        measure: entanglement_of_particles(ensemble, measure, tol=tol)
-        for measure in ("entropy", "concurrence")
-    }
-    return {
+    outcomes, by_sector, p, leak = _project_batch(
+        config.n_up, *_angle_rows(config.ensemble()), tol
+    )
+    outcomes = outcomes[0].tolist()
+    sectors = [
+        _sector_json(q, probability, outcomes, config.n_up, tol)
+        for q, probability in reversed(list(enumerate(p[0].tolist())))
+        if probability != 0.0
+    ]
+    record = {
         "n_particles": config.n_total,
         "n_up": config.n_up,
         "source_order": list(config.source_order),
-        "sectors": sectors,
-        "leak": decomposition.leak_probability,
-        "entanglement": entanglement,
+        "sectors": None,  # replaced by the rendered sectors
+        "leak": float(leak[0]),
+        "entanglement": {
+            measure: float(_postselected(by_sector, p, measure, tol)[0])
+            for measure in ("entropy", "concurrence")
+        },
     }
+    sectors_json = "[\n" + ",\n".join(sectors) + "\n  ]" if sectors else "[]"
+    return json.dumps(record, indent=2).replace(
+        '"sectors": null', '"sectors": ' + sectors_json, 1
+    )
 
 
 @main.command()
@@ -160,10 +215,10 @@ def project(config_path: str, output: str):
     tol = _tolerances()
     config = _load_config(config_path)
     try:
-        record = _project_record(config, tol)
+        text = _project_json(config, tol)
     except IdentangleError as exc:
         _fail_usage(str(exc))
-    _write_output(json.dumps(record, indent=2), output)
+    _write_output(text, output)
 
 
 #: complex entries in one fold array of a sweep chunk: G * (n + 1)^2 for
@@ -235,7 +290,7 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
     try:
         with open(sweep_path, "r", encoding="utf-8") as handle:
             spec = parse_sweep_spec(handle.read(), config)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail_usage(f"cannot read sweep spec {sweep_path}: {exc}")
     except IdentangleError as exc:
         _fail_usage(f"{sweep_path}: {exc}")

@@ -372,15 +372,26 @@ def sweep_grid(
     average of ``measure`` (G,); row g equals :func:`project_onto_detectors`
     of the ensemble in that row.
 
+    The entanglement is :func:`_postselected` of the projection.  A failed
+    check raises RowError naming the first failing row.
+    """
+    _, by_sector, p, leak = _project_batch(n_up, theta, omega, phi, gamma, tol)
+    return p, leak, _postselected(by_sector, p, measure, tol)
+
+
+def _postselected(
+    by_sector: np.ndarray, p: np.ndarray, measure: str, tol: Tolerances
+) -> np.ndarray:
+    """Postselected average of ``measure`` over G projections, from the
+    kept outcome weights (G, N+1, n_up+1) and sector probabilities (G, N+1)
+    of :func:`_project_batch`.
+
     Each sector's Schmidt weights across L|R are its outcome weights
     |U[alpha] D[q-alpha]|^2 / p_q, one term per kept outcome, since distinct
     alpha give distinct keys on both sides (:func:`sector_entanglement`
     reads them from an SVD instead).  A row whose sum(p) is at most
-    ``tol.pruning`` reads 0.  A failed check raises RowError naming the
-    first failing row.
+    ``tol.pruning`` reads 0.
     """
-    _, by_sector, p, leak = _project_batch(n_up, theta, omega, phi, gamma, tol)
-
     schmidt = np.divide(
         by_sector, p[..., None], out=np.zeros_like(by_sector), where=p[..., None] > 0.0
     )
@@ -389,7 +400,7 @@ def sweep_grid(
     # postselected: sector weights renormalized over the detected probability
     total_p = p.sum(axis=1)[:, None]
     share = np.divide(p, total_p, out=np.zeros_like(p), where=total_p > tol.pruning)
-    return p, leak, (share * sector_values).sum(axis=1)
+    return (share * sector_values).sum(axis=1)
 
 
 def _side_particle_count(state: SymmetricKet, side_labels: Tuple[str, ...]) -> int:

@@ -7,6 +7,7 @@ import json
 import math
 import weakref
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -661,3 +662,146 @@ def test_ensemble_missing_both_detectors(runner, tmp_path):
         assert record["sectors"] == []
         assert abs(record["leak"] - 1.0) < 1e-12
         assert record["entanglement"] == {"entropy": 0.0, "concurrence": 0.0}
+
+
+def test_unwritable_output_is_usage_error(runner, tmp_path):
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+    sweep = write(tmp_path, "sweep.json", {
+        "axes": [{"path": "particles[0].theta", "values": [0.2, 0.4]}]
+    })
+    out = str(tmp_path / "missing" / "x.json")
+    for argv in (
+        ["project", "--config", cfg],
+        ["amplitude", "--config", cfg, "--bra-config", cfg],
+        ["sweep", "--config", cfg, "--sweep", sweep],
+        ["sweep", "--config", cfg, "--sweep", sweep, "--format", "json"],
+    ):
+        result = runner.invoke(main, argv + ["--output", out])
+        assert_usage_error(result, f"cannot write output {out}")
+
+
+def test_non_utf8_inputs_are_usage_errors(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert_usage_error(
+        runner.invoke(main, ["project", "--config", str(bad)]),
+        f"cannot read config {bad}",
+    )
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+    assert_usage_error(
+        runner.invoke(main, ["sweep", "--config", cfg, "--sweep", str(bad)]),
+        f"cannot read sweep spec {bad}",
+    )
+
+
+def library_project_json(config):
+    """The ``project`` record built from the library routes, as
+    json.dumps(record, indent=2) renders it."""
+    ensemble = config.ensemble()
+    decomposition = project_onto_detectors(ensemble)
+    record = {
+        "n_particles": config.n_total,
+        "n_up": config.n_up,
+        "source_order": list(config.source_order),
+        "sectors": [
+            {
+                "q": sector.q,
+                "p": sector.probability,
+                "amplitudes": [
+                    {
+                        "key": [[label, spin.value] for label, spin in key],
+                        "re": value.real,
+                        "im": value.imag,
+                    }
+                    for key, value in sorted(sector.state.items())
+                ],
+            }
+            for sector in decomposition.sectors
+        ],
+        "leak": decomposition.leak_probability,
+        "entanglement": {
+            measure: entanglement_of_particles(ensemble, measure)
+            for measure in ("entropy", "concurrence")
+        },
+    }
+    return json.dumps(record, indent=2) + "\n"
+
+
+def seeded_particles(rng, n, n_up):
+    """n particles, n_up of them spin up, in shuffled file order, with edge
+    thetas, leaking and fully missing particles and repeated modes."""
+    particles = []
+    for j in range(n):
+        if particles and rng.random() < 0.25:
+            particle = dict(particles[int(rng.integers(len(particles)))])
+        else:
+            theta = (
+                float(rng.choice([0.0, math.pi / 4, math.pi / 2]))
+                if rng.random() < 0.2
+                else float(rng.uniform(0.0, math.pi / 2))
+            )
+            particle = {"theta": theta, "omega": float(rng.uniform(0.0, 2 * math.pi))}
+            draw = rng.random()
+            if draw < 0.3:
+                particle["phi"] = float(rng.uniform(0.0, math.pi / 2))
+                particle["gamma"] = float(rng.uniform(0.0, 2 * math.pi))
+            elif draw < 0.35:
+                particle["phi"] = 0.0
+        particle["spin"] = "up" if j < n_up else "down"
+        particles.append(particle)
+    rng.shuffle(particles)
+    return particles
+
+
+def test_project_output_matches_library_routes(runner, tmp_path):
+    rng = np.random.default_rng(6060)
+    payloads = []
+    for k in range(300):
+        n = 1 + k % 23
+        n_up = (0, n)[k % 5] if k % 5 < 2 else int(rng.integers(0, n + 1))
+        payloads.append({"particles": seeded_particles(rng, n, n_up)})
+    payloads.append({"particles": [
+        {"spin": "up", "theta": 0.3, "phi": 0.0},
+        {"spin": "down", "theta": 1.0, "phi": 0.0, "gamma": 0.4},
+    ]})
+    payloads.append({"particles": seeded_particles(rng, 60, 25)})
+    empty = 0
+    for payload in payloads:
+        cfg = write(tmp_path, "cfg.json", payload)
+        config = parse_ensemble_config((tmp_path / "cfg.json").read_text())
+        result = runner.invoke(main, ["project", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert result.output == library_project_json(config), payload
+        empty += json.loads(result.output)["sectors"] == []
+    assert empty >= 1
+
+
+def test_project_makes_one_fold(runner, tmp_path, monkeypatch):
+    calls = {"batch": 0, "block": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_project_batch", counted("batch", cli._project_batch))
+    monkeypatch.setattr(
+        detection, "_detector_block", counted("block", detection._detector_block)
+    )
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+    result = runner.invoke(main, ["project", "--config", cfg])
+    assert result.exit_code == 0, result.output
+    assert calls == {"batch": 1, "block": 2}
+
+
+def test_project_sector_norm_check_exits_2(runner, tmp_path, monkeypatch):
+    batch = cli._project_batch
+
+    def scaled_outcomes(*args):
+        outcomes, by_sector, p, leak = batch(*args)
+        return outcomes * 1.001, by_sector, p, leak
+
+    monkeypatch.setattr(cli, "_project_batch", scaled_outcomes)
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+    assert_usage_error(runner.invoke(main, ["project", "--config", cfg]), "sector q = 2 has norm")
