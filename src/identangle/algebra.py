@@ -15,7 +15,7 @@ from .errors import (
     DimensionError,
     NormalizationError,
 )
-from .permanent import determinant, permanent_naive, permanent_ryser
+from .permanent import determinant, permanent_ryser
 from .states import (
     BasisLabel,
     OccupationKey,
@@ -28,12 +28,6 @@ from .states import (
     symmetrize_product,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-
-_PERMANENT_KERNELS = {
-    "ryser": permanent_ryser,
-    "naive": permanent_naive,
-}
-
 
 def overlap_matrix(
     bras: Sequence[SingleParticleKet], kets: Sequence[SingleParticleKet]
@@ -62,12 +56,15 @@ def transition_amplitude(
     bras: Sequence[SingleParticleKet],
     kets: Sequence[SingleParticleKet],
     statistics: Statistics = Statistics.BOSON,
-    method: str = "ryser",
 ) -> complex:
     """Amplitude <bra_1,...,bra_N | ket_1,...,ket_N> between symmetrized states.
 
-    Bosons: perm(A) / (N! * Nf(bras) * Nf(kets)) with A the overlap matrix
-    and Nf the multiplicity normalization of :func:`normalization_total`.
+    Bosons: perm(A) / (N! * Nf(bras) * Nf(kets)) with A the overlap matrix,
+    its permanent from :func:`permanent.permanent_ryser` (so N <= 30), and
+    Nf the multiplicity normalization of :func:`normalization_total`.
+    Kets over any labels are accepted; for configured detector modes
+    :func:`detection.fold_amplitude` gives the same value in polynomial
+    time.
     Fermions: det(A), i.e. the same pattern with all multiplicities one.
     Both sides carry the combinatorial normalization, so the value is the
     physical inner product whenever the distinct constituents are
@@ -83,13 +80,9 @@ def transition_amplitude(
     a = overlap_matrix(bras, kets)
     if statistics is Statistics.FERMION:
         return determinant(a)
-    try:
-        kernel = _PERMANENT_KERNELS[method]
-    except KeyError:
-        raise ConsistencyError(f"unknown permanent kernel {method!r}") from None
     norm_bra = normalization_total(ket_multiplicities(bras), n)
     norm_ket = normalization_total(ket_multiplicities(kets), n)
-    return kernel(a) / (math.factorial(n) * norm_bra * norm_ket)
+    return permanent_ryser(a) / (math.factorial(n) * norm_bra * norm_ket)
 
 
 def contract_single(

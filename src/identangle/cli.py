@@ -30,7 +30,7 @@ from .config import (
     parse_ensemble_config,
     parse_sweep_spec,
 )
-from .detection import _angle_rows, _postselected, _project_batch, sweep_grid
+from .detection import _angle_rows, _postselected, _project_batch, fold_amplitude, sweep_grid
 from .errors import ConsistencyError, IdentangleError, RowError
 from .measures import verify_schmidt_equivalence
 from .states import Statistics
@@ -92,11 +92,10 @@ def main():
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Ket-side ensemble config (JSON).")
 @click.option("--bra-config", "bra_path", required=True, type=click.Path(), help="Bra-side ensemble config (JSON).")
-@click.option("--method", type=click.Choice(["ryser", "naive"]), default="ryser", show_default=True)
 @click.option("--output", default="-", show_default=True)
-def amplitude(config_path: str, bra_path: str, method: str, output: str):
+def amplitude(config_path: str, bra_path: str, output: str):
     """Transition amplitude between two configured product states."""
-    _tolerances()
+    tol = _tolerances()
     ket_config = _load_config(config_path)
     bra_config = _load_config(bra_path)
     if ket_config.n_total != bra_config.n_total:
@@ -106,18 +105,27 @@ def amplitude(config_path: str, bra_path: str, method: str, output: str):
         )
     if ket_config.statistics is not bra_config.statistics:
         _fail_usage("bra and ket configs disagree on statistics")
+    boson = ket_config.statistics is Statistics.BOSON
     try:
-        value = transition_amplitude(
-            bra_config.ensemble().kets(),
-            ket_config.ensemble().kets(),
-            ket_config.statistics,
-            method=method,
-        )
+        if boson:
+            angles = np.array(
+                [[(p.theta, p.omega, p.phi, p.gamma) for p in c.particles]
+                 for c in (bra_config, ket_config)]
+            ).transpose(2, 0, 1)
+            value = fold_amplitude(bra_config.n_up, ket_config.n_up, *angles, tol)
+        else:
+            value = transition_amplitude(
+                bra_config.ensemble().kets(),
+                ket_config.ensemble().kets(),
+                Statistics.FERMION,
+            )
     except IdentangleError as exc:
         _fail_usage(str(exc))
     record = {
         "amplitude": {"re": value.real, "im": value.imag},
-        "method": method if ket_config.statistics is Statistics.BOSON else "determinant",
+        # "ryser" names the permanent kernel that once computed boson values;
+        # it stays so that the record keeps its format
+        "method": "ryser" if boson else "determinant",
         "statistics": ket_config.statistics.value,
         "n_particles": ket_config.n_total,
     }

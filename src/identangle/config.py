@@ -98,10 +98,15 @@ def _number(value, where: str) -> float:
 
 
 def _angle(entry: dict, key: str, default: float, scale: float, where: str) -> float:
-    value = entry.get(key, None)
-    if value is None:
+    if key not in entry:
         return default
-    return _number(value, f"{where}: field {key!r}") * scale
+    return _number(entry[key], f"{where}: field {key!r}") * scale
+
+
+def _reject_unknown(entry: dict, fields: Tuple[str, ...], prefix: str):
+    for key in entry:
+        if key not in fields:
+            raise ConfigError(f"{prefix}unknown field {key!r}")
 
 
 def parse_ensemble_config(text: str) -> EnsembleConfig:
@@ -110,7 +115,8 @@ def parse_ensemble_config(text: str) -> EnsembleConfig:
     Schema: {"particles": [{"spin": "up"|"down", "theta": x, "omega": y,
     "phi": z, "gamma": g}, ...], "statistics": "boson"|"fermion",
     "degrees": bool}.  omega, phi and gamma are optional; angles are
-    radians unless "degrees" is true.
+    radians unless "degrees" is true.  Fields outside the schema, a
+    non-boolean "degrees" and null values are errors.
     """
     try:
         data = json.loads(text)
@@ -118,10 +124,14 @@ def parse_ensemble_config(text: str) -> EnsembleConfig:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_unknown(data, ("particles", "statistics", "degrees"), "")
     raw_particles = data.get("particles")
     if not isinstance(raw_particles, list) or not raw_particles:
         raise ConfigError("config must hold a non-empty 'particles' list")
-    scale = math.pi / 180.0 if data.get("degrees", False) else 1.0
+    degrees = data.get("degrees", False)
+    if not isinstance(degrees, bool):
+        raise ConfigError(f"field 'degrees' must be true or false, got {degrees!r}")
+    scale = math.pi / 180.0 if degrees else 1.0
     stat_name = data.get("statistics", "boson")
     try:
         statistics = Statistics(stat_name)
@@ -135,6 +145,7 @@ def parse_ensemble_config(text: str) -> EnsembleConfig:
         where = f"particles[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: each particle must be an object")
+        _reject_unknown(entry, ("spin", "theta", "omega", "phi", "gamma"), f"{where}: ")
         spin_name = entry.get("spin")
         if spin_name not in ("up", "down"):
             raise ConfigError(f"{where}: field 'spin' must be 'up' or 'down'")

@@ -5,12 +5,14 @@ detectors L and R.  Projecting the symmetrized state onto the detector
 subspace and grouping outcomes by the number q of particles found at L
 (particle-number superselection) yields a sector decomposition whose
 weighted entanglement is the postselected "entanglement of particles".
+The same per-spin fold gives transition amplitudes between two ensembles.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -184,19 +186,16 @@ def _block_layout(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return layout
 
 
-def _detector_block(
-    c: np.ndarray, s: np.ndarray, r: np.ndarray, tol: Tolerances
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Detector amplitudes of one spin block over a batch of G states.
+def _fock_block(c: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Unnormalized Fock amplitudes of one spin block over a batch of G states.
 
     ``c``, ``s`` and ``r`` have shape (G, n) and hold each particle's
     amplitude on L, R and the remainder mode chi.  The block state
     a'(k_1) ... a'(k_n)|vac> over the modes (L, R, chi) has amplitude
     sqrt(a_L! a_R! a_chi!) times the coefficient of x^a_L y^a_R z^a_chi in
-    prod_k (c_k x + s_k y + r_k z), a_chi = n - a_L - a_R.  Returns the
-    normalized amplitudes B[:, a] of the outcomes a_L = a, a_R = n - a, shape
-    (G, n+1), their total weight (G,), and the weight of the outcomes with
-    a_chi > 0 (G,).  Raises RowError on the first state of vanishing norm.
+    prod_k (c_k x + s_k y + r_k z), a_chi = n - a_L - a_R.  Returns these
+    amplitudes indexed [:, a_L, a_R], shape (G, n+1, n+1), zero where
+    a_L + a_R > n.
     """
     g, n = c.shape
     # after k particles only a_L, a_R <= k carry coefficients
@@ -209,8 +208,21 @@ def _detector_block(
         nxt[:, 1:, :-1] += cs[k] * coeffs
         nxt[:, :-1, 1:] += ss[k] * coeffs
         coeffs = nxt
-    left, right, scale, leaks = _block_layout(n)
-    amps = coeffs * scale
+    return coeffs * _block_layout(n)[2]
+
+
+def _detector_block(
+    c: np.ndarray, s: np.ndarray, r: np.ndarray, tol: Tolerances
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Detector amplitudes of one spin block over a batch of G states.
+
+    From the Fock amplitudes of :func:`_fock_block`, returns the normalized
+    amplitudes B[:, a] of the outcomes a_L = a, a_R = n - a, shape
+    (G, n+1), their total weight (G,), and the weight of the outcomes with
+    a_chi > 0 (G,).  Raises RowError on the first state of vanishing norm.
+    """
+    left, right, _, leaks = _block_layout(c.shape[1])
+    amps = _fock_block(c, s, r)
     weights = amps.real ** 2 + amps.imag ** 2
     detected = amps[:, left, right]
     detected_sq = weights[:, left, right].sum(axis=1)
@@ -243,40 +255,27 @@ def _phases(angles: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _project_batch(
-    n_up: int,
+def _require_fold_size(what: str, total: int):
+    if total > PROJECTION_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"{what} is capped at N <= {PROJECTION_SIZE_LIMIT}, got N = {total}"
+        )
+
+
+def _mode_amplitudes(
     theta: np.ndarray,
     omega: np.ndarray,
     phi: np.ndarray,
     gamma: np.ndarray,
     tol: Tolerances,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Detector projection of G ensembles given their (G, N) mode angles,
-    particles ordered spin-up first.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amplitudes (c, s, r) on L, R and the remainder mode chi of the
+    particles with the given (G, N) mode angles.
 
-    Each particle's amplitudes on L, R and the remainder mode chi are those
-    of :func:`states.mode_ket`, pruned at ``tol.pruning``; a particle off
-    unit norm by more than ``tol.normalization`` raises RowError.  Up and
-    down particles never share a mode, so each state is a product of
-    an up and a down block (:func:`_detector_block`), and the outcome with
-    alpha up and beta down particles at L has amplitude U[alpha] * D[beta].
-    Outcomes with |amplitude| <= ``tol.pruning`` are dropped and the rest
-    grouped into sectors by q = alpha + beta; a sector below
-    ``tol.pruning`` reads as empty (probability 0).  Returns the outcome
-    amplitudes (G, n_up+1, N-n_up+1), their kept weights by sector
-    (G, N+1, n_up+1) indexed by (q, alpha), the sector probabilities
-    (G, N+1) and the leak (G,).
-
-    The leak is the weight of the a_chi > 0 outcomes (phi < pi/2), summed
-    rather than taken as the complement, so that probabilities plus leak
-    summing to one is a genuine cross-check: a deviation above
-    ``tol.comparison`` raises RowError on the first failing row.
+    They are those of :func:`states.mode_ket`, pruned at ``tol.pruning``; a
+    particle off unit norm by more than ``tol.normalization`` raises
+    RowError on its row.
     """
-    total = theta.shape[1]
-    if total > PROJECTION_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"projection is capped at N <= {PROJECTION_SIZE_LIMIT}, got N = {total}"
-        )
     sin_phi = np.sin(phi)
     c = sin_phi * np.cos(theta)
     s = sin_phi * np.sin(theta) * _phases(omega)
@@ -290,6 +289,40 @@ def _project_batch(
         lambda row: "single-particle ket must be unit norm, "
         f"got {float(norm[row][~unit[row]][0])!r}",
     )
+    return c, s, r
+
+
+def _project_batch(
+    n_up: int,
+    theta: np.ndarray,
+    omega: np.ndarray,
+    phi: np.ndarray,
+    gamma: np.ndarray,
+    tol: Tolerances,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Detector projection of G ensembles given their (G, N) mode angles,
+    particles ordered spin-up first.
+
+    Each particle's amplitudes on L, R and the remainder mode chi are those
+    of :func:`_mode_amplitudes`.  Up and down particles never share a mode,
+    so each state is a product of an up and a down block
+    (:func:`_detector_block`), and the outcome with alpha up and beta down
+    particles at L has amplitude U[alpha] * D[beta].
+    Outcomes with |amplitude| <= ``tol.pruning`` are dropped and the rest
+    grouped into sectors by q = alpha + beta; a sector below
+    ``tol.pruning`` reads as empty (probability 0).  Returns the outcome
+    amplitudes (G, n_up+1, N-n_up+1), their kept weights by sector
+    (G, N+1, n_up+1) indexed by (q, alpha), the sector probabilities
+    (G, N+1) and the leak (G,).
+
+    The leak is the weight of the a_chi > 0 outcomes (phi < pi/2), summed
+    rather than taken as the complement, so that probabilities plus leak
+    summing to one is a genuine cross-check: a deviation above
+    ``tol.comparison`` raises RowError on the first failing row.
+    """
+    total = theta.shape[1]
+    _require_fold_size("projection", total)
+    c, s, r = _mode_amplitudes(theta, omega, phi, gamma, tol)
     up, up_detected, up_leaked = _detector_block(c[:, :n_up], s[:, :n_up], r[:, :n_up], tol)
     down, _, down_leaked = _detector_block(c[:, n_up:], s[:, n_up:], r[:, n_up:], tol)
     outcomes = up[:, :, None] * down[:, None, :]
@@ -308,6 +341,46 @@ def _project_batch(
         lambda row: f"sector probabilities plus leak miss one by {deviation[row]:.3e}",
     )
     return outcomes, by_sector, p, leak
+
+
+def fold_amplitude(
+    bra_n_up: int,
+    ket_n_up: int,
+    theta: np.ndarray,
+    omega: np.ndarray,
+    phi: np.ndarray,
+    gamma: np.ndarray,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> complex:
+    """Amplitude <bra|ket> between two symmetrized boson product states.
+
+    Row 0 of the (2, N) angle arrays holds the bra's particles, row 1 the
+    ket's, each spin-up first.  The overlap matrix is block-diagonal by
+    spin, and each block has rank at most 3 (every mode lies in
+    span{L, R, chi}), so its permanent is the sum of conj(F_bra) F_ket over
+    the Fock amplitudes of :func:`_fock_block`.  The product of the two
+    block permanents is divided by sqrt(prod nu! prod mu!), nu and mu the
+    repeat counts of exactly equal (c, s, r) within a block of the bra and
+    of the ket, as in :func:`algebra.transition_amplitude`.  Different
+    n_up give exactly 0.  Raises SizeLimitError above N = 170.
+    """
+    _require_fold_size("amplitude", theta.shape[1])
+    c, s, r = _mode_amplitudes(theta, omega, phi, gamma, tol)
+    if bra_n_up != ket_n_up:
+        return 0j
+    blocks = (slice(None, ket_n_up), slice(ket_n_up, None))
+    value = 1.0
+    for block in blocks:
+        bra, ket = _fock_block(c[:, block], s[:, block], r[:, block])
+        value *= np.vdot(bra, ket)
+    # factor by factor, since prod nu! * prod mu! can overflow a double
+    root_repeats = 1.0
+    for row in zip(c.tolist(), s.tolist(), r.tolist()):
+        triples = list(zip(*row))
+        for block in blocks:
+            for k in Counter(triples[block]).values():
+                root_repeats *= math.sqrt(math.factorial(k))
+    return complex(value / root_repeats)
 
 
 def _angle_rows(ensemble: ParticleEnsemble) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 The permanent governs bosonic transition amplitudes, the determinant the
 fermionic ones.  Two permanent paths are provided: a factorial-cost
-reference that sums over all permutations, and the production Ryser
+reference that sums over all permutations, and the Ryser
 inclusion-exclusion kernel, which builds the row sums of every column
-subset as numpy tables and sums their signed row products.  Everything
-runs in double-precision complex arithmetic; there is no arbitrary
-precision fallback.
+subset as numpy tables and sums their signed row products.  Ryser serves
+:func:`algebra.transition_amplitude` for kets over any labels, and both
+kernels serve as oracles; the amplitudes of configured boson ensembles
+come from the spin-block fold (:func:`detection.fold_amplitude`), which
+takes polynomial time.  Everything runs in double-precision complex
+arithmetic; there is no arbitrary precision fallback.
 """
 
 from __future__ import annotations

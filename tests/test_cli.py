@@ -22,7 +22,7 @@ from identangle.config import (
 )
 from identangle.detection import entanglement_of_particles, project_onto_detectors
 from identangle.errors import ConfigError, ConsistencyError
-from identangle.tolerances import TOLERANCE_ENV_VAR
+from identangle.tolerances import DEFAULT_TOLERANCES, TOLERANCE_ENV_VAR
 
 from conftest import svd_route_entanglement
 
@@ -116,6 +116,127 @@ def test_amplitude_particle_number_mismatch(runner, tmp_path):
     assert "mismatch" in result.output
 
 
+HALF_PI = math.pi / 2
+
+
+def random_amplitude_pair(rng, n_total, n_up):
+    """Bra and ket particle lists of one ensemble size, drawn from a pool of
+    modes (so modes repeat, on both sides alike) with some thetas at 0 or
+    pi/2 and some phis below pi/2; each bra mode is a perturbed ket mode,
+    so overlaps stay large."""
+    ket_pool, bra_pool = [], []
+    for _ in range(int(rng.integers(1, n_total + 1))):
+        if rng.random() < 0.2:
+            theta = float(rng.choice([0.0, HALF_PI]))
+        else:
+            theta = float(rng.uniform(0.0, HALF_PI))
+        mode = {"theta": theta, "omega": float(rng.uniform(0.0, 2 * math.pi))}
+        if rng.random() < 0.3:
+            mode["phi"] = float(rng.uniform(0.6, HALF_PI))
+            mode["gamma"] = float(rng.uniform(0.0, 2 * math.pi))
+        ket_pool.append(mode)
+        near = dict(mode)
+        near["theta"] = float(np.clip(theta + rng.normal(0.0, 0.1), 0.0, HALF_PI))
+        near["omega"] = mode["omega"] + float(rng.normal(0.0, 0.2))
+        bra_pool.append(near)
+    picks = rng.integers(len(ket_pool), size=n_total)
+    spins = rng.permutation(["up"] * n_up + ["down"] * (n_total - n_up))
+    ket = [{"spin": str(s), **ket_pool[i]} for s, i in zip(spins, picks)]
+    bra = [{"spin": str(s), **bra_pool[i]} for s, i in zip(spins, picks)]
+    return bra, ket
+
+
+def cli_amplitude(runner, tmp_path, bra, ket):
+    ket_path = write(tmp_path, "ket.json", {"particles": ket})
+    bra_path = write(tmp_path, "bra.json", {"particles": bra})
+    result = runner.invoke(main, ["amplitude", "--config", ket_path, "--bra-config", bra_path])
+    assert result.exit_code == 0, result.output
+    record = json.loads(result.output)
+    assert record["method"] == "ryser" and record["n_particles"] == len(ket)
+    return complex(record["amplitude"]["re"], record["amplitude"]["im"])
+
+
+def library_amplitude(bra, ket):
+    """The Ryser route: transition_amplitude over the configs' kets."""
+    from identangle.algebra import transition_amplitude
+
+    return transition_amplitude(
+        parse_ensemble_config(json.dumps({"particles": bra})).ensemble().kets(),
+        parse_ensemble_config(json.dumps({"particles": ket})).ensemble().kets(),
+    )
+
+
+def test_amplitude_matches_ryser_route_on_seeded_pairs(runner, tmp_path):
+    rng = np.random.default_rng(7)
+    tol = DEFAULT_TOLERANCES.comparison
+    repeated = 0
+    for k in range(320):
+        n_total = 1 + k % 16
+        # every fourth pair puts all particles in one spin block
+        n_up = (0, n_total)[k // 4 % 2] if k % 4 == 0 else int(rng.integers(0, n_total + 1))
+        bra, ket = random_amplitude_pair(rng, n_total, n_up)
+        repeated += len({tuple(p.items()) for p in ket}) < n_total
+        got = cli_amplitude(runner, tmp_path, bra, ket)
+        expected = library_amplitude(bra, ket)
+        assert abs(got - expected) <= tol * max(1.0, abs(expected)), (k, got, expected)
+    assert repeated > 100
+
+
+@pytest.mark.parametrize("n_total", range(17, 23))
+def test_amplitude_matches_ryser_above_sixteen(runner, tmp_path, n_total):
+    rng = np.random.default_rng(n_total)
+    bra, ket = random_amplitude_pair(rng, n_total, n_total // 2 - 1)
+    got = cli_amplitude(runner, tmp_path, bra, ket)
+    expected = library_amplitude(bra, ket)
+    assert abs(expected) > 1e-6
+    assert abs(got - expected) <= DEFAULT_TOLERANCES.comparison * abs(expected)
+
+
+def single_overlap(bra, ket):
+    """<bra|ket> of two single-particle modes."""
+    def amps(p):
+        phi, gamma = p.get("phi", HALF_PI), p.get("gamma", 0.0)
+        return np.array([
+            math.sin(phi) * math.cos(p["theta"]),
+            math.sin(phi) * math.sin(p["theta"]) * np.exp(1j * p["omega"]),
+            math.cos(phi) * np.exp(1j * gamma),
+        ])
+    return complex(np.vdot(amps(bra), amps(ket)))
+
+
+@pytest.mark.parametrize("n_up", [170, 60])
+def test_amplitude_all_equal_modes_at_the_size_cap(runner, tmp_path, n_up):
+    # all modes of a spin block equal: <bra|ket> = <b_up|k_up>^n_up <b_down|k_down>^n_down
+    ket_up = {"theta": 0.7, "omega": 0.3, "phi": 1.4, "gamma": 0.2}
+    bra_up = {"theta": 0.71, "omega": 0.32, "phi": 1.41, "gamma": 0.1}
+    ket_down = {"theta": 1.1, "omega": 2.0}
+    bra_down = {"theta": 1.09, "omega": 2.01}
+    n_down = 170 - n_up
+    ket = [{"spin": "up", **ket_up}] * n_up + [{"spin": "down", **ket_down}] * n_down
+    bra = [{"spin": "up", **bra_up}] * n_up + [{"spin": "down", **bra_down}] * n_down
+    expected = single_overlap(bra_up, ket_up) ** n_up * single_overlap(bra_down, ket_down) ** n_down
+    assert 0.1 < abs(expected) < 0.99
+    got = cli_amplitude(runner, tmp_path, bra, ket)
+    assert abs(got - expected) <= 1e-10 * abs(expected)
+    assert abs(cli_amplitude(runner, tmp_path, ket, ket) - 1.0) <= 1e-10
+
+
+def test_amplitude_above_size_cap_is_usage_error(runner, tmp_path):
+    cfg = write(tmp_path, "cfg.json", {"particles": [{"spin": "up", "theta": 0.7}] * 171})
+    assert_usage_error(
+        runner.invoke(main, ["amplitude", "--config", cfg, "--bra-config", cfg]),
+        "capped at N <= 170",
+    )
+
+
+def test_amplitude_different_n_up_is_exactly_zero(runner, tmp_path):
+    rng = np.random.default_rng(11)
+    for n_total in (2, 9, 16):
+        _, ket = random_amplitude_pair(rng, n_total, n_total // 2)
+        bra, _ = random_amplitude_pair(rng, n_total, n_total // 2 + 1)
+        assert cli_amplitude(runner, tmp_path, bra, ket) == 0
+
+
 def test_project_balanced_two_bosons(runner, tmp_path):
     cfg = write(tmp_path, "cfg.json", two_boson_config(math.pi / 4, math.pi / 4))
     result = runner.invoke(main, ["project", "--config", cfg])
@@ -203,6 +324,38 @@ def test_config_degrees_flag():
     }
     config = parse_ensemble_config(json.dumps(payload))
     assert abs(config.particles[0].theta - math.pi / 4) < 1e-12
+
+
+def echo_config(runner, tmp_path, payload):
+    cfg = write(tmp_path, "cfg.json", payload)
+    return runner.invoke(main, ["echo-config", "--config", cfg])
+
+
+def test_config_unknown_particle_field_is_usage_error(runner, tmp_path):
+    payload = {"particles": [{"spin": "up", "theta": 0.5, "omgea": 2.0}]}
+    assert_usage_error(
+        echo_config(runner, tmp_path, payload), "particles[0]: unknown field 'omgea'"
+    )
+
+
+def test_config_unknown_top_level_field_is_usage_error(runner, tmp_path):
+    payload = {"particles": [{"spin": "up", "theta": 0.5}], "statistic": "fermion"}
+    assert_usage_error(echo_config(runner, tmp_path, payload), "unknown field 'statistic'")
+
+
+def test_config_degrees_must_be_boolean(runner, tmp_path):
+    payload = {"particles": [{"spin": "up", "theta": 1.0}], "degrees": "false"}
+    assert_usage_error(echo_config(runner, tmp_path, payload), "'degrees' must be true or false")
+
+
+@pytest.mark.parametrize("field", ["theta", "omega", "phi", "gamma"])
+def test_config_null_angle_is_usage_error(runner, tmp_path, field):
+    particle = {"spin": "up", "theta": 0.5}
+    particle[field] = None
+    assert_usage_error(
+        echo_config(runner, tmp_path, {"particles": [particle]}),
+        f"particles[0]: field '{field}' must be a number",
+    )
 
 
 def test_parameter_path_validation():

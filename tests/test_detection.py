@@ -16,6 +16,7 @@ from identangle.detection import (
     coherence,
     detection_key,
     entanglement_of_particles,
+    fold_amplitude,
     project_onto_detectors,
     sector_entanglement,
     sector_reduced_density,
@@ -33,7 +34,7 @@ from identangle.errors import (
 from identangle.measures import two_boson_average_concurrence, von_neumann_entropy
 from identangle.oracles import project_by_substitution
 from identangle.permanent import permanent_naive
-from identangle.states import SpatialMode, Spin, mode_ket
+from identangle.states import SpatialMode, Spin, ket_multiplicities, mode_ket
 from identangle.tolerances import DEFAULT_TOLERANCES
 
 from conftest import svd_route_entanglement
@@ -300,6 +301,39 @@ def test_projection_fold_matches_detection_permanents(ens):
             reference.setdefault(alpha + beta, {})[detection_key(ens, spec)] = amp
     leak = 1.0 - sum(abs(v) ** 2 for amps in reference.values() for v in amps.values())
     assert_projection_matches(project_onto_detectors(ens), reference, leak)
+
+
+@st.composite
+def ensemble_pairs(draw, max_n):
+    """A bra and a ket ensemble of one size; the bra's modes come from the
+    ket's and a few more, so modes repeat within and across the two, and
+    the two n_up differ on some pairs."""
+    ket = draw(ensembles(max_n))
+    n_total = ket.n_total
+    pool = list(ket.modes) + draw(st.lists(MODES, max_size=n_total))
+    picks = draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=n_total, max_size=n_total)
+    )
+    n_up = draw(st.one_of(st.just(ket.n_up), st.integers(0, n_total)))
+    return ParticleEnsemble(n_up, tuple(pool[i] for i in picks)), ket
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(ensemble_pairs(max_n=8))
+def test_fold_amplitude_matches_naive_permanent(pair):
+    # perm(<bra_i|ket_j>) / sqrt(prod nu! prod mu!), nu and mu the repeat
+    # counts of equal kets on each side
+    bra, ket = pair
+    angles = np.concatenate([detection._angle_rows(bra), detection._angle_rows(ket)], axis=1)
+    got = fold_amplitude(bra.n_up, ket.n_up, *angles)
+    bras, kets = bra.kets(), ket.kets()
+    repeats = math.prod(
+        math.factorial(k) for k in ket_multiplicities(bras) + ket_multiplicities(kets)
+    )
+    expected = permanent_naive(overlap_matrix(bras, kets)) / math.sqrt(repeats)
+    assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
+    if bra.n_up != ket.n_up:
+        assert got == 0
 
 
 ANGLE_VALUES = {
