@@ -103,6 +103,32 @@ def _angle(entry: dict, key: str, default: float, scale: float, where: str) -> f
     return _number(entry[key], f"{where}: field {key!r}") * scale
 
 
+class _RepeatedFields(dict):
+    """A decoded JSON object whose text repeated the field ``repeated``."""
+
+    repeated = ""
+
+
+def _fields(pairs: List[Tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` that marks an object repeating a field, which
+    plain ``json.loads`` would resolve silently to the last value."""
+    fields = dict(pairs)
+    if len(fields) < len(pairs):
+        names = [name for name, _ in pairs]
+        fields = _RepeatedFields(fields)
+        fields.repeated = next(n for i, n in enumerate(names) if n in names[:i])
+    return fields
+
+
+#: one decoder for every parse, since building one costs more than a small config
+_DECODER = json.JSONDecoder(object_pairs_hook=_fields)
+
+
+def _reject_repeated(entry: dict, prefix: str):
+    if isinstance(entry, _RepeatedFields):
+        raise ConfigError(f"{prefix}duplicate field {entry.repeated!r}")
+
+
 def _reject_unknown(entry: dict, fields: Tuple[str, ...], prefix: str):
     for key in entry:
         if key not in fields:
@@ -115,15 +141,17 @@ def parse_ensemble_config(text: str) -> EnsembleConfig:
     Schema: {"particles": [{"spin": "up"|"down", "theta": x, "omega": y,
     "phi": z, "gamma": g}, ...], "statistics": "boson"|"fermion",
     "degrees": bool}.  omega, phi and gamma are optional; angles are
-    radians unless "degrees" is true.  Fields outside the schema, a
-    non-boolean "degrees" and null values are errors.
+    radians unless "degrees" is true.  Fields outside the schema, a field
+    given twice in one object, a non-boolean "degrees" and null values are
+    errors.
     """
     try:
-        data = json.loads(text)
+        data = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_repeated(data, "")
     _reject_unknown(data, ("particles", "statistics", "degrees"), "")
     raw_particles = data.get("particles")
     if not isinstance(raw_particles, list) or not raw_particles:
@@ -145,6 +173,7 @@ def parse_ensemble_config(text: str) -> EnsembleConfig:
         where = f"particles[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: each particle must be an object")
+        _reject_repeated(entry, f"{where}: ")
         _reject_unknown(entry, ("spin", "theta", "omega", "phi", "gamma"), f"{where}: ")
         spin_name = entry.get("spin")
         if spin_name not in ("up", "down"):
@@ -216,13 +245,17 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
     Schema: {"axes": [{"path": "particles[0].theta", "start": a, "stop": b,
     "steps": k} | {"path": ..., "values": [...]}]}.  ``particles[i]`` counts
     the config's particles in file order.  Multiple axes form the cross
-    product, capped at 10^6 points; no two axes may sweep the same angle.
+    product, capped at 10^6 points; no two axes may sweep the same angle,
+    and no object may give a field twice.
     """
     try:
-        data = json.loads(text)
+        data = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid sweep JSON: {exc.msg}") from None
-    if not isinstance(data, dict) or set(data) != {"axes"}:
+    if not isinstance(data, dict):
+        raise ConfigError("sweep spec must be an object holding only 'axes'")
+    _reject_repeated(data, "")
+    if set(data) != {"axes"}:
         raise ConfigError("sweep spec must be an object holding only 'axes'")
     if not isinstance(data["axes"], list) or not data["axes"]:
         raise ConfigError("sweep spec needs a non-empty 'axes' list")
@@ -233,6 +266,7 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
         where = f"axes[{i}]"
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise ConfigError(f"{where}: each axis needs a string 'path'")
+        _reject_repeated(entry, f"{where}: ")
         path = entry["path"]
         parameter = config.locate(path)
         if parameter in swept:

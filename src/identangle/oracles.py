@@ -1,8 +1,13 @@
 """Brute-force reference implementations.
 
 Everything here works from the literal pseudo-labeled expansion over all
-N! permutations and stays independent of the permanent-based production
-paths, so the two routes can be checked against each other.
+N! permutations (:func:`states.expand_first_quantized`) and the kets'
+amplitudes alone, independent of permanents, the creation-operator fold and
+the spin-block fold of the production paths, so the routes can be checked
+against each other.  Every term of the expansion is still enumerated, but as
+numpy arrays: a slot assignment becomes a row of ket indices, a choice of
+one basis label per slot a leaf, and no array holds more than
+``LEAF_CHUNK`` leaves.
 """
 
 from __future__ import annotations
@@ -10,17 +15,39 @@ from __future__ import annotations
 import math
 from typing import Dict, Sequence, Tuple
 
+import numpy as np
+
 from .detection import ParticleEnsemble
-from .errors import ConsistencyError
+from .errors import ConsistencyError, SizeLimitError
 from .states import (
+    BasisLabel,
     OccupationKey,
     SingleParticleKet,
     Statistics,
     SymmetricKet,
+    _odd_inversions,
     expand_first_quantized,
     occupation_key,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+#: most terms (slot assignment x label choice) one temporary array holds
+LEAF_CHUNK = 2 ** 16
+
+
+def _expansion_arrays(
+    kets: Sequence[SingleParticleKet], statistics: Statistics
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The slot assignments (T, N) and coefficients (T,) of
+    :func:`states.expand_first_quantized`."""
+    terms = expand_first_quantized(kets, statistics)
+    slots = np.array(list(terms), dtype=np.intp).reshape(len(terms), len(kets))
+    return slots, np.array(list(terms.values()), dtype=complex)
+
+
+def _basis(kets: Sequence[SingleParticleKet]) -> Tuple[BasisLabel, ...]:
+    """Every label the kets use, in canonical occupation-key order."""
+    return occupation_key({label for ket in kets for label in ket.labels()})
 
 
 def expansion_inner_product(
@@ -31,27 +58,38 @@ def expansion_inner_product(
     """Transition amplitude as the double sum over both label expansions.
 
     For each pair of slot assignments the overlap is the product of the
-    single-particle overlaps slot by slot.
+    single-particle overlaps slot by slot: a (bra assignment x ket
+    assignment) table taken slot by slot from the flat overlap matrix,
+    contracted with the two coefficient vectors.
     """
     if len(bras) != len(kets):
         raise ConsistencyError("bra and ket lists differ in length")
-    bra_terms = expand_first_quantized(bras, statistics)
-    ket_terms = expand_first_quantized(kets, statistics)
-    # cache pairwise single-particle overlaps
-    overlap: Dict[Tuple[int, int], complex] = {}
-    for bi in {i for key in bra_terms for i in key}:
-        for ki in {i for key in ket_terms for i in key}:
-            overlap[(bi, ki)] = bras[bi].inner(kets[ki])
+    n = len(kets)
+    bra_slots, bra_coeffs = _expansion_arrays(bras, statistics)
+    ket_slots, ket_coeffs = _expansion_arrays(kets, statistics)
+    basis = _basis(list(bras) + list(kets))
+    index = {label: i for i, label in enumerate(basis)}
+
+    def dense(states):
+        table = np.zeros((n, len(basis)), dtype=complex)
+        for row, state in enumerate(states):
+            for label, amp in state.items():
+                table[row, index[label]] = amp
+        return table
+
+    # overlap[b * n + k] = <bras[b] | kets[k]>; elementwise sums throughout,
+    # since a threaded BLAS call on arrays this small costs milliseconds
+    overlap = (dense(bras).conj()[:, None, :] * dense(kets)).sum(axis=2).ravel()
+    rows = max(1, LEAF_CHUNK // max(1, len(ket_slots)))
     total = 0j
-    for bkey, bcoeff in bra_terms.items():
-        for kkey, kcoeff in ket_terms.items():
-            prod = 1 + 0j
-            for slot in range(len(bkey)):
-                prod *= overlap[(bkey[slot], kkey[slot])]
-                if prod == 0:
-                    break
-            total += bcoeff.conjugate() * kcoeff * prod
-    return total
+    for start in range(0, len(bra_slots), rows):
+        block = bra_slots[start : start + rows]
+        table = overlap.take(block[:, 0, None] * n + ket_slots[:, 0])
+        for slot in range(1, n):
+            table *= overlap.take(block[:, slot, None] * n + ket_slots[:, slot])
+        table *= ket_coeffs
+        total += (bra_coeffs[start : start + rows].conj() * table.sum(axis=1)).sum()
+    return complex(total)
 
 
 def collect_expansion(
@@ -65,50 +103,88 @@ def collect_expansion(
     the resulting labeled terms are projected onto canonical occupation
     keys.  The output carries the combinatorial normalization, matching
     ``states.symmetrize_product``.
+
+    A term (leaf) picks, for each slot, one label of the ket in that slot.
+    Labels carry integer codes in canonical order, so the sorted codes of a
+    leaf are its occupation key, encoded as one base-L integer and summed
+    with ``np.bincount``.  A fermion leaf takes the sign of the inversions of its
+    codes in slot order and vanishes when it repeats a label; a boson key
+    is weighted by sqrt(prod n_b!) / sqrt(N!).
     """
     n = len(kets)
-    terms = expand_first_quantized(kets, statistics)
-    fermion = statistics is Statistics.FERMION
-    root_nf = math.sqrt(math.factorial(n))
-    amps: Dict[OccupationKey, complex] = {}
-    for assignment, coeff in terms.items():
-        slot_items = [list(kets[i].items()) for i in assignment]
-        _collect_labels(slot_items, 0, (), coeff, amps, fermion, root_nf)
-    return {k: v for k, v in amps.items() if abs(v) > tol.pruning}
-
-
-def _collect_labels(slot_items, slot, chosen, coeff, amps, fermion, root_nf):
-    if slot == len(slot_items):
-        if fermion:
-            if len(set(chosen)) != len(chosen):
-                return
-            sign = _sort_parity(chosen)
-            key = occupation_key(chosen)
-            amps[key] = amps.get(key, 0j) + sign * coeff / root_nf
-        else:
-            key = occupation_key(chosen)
-            counts: Dict = {}
-            for lab in key:
-                counts[lab] = counts.get(lab, 0) + 1
-            weight = math.sqrt(
-                math.prod(math.factorial(v) for v in counts.values())
-            ) / root_nf
-            amps[key] = amps.get(key, 0j) + coeff * weight
-        return
-    for label, amp in slot_items[slot]:
-        _collect_labels(
-            slot_items, slot + 1, chosen + (label,), coeff * amp, amps, fermion, root_nf
+    slots, coeffs = _expansion_arrays(kets, statistics)
+    basis = _basis(kets)
+    width = len(basis)
+    if width ** n > np.iinfo(np.int64).max:
+        raise SizeLimitError(
+            f"collect_expansion encodes keys in base {width}, "
+            f"which overflows at N = {n}"
         )
+    index = {label: i for i, label in enumerate(basis)}
+    # each ket's own labels (as codes) and amplitudes, padded to one width
+    sizes = np.array([len(ket.labels()) for ket in kets], dtype=np.intp)
+    codes = np.zeros((n, max(sizes)), dtype=np.int64)
+    amps = np.zeros((n, max(sizes)), dtype=complex)
+    for row, ket in enumerate(kets):
+        for col, (label, amp) in enumerate(ket.items()):
+            codes[row, col] = index[label]
+            amps[row, col] = amp
+    # leaf l of an assignment picks choice (l // stride) % radix at a slot
+    radix = sizes[slots]
+    stride = np.ones_like(radix)
+    stride[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+    leaves = int(np.prod(sizes))
+    # every assignment spans the same number of leaves
+    total_leaves = len(slots) * leaves
+    if total_leaves == 0:  # all terms cancelled, or a ket without labels
+        return {}
+    place = width ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    fermion = statistics is Statistics.FERMION
+
+    found, sums = [], []
+    for start in range(0, total_leaves, LEAF_CHUNK):
+        term, leaf = np.divmod(
+            np.arange(start, min(start + LEAF_CHUNK, total_leaves)), leaves
+        )
+        chosen = np.empty((len(term), n), dtype=np.int64)
+        value = coeffs[term]
+        for slot in range(n):
+            ket = slots[term, slot]
+            choice = leaf // stride[term, slot] % radix[term, slot]
+            chosen[:, slot] = codes[ket, choice]
+            value = value * amps[ket, choice]
+        key = np.sort(chosen, axis=1)
+        if fermion:
+            value = np.where(_odd_inversions(chosen), -value, value)
+            distinct = (key[:, 1:] != key[:, :-1]).all(axis=1)
+            key, value = key[distinct], value[distinct]
+        keys, total = _sum_by_key(key @ place, value)
+        found.append(keys)
+        sums.append(total)
+    keys, total = _sum_by_key(np.concatenate(found), np.concatenate(sums))
+
+    labels = keys[:, None] // place % width
+    if fermion:
+        weight = 1.0 / math.sqrt(math.factorial(n))
+    else:
+        counts = (labels[:, :, None] == np.arange(width)).sum(axis=1)
+        factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+        weight = np.sqrt(factorials[counts].prod(axis=1)) / math.sqrt(math.factorial(n))
+    total = total * weight
+    return {
+        tuple(basis[c] for c in row): complex(amp)
+        for row, amp in zip(labels.tolist(), total.tolist())
+        if abs(amp) > tol.pruning
+    }
 
 
-def _sort_parity(labels) -> int:
-    order = sorted(range(len(labels)), key=lambda i: (labels[i][0], labels[i][1].index))
-    inversions = 0
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` and the sum of ``values`` over each."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    total = np.bincount(inverse, values.real, len(distinct)) + 1j * np.bincount(
+        inverse, values.imag, len(distinct)
+    )
+    return distinct, total
 
 
 def collected_product_state(

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from .errors import ConsistencyError, NullStateError, SizeLimitError
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -451,21 +453,19 @@ def expand_first_quantized(
         math.factorial(n)
         * math.prod(math.factorial(v) for v in ket_multiplicities(kets))
     )
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    coeffs = np.full(len(perms), base)
+    if statistics is Statistics.FERMION:
+        coeffs[_odd_inversions(perms)] = -base
     terms: Dict[Tuple[int, ...], complex] = {}
-    fermion = statistics is Statistics.FERMION
-    for perm in permutations(range(n)):
-        key = tuple(reps[i] for i in perm)
-        coeff = base
-        if fermion and _parity(perm):
-            coeff = -coeff
+    for key, coeff in zip(map(tuple, np.array(reps)[perms].tolist()), coeffs.tolist()):
         terms[key] = terms.get(key, 0j) + coeff
     return {k: v for k, v in terms.items() if abs(v) > tol.pruning}
 
 
-def _parity(perm) -> int:
-    inversions = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inversions += 1
-    return inversions % 2
+def _odd_inversions(rows: np.ndarray) -> np.ndarray:
+    """Whether each row has an odd number of pairs i < j with row[i] > row[j]."""
+    inversions = np.zeros(len(rows), dtype=np.intp)
+    for i in range(rows.shape[1] - 1):
+        inversions += (rows[:, i, None] > rows[:, i + 1 :]).sum(axis=1)
+    return inversions % 2 == 1

@@ -1,22 +1,26 @@
 """Randomized verification suites.
 
-Each suite returns a report dict with at least ``suite``, ``cases``,
-``failures`` and ``max_error`` and is deterministic for a fixed seed.
+Each suite returns a report dict with ``suite``, ``cases``, ``failures``,
+``max_error`` and ``worst_case`` (the seed, index and inputs of the case
+with the largest error) and is deterministic for a fixed seed.  The
+closed-form suites draw all their cases first and evaluate them with one
+:func:`detection.sweep_grid` call per (N, n_up) group.
 These back the command-line ``verify`` command and the acceptance tests.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .detection import (
     ParticleEnsemble,
-    entanglement_of_particles,
+    _angle_rows,
     project_onto_detectors,
     sector_reduced_density,
+    sweep_grid,
 )
 from .errors import ConfigError
 from .measures import (
@@ -81,6 +85,62 @@ _LR_LABELS = (
 )
 
 
+def _ensemble_inputs(ensemble: ParticleEnsemble) -> Dict:
+    """n_up and the (wrapped) angle lists of an ensemble, as JSON values."""
+    modes = ensemble.modes
+    return {
+        "n_up": ensemble.n_up,
+        "theta": [m.theta for m in modes],
+        "omega": [m.omega for m in modes],
+        "phi": [m.phi for m in modes],
+        "gamma": [m.gamma for m in modes],
+    }
+
+
+def _ket_inputs(kets: Sequence[SingleParticleKet]) -> List[Dict]:
+    """Each ket's [re, im] amplitudes keyed by "side,spin" label."""
+    return [
+        {f"{side},{spin.value}": [amp.real, amp.imag] for (side, spin), amp in ket.items()}
+        for ket in kets
+    ]
+
+
+def _report(
+    suite: str,
+    seed: int,
+    errors: Sequence[float],
+    failures: int,
+    inputs: Callable[[int], Dict],
+) -> Dict:
+    """Suite report over the per-case errors; ``worst_case`` names the case
+    with the largest error (the first, on ties) and holds ``inputs`` of it,
+    or is None when the suite ran no case."""
+    if len(errors) == 0:
+        return {"suite": suite, "cases": 0, "failures": 0, "max_error": 0.0, "worst_case": None}
+    worst = int(np.argmax(errors))
+    return {
+        "suite": suite,
+        "cases": len(errors),
+        "failures": int(failures),
+        "max_error": max(0.0, float(errors[worst])),
+        "worst_case": {"suite": suite, "seed": seed, "case": worst, "inputs": inputs(worst)},
+    }
+
+
+def _concurrences(ensembles: Sequence[ParticleEnsemble], tol: Tolerances) -> np.ndarray:
+    """Postselected average concurrence of each ensemble, as
+    :func:`detection.entanglement_of_particles` gives it, from one
+    :func:`detection.sweep_grid` call per (N, n_up) group."""
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for case, ensemble in enumerate(ensembles):
+        groups.setdefault((ensemble.n_total, ensemble.n_up), []).append(case)
+    values = np.empty(len(ensembles))
+    for (_, n_up), cases in groups.items():
+        angles = np.concatenate([_angle_rows(ensembles[case]) for case in cases], axis=1)
+        values[cases] = sweep_grid(n_up, *angles, "concurrence", tol)[2]
+    return values
+
+
 def suite_theorem1(
     seed: int = DEFAULT_SEED,
     cases: int = 1000,
@@ -90,8 +150,7 @@ def suite_theorem1(
     pi/2 must leave every sector reduced state rank one and the average
     entanglement at zero."""
     rng = np.random.default_rng(seed)
-    failures = 0
-    max_error = 0.0
+    ensembles = []
     for _ in range(cases):
         n_total = int(rng.integers(2, 7))
         n_up = int(rng.integers(0, n_total + 1))
@@ -106,24 +165,20 @@ def suite_theorem1(
             modes.append(
                 SpatialMode(theta=theta, omega=float(rng.uniform(0, 2 * math.pi)))
             )
-        ensemble = ParticleEnsemble(n_up, tuple(modes))
-        value = entanglement_of_particles(ensemble, "concurrence", tol=tol)
-        max_error = max(max_error, value)
-        ok = value < tol.separability
+        ensembles.append(ParticleEnsemble(n_up, tuple(modes)))
+    errors = _concurrences(ensembles, tol)
+    ok = errors < tol.separability
+    for case, ensemble in enumerate(ensembles):
         for sector in project_onto_detectors(ensemble, tol=tol).sectors:
             evs = sector_reduced_density(sector.state, tol=tol).eigenvalues()
             second = float(evs[-2]) if len(evs) > 1 else 0.0
-            max_error = max(max_error, second)
+            errors[case] = max(errors[case], second)
             if second > tol.separability:
-                ok = False
-        if not ok:
-            failures += 1
-    return {
-        "suite": "theorem1",
-        "cases": cases,
-        "failures": failures,
-        "max_error": max_error,
-    }
+                ok[case] = False
+    return _report(
+        "theorem1", seed, errors, np.count_nonzero(~ok),
+        lambda case: _ensemble_inputs(ensembles[case]),
+    )
 
 
 def suite_n2_closed_form(
@@ -136,33 +191,28 @@ def suite_n2_closed_form(
     theta grid with random phases."""
     rng = np.random.default_rng(seed)
     thetas = np.linspace(0.0, math.pi / 2, grid)
-    failures = 0
-    max_error = 0.0
-    cases = 0
+    ensembles = []
+    expected = []
     for t1 in thetas:
         for t2 in thetas:
-            expected = two_boson_average_concurrence(float(t1), float(t2))
+            closed = two_boson_average_concurrence(float(t1), float(t2))
             for _ in range(omega_draws):
                 w1, w2 = rng.uniform(0.0, 2.0 * math.pi, 2)
-                ensemble = ParticleEnsemble(
-                    1,
-                    (
-                        SpatialMode(theta=float(t1), omega=float(w1)),
-                        SpatialMode(theta=float(t2), omega=float(w2)),
-                    ),
+                ensembles.append(
+                    ParticleEnsemble(
+                        1,
+                        (
+                            SpatialMode(theta=float(t1), omega=float(w1)),
+                            SpatialMode(theta=float(t2), omega=float(w2)),
+                        ),
+                    )
                 )
-                value = entanglement_of_particles(ensemble, "concurrence", tol=tol)
-                err = abs(value - expected)
-                max_error = max(max_error, err)
-                cases += 1
-                if err >= tol.comparison:
-                    failures += 1
-    return {
-        "suite": "n2-closed-form",
-        "cases": cases,
-        "failures": failures,
-        "max_error": max_error,
-    }
+                expected.append(closed)
+    errors = np.abs(_concurrences(ensembles, tol) - expected)
+    return _report(
+        "n2-closed-form", seed, errors, np.count_nonzero(errors >= tol.comparison),
+        lambda case: _ensemble_inputs(ensembles[case]),
+    )
 
 
 def suite_n3_closed_form(
@@ -177,9 +227,10 @@ def suite_n3_closed_form(
     on opposite sides, so both branches of the sign rule are exercised.
     """
     rng = np.random.default_rng(seed)
-    failures = 0
-    max_error = 0.0
     threshold = max(tol.comparison, 1e-9)
+    ensembles = []
+    theta_forms = []
+    coherence_forms = []
     for case in range(cases):
         if case % 2 == 0:
             # same side of pi/4
@@ -195,29 +246,68 @@ def suite_n3_closed_form(
         w1, w2, w3 = rng.uniform(0.0, 2.0 * math.pi, 3)
         thetas = (float(t1), float(t2), float(t3))
         omegas = (float(w1), float(w2), float(w3))
-        ensemble = ParticleEnsemble(
-            2, tuple(SpatialMode(theta=t, omega=w) for t, w in zip(thetas, omegas))
+        ensembles.append(
+            ParticleEnsemble(
+                2, tuple(SpatialMode(theta=t, omega=w) for t, w in zip(thetas, omegas))
+            )
         )
-        value = entanglement_of_particles(ensemble, "concurrence", tol=tol)
-        theta_form = three_boson_average_concurrence(thetas, omegas)
+        theta_forms.append(three_boson_average_concurrence(thetas, omegas))
         same_side = (t1 - math.pi / 4) * (t2 - math.pi / 4) >= 0.0
-        coherence_form = three_boson_average_concurrence_coherences(
-            2.0 * math.cos(t1) * math.sin(t1),
-            2.0 * math.cos(t2) * math.sin(t2),
-            2.0 * math.cos(t3) * math.sin(t3),
-            w1 - w2,
-            same_side,
+        coherence_forms.append(
+            three_boson_average_concurrence_coherences(
+                2.0 * math.cos(t1) * math.sin(t1),
+                2.0 * math.cos(t2) * math.sin(t2),
+                2.0 * math.cos(t3) * math.sin(t3),
+                w1 - w2,
+                same_side,
+            )
         )
-        err = max(abs(value - theta_form), abs(value - coherence_form))
-        max_error = max(max_error, err)
-        if err >= threshold:
-            failures += 1
-    return {
-        "suite": "n3-closed-form",
-        "cases": cases,
-        "failures": failures,
-        "max_error": max_error,
-    }
+    values = _concurrences(ensembles, tol)
+    errors = np.maximum(np.abs(values - theta_forms), np.abs(values - coherence_forms))
+    return _report(
+        "n3-closed-form", seed, errors, np.count_nonzero(errors >= threshold),
+        lambda case: _ensemble_inputs(ensembles[case]),
+    )
+
+
+def label_split_error(
+    n_total: int, n_up: int, n_left: int, tol: Tolerances = DEFAULT_TOLERANCES
+) -> float:
+    """Largest deviation of the label-split Schmidt coefficients of the
+    Dicke state (n_total, n_up) across n_left | n_total - n_left from the
+    binomial closed form."""
+    n_right = n_total - n_left
+    state = dicke_state(n_total, n_up, tol=tol)
+    result = schmidt_decompose(state, LabelSplit(n_left, n_right), tol=tol)
+    expected = sorted(
+        (
+            math.sqrt(
+                math.comb(n_left, kx)
+                * math.comb(n_right, n_up - kx)
+                / math.comb(n_total, n_up)
+            )
+            for kx in range(max(0, n_up - n_right), min(n_up, n_left) + 1)
+        ),
+        reverse=True,
+    )
+    got = list(result.coefficients)
+    width = max(len(got), len(expected))
+    got += [0.0] * (width - len(got))
+    expected = expected + [0.0] * (width - len(expected))
+    return max(abs(a - b) for a, b in zip(got, expected))
+
+
+def mode_split_error(
+    theta: float, omega: float, tol: Tolerances = DEFAULT_TOLERANCES
+) -> float:
+    """Deviation of the (3, 2) mode-splitting equivalence at shared angles,
+    split (2, 1), from the input form and from sqrt(2/3), sqrt(1/3)."""
+    report = verify_schmidt_equivalence(3, 2, theta, omega, (2, 1), tol=tol)
+    expected = sorted((math.sqrt(1 / 3), math.sqrt(2 / 3)), reverse=True)
+    return max(
+        report.max_abs_diff,
+        max(abs(a - b) for a, b in zip(report.output_coefficients, expected)),
+    )
 
 
 def suite_schmidt(
@@ -228,60 +318,45 @@ def suite_schmidt(
     """Label-split Schmidt coefficients against the binomial closed form,
     plus the mode-splitting equivalence for the three-particle pattern."""
     rng = np.random.default_rng(seed)
-    failures = 0
-    max_error = 0.0
-    cases = 0
+    errors = []
+    inputs = []
     for n_total in range(2, max_n + 1):
         for n_up in range(0, n_total + 1):
-            state = dicke_state(n_total, n_up, tol=tol)
             for n_left in range(1, n_total):
-                n_right = n_total - n_left
-                result = schmidt_decompose(state, LabelSplit(n_left, n_right), tol=tol)
-                expected = sorted(
-                    (
-                        math.sqrt(
-                            math.comb(n_left, kx)
-                            * math.comb(n_right, n_up - kx)
-                            / math.comb(n_total, n_up)
-                        )
-                        for kx in range(
-                            max(0, n_up - n_right), min(n_up, n_left) + 1
-                        )
-                    ),
-                    reverse=True,
-                )
-                got = list(result.coefficients)
-                width = max(len(got), len(expected))
-                got += [0.0] * (width - len(got))
-                expected = expected + [0.0] * (width - len(expected))
-                err = max(abs(a - b) for a, b in zip(got, expected))
-                max_error = max(max_error, err)
-                cases += 1
-                if err >= tol.comparison:
-                    failures += 1
+                errors.append(label_split_error(n_total, n_up, n_left, tol))
+                inputs.append({"n_total": n_total, "n_up": n_up, "n_left": n_left})
     # mode splitting at shared random angles reproduces the input form
     for _ in range(10):
         theta = float(rng.uniform(0.1, math.pi / 2 - 0.1))
         omega = float(rng.uniform(0.0, 2.0 * math.pi))
-        report = verify_schmidt_equivalence(3, 2, theta, omega, (2, 1), tol=tol)
-        expected_pair = sorted((math.sqrt(1 / 3), math.sqrt(2 / 3)), reverse=True)
-        err = max(
-            report.max_abs_diff,
-            max(
-                abs(a - b)
-                for a, b in zip(report.output_coefficients, expected_pair)
-            ),
-        )
-        max_error = max(max_error, err)
-        cases += 1
-        if err >= tol.comparison:
-            failures += 1
-    return {
-        "suite": "schmidt",
-        "cases": cases,
-        "failures": failures,
-        "max_error": max_error,
-    }
+        errors.append(mode_split_error(theta, omega, tol))
+        inputs.append({"theta": theta, "omega": omega})
+    failures = sum(err >= tol.comparison for err in errors)
+    return _report("schmidt", seed, errors, failures, inputs.__getitem__)
+
+
+def amplitude_oracle_error(
+    bras: Sequence[SingleParticleKet], kets: Sequence[SingleParticleKet]
+) -> float:
+    """|Ryser-path boson amplitude - expansion oracle|."""
+    fast = transition_amplitude(bras, kets, Statistics.BOSON)
+    return abs(fast - expansion_inner_product(bras, kets, Statistics.BOSON))
+
+
+def projection_oracle_error(
+    ensemble: ParticleEnsemble, tol: Tolerances = DEFAULT_TOLERANCES
+) -> float:
+    """Largest deviation of the fold projection's leak and unnormalized
+    sector amplitudes from :func:`oracles.project_by_substitution`."""
+    decomposition = project_onto_detectors(ensemble, tol=tol)
+    oracle_sectors, oracle_leak = project_by_substitution(ensemble, tol=tol)
+    err = abs(decomposition.leak_probability - oracle_leak)
+    for sector in decomposition.sectors:
+        reference = oracle_sectors.get(sector.q, {})
+        root_p = math.sqrt(sector.probability)
+        for key, value in sector.state.items():
+            err = max(err, abs(value * root_p - reference.get(key, 0j)))
+    return err
 
 
 def suite_oracle(
@@ -293,41 +368,28 @@ def suite_oracle(
     """Permanent-path amplitudes and projection against the literal
     permutation-expansion oracles."""
     rng = np.random.default_rng(seed)
-    failures = 0
-    max_error = 0.0
-    cases = 0
+    errors = []
+    inputs = []
     for n in range(1, max_n + 1):
         for _ in range(cases_per_n):
             bras = [random_ket(rng, _LR_LABELS) for _ in range(n)]
             kets = [random_ket(rng, _LR_LABELS) for _ in range(n)]
-            fast = transition_amplitude(bras, kets, Statistics.BOSON)
-            slow = expansion_inner_product(bras, kets, Statistics.BOSON)
-            err = abs(fast - slow)
-            max_error = max(max_error, err)
-            cases += 1
-            if err >= tol.comparison:
-                failures += 1
+            errors.append(amplitude_oracle_error(bras, kets))
+            inputs.append((bras, kets))
     for n in range(2, max_n + 1):
         for _ in range(cases_per_n):
             ensemble = random_ensemble(rng, n, allow_leak=False)
-            decomposition = project_onto_detectors(ensemble, tol=tol)
-            oracle_sectors, oracle_leak = project_by_substitution(ensemble, tol=tol)
-            err = abs(decomposition.leak_probability - oracle_leak)
-            for sector in decomposition.sectors:
-                reference = oracle_sectors.get(sector.q, {})
-                root_p = math.sqrt(sector.probability)
-                for key, value in sector.state.items():
-                    err = max(err, abs(value * root_p - reference.get(key, 0j)))
-            max_error = max(max_error, err)
-            cases += 1
-            if err >= tol.comparison:
-                failures += 1
-    return {
-        "suite": "oracle",
-        "cases": cases,
-        "failures": failures,
-        "max_error": max_error,
-    }
+            errors.append(projection_oracle_error(ensemble, tol))
+            inputs.append(ensemble)
+
+    def case_inputs(case: int) -> Dict:
+        if isinstance(inputs[case], ParticleEnsemble):
+            return _ensemble_inputs(inputs[case])
+        bras, kets = inputs[case]
+        return {"bras": _ket_inputs(bras), "kets": _ket_inputs(kets)}
+
+    failures = sum(err >= tol.comparison for err in errors)
+    return _report("oracle", seed, errors, failures, case_inputs)
 
 
 SUITES: Dict[str, Callable[..., Dict]] = {

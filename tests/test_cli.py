@@ -343,6 +343,14 @@ def test_config_unknown_top_level_field_is_usage_error(runner, tmp_path):
     assert_usage_error(echo_config(runner, tmp_path, payload), "unknown field 'statistic'")
 
 
+def test_config_duplicate_field_is_usage_error(runner, tmp_path):
+    # json.loads alone keeps the last value: theta would read 0.5
+    text = '{"particles": [{"spin": "up", "theta": 0.1, "theta": 0.5}]}'
+    assert_usage_error(echo_config(runner, tmp_path, text), "particles[0]: duplicate field 'theta'")
+    text = '{"particles": [{"spin": "up", "theta": 0.1}], "particles": [{"spin": "down", "theta": 0.5}]}'
+    assert_usage_error(echo_config(runner, tmp_path, text), "duplicate field 'particles'")
+
+
 def test_config_degrees_must_be_boolean(runner, tmp_path):
     payload = {"particles": [{"spin": "up", "theta": 1.0}], "degrees": "false"}
     assert_usage_error(echo_config(runner, tmp_path, payload), "'degrees' must be true or false")
@@ -482,8 +490,10 @@ def test_verify_unknown_suite(runner):
 
 
 def test_verify_failure_exit_code(runner, monkeypatch):
-    # a tolerance below permanent roundoff turns residuals into failures
-    monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-14")
+    # a tolerance below the oracles' roundoff (up to 4e-15 here) turns residuals
+    # into failures; it stays above the few-ulp misses of sum(p) + leak = 1,
+    # which the projection checks against the same tolerance
+    monkeypatch.setenv(TOLERANCE_ENV_VAR, "2e-15")
     result = runner.invoke(main, ["verify", "oracle", "--cases", "30", "--seed", "3"])
     assert result.exit_code == 1
     record = json.loads(result.output)
@@ -584,6 +594,11 @@ def test_sweep_rejects_unknown_keys(runner, tmp_path):
         ({"axes": [dict(axis, start=0.0)]}, "'start'"),
     ):
         assert_usage_error(run_sweep(runner, tmp_path, spec), fragment)
+
+
+def test_sweep_rejects_duplicate_fields(runner, tmp_path):
+    text = '{"axes": [{"path": "particles[0].omega", "values": [0.1], "values": [0.2]}]}'
+    assert_usage_error(run_sweep(runner, tmp_path, text), "axes[0]: duplicate field 'values'")
 
 
 def test_sweep_rejects_out_of_range_angles_before_evaluation(runner, tmp_path):

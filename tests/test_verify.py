@@ -1,0 +1,287 @@
+"""The verify suites against case-by-case recomputation, ``worst_case``
+replay, and the array oracles at the expansion cap N = 6."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from identangle.algebra import transition_amplitude
+from identangle.cli import main
+from identangle.detection import (
+    ParticleEnsemble,
+    entanglement_of_particles,
+    project_onto_detectors,
+    sector_reduced_density,
+)
+from identangle.errors import NullStateError, SizeLimitError
+from identangle.measures import (
+    three_boson_average_concurrence,
+    three_boson_average_concurrence_coherences,
+    two_boson_average_concurrence,
+)
+from identangle.oracles import collect_expansion, expansion_inner_product
+from identangle.states import (
+    EXPANSION_SIZE_LIMIT,
+    SingleParticleKet,
+    SpatialMode,
+    Spin,
+    Statistics,
+    make_product_state,
+)
+from identangle.tolerances import DEFAULT_TOLERANCES
+from identangle.verify import (
+    amplitude_oracle_error,
+    label_split_error,
+    mode_split_error,
+    projection_oracle_error,
+    suite_n2_closed_form,
+    suite_n3_closed_form,
+    suite_oracle,
+    suite_theorem1,
+)
+
+from conftest import LR_LABELS, random_ket
+
+TOL = DEFAULT_TOLERANCES
+
+# -- one case at a time, through entanglement_of_particles ----------------
+
+
+def theorem1_case(ensemble):
+    """(error, failed) of one zero-coherence case."""
+    value = entanglement_of_particles(ensemble, "concurrence", tol=TOL)
+    error, failed = value, value >= TOL.separability
+    for sector in project_onto_detectors(ensemble, tol=TOL).sectors:
+        evs = sector_reduced_density(sector.state, tol=TOL).eigenvalues()
+        second = float(evs[-2]) if len(evs) > 1 else 0.0
+        error = max(error, second)
+        failed = failed or second > TOL.separability
+    return error, failed
+
+
+def n2_case(ensemble):
+    value = entanglement_of_particles(ensemble, "concurrence", tol=TOL)
+    t1, t2 = (m.theta for m in ensemble.modes)
+    error = abs(value - two_boson_average_concurrence(t1, t2))
+    return error, error >= TOL.comparison
+
+
+def n3_case(ensemble):
+    value = entanglement_of_particles(ensemble, "concurrence", tol=TOL)
+    thetas = tuple(m.theta for m in ensemble.modes)
+    omegas = tuple(m.omega for m in ensemble.modes)
+    t1, t2, t3 = thetas
+    same_side = (t1 - math.pi / 4) * (t2 - math.pi / 4) >= 0.0
+    coherence_form = three_boson_average_concurrence_coherences(
+        *(2.0 * math.cos(t) * math.sin(t) for t in thetas), omegas[0] - omegas[1], same_side
+    )
+    error = max(
+        abs(value - three_boson_average_concurrence(thetas, omegas)),
+        abs(value - coherence_form),
+    )
+    return error, error >= max(TOL.comparison, 1e-9)
+
+
+def theorem1_draws(seed, cases):
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        n_total = int(rng.integers(2, 7))
+        n_up = int(rng.integers(0, n_total + 1))
+        force_up = bool(rng.integers(0, 2))
+        modes = []
+        for j in range(n_total):
+            forced = (j < n_up) if force_up else (j >= n_up)
+            if forced:
+                theta = 0.0 if rng.random() < 0.5 else math.pi / 2
+            else:
+                theta = float(rng.uniform(0.0, math.pi / 2))
+            modes.append(SpatialMode(theta=theta, omega=float(rng.uniform(0, 2 * math.pi))))
+        yield ParticleEnsemble(n_up, tuple(modes))
+
+
+def n2_draws(seed, omega_draws, grid=20):
+    rng = np.random.default_rng(seed)
+    thetas = np.linspace(0.0, math.pi / 2, grid)
+    for t1 in thetas:
+        for t2 in thetas:
+            for _ in range(omega_draws):
+                w1, w2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+                yield ParticleEnsemble(
+                    1,
+                    (
+                        SpatialMode(theta=float(t1), omega=float(w1)),
+                        SpatialMode(theta=float(t2), omega=float(w2)),
+                    ),
+                )
+
+
+def n3_draws(seed, cases):
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        if case % 2 == 0:
+            side = rng.random() < 0.5
+            lo, hi = (0.0, math.pi / 4) if side else (math.pi / 4, math.pi / 2)
+            t1, t2 = rng.uniform(lo, hi, 2)
+        else:
+            t1 = rng.uniform(0.0, math.pi / 4)
+            t2 = rng.uniform(math.pi / 4, math.pi / 2)
+            if rng.random() < 0.5:
+                t1, t2 = t2, t1
+        t3 = rng.uniform(0.0, math.pi / 2)
+        omegas = rng.uniform(0.0, 2.0 * math.pi, 3)
+        yield ParticleEnsemble(
+            2,
+            tuple(SpatialMode(theta=float(t), omega=float(w)) for t, w in zip((t1, t2, t3), omegas)),
+        )
+
+
+def case_by_case(draws, case):
+    results = [case(ensemble) for ensemble in draws]
+    return max(0.0, max(err for err, _ in results)), sum(failed for _, failed in results)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize(
+    "suite, draws, case",
+    [
+        (lambda seed: suite_theorem1(seed, cases=150), lambda seed: theorem1_draws(seed, 150), theorem1_case),
+        (lambda seed: suite_n2_closed_form(seed, omega_draws=2), lambda seed: n2_draws(seed, 2), n2_case),
+        (lambda seed: suite_n3_closed_form(seed, cases=300), lambda seed: n3_draws(seed, 300), n3_case),
+    ],
+    ids=["theorem1", "n2-closed-form", "n3-closed-form"],
+)
+def test_closed_form_suites_equal_case_by_case(seed, suite, draws, case):
+    report = suite(seed)
+    max_error, failures = case_by_case(draws(seed), case)
+    assert report["max_error"] == max_error
+    assert report["failures"] == failures
+
+
+# -- worst_case replay ------------------------------------------------------
+
+
+def ensemble_from(inputs):
+    angles = zip(inputs["theta"], inputs["omega"], inputs["phi"], inputs["gamma"])
+    return ParticleEnsemble(inputs["n_up"], tuple(SpatialMode(*a) for a in angles))
+
+
+def kets_from(entries):
+    return [
+        SingleParticleKet(
+            {
+                (label.split(",")[0], Spin(label.split(",")[1])): complex(re, im)
+                for label, (re, im) in entry.items()
+            }
+        )
+        for entry in entries
+    ]
+
+
+def replay(worst):
+    """The error of a report's worst case, from its JSON inputs alone."""
+    inputs = worst["inputs"]
+    if worst["suite"] == "schmidt":
+        if "theta" in inputs:
+            return mode_split_error(inputs["theta"], inputs["omega"])
+        return label_split_error(inputs["n_total"], inputs["n_up"], inputs["n_left"])
+    if "bras" in inputs:
+        return amplitude_oracle_error(kets_from(inputs["bras"]), kets_from(inputs["kets"]))
+    ensemble = ensemble_from(inputs)
+    if worst["suite"] == "oracle":
+        return projection_oracle_error(ensemble)
+    case = {"theorem1": theorem1_case, "n2-closed-form": n2_case, "n3-closed-form": n3_case}
+    return case[worst["suite"]](ensemble)[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem1", "--cases", "60"],
+        ["n2-closed-form", "--cases", "1", "--seed", "2"],
+        ["n3-closed-form", "--cases", "60"],
+        ["schmidt"],
+        ["oracle", "--cases", "8", "--seed", "3"],
+    ],
+)
+def test_worst_case_replays_from_json(argv):
+    result = CliRunner().invoke(main, ["verify", *argv])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    worst = report["worst_case"]
+    assert worst["suite"] == argv[0]
+    assert worst["seed"] == (int(argv[-1]) if "--seed" in argv else 7)
+    assert 0 <= worst["case"] < report["cases"]
+    # theorem1's forced zero coherence gives exactly 0 on every case
+    assert report["max_error"] > 0.0 or argv[0] == "theorem1"
+    assert replay(worst) == report["max_error"]
+
+
+def test_oracle_amplitude_worst_case_replays_from_json():
+    # without projections (they start at n = 2) the worst case is an amplitude
+    report = json.loads(json.dumps(suite_oracle(seed=5, cases_per_n=30, max_n=1)))
+    assert "bras" in report["worst_case"]["inputs"]
+    assert replay(report["worst_case"]) == report["max_error"] > 0.0
+
+
+def test_suite_without_cases_has_no_worst_case():
+    report = suite_n2_closed_form(omega_draws=0)
+    assert report == {
+        "suite": "n2-closed-form", "cases": 0, "failures": 0, "max_error": 0.0, "worst_case": None
+    }
+    assert suite_theorem1(cases=0)["worst_case"] is None
+
+
+# -- the array oracles at the expansion cap ---------------------------------
+
+SIX_LABELS = LR_LABELS + (("chi", Spin.UP), ("chi", Spin.DOWN))
+
+
+def assert_same_state(amps, state):
+    keys = set(amps) | set(state.keys())
+    norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
+    assert max(abs(amps.get(k, 0j) / norm - state.amplitude(k)) for k in keys) < 1e-12
+
+
+@pytest.mark.parametrize("repeats", [False, True])
+def test_boson_oracles_at_n6(rng, repeats):
+    n = EXPANSION_SIZE_LIMIT
+    kets = [random_ket(rng) for _ in range(n)]
+    bras = [random_ket(rng) for _ in range(n)]
+    if repeats:
+        # multiplicities (2, 3, 1) on the kets, (2, 1, 1, 1, 1) on the bras
+        kets[1] = kets[0]
+        kets[3] = kets[4] = kets[2]
+        bras[5] = bras[2]
+    assert_same_state(collect_expansion(kets), make_product_state(kets))
+    fast = transition_amplitude(bras, kets, Statistics.BOSON)
+    assert abs(expansion_inner_product(bras, kets) - fast) < 1e-12 * max(1.0, abs(fast))
+
+
+def test_fermion_oracles_at_n6(rng):
+    n = EXPANSION_SIZE_LIMIT
+    # ket j over labels j, j+1, j+2 (mod 6): sparse, and the state cannot vanish
+    kets = [random_ket(rng, [SIX_LABELS[(j + k) % n] for k in range(3)]) for j in range(n)]
+    bras = [random_ket(rng, SIX_LABELS) for _ in range(n)]
+    assert_same_state(
+        collect_expansion(kets, Statistics.FERMION), make_product_state(kets, Statistics.FERMION)
+    )
+    fast = transition_amplitude(bras, kets, Statistics.FERMION)
+    assert abs(expansion_inner_product(bras, kets, Statistics.FERMION) - fast) < 1e-12
+    # a repeated fermion ket: every term cancels
+    kets[4] = kets[1]
+    assert collect_expansion(kets, Statistics.FERMION) == {}
+    with pytest.raises(NullStateError):
+        make_product_state(kets, Statistics.FERMION)
+    assert abs(expansion_inner_product(bras, kets, Statistics.FERMION)) < 1e-12
+    assert transition_amplitude(bras, kets, Statistics.FERMION) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_collect_expansion_rejects_keys_beyond_int64():
+    # 1454 labels in base 1454 at N = 6 overflow int64, with only 1449 * 720 leaves
+    wide = SingleParticleKet({(f"m{i}", Spin.UP): 1 / math.sqrt(1449) for i in range(1449)})
+    kets = [wide] + [SingleParticleKet({(f"s{i}", Spin.UP): 1.0}) for i in range(5)]
+    with pytest.raises(SizeLimitError, match="base 1454"):
+        collect_expansion(kets)
