@@ -150,15 +150,15 @@ class DensityMatrix:
         m = self.entries
         if m.size == 0:
             raise ConsistencyError("density matrix cannot be empty")
-        if np.abs(m - m.conj().T).max() > tol.comparison:
+        if np.abs(m - m.conj().T).max() > tol.normalization:
             raise ConsistencyError("density matrix is not Hermitian")
         evs = np.linalg.eigvalsh(m)
-        if evs.min() < -tol.comparison:
+        if evs.min() < -tol.normalization:
             raise ConsistencyError(
                 f"density matrix has negative eigenvalue {evs.min():.3e}"
             )
         tr = self.trace
-        if tr < -tol.comparison or tr > 1.0 + tol.comparison:
+        if tr < -tol.normalization or tr > 1.0 + tol.normalization:
             raise ConsistencyError(f"density matrix trace {tr!r} outside [0, 1]")
 
     @property
@@ -185,7 +185,7 @@ def pure_to_density(
 ) -> DensityMatrix:
     """Rank-1 projector |psi><psi| of a normalized state."""
     n = psi.norm()
-    if abs(n - 1.0) > tol.comparison:
+    if abs(n - 1.0) > tol.normalization:
         raise NormalizationError(f"pure_to_density needs a unit ket, norm = {n!r}")
     basis = sorted(psi.keys())
     v = np.array([psi.amplitude(k) for k in basis], dtype=complex)

@@ -8,7 +8,8 @@ equivalence report), ``verify`` (randomized verification suites) and
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 The environment variable ``IDENTANGLE_TOL`` overrides the default
-comparison tolerance.
+comparison tolerance, which sets the thresholds ``verify`` counts failures
+against.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
@@ -25,12 +25,13 @@ import click
 import numpy as np
 
 from .config import (
+    ANGLES,
     EnsembleConfig,
     dump_ensemble_config,
     parse_ensemble_config,
     parse_sweep_spec,
 )
-from .detection import _angle_rows, _postselected, _project_batch, fold_amplitude, sweep_grid
+from .detection import _postselected, _project_batch, _sector_walk, fold_amplitude, sweep_grid
 from .errors import ConsistencyError, IdentangleError, RowError
 from .measures import verify_schmidt_equivalence
 from .states import Statistics
@@ -108,10 +109,8 @@ def amplitude(config_path: str, bra_path: str, output: str):
     boson = ket_config.statistics is Statistics.BOSON
     try:
         if boson:
-            angles = np.array(
-                [[(p.theta, p.omega, p.phi, p.gamma) for p in c.particles]
-                 for c in (bra_config, ket_config)]
-            ).transpose(2, 0, 1)
+            # (4, 2, N): row 0 of each angle the bra's, row 1 the ket's
+            angles = np.array([bra_config.angles(), ket_config.angles()]).swapaxes(0, 1)
             value = fold_amplitude(bra_config.n_up, ket_config.n_up, *angles, tol)
         else:
             value = transition_amplitude(
@@ -142,37 +141,21 @@ _KEY_LABELS = tuple(
 
 
 def _sector_json(
-    q: int, probability: float, outcomes: List[List[complex]], n_up: int, tol: Tolerances
+    q: int, probability: float, state: List[Tuple[int, complex]], n_up: int, n_down: int
 ) -> str:
-    """JSON text of sector q in the ``project`` record: its outcomes above
-    ``tol.pruning``, alpha descending, divided by sqrt(p_q) and pruned
-    again, each key rendered from its four label counts.  Raises
-    ConsistencyError when they are off unit norm by more than
-    ``tol.normalization`` (at least 1e-12).  The fold's checks admit only
+    """JSON text of sector q in the ``project`` record, from its state
+    (:func:`detection._sector_walk`) with alpha descending, each key
+    rendered from its four label counts.  The fold's checks admit only
     finite values, whose repr is their JSON.
     """
-    n_down = len(outcomes[0]) - 1
-    root = math.sqrt(probability)
-    entries, values = [], []
-    for alpha in range(min(q, n_up), max(0, q - n_down) - 1, -1):
-        beta = q - alpha
-        amp = outcomes[alpha][beta]
-        if abs(amp) <= tol.pruning:
-            continue
-        value = amp / root
-        if abs(value) <= tol.pruning:
-            continue
-        values.append(value)
-        counts = (alpha, beta, n_up - alpha, n_down - beta)
+    entries = []
+    for alpha, value in reversed(state):
+        counts = (alpha, q - alpha, n_up - alpha, n_down - q + alpha)
         labels = "".join(label * count for label, count in zip(_KEY_LABELS, counts))
         entries.append(
             f'        {{\n          "key": [\n{labels[:-2]}\n          ],\n'
             f'          "re": {value.real!r},\n          "im": {value.imag!r}\n        }}'
         )
-    # summed alpha ascending, as SymmetricKet.norm sums
-    norm = math.sqrt(sum(abs(v) ** 2 for v in reversed(values)))
-    if abs(norm - 1.0) > max(tol.normalization, 1e-12):
-        raise ConsistencyError(f"sector q = {q} has norm {norm!r}")
     amplitudes = ",\n".join(entries)
     return (
         f'    {{\n      "q": {q},\n      "p": {probability!r},\n'
@@ -189,13 +172,11 @@ def _project_json(config: EnsembleConfig, tol: Tolerances) -> str:
             "detector projection is defined for bosonic ensembles only"
         )
     outcomes, by_sector, p, leak = _project_batch(
-        config.n_up, *_angle_rows(config.ensemble()), tol
+        config.n_up, *config.angles()[:, None], tol
     )
-    outcomes = outcomes[0].tolist()
     sectors = [
-        _sector_json(q, probability, outcomes, config.n_up, tol)
-        for q, probability in reversed(list(enumerate(p[0].tolist())))
-        if probability != 0.0
+        _sector_json(q, probability, state, config.n_up, config.n_total - config.n_up)
+        for q, probability, state in _sector_walk(outcomes[0], p[0], tol)
     ]
     record = {
         "n_particles": config.n_total,
@@ -234,8 +215,6 @@ def project(config_path: str, output: str):
 #: sizes alone, so rows do not depend on --threads.
 SWEEP_CHUNK_ENTRIES = 1 << 16
 
-_ANGLES = ("theta", "omega", "phi", "gamma")
-
 #: one sweep axis: its path, the (particle, angle) it sets and its values
 _Axis = Tuple[str, Tuple[int, str], np.ndarray]
 
@@ -255,16 +234,12 @@ def _sweep_chunk(
     start, stop = bounds
     index = np.unravel_index(np.arange(start, stop), [len(v) for _, _, v in axes])
     values = np.column_stack([v[i] for (_, _, v), i in zip(axes, index)])
-    angles = {
-        attr: np.tile([getattr(p, attr) for p in config.particles], (stop - start, 1))
-        for attr in _ANGLES
-    }
+    angles = np.repeat(config.angles()[:, None], stop - start, axis=1)
+    rows = list(ANGLES)
     for column, (_, (particle, attr), _) in enumerate(axes):
-        angles[attr][:, particle] = values[:, column]
+        angles[rows.index(attr), :, particle] = values[:, column]
     try:
-        p, leak, entanglement = sweep_grid(
-            config.n_up, *(angles[attr] for attr in _ANGLES), measure, tol
-        )
+        p, leak, entanglement = sweep_grid(config.n_up, *angles, measure, tol)
     except RowError as exc:
         point = ", ".join(
             f"{path} = {value!r}"

@@ -8,11 +8,15 @@ callers can report results against the original ordering.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, make_dataclass, replace
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .detection import ParticleEnsemble
 from .errors import ConfigError
@@ -20,16 +24,36 @@ from .states import SpatialMode, Spin, Statistics
 
 MAX_GRID_POINTS = 10 ** 6
 
-_PATH_RE = re.compile(r"^particles\[(\d+)\]\.(theta|omega|phi|gamma)$")
+#: a particle's angles in the row order of :meth:`EnsembleConfig.angles`:
+#: name -> (default, None where the angle is required; whether it must lie
+#: in [0, pi/2])
+ANGLES = {
+    "theta": (None, True),
+    "omega": (0.0, False),
+    "phi": (math.pi / 2, True),
+    "gamma": (0.0, False),
+}
+
+_PATH_RE = re.compile(rf"^particles\[(\d+)\]\.({'|'.join(ANGLES)})$")
+
+_PARTICLE_FIELDS = ("spin", *ANGLES)
+_BOUNDED = tuple(name for name, (_, bounded) in ANGLES.items() if bounded)
+
+#: one parsed particle: its spin and one float field per angle
+ParticleConfig = make_dataclass(
+    "ParticleConfig", [("spin", Spin)] + [(name, float) for name in ANGLES], frozen=True
+)
+
+_angles_of = operator.attrgetter(*ANGLES)
+_bounded_of = operator.attrgetter(*_BOUNDED)
 
 
-@dataclass(frozen=True)
-class ParticleConfig:
-    spin: Spin
-    theta: float
-    omega: float = 0.0
-    phi: float = math.pi / 2
-    gamma: float = 0.0
+def _check_range(where: str, labels, values):
+    """Reject values of bounded angles outside [0, pi/2], naming the first
+    with its label."""
+    for label, value in zip(labels, values):
+        if not 0.0 <= value <= math.pi / 2:
+            raise ConfigError(f"{where}: {label} must lie in [0, pi/2], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,11 +76,13 @@ class EnsembleConfig:
     def n_total(self) -> int:
         return len(self.particles)
 
+    def angles(self) -> np.ndarray:
+        """The stored particles' angles as a (4, N) array, one row per
+        angle in the order of ``ANGLES`` (theta, omega, phi, gamma)."""
+        return np.array([_angles_of(p) for p in self.particles]).T
+
     def ensemble(self) -> ParticleEnsemble:
-        modes = tuple(
-            SpatialMode(theta=p.theta, omega=p.omega, phi=p.phi, gamma=p.gamma)
-            for p in self.particles
-        )
+        modes = tuple(SpatialMode(*_angles_of(p)) for p in self.particles)
         return ParticleEnsemble(self.n_up, modes)
 
     def locate(self, path: str) -> Tuple[int, str]:
@@ -78,7 +104,7 @@ def parse_parameter_path(path: str, n_particles: int) -> Tuple[int, str]:
     m = _PATH_RE.match(path)
     if not m:
         raise ConfigError(
-            f"bad parameter path {path!r}; expected particles[i].theta|omega|phi|gamma"
+            f"bad parameter path {path!r}; expected particles[i].{'|'.join(ANGLES)}"
         )
     index = int(m.group(1))
     if index >= n_particles:
@@ -95,12 +121,6 @@ def _number(value, where: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{where} must be finite, got {value!r}")
     return float(value)
-
-
-def _angle(entry: dict, key: str, default: float, scale: float, where: str) -> float:
-    if key not in entry:
-        return default
-    return _number(entry[key], f"{where}: field {key!r}") * scale
 
 
 class _RepeatedFields(dict):
@@ -174,23 +194,21 @@ def parse_ensemble_config(text: str) -> EnsembleConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: each particle must be an object")
         _reject_repeated(entry, f"{where}: ")
-        _reject_unknown(entry, ("spin", "theta", "omega", "phi", "gamma"), f"{where}: ")
+        _reject_unknown(entry, _PARTICLE_FIELDS, f"{where}: ")
         spin_name = entry.get("spin")
         if spin_name not in ("up", "down"):
             raise ConfigError(f"{where}: field 'spin' must be 'up' or 'down'")
-        if "theta" not in entry:
-            raise ConfigError(f"{where}: field 'theta' is required")
-        theta = _angle(entry, "theta", 0.0, scale, where)
-        omega = _angle(entry, "omega", 0.0, scale, where)
-        phi = _angle(entry, "phi", math.pi / 2, scale, where)
-        gamma = _angle(entry, "gamma", 0.0, scale, where)
-        if not 0.0 <= theta <= math.pi / 2:
-            raise ConfigError(f"{where}: theta must lie in [0, pi/2], got {theta}")
-        if not 0.0 <= phi <= math.pi / 2:
-            raise ConfigError(f"{where}: phi must lie in [0, pi/2], got {phi}")
-        particles.append(
-            ParticleConfig(Spin(spin_name), theta, omega, phi, gamma)
-        )
+        angles = []
+        for name, (default, _) in ANGLES.items():
+            if name in entry:
+                angles.append(_number(entry[name], f"{where}: field {name!r}") * scale)
+            elif default is None:
+                raise ConfigError(f"{where}: field {name!r} is required")
+            else:
+                angles.append(default)
+        particle = ParticleConfig(Spin(spin_name), *angles)
+        _check_range(where, _BOUNDED, _bounded_of(particle))
+        particles.append(particle)
 
     # stable sort: ups first, original order retained inside each group
     order = sorted(
@@ -208,13 +226,7 @@ def dump_ensemble_config(config: EnsembleConfig) -> str:
     payload = {
         "statistics": config.statistics.value,
         "particles": [
-            {
-                "spin": p.spin.value,
-                "theta": p.theta,
-                "omega": p.omega,
-                "phi": p.phi,
-                "gamma": p.gamma,
-            }
+            {"spin": p.spin.value, **dict(zip(ANGLES, _angles_of(p)))}
             for p in config.particles
         ],
     }
@@ -306,12 +318,8 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
             else:
                 h = (stop - start) / (steps - 1)
                 points = tuple(start + k * h for k in range(steps))
-        if attr in ("theta", "phi"):
-            outside = [v for v in points if not 0.0 <= v <= math.pi / 2]
-            if outside:
-                raise ConfigError(
-                    f"{where}: {path} must lie in [0, pi/2], got {outside[0]!r}"
-                )
+        if attr in _BOUNDED:
+            _check_range(where, itertools.repeat(path), points)
         axes.append(SweepAxis(path, points))
     spec = SweepSpec(tuple(axes))
     if spec.size > MAX_GRID_POINTS:

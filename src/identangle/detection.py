@@ -36,6 +36,7 @@ from .states import (
     SymmetricKet,
     mode_ket,
     occupation_key,
+    wrap_phase,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -143,25 +144,14 @@ def build_detection_matrix(
     R-up, R-down; columns over the input kets (ups first).  Spin-mismatched
     entries vanish, so the matrix splits into the block pattern
     [[C_a, 0, S_(n-a), 0], [0, C_b, 0, S_(N-n-b)]] up to a row ordering.
+    The entries are the kets' amplitudes (:func:`states.mode_ket`).
     """
-    total = ensemble.n_total
-    a = np.zeros((total, total), dtype=complex)
-    spins = ensemble.spins()
+    kets = ensemble.kets()
     # the canonical key order is the row order above
-    for j, (side, bra_spin) in enumerate(detection_key(ensemble, spec)):
-        for k, (mode, ket_spin) in enumerate(zip(ensemble.modes, spins)):
-            if bra_spin is not ket_spin:
-                continue
-            sin_phi = math.sin(mode.phi)
-            if side == "L":
-                a[j, k] = sin_phi * math.cos(mode.theta)
-            else:
-                a[j, k] = (
-                    sin_phi
-                    * math.sin(mode.theta)
-                    * complex(math.cos(mode.omega), math.sin(mode.omega))
-                )
-    return a
+    return np.array(
+        [[ket.amplitude(label) for ket in kets] for label in detection_key(ensemble, spec)],
+        dtype=complex,
+    )
 
 
 def _require_rows(ok: np.ndarray, message: Callable[[int], str]):
@@ -248,7 +238,7 @@ def _sector_layout(n_up: int, n_down: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _phases(angles: np.ndarray) -> np.ndarray:
     """e^{i angle}, with the angle wrapped into [0, 2*pi) as SpatialMode does."""
-    wrapped = angles % (2.0 * math.pi)
+    wrapped = wrap_phase(angles)
     phases = np.empty(angles.shape, dtype=complex)
     phases.real = np.cos(wrapped)
     phases.imag = np.sin(wrapped)
@@ -317,8 +307,9 @@ def _project_batch(
 
     The leak is the weight of the a_chi > 0 outcomes (phi < pi/2), summed
     rather than taken as the complement, so that probabilities plus leak
-    summing to one is a genuine cross-check: a deviation above
-    ``tol.comparison`` raises RowError on the first failing row.
+    summing to one is a genuine cross-check, made before empty sectors are
+    zeroed: the projected state has unit norm, so a deviation above
+    ``tol.normalization`` raises RowError on the first failing row.
     """
     total = theta.shape[1]
     _require_fold_size("projection", total)
@@ -332,14 +323,14 @@ def _project_batch(
     by_sector = np.zeros((len(outcomes), total + 1, n_up + 1))
     by_sector[:, q, alpha] = weights
     p = by_sector.sum(axis=2)
-    p[p < tol.pruning] = 0.0
     # an outcome leaks when either block has a particle in its remainder mode
     leak = up_leaked + up_detected * down_leaked
     deviation = p.sum(axis=1) + leak - 1.0
     _require_rows(
-        np.abs(deviation) <= tol.comparison,
+        np.abs(deviation) <= tol.normalization,
         lambda row: f"sector probabilities plus leak miss one by {deviation[row]:.3e}",
     )
+    p[p < tol.pruning] = 0.0
     return outcomes, by_sector, p, leak
 
 
@@ -390,6 +381,38 @@ def _angle_rows(ensemble: ParticleEnsemble) -> np.ndarray:
     ).transpose(2, 0, 1)
 
 
+def _sector_walk(
+    outcomes: np.ndarray, p: np.ndarray, tol: Tolerances
+) -> List[Tuple[int, float, List[Tuple[int, complex]]]]:
+    """The nonempty sectors of one projection of :func:`_project_batch`,
+    from its outcome amplitudes (n_up+1, N-n_up+1) and sector
+    probabilities (N+1,), as (q, p_q, state) with q descending.
+
+    A sector's state lists (alpha, amplitude) with alpha ascending: the
+    outcome amplitudes above ``tol.pruning``, divided by sqrt(p_q) and
+    pruned again.  Raises ConsistencyError when a state is off unit norm by
+    more than ``tol.normalization`` (at least 1e-12).
+    """
+    outcomes = outcomes.tolist()
+    n_up, n_down = len(outcomes) - 1, len(outcomes[0]) - 1
+    sectors = []
+    for q, probability in reversed(list(enumerate(p.tolist()))):
+        if probability == 0.0:
+            continue
+        root = math.sqrt(probability)
+        state = []
+        for alpha in range(max(0, q - n_down), min(q, n_up) + 1):
+            amp = outcomes[alpha][q - alpha]
+            value = amp / root
+            if abs(amp) > tol.pruning and abs(value) > tol.pruning:
+                state.append((alpha, value))
+        norm = math.sqrt(sum(abs(value) ** 2 for _, value in state))
+        if abs(norm - 1.0) > max(tol.normalization, 1e-12):
+            raise ConsistencyError(f"sector q = {q} has norm {norm!r}")
+        sectors.append((q, probability, state))
+    return sectors
+
+
 def project_onto_detectors(
     ensemble: ParticleEnsemble,
     tol: Tolerances = DEFAULT_TOLERANCES,
@@ -397,34 +420,21 @@ def project_onto_detectors(
     """Project the symmetrized ensemble state onto the two-detector subspace.
 
     The projection of :func:`_project_batch` for one ensemble, with each
-    sector returned as a normalized state over the detector outcome keys
-    and the weight of the outcomes outside the detectors as
-    ``leak_probability``.  Raises ConsistencyError when the sector
-    probabilities plus the leak miss one by more than ``tol.comparison``.
+    sector (:func:`_sector_walk`) returned as a normalized state over the
+    detector outcome keys and the weight of the outcomes outside the
+    detectors as ``leak_probability``.  Raises ConsistencyError when the
+    sector probabilities plus the leak miss one by more than
+    ``tol.normalization``.
     """
-    total, n = ensemble.n_total, ensemble.n_up
-    outcomes, _, p, leak = _project_batch(n, *_angle_rows(ensemble), tol)
-    outcomes = outcomes[0].tolist()
-
+    outcomes, _, p, leak = _project_batch(ensemble.n_up, *_angle_rows(ensemble), tol)
     sectors: List[Sector] = []
-    for q, probability in reversed(list(enumerate(p[0].tolist()))):
-        if probability == 0.0:
-            continue
-        group: Dict[OccupationKey, complex] = {}
-        for alpha in range(max(0, q - (total - n)), min(q, n) + 1):
-            amp = outcomes[alpha][q - alpha]
-            if abs(amp) > tol.pruning:
-                key = detection_key(ensemble, DetectionMatrixSpec(alpha, q - alpha))
-                group[key] = amp
-        root = math.sqrt(probability)
-        state = SymmetricKet(
-            total,
-            Statistics.BOSON,
-            {k: v / root for k, v in group.items()},
-            normalized=True,
-            tol=tol,
-        )
-        sectors.append(Sector(q, probability, state))
+    for q, probability, state in _sector_walk(outcomes[0], p[0], tol):
+        amps = {
+            detection_key(ensemble, DetectionMatrixSpec(alpha, q - alpha)): value
+            for alpha, value in state
+        }
+        ket = SymmetricKet(ensemble.n_total, Statistics.BOSON, amps, normalized=True, tol=tol)
+        sectors.append(Sector(q, probability, ket))
     return SectorDecomposition(tuple(sectors), float(leak[0]))
 
 

@@ -127,7 +127,7 @@ def schmidt_decompose(
     symmetric spin state and split its particle labels into two groups.
     """
     norm = psi.norm()
-    if abs(norm - 1.0) > tol.comparison:
+    if abs(norm - 1.0) > tol.normalization:
         raise NormalizationError(f"schmidt_decompose needs a unit ket, norm = {norm!r}")
     if isinstance(bipartition, ModeSplit):
         m, left_keys, right_keys, n_left = mode_split_matrix(psi, bipartition)
@@ -263,7 +263,7 @@ def concurrence_pure(
     Equals 2 * l1 * l2 for Schmidt-rank-2 states.
     """
     norm = psi.norm()
-    if abs(norm - 1.0) > tol.comparison:
+    if abs(norm - 1.0) > tol.normalization:
         raise NormalizationError(f"concurrence_pure needs a unit ket, norm = {norm!r}")
     coeffs = schmidt_decompose(psi, bipartition, tol=tol).coefficients
     purity = sum(c ** 4 for c in coeffs)

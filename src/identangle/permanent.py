@@ -58,11 +58,18 @@ def permanent_naive(matrix) -> complex:
     -------
     complex
     """
+    return _permutation_sum(matrix, "permanent_naive", signed=False)
+
+
+def _permutation_sum(matrix, name: str, signed: bool) -> complex:
+    """sum_sigma prod_i m[i, sigma(i)] over all n! permutations, each term
+    times the sign of sigma when ``signed``; the kernel ``name`` is capped
+    at n <= 10."""
     m = as_square_matrix(matrix)
     n = m.shape[0]
     if n > NAIVE_SIZE_LIMIT:
         raise SizeLimitError(
-            f"permanent_naive is capped at n <= {NAIVE_SIZE_LIMIT}, got n = {n}"
+            f"{name} is capped at n <= {NAIVE_SIZE_LIMIT}, got n = {n}"
         )
     if n == 0:
         return 1 + 0j
@@ -72,7 +79,7 @@ def permanent_naive(matrix) -> complex:
         p = 1 + 0j
         for i, c in enumerate(cols):
             p *= rows[i][c]
-        total += p
+        total += _permutation_sign(cols) * p if signed else p
     return total
 
 
@@ -174,22 +181,7 @@ def determinant(matrix) -> complex:
 
 def determinant_reference(matrix) -> complex:
     """Determinant as the signed sum over all n! permutations (test oracle)."""
-    m = as_square_matrix(matrix)
-    n = m.shape[0]
-    if n > NAIVE_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"determinant_reference is capped at n <= {NAIVE_SIZE_LIMIT}, got n = {n}"
-        )
-    if n == 0:
-        return 1 + 0j
-    rows = m.tolist()
-    total = 0j
-    for cols in permutations(range(n)):
-        p = 1 + 0j
-        for i, c in enumerate(cols):
-            p *= rows[i][c]
-        total += _permutation_sign(cols) * p
-    return total
+    return _permutation_sum(matrix, "determinant_reference", signed=True)
 
 
 def _permutation_sign(perm) -> int:

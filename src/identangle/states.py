@@ -61,6 +61,16 @@ def occupation_key(labels: Iterable[BasisLabel]) -> OccupationKey:
     return tuple(sorted(labels, key=_label_sort_key))
 
 
+def wrap_phase(angle):
+    """A phase, or an array of them, wrapped strictly into [0, 2*pi).
+
+    ``angle % (2*pi)`` alone rounds to 2*pi itself for tiny negative
+    angles (-1e-20 gives 6.283185307179586); the second remainder maps that
+    onto 0 and leaves every value below 2*pi as it is.
+    """
+    return angle % (2.0 * math.pi) % (2.0 * math.pi)
+
+
 @dataclass(frozen=True)
 class SpatialMode:
     """Spatial state of one particle relative to two detectors L and R.
@@ -83,8 +93,8 @@ class SpatialMode:
         if not 0.0 <= self.phi <= math.pi / 2:
             raise ConsistencyError(f"phi must lie in [0, pi/2], got {self.phi}")
         # phases are periodic; store them wrapped into [0, 2*pi)
-        object.__setattr__(self, "omega", float(self.omega) % (2.0 * math.pi))
-        object.__setattr__(self, "gamma", float(self.gamma) % (2.0 * math.pi))
+        object.__setattr__(self, "omega", wrap_phase(float(self.omega)))
+        object.__setattr__(self, "gamma", wrap_phase(float(self.gamma)))
 
     def coherence(self) -> float:
         """Off-diagonal weight 2*cos(theta)*sin(theta) in the {L, R} basis."""

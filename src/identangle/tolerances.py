@@ -19,9 +19,11 @@ TOLERANCE_ENV_VAR = "IDENTANGLE_TOL"
 
 @dataclass(frozen=True)
 class Tolerances:
-    #: generic numerical comparisons (oracle agreement, trace preservation)
+    #: numerical comparisons: oracle agreement, which ``verify`` counts
+    #: failures against, and partial-trace completeness
     comparison: float = 1e-10
-    #: unit-norm checks on states flagged as normalized
+    #: run-time invariants of states: unit norm of states flagged as
+    #: normalized, valid density matrices, sum p_q + leak = 1
     normalization: float = 1e-12
     #: sparse amplitudes below this are dropped
     pruning: float = 1e-14
@@ -42,7 +44,9 @@ DEFAULT_TOLERANCES = Tolerances()
 
 def tolerances_from_env(environ=None) -> Tolerances:
     """Return the default tolerances, with the comparison (and separability)
-    threshold overridden by ``IDENTANGLE_TOL`` when set.
+    threshold overridden by ``IDENTANGLE_TOL`` when set.  These set the
+    thresholds ``verify`` counts failures against; the run-time invariants
+    read ``normalization``, which the variable leaves alone.
 
     Raises ConfigError when the variable holds anything but a positive,
     finite float.

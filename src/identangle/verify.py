@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import ANGLES
 from .detection import (
     ParticleEnsemble,
     _angle_rows,
@@ -87,14 +88,8 @@ _LR_LABELS = (
 
 def _ensemble_inputs(ensemble: ParticleEnsemble) -> Dict:
     """n_up and the (wrapped) angle lists of an ensemble, as JSON values."""
-    modes = ensemble.modes
-    return {
-        "n_up": ensemble.n_up,
-        "theta": [m.theta for m in modes],
-        "omega": [m.omega for m in modes],
-        "phi": [m.phi for m in modes],
-        "gamma": [m.gamma for m in modes],
-    }
+    rows = _angle_rows(ensemble)[:, 0].tolist()
+    return {"n_up": ensemble.n_up, **dict(zip(ANGLES, rows))}
 
 
 def _ket_inputs(kets: Sequence[SingleParticleKet]) -> List[Dict]:

@@ -23,6 +23,7 @@ from identangle.config import (
 from identangle.detection import entanglement_of_particles, project_onto_detectors
 from identangle.errors import ConfigError, ConsistencyError
 from identangle.tolerances import DEFAULT_TOLERANCES, TOLERANCE_ENV_VAR
+from identangle.verify import SUITES
 
 from conftest import svd_route_entanglement
 
@@ -491,13 +492,40 @@ def test_verify_unknown_suite(runner):
 
 def test_verify_failure_exit_code(runner, monkeypatch):
     # a tolerance below the oracles' roundoff (up to 4e-15 here) turns residuals
-    # into failures; it stays above the few-ulp misses of sum(p) + leak = 1,
-    # which the projection checks against the same tolerance
+    # into failures; the run-time checks, such as sum(p) + leak = 1, read the
+    # normalization bound, which the variable does not set
     monkeypatch.setenv(TOLERANCE_ENV_VAR, "2e-15")
     result = runner.invoke(main, ["verify", "oracle", "--cases", "30", "--seed", "3"])
     assert result.exit_code == 1
     record = json.loads(result.output)
     assert record["failures"] > 0
+
+
+def test_strict_tolerance_leaves_run_time_checks_alone(runner, tmp_path, monkeypatch):
+    # sum(p) + leak misses one by an ulp or two here, far below 1e-12 but
+    # above the strict tolerance, which sets only the verify thresholds
+    monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-17")
+    cfg = write(tmp_path, "cfg.json", {"particles": [
+        {"spin": "up", "theta": math.pi / 4}, {"spin": "up", "theta": math.pi / 4},
+        {"spin": "down", "theta": math.pi / 4},
+    ]})
+    sweep = write(tmp_path, "sweep.json", {
+        "axes": [{"path": "particles[2].omega", "start": 0.0, "stop": 6.0, "steps": 40}]
+    })
+    for argv in (
+        ["project", "--config", cfg],
+        ["sweep", "--config", cfg, "--sweep", sweep],
+        ["schmidt", "--n-total", "4", "--n-up", "2", "--split", "2,2"],
+    ):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, (argv, result.output)
+    for suite in sorted(SUITES):
+        cases = [] if suite == "schmidt" else ["--cases", "20"]
+        result = runner.invoke(main, ["verify", suite, "--seed", "3"] + cases)
+        assert result.exit_code in (0, 1), (suite, result.output)
+        assert json.loads(result.output)["cases"] > 0
+    result = runner.invoke(main, ["verify", "oracle", "--cases", "30", "--seed", "3"])
+    assert result.exit_code == 1 and json.loads(result.output)["failures"] > 0
 
 
 def test_tolerance_env_override(runner, tmp_path, monkeypatch):
@@ -895,9 +923,10 @@ def library_project_json(config):
     return json.dumps(record, indent=2) + "\n"
 
 
-def seeded_particles(rng, n, n_up):
+def seeded_particles(rng, n, n_up, phases=(0.0, 2 * math.pi)):
     """n particles, n_up of them spin up, in shuffled file order, with edge
-    thetas, leaking and fully missing particles and repeated modes."""
+    thetas, leaking and fully missing particles and repeated modes; omega
+    and gamma are drawn uniformly from ``phases``."""
     particles = []
     for j in range(n):
         if particles and rng.random() < 0.25:
@@ -908,11 +937,11 @@ def seeded_particles(rng, n, n_up):
                 if rng.random() < 0.2
                 else float(rng.uniform(0.0, math.pi / 2))
             )
-            particle = {"theta": theta, "omega": float(rng.uniform(0.0, 2 * math.pi))}
+            particle = {"theta": theta, "omega": float(rng.uniform(*phases))}
             draw = rng.random()
             if draw < 0.3:
                 particle["phi"] = float(rng.uniform(0.0, math.pi / 2))
-                particle["gamma"] = float(rng.uniform(0.0, 2 * math.pi))
+                particle["gamma"] = float(rng.uniform(*phases))
             elif draw < 0.35:
                 particle["phi"] = 0.0
         particle["spin"] = "up" if j < n_up else "down"
@@ -942,6 +971,46 @@ def test_project_output_matches_library_routes(runner, tmp_path):
         assert result.output == library_project_json(config), payload
         empty += json.loads(result.output)["sectors"] == []
     assert empty >= 1
+
+
+def test_phases_outside_the_period_agree_across_commands(runner, tmp_path):
+    # the CLI wraps phases once, as SpatialMode does; -1e-20 % (2*pi) alone
+    # rounds to 2*pi, whose sine is -2.4e-16 rather than 0
+    rng = np.random.default_rng(9090)
+    specials = (-1e-20, 2 * math.pi + 1e-15)
+    for k in range(320):
+        n = 1 + k % 9
+        particles = seeded_particles(
+            rng, n, int(rng.integers(0, n + 1)), phases=(-4 * math.pi, 4 * math.pi)
+        )
+        field = ("omega", "gamma")[k % 2]
+        if k % 3:
+            particles[0][field] = specials[k % 4 // 2]
+            particles[0].setdefault("phi", 1.0)
+        cfg = write(tmp_path, "cfg.json", {"particles": particles})
+        config = parse_ensemble_config((tmp_path / "cfg.json").read_text())
+        result = runner.invoke(main, ["project", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert result.output == library_project_json(config), particles
+        record = json.loads(result.output)
+
+        measure = ("entropy", "concurrence")[k % 2]
+        sweep = write(tmp_path, "sweep.json", {"axes": [
+            {"path": f"particles[0].{field}", "values": [particles[0].get(field, 0.0)]}
+        ]})
+        row = runner.invoke(main, [
+            "sweep", "--config", cfg, "--sweep", sweep, "--measure", measure, "--format", "json"
+        ])
+        assert row.exit_code == 0, row.output
+        (row,) = json.loads(row.output)
+        assert row["p"] == {str(s["q"]): s["p"] for s in record["sectors"]}, particles
+        assert row["leak"] == record["leak"]
+        assert row["entanglement"] == record["entanglement"][measure]
+
+        bra = [dict(p, omega=p.get("omega", 0.0) + float(rng.normal(0.0, 0.2))) for p in particles]
+        got = cli_amplitude(runner, tmp_path, bra, particles)
+        expected = library_amplitude(bra, particles)
+        assert abs(got - expected) <= DEFAULT_TOLERANCES.comparison * max(1.0, abs(expected))
 
 
 def test_project_makes_one_fold(runner, tmp_path, monkeypatch):

@@ -90,6 +90,14 @@ def test_phases_wrap():
     assert abs(mode.gamma - (2 * math.pi - 0.5)) < 1e-12
 
 
+def test_tiny_negative_phases_wrap_to_zero():
+    # -1e-20 % (2*pi) rounds to 2*pi itself, outside [0, 2*pi)
+    mode = SpatialMode(theta=0.3, omega=-1e-20, gamma=-1e-20)
+    assert mode.omega == 0.0 and mode.gamma == 0.0
+    mode = SpatialMode(theta=0.3, omega=2 * math.pi + 1e-15, gamma=-2 * math.pi)
+    assert 0.0 <= mode.omega < 2 * math.pi and mode.gamma == 0.0
+
+
 def test_single_particle_ket_norm_check():
     with pytest.raises(ConsistencyError):
         SingleParticleKet({("L", Spin.UP): 0.5})
