@@ -27,7 +27,7 @@ from .states import (
     occupation_key,
     symmetrize_product,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 def overlap_matrix(
     bras: Sequence[SingleParticleKet], kets: Sequence[SingleParticleKet]
@@ -88,7 +88,6 @@ def transition_amplitude(
 def contract_single(
     bra: SingleParticleKet,
     kets: Sequence[SingleParticleKet],
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SymmetricKet:
     """Contraction of a single-particle bra on a symmetrized product state.
 
@@ -103,16 +102,16 @@ def contract_single(
     total: Dict[OccupationKey, complex] = {}
     for i in range(n):
         coeff = bra.inner(kets[i])
-        if abs(coeff) <= tol.pruning:
+        if abs(coeff) <= TOL.pruning:
             continue
         rest = list(kets[:i]) + list(kets[i + 1 :])
         if rest:
-            term = symmetrize_product(rest, Statistics.BOSON, tol=tol)
+            term = symmetrize_product(rest, Statistics.BOSON)
             for key, value in term.items():
                 total[key] = total.get(key, 0j) + coeff * value
         else:
             total[()] = total.get((), 0j) + coeff
-    return SymmetricKet(n - 1, Statistics.BOSON, total, tol=tol)
+    return SymmetricKet(n - 1, Statistics.BOSON, total)
 
 
 class DensityMatrix:
@@ -124,9 +123,6 @@ class DensityMatrix:
         self,
         basis: Sequence[OccupationKey],
         entries,
-        *,
-        validate: bool = True,
-        tol: Tolerances = DEFAULT_TOLERANCES,
     ):
         basis = [occupation_key(k) for k in basis]
         if len(set(basis)) != len(basis):
@@ -143,22 +139,18 @@ class DensityMatrix:
         if len(lengths) > 1:
             raise ConsistencyError("basis mixes different particle numbers")
         self.n_particles = lengths.pop() if lengths else 0
-        if validate:
-            self._check(tol)
-
-    def _check(self, tol: Tolerances):
         m = self.entries
         if m.size == 0:
             raise ConsistencyError("density matrix cannot be empty")
-        if np.abs(m - m.conj().T).max() > tol.normalization:
+        if np.abs(m - m.conj().T).max() > TOL.normalization:
             raise ConsistencyError("density matrix is not Hermitian")
         evs = np.linalg.eigvalsh(m)
-        if evs.min() < -tol.normalization:
+        if evs.min() < -TOL.normalization:
             raise ConsistencyError(
                 f"density matrix has negative eigenvalue {evs.min():.3e}"
             )
         tr = self.trace
-        if tr < -tol.normalization or tr > 1.0 + tol.normalization:
+        if tr < -TOL.normalization or tr > 1.0 + TOL.normalization:
             raise ConsistencyError(f"density matrix trace {tr!r} outside [0, 1]")
 
     @property
@@ -181,20 +173,19 @@ class DensityMatrix:
 
 
 def pure_to_density(
-    psi: SymmetricKet, tol: Tolerances = DEFAULT_TOLERANCES
+    psi: SymmetricKet,
 ) -> DensityMatrix:
     """Rank-1 projector |psi><psi| of a normalized state."""
     n = psi.norm()
-    if abs(n - 1.0) > tol.normalization:
+    if abs(n - 1.0) > TOL.normalization:
         raise NormalizationError(f"pure_to_density needs a unit ket, norm = {n!r}")
     basis = sorted(psi.keys())
     v = np.array([psi.amplitude(k) for k in basis], dtype=complex)
-    return DensityMatrix(basis, np.outer(v, v.conj()), tol=tol)
+    return DensityMatrix(basis, np.outer(v, v.conj()))
 
 
 def convex_mixture(
     terms: Sequence[Tuple[float, DensityMatrix]],
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DensityMatrix:
     """Convex combination sum_a p_a rho_a over a merged basis."""
     if not terms:
@@ -203,11 +194,11 @@ def convex_mixture(
     index = {k: i for i, k in enumerate(keys)}
     out = np.zeros((len(keys), len(keys)), dtype=complex)
     for weight, dm in terms:
-        if weight < -tol.comparison:
+        if weight < -TOL.comparison:
             raise ConsistencyError("mixture weights must be nonnegative")
         ix = [index[k] for k in dm.basis]
         out[np.ix_(ix, ix)] += weight * dm.entries
-    return DensityMatrix(keys, out, tol=tol)
+    return DensityMatrix(keys, out)
 
 
 def _key_counts(key: OccupationKey) -> Counter:
@@ -228,7 +219,6 @@ def _contraction_weight(sub: Counter, full: Counter) -> float:
 def symmetrized_partial_trace(
     rho: DensityMatrix,
     subsystem_basis: Sequence[OccupationKey],
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DensityMatrix:
     """Partial trace over a symmetrized subsystem basis.
 
@@ -258,7 +248,7 @@ def symmetrized_partial_trace(
     for fc in full_counts:
         s = sum(_contraction_weight(sc, fc) for sc in sub_counts)
         worst = max(worst, abs(s - 1.0))
-    if worst > tol.comparison:
+    if worst > TOL.comparison:
         raise CompletenessError(
             "subsystem basis does not resolve the identity on the state "
             f"support (deficit norm {worst:.3e})"
@@ -295,7 +285,7 @@ def symmetrized_partial_trace(
     out = np.zeros((len(keys), len(keys)), dtype=complex)
     for (ri, rj), value in reduced.items():
         out[index[ri], index[rj]] = value
-    return DensityMatrix(keys, out, tol=tol)
+    return DensityMatrix(keys, out)
 
 
 def _subtract_key(full: Counter, sub: Counter) -> OccupationKey:

@@ -8,8 +8,9 @@ equivalence report), ``verify`` (randomized verification suites) and
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 The environment variable ``IDENTANGLE_TOL`` overrides the default
-comparison tolerance, which sets the thresholds ``verify`` counts failures
-against.
+comparison tolerance.  Every subcommand rejects an invalid value, but only
+``verify`` uses it, for the thresholds it counts failures against; every
+other output is the same for any valid value.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def main():
 @click.option("--output", default="-", show_default=True)
 def amplitude(config_path: str, bra_path: str, output: str):
     """Transition amplitude between two configured product states."""
-    tol = _tolerances()
+    _tolerances()
     ket_config = _load_config(config_path)
     bra_config = _load_config(bra_path)
     if ket_config.n_total != bra_config.n_total:
@@ -111,7 +112,7 @@ def amplitude(config_path: str, bra_path: str, output: str):
         if boson:
             # (4, 2, N): row 0 of each angle the bra's, row 1 the ket's
             angles = np.array([bra_config.angles(), ket_config.angles()]).swapaxes(0, 1)
-            value = fold_amplitude(bra_config.n_up, ket_config.n_up, *angles, tol)
+            value = fold_amplitude(bra_config.n_up, ket_config.n_up, *angles)
         else:
             value = transition_amplitude(
                 bra_config.ensemble().kets(),
@@ -163,7 +164,7 @@ def _sector_json(
     )
 
 
-def _project_json(config: EnsembleConfig, tol: Tolerances) -> str:
+def _project_json(config: EnsembleConfig) -> str:
     """The ``project`` record as json.dumps(record, indent=2) renders it,
     from one fold (:func:`detection._project_batch`): sectors q descending,
     the leak and both postselected measures."""
@@ -172,11 +173,11 @@ def _project_json(config: EnsembleConfig, tol: Tolerances) -> str:
             "detector projection is defined for bosonic ensembles only"
         )
     outcomes, by_sector, p, leak = _project_batch(
-        config.n_up, *config.angles()[:, None], tol
+        config.n_up, *config.angles()[:, None]
     )
     sectors = [
         _sector_json(q, probability, state, config.n_up, config.n_total - config.n_up)
-        for q, probability, state in _sector_walk(outcomes[0], p[0], tol)
+        for q, probability, state in _sector_walk(outcomes[0], p[0])
     ]
     record = {
         "n_particles": config.n_total,
@@ -185,7 +186,7 @@ def _project_json(config: EnsembleConfig, tol: Tolerances) -> str:
         "sectors": None,  # replaced by the rendered sectors
         "leak": float(leak[0]),
         "entanglement": {
-            measure: float(_postselected(by_sector, p, measure, tol)[0])
+            measure: float(_postselected(by_sector, p, measure)[0])
             for measure in ("entropy", "concurrence")
         },
     }
@@ -201,10 +202,10 @@ def _project_json(config: EnsembleConfig, tol: Tolerances) -> str:
 def project(config_path: str, output: str):
     """Project the configured ensemble onto the detectors and report the
     sector decomposition plus both entanglement averages."""
-    tol = _tolerances()
+    _tolerances()
     config = _load_config(config_path)
     try:
-        text = _project_json(config, tol)
+        text = _project_json(config)
     except IdentangleError as exc:
         _fail_usage(str(exc))
     _write_output(text, output)
@@ -224,7 +225,6 @@ def _sweep_chunk(
     config: EnsembleConfig,
     axes: List[_Axis],
     measure: str,
-    tol: Tolerances,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Grid rows [start, stop) as (axis values, p, leak, entanglement) arrays.
 
@@ -239,7 +239,7 @@ def _sweep_chunk(
     for column, (_, (particle, attr), _) in enumerate(axes):
         angles[rows.index(attr), :, particle] = values[:, column]
     try:
-        p, leak, entanglement = sweep_grid(config.n_up, *angles, measure, tol)
+        p, leak, entanglement = sweep_grid(config.n_up, *angles, measure)
     except RowError as exc:
         point = ", ".join(
             f"{path} = {value!r}"
@@ -266,7 +266,7 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
     grid row writes no output.  Rows follow the lexicographic grid order of
     the sweep axes and are identical for any thread count.
     """
-    tol = _tolerances()
+    _tolerances()
     config = _load_config(config_path)
     if config.statistics is not Statistics.BOSON:
         _fail_usage("detector projection is defined for bosonic ensembles only")
@@ -290,7 +290,7 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
     chunk = max(1, SWEEP_CHUNK_ENTRIES // block ** 2)
     bounds = [(start, min(start + chunk, spec.size)) for start in range(0, spec.size, chunk)]
     evaluate = functools.partial(
-        _sweep_chunk, config=config, axes=axes, measure=measure, tol=tol
+        _sweep_chunk, config=config, axes=axes, measure=measure
     )
     workers = min(threads, len(bounds))
     try:
@@ -338,7 +338,7 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
 @click.option("--output", default="-", show_default=True)
 def schmidt(n_total, n_up, theta, omega, split, output):
     """Compare label-group Schmidt coefficients with the mode-split ones."""
-    tol = _tolerances()
+    _tolerances()
     try:
         split_pair = tuple(int(s) for s in split.split(","))
         if len(split_pair) != 2:
@@ -352,7 +352,6 @@ def schmidt(n_total, n_up, theta, omega, split, output):
             _parse_angles(theta),
             _parse_angles(omega),
             split_pair,
-            tol=tol,
         )
     except IdentangleError as exc:
         _fail_usage(str(exc))

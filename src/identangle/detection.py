@@ -38,7 +38,7 @@ from .states import (
     occupation_key,
     wrap_phase,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 #: a block's unnormalized norm^2 reaches N! when all its modes coincide,
 #: and 171! overflows a double
@@ -75,9 +75,9 @@ class ParticleEnsemble:
             Spin.UP if j < self.n_up else Spin.DOWN for j in range(self.n_total)
         )
 
-    def kets(self, tol: Tolerances = DEFAULT_TOLERANCES) -> List[SingleParticleKet]:
+    def kets(self) -> List[SingleParticleKet]:
         return [
-            mode_ket(mode, spin, tol=tol)
+            mode_ket(mode, spin)
             for mode, spin in zip(self.modes, self.spins())
         ]
 
@@ -202,7 +202,7 @@ def _fock_block(c: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _detector_block(
-    c: np.ndarray, s: np.ndarray, r: np.ndarray, tol: Tolerances
+    c: np.ndarray, s: np.ndarray, r: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Detector amplitudes of one spin block over a batch of G states.
 
@@ -218,7 +218,7 @@ def _detector_block(
     detected_sq = weights[:, left, right].sum(axis=1)
     leaked_sq = weights[:, leaks].sum(axis=1)
     norm_sq = detected_sq + leaked_sq
-    _require_rows(norm_sq > tol.pruning, lambda row: "input state has vanishing norm")
+    _require_rows(norm_sq > TOL.pruning, lambda row: "input state has vanishing norm")
     return (
         detected / np.sqrt(norm_sq)[:, None],
         detected_sq / norm_sq,
@@ -257,13 +257,12 @@ def _mode_amplitudes(
     omega: np.ndarray,
     phi: np.ndarray,
     gamma: np.ndarray,
-    tol: Tolerances,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Amplitudes (c, s, r) on L, R and the remainder mode chi of the
     particles with the given (G, N) mode angles.
 
-    They are those of :func:`states.mode_ket`, pruned at ``tol.pruning``; a
-    particle off unit norm by more than ``tol.normalization`` raises
+    They are those of :func:`states.mode_ket`, pruned at ``TOL.pruning``; a
+    particle off unit norm by more than ``TOL.normalization`` raises
     RowError on its row.
     """
     sin_phi = np.sin(phi)
@@ -271,9 +270,9 @@ def _mode_amplitudes(
     s = sin_phi * np.sin(theta) * _phases(omega)
     r = np.cos(phi) * _phases(gamma)
     for amps in (c, s, r):
-        amps[np.abs(amps) <= tol.pruning] = 0.0
+        amps[np.abs(amps) <= TOL.pruning] = 0.0
     norm = np.sqrt(np.abs(c) ** 2 + np.abs(s) ** 2 + np.abs(r) ** 2)
-    unit = np.abs(norm - 1.0) <= tol.normalization
+    unit = np.abs(norm - 1.0) <= TOL.normalization
     _require_rows(
         unit.all(axis=1),
         lambda row: "single-particle ket must be unit norm, "
@@ -288,7 +287,6 @@ def _project_batch(
     omega: np.ndarray,
     phi: np.ndarray,
     gamma: np.ndarray,
-    tol: Tolerances,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Detector projection of G ensembles given their (G, N) mode angles,
     particles ordered spin-up first.
@@ -298,9 +296,9 @@ def _project_batch(
     so each state is a product of an up and a down block
     (:func:`_detector_block`), and the outcome with alpha up and beta down
     particles at L has amplitude U[alpha] * D[beta].
-    Outcomes with |amplitude| <= ``tol.pruning`` are dropped and the rest
+    Outcomes with |amplitude| <= ``TOL.pruning`` are dropped and the rest
     grouped into sectors by q = alpha + beta; a sector below
-    ``tol.pruning`` reads as empty (probability 0).  Returns the outcome
+    ``TOL.pruning`` reads as empty (probability 0).  Returns the outcome
     amplitudes (G, n_up+1, N-n_up+1), their kept weights by sector
     (G, N+1, n_up+1) indexed by (q, alpha), the sector probabilities
     (G, N+1) and the leak (G,).
@@ -309,16 +307,16 @@ def _project_batch(
     rather than taken as the complement, so that probabilities plus leak
     summing to one is a genuine cross-check, made before empty sectors are
     zeroed: the projected state has unit norm, so a deviation above
-    ``tol.normalization`` raises RowError on the first failing row.
+    ``TOL.normalization`` raises RowError on the first failing row.
     """
     total = theta.shape[1]
     _require_fold_size("projection", total)
-    c, s, r = _mode_amplitudes(theta, omega, phi, gamma, tol)
-    up, up_detected, up_leaked = _detector_block(c[:, :n_up], s[:, :n_up], r[:, :n_up], tol)
-    down, _, down_leaked = _detector_block(c[:, n_up:], s[:, n_up:], r[:, n_up:], tol)
+    c, s, r = _mode_amplitudes(theta, omega, phi, gamma)
+    up, up_detected, up_leaked = _detector_block(c[:, :n_up], s[:, :n_up], r[:, :n_up])
+    down, _, down_leaked = _detector_block(c[:, n_up:], s[:, n_up:], r[:, n_up:])
     outcomes = up[:, :, None] * down[:, None, :]
     weights = outcomes.real ** 2 + outcomes.imag ** 2
-    weights[np.abs(outcomes) <= tol.pruning] = 0.0
+    weights[np.abs(outcomes) <= TOL.pruning] = 0.0
     q, alpha = _sector_layout(n_up, total - n_up)
     by_sector = np.zeros((len(outcomes), total + 1, n_up + 1))
     by_sector[:, q, alpha] = weights
@@ -327,10 +325,10 @@ def _project_batch(
     leak = up_leaked + up_detected * down_leaked
     deviation = p.sum(axis=1) + leak - 1.0
     _require_rows(
-        np.abs(deviation) <= tol.normalization,
+        np.abs(deviation) <= TOL.normalization,
         lambda row: f"sector probabilities plus leak miss one by {deviation[row]:.3e}",
     )
-    p[p < tol.pruning] = 0.0
+    p[p < TOL.pruning] = 0.0
     return outcomes, by_sector, p, leak
 
 
@@ -341,7 +339,6 @@ def fold_amplitude(
     omega: np.ndarray,
     phi: np.ndarray,
     gamma: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> complex:
     """Amplitude <bra|ket> between two symmetrized boson product states.
 
@@ -356,7 +353,7 @@ def fold_amplitude(
     n_up give exactly 0.  Raises SizeLimitError above N = 170.
     """
     _require_fold_size("amplitude", theta.shape[1])
-    c, s, r = _mode_amplitudes(theta, omega, phi, gamma, tol)
+    c, s, r = _mode_amplitudes(theta, omega, phi, gamma)
     if bra_n_up != ket_n_up:
         return 0j
     blocks = (slice(None, ket_n_up), slice(ket_n_up, None))
@@ -382,16 +379,16 @@ def _angle_rows(ensemble: ParticleEnsemble) -> np.ndarray:
 
 
 def _sector_walk(
-    outcomes: np.ndarray, p: np.ndarray, tol: Tolerances
+    outcomes: np.ndarray, p: np.ndarray
 ) -> List[Tuple[int, float, List[Tuple[int, complex]]]]:
     """The nonempty sectors of one projection of :func:`_project_batch`,
     from its outcome amplitudes (n_up+1, N-n_up+1) and sector
     probabilities (N+1,), as (q, p_q, state) with q descending.
 
     A sector's state lists (alpha, amplitude) with alpha ascending: the
-    outcome amplitudes above ``tol.pruning``, divided by sqrt(p_q) and
+    outcome amplitudes above ``TOL.pruning``, divided by sqrt(p_q) and
     pruned again.  Raises ConsistencyError when a state is off unit norm by
-    more than ``tol.normalization`` (at least 1e-12).
+    more than ``TOL.normalization``.
     """
     outcomes = outcomes.tolist()
     n_up, n_down = len(outcomes) - 1, len(outcomes[0]) - 1
@@ -404,10 +401,10 @@ def _sector_walk(
         for alpha in range(max(0, q - n_down), min(q, n_up) + 1):
             amp = outcomes[alpha][q - alpha]
             value = amp / root
-            if abs(amp) > tol.pruning and abs(value) > tol.pruning:
+            if abs(amp) > TOL.pruning and abs(value) > TOL.pruning:
                 state.append((alpha, value))
         norm = math.sqrt(sum(abs(value) ** 2 for _, value in state))
-        if abs(norm - 1.0) > max(tol.normalization, 1e-12):
+        if abs(norm - 1.0) > TOL.normalization:
             raise ConsistencyError(f"sector q = {q} has norm {norm!r}")
         sectors.append((q, probability, state))
     return sectors
@@ -415,7 +412,6 @@ def _sector_walk(
 
 def project_onto_detectors(
     ensemble: ParticleEnsemble,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SectorDecomposition:
     """Project the symmetrized ensemble state onto the two-detector subspace.
 
@@ -424,16 +420,16 @@ def project_onto_detectors(
     detector outcome keys and the weight of the outcomes outside the
     detectors as ``leak_probability``.  Raises ConsistencyError when the
     sector probabilities plus the leak miss one by more than
-    ``tol.normalization``.
+    ``TOL.normalization``.
     """
-    outcomes, _, p, leak = _project_batch(ensemble.n_up, *_angle_rows(ensemble), tol)
+    outcomes, _, p, leak = _project_batch(ensemble.n_up, *_angle_rows(ensemble))
     sectors: List[Sector] = []
-    for q, probability, state in _sector_walk(outcomes[0], p[0], tol):
+    for q, probability, state in _sector_walk(outcomes[0], p[0]):
         amps = {
             detection_key(ensemble, DetectionMatrixSpec(alpha, q - alpha)): value
             for alpha, value in state
         }
-        ket = SymmetricKet(ensemble.n_total, Statistics.BOSON, amps, normalized=True, tol=tol)
+        ket = SymmetricKet(ensemble.n_total, Statistics.BOSON, amps, normalized=True)
         sectors.append(Sector(q, probability, ket))
     return SectorDecomposition(tuple(sectors), float(leak[0]))
 
@@ -445,7 +441,6 @@ def sweep_grid(
     phi: np.ndarray,
     gamma: np.ndarray,
     measure: str = "concurrence",
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projection and postselected entanglement of G ensembles at once.
 
@@ -458,12 +453,12 @@ def sweep_grid(
     The entanglement is :func:`_postselected` of the projection.  A failed
     check raises RowError naming the first failing row.
     """
-    _, by_sector, p, leak = _project_batch(n_up, theta, omega, phi, gamma, tol)
-    return p, leak, _postselected(by_sector, p, measure, tol)
+    _, by_sector, p, leak = _project_batch(n_up, theta, omega, phi, gamma)
+    return p, leak, _postselected(by_sector, p, measure)
 
 
 def _postselected(
-    by_sector: np.ndarray, p: np.ndarray, measure: str, tol: Tolerances
+    by_sector: np.ndarray, p: np.ndarray, measure: str
 ) -> np.ndarray:
     """Postselected average of ``measure`` over G projections, from the
     kept outcome weights (G, N+1, n_up+1) and sector probabilities (G, N+1)
@@ -473,16 +468,16 @@ def _postselected(
     |U[alpha] D[q-alpha]|^2 / p_q, one term per kept outcome, since distinct
     alpha give distinct keys on both sides (:func:`sector_entanglement`
     reads them from an SVD instead).  A row whose sum(p) is at most
-    ``tol.pruning`` reads 0.
+    ``TOL.pruning`` reads 0.
     """
     schmidt = np.divide(
         by_sector, p[..., None], out=np.zeros_like(by_sector), where=p[..., None] > 0.0
     )
     terms = np.count_nonzero(by_sector, axis=2)
-    sector_values = weight_measure(schmidt, terms, measure, tol)
+    sector_values = weight_measure(schmidt, terms, measure)
     # postselected: sector weights renormalized over the detected probability
     total_p = p.sum(axis=1)[:, None]
-    share = np.divide(p, total_p, out=np.zeros_like(p), where=total_p > tol.pruning)
+    share = np.divide(p, total_p, out=np.zeros_like(p), where=total_p > TOL.pruning)
     return (share * sector_values).sum(axis=1)
 
 
@@ -500,7 +495,6 @@ def _side_particle_count(state: SymmetricKet, side_labels: Tuple[str, ...]) -> i
 def sector_reduced_density(
     state: SymmetricKet,
     traced_side: str = "L",
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DensityMatrix:
     """Reduced density matrix of a sector state after tracing out one side.
 
@@ -518,13 +512,12 @@ def sector_reduced_density(
         )
         for a in range(q + 1)
     ]
-    return symmetrized_partial_trace(pure_to_density(state, tol=tol), basis, tol=tol)
+    return symmetrized_partial_trace(pure_to_density(state), basis)
 
 
 def sector_entanglement(
     state: SymmetricKet,
     measure: str = "entropy",
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Entanglement of one sector state across the two detector sides.
 
@@ -543,13 +536,12 @@ def sector_entanglement(
     matrix = mode_split_matrix(state, ModeSplit())[0]
     weights = np.linalg.svd(matrix, compute_uv=False) ** 2
     weights /= weights.sum()
-    return float(weight_measure(weights, weights.size, measure, tol))
+    return float(weight_measure(weights, weights.size, measure))
 
 
 def entanglement_of_particles(
     ensemble: ParticleEnsemble,
     measure: str = "concurrence",
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Postselected average entanglement sum_q p_q E(sector_q).
 
@@ -558,7 +550,7 @@ def entanglement_of_particles(
     to sum to one when some probability leaks outside the detector
     subspace.  Returns 0 when every particle misses both detectors.
     """
-    return float(sweep_grid(ensemble.n_up, *_angle_rows(ensemble), measure, tol)[2][0])
+    return float(sweep_grid(ensemble.n_up, *_angle_rows(ensemble), measure)[2][0])
 
 
 @dataclass(frozen=True)
@@ -573,7 +565,6 @@ class SeparabilityVerdict:
 def theorem1_separability_check(
     ensemble: ParticleEnsemble,
     measure: str = "concurrence",
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SeparabilityVerdict:
     """Check the coherence criterion: if every spin-up particle or every
     spin-down particle has zero spatial coherence, the projected state is
@@ -582,8 +573,8 @@ def theorem1_separability_check(
     cs = ensemble.coherences()
     ups = cs[: ensemble.n_up]
     downs = cs[ensemble.n_up :]
-    criterion = all(c <= tol.coherence_zero for c in ups) or all(
-        c <= tol.coherence_zero for c in downs
+    criterion = all(c <= TOL.coherence_zero for c in ups) or all(
+        c <= TOL.coherence_zero for c in downs
     )
-    value = entanglement_of_particles(ensemble, measure=measure, tol=tol)
-    return SeparabilityVerdict(criterion, value, value < tol.separability)
+    value = entanglement_of_particles(ensemble, measure=measure)
+    return SeparabilityVerdict(criterion, value, value < TOL.separability)

@@ -23,27 +23,27 @@ from .states import (
     SymmetricKet,
     occupation_key,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 
 def von_neumann_entropy(
-    rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
+    rho: DensityMatrix,
 ) -> float:
     """Entropy in bits (:func:`entropy_bits`) of the eigenvalues of a
     trace-1 density matrix."""
     trace = rho.trace
-    if abs(trace - 1.0) > tol.trace_check:
+    if abs(trace - 1.0) > TOL.trace_check:
         raise NormalizationError(
             f"entropy requires unit trace, got {trace!r}"
         )
-    return entropy_bits(rho.eigenvalues(), tol)
+    return entropy_bits(rho.eigenvalues())
 
 
-def entropy_bits(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def entropy_bits(weights) -> float:
     """Entropy -sum(l * log2(l)) of a probability vector, in bits
     (:func:`weight_measure` with every weight counted as a term)."""
     weights = np.asarray(weights, dtype=float)
-    return float(weight_measure(weights, weights.size, "entropy", tol))
+    return float(weight_measure(weights, weights.size, "entropy"))
 
 
 MEASURES = ("entropy", "concurrence")
@@ -53,7 +53,6 @@ def weight_measure(
     weights: np.ndarray,
     terms,
     measure: str,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """Entanglement of each row of squared Schmidt coefficients.
 
@@ -72,7 +71,7 @@ def weight_measure(
         )
     if measure == "entropy":
         # weights at or below the cutoff become 1, whose term is 0
-        kept = np.where(weights > tol.entropy_cutoff, weights, 1.0)
+        kept = np.where(weights > TOL.entropy_cutoff, weights, 1.0)
         s = -(kept * np.log2(kept)).sum(axis=-1)
         return np.minimum(np.maximum(s, 0.0), np.log2(np.maximum(terms, 1)))
     pairs = weights[..., 1:] * weights.cumsum(axis=-1)[..., :-1]
@@ -117,7 +116,6 @@ class SchmidtResult:
 def schmidt_decompose(
     psi: SymmetricKet,
     bipartition: Bipartition,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SchmidtResult:
     """Schmidt decomposition of a normalized pure state.
 
@@ -127,14 +125,14 @@ def schmidt_decompose(
     symmetric spin state and split its particle labels into two groups.
     """
     norm = psi.norm()
-    if abs(norm - 1.0) > tol.normalization:
+    if abs(norm - 1.0) > TOL.normalization:
         raise NormalizationError(f"schmidt_decompose needs a unit ket, norm = {norm!r}")
     if isinstance(bipartition, ModeSplit):
         m, left_keys, right_keys, n_left = mode_split_matrix(psi, bipartition)
         split = ("modes", n_left, psi.n_particles - n_left)
-        return _svd_result(m, left_keys, right_keys, split, psi.statistics, tol)
+        return _svd_result(m, left_keys, right_keys, split, psi.statistics)
     if isinstance(bipartition, LabelSplit):
-        return _schmidt_labels(psi, bipartition, tol)
+        return _schmidt_labels(psi, bipartition)
     raise BipartitionError(f"unsupported bipartition {bipartition!r}")
 
 
@@ -179,7 +177,7 @@ def mode_split_matrix(
 
 
 def _schmidt_labels(
-    psi: SymmetricKet, split: LabelSplit, tol: Tolerances
+    psi: SymmetricKet, split: LabelSplit
 ) -> SchmidtResult:
     if psi.statistics is not Statistics.BOSON:
         raise BipartitionError("label splits are defined for bosonic states")
@@ -211,7 +209,7 @@ def _schmidt_labels(
             m[kx, ky] += value * weight
     left_keys = [_dicke_key(mode, nx, kx) for kx in range(nx + 1)]
     right_keys = [_dicke_key(mode, ny, ky) for ky in range(ny + 1)]
-    return _svd_result(m, left_keys, right_keys, ("labels", nx, ny), psi.statistics, tol)
+    return _svd_result(m, left_keys, right_keys, ("labels", nx, ny), psi.statistics)
 
 
 def _dicke_key(mode: str, n: int, ups: int) -> OccupationKey:
@@ -226,17 +224,16 @@ def _svd_result(
     right_keys: Sequence[OccupationKey],
     bipartition: Tuple[str, int, int],
     statistics: Statistics,
-    tol: Tolerances,
 ) -> SchmidtResult:
     _, n_left, n_right = bipartition
     u, s, vh = np.linalg.svd(m)
-    keep = [i for i, val in enumerate(s) if val > tol.schmidt_cutoff]
+    keep = [i for i, val in enumerate(s) if val > TOL.schmidt_cutoff]
     coeffs = tuple(float(s[i]) for i in keep)
     left = tuple(
-        _basis_ket(n_left, left_keys, u[:, i], statistics, tol) for i in keep
+        _basis_ket(n_left, left_keys, u[:, i], statistics) for i in keep
     )
     right = tuple(
-        _basis_ket(n_right, right_keys, vh[i, :].conj(), statistics, tol)
+        _basis_ket(n_right, right_keys, vh[i, :].conj(), statistics)
         for i in keep
     )
     return SchmidtResult(coeffs, left, right, bipartition)
@@ -247,25 +244,23 @@ def _basis_ket(
     keys: Sequence[OccupationKey],
     column: np.ndarray,
     statistics: Statistics,
-    tol: Tolerances,
 ) -> SymmetricKet:
     amps = {k: complex(v) for k, v in zip(keys, column)}
-    return SymmetricKet(n, statistics, amps, normalized=True, tol=tol)
+    return SymmetricKet(n, statistics, amps, normalized=True)
 
 
 def concurrence_pure(
     psi: SymmetricKet,
     bipartition: Bipartition,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """I-concurrence sqrt(2 * (1 - Tr(rho_reduced^2))) of a pure state.
 
     Equals 2 * l1 * l2 for Schmidt-rank-2 states.
     """
     norm = psi.norm()
-    if abs(norm - 1.0) > tol.normalization:
+    if abs(norm - 1.0) > TOL.normalization:
         raise NormalizationError(f"concurrence_pure needs a unit ket, norm = {norm!r}")
-    coeffs = schmidt_decompose(psi, bipartition, tol=tol).coefficients
+    coeffs = schmidt_decompose(psi, bipartition).coefficients
     purity = sum(c ** 4 for c in coeffs)
     return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
 
@@ -382,7 +377,6 @@ def dicke_state(
     n_total: int,
     n_up: int,
     mode: str = "psi",
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SymmetricKet:
     """Symmetric state of n_total bosons in one spatial mode, n_up spin-up."""
     if not 0 <= n_up <= n_total or n_total < 1:
@@ -391,7 +385,7 @@ def dicke_state(
         [(mode, Spin.UP)] * n_up + [(mode, Spin.DOWN)] * (n_total - n_up)
     )
     return SymmetricKet(
-        n_total, Statistics.BOSON, {key: 1.0 + 0j}, normalized=True, tol=tol
+        n_total, Statistics.BOSON, {key: 1.0 + 0j}, normalized=True
     )
 
 
@@ -401,7 +395,6 @@ def verify_schmidt_equivalence(
     theta,
     omega,
     split: Tuple[int, int],
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SchmidtEquivalenceReport:
     """Compare label-group Schmidt coefficients with mode-split ones.
 
@@ -415,7 +408,7 @@ def verify_schmidt_equivalence(
     particles reproduces the input coefficients exactly; distinct angles
     generally do not, and the deviation is reported.
     """
-    from .detection import ParticleEnsemble, project_onto_detectors
+    from .detection import ParticleEnsemble, _require_fold_size, project_onto_detectors
 
     n_left, n_right = split
     if n_left + n_right != n_total:
@@ -427,17 +420,19 @@ def verify_schmidt_equivalence(
     thetas = _broadcast_angle(theta, n_total, "theta")
     omegas = _broadcast_angle(omega, n_total, "omega")
 
-    reference = dicke_state(n_total, n_up, tol=tol)
-    input_coeffs = schmidt_decompose(
-        reference, LabelSplit(n_left, n_right), tol=tol
-    ).coefficients
-
+    reference = dicke_state(n_total, n_up)
     ensemble = ParticleEnsemble(
         n_up, tuple(SpatialMode(theta=t, omega=w) for t, w in zip(thetas, omegas))
     )
-    decomposition = project_onto_detectors(ensemble, tol=tol)
+    # the projection's cap, checked before the O(N^3) label split below
+    _require_fold_size("projection", n_total)
+    input_coeffs = schmidt_decompose(
+        reference, LabelSplit(n_left, n_right)
+    ).coefficients
+
+    decomposition = project_onto_detectors(ensemble)
     sector = decomposition.sector(n_left)
-    output_coeffs = schmidt_decompose(sector.state, ModeSplit(), tol=tol).coefficients
+    output_coeffs = schmidt_decompose(sector.state, ModeSplit()).coefficients
 
     width = max(len(input_coeffs), len(output_coeffs))
     padded_in = list(input_coeffs) + [0.0] * (width - len(input_coeffs))

@@ -29,7 +29,7 @@ from .states import (
     expand_first_quantized,
     occupation_key,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 #: most terms (slot assignment x label choice) one temporary array holds
 LEAF_CHUNK = 2 ** 16
@@ -95,7 +95,6 @@ def expansion_inner_product(
 def collect_expansion(
     kets: Sequence[SingleParticleKet],
     statistics: Statistics = Statistics.BOSON,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Dict[OccupationKey, complex]:
     """Occupation amplitudes of the expanded product state.
 
@@ -174,7 +173,7 @@ def collect_expansion(
     return {
         tuple(basis[c] for c in row): complex(amp)
         for row, amp in zip(labels.tolist(), total.tolist())
-        if abs(amp) > tol.pruning
+        if abs(amp) > TOL.pruning
     }
 
 
@@ -190,15 +189,14 @@ def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.nd
 def collected_product_state(
     kets: Sequence[SingleParticleKet],
     statistics: Statistics = Statistics.BOSON,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SymmetricKet:
     """Expanded-and-collected product state (combinatorial normalization)."""
-    amps = collect_expansion(kets, statistics, tol=tol)
-    return SymmetricKet(len(kets), statistics, amps, tol=tol)
+    amps = collect_expansion(kets, statistics)
+    return SymmetricKet(len(kets), statistics, amps)
 
 
 def project_by_substitution(
-    ensemble: ParticleEnsemble, tol: Tolerances = DEFAULT_TOLERANCES
+    ensemble: ParticleEnsemble,
 ) -> Tuple[Dict[int, Dict[OccupationKey, complex]], float]:
     """Detector projection by term-by-term substitution in the expansion.
 
@@ -207,8 +205,8 @@ def project_by_substitution(
     normalizes, and groups the detector-supported keys by the particle
     number q at L.  Returns (sectors, leak) with normalized amplitudes.
     """
-    kets = ensemble.kets(tol=tol)
-    amps = collect_expansion(kets, Statistics.BOSON, tol=tol)
+    kets = ensemble.kets()
+    amps = collect_expansion(kets, Statistics.BOSON)
     norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
     sectors: Dict[int, Dict[OccupationKey, complex]] = {}
     leak = 0.0

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import ConsistencyError, NullStateError, SizeLimitError
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 EXPANSION_SIZE_LIMIT = 6
 
@@ -88,6 +88,10 @@ class SpatialMode:
     gamma: float = 0.0
 
     def __post_init__(self):
+        for name in ("theta", "omega", "phi", "gamma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConsistencyError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.theta <= math.pi / 2:
             raise ConsistencyError(f"theta must lie in [0, pi/2], got {self.theta}")
         if not 0.0 <= self.phi <= math.pi / 2:
@@ -116,17 +120,16 @@ class SingleParticleKet:
         amplitudes: Mapping[BasisLabel, complex],
         *,
         unnormalized: bool = False,
-        tol: Tolerances = DEFAULT_TOLERANCES,
     ):
         amps = {
             label: complex(value)
             for label, value in amplitudes.items()
-            if abs(value) > tol.pruning
+            if abs(value) > TOL.pruning
         }
         self._amps = amps
         if not unnormalized:
             n = self.norm()
-            if abs(n - 1.0) > tol.normalization:
+            if abs(n - 1.0) > TOL.normalization:
                 raise ConsistencyError(
                     f"single-particle ket must be unit norm, got {n!r} "
                     "(pass unnormalized=True to skip the check)"
@@ -170,7 +173,7 @@ class SingleParticleKet:
         return f"SingleParticleKet({{{parts}}})"
 
 
-def mode_ket(mode: SpatialMode, spin: Spin, tol: Tolerances = DEFAULT_TOLERANCES) -> SingleParticleKet:
+def mode_ket(mode: SpatialMode, spin: Spin) -> SingleParticleKet:
     """Unit-norm single-particle ket for a spatial mode with a fixed spin.
 
     Amplitudes are sin(phi)cos(theta) on (L, spin), sin(phi)sin(theta)e^{i omega}
@@ -184,7 +187,7 @@ def mode_ket(mode: SpatialMode, spin: Spin, tol: Tolerances = DEFAULT_TOLERANCES
         ("R", spin): sin_phi * math.sin(mode.theta) * _phase(mode.omega),
         (REMAINDER_LABEL, spin): cos_phi * _phase(mode.gamma),
     }
-    return SingleParticleKet(amps, tol=tol)
+    return SingleParticleKet(amps)
 
 
 def _phase(angle: float) -> complex:
@@ -261,7 +264,6 @@ class SymmetricKet:
         amplitudes: Mapping[OccupationKey, complex],
         *,
         normalized: bool = False,
-        tol: Tolerances = DEFAULT_TOLERANCES,
     ):
         if n_particles < 0:
             raise ConsistencyError("n_particles must be >= 0")
@@ -278,7 +280,7 @@ class SymmetricKet:
                 raise ConsistencyError(
                     f"fermionic key {key} repeats a basis pair (Pauli exclusion)"
                 )
-            if abs(value) > tol.pruning:
+            if abs(value) > TOL.pruning:
                 amps[canon] = complex(value)
         self.n_particles = n_particles
         self.statistics = statistics
@@ -286,7 +288,7 @@ class SymmetricKet:
         self.normalized = normalized
         if normalized:
             n = self.norm()
-            if abs(n - 1.0) > max(tol.normalization, 1e-12):
+            if abs(n - 1.0) > TOL.normalization:
                 raise ConsistencyError(
                     f"state flagged normalized has norm {n!r}"
                 )
@@ -333,16 +335,15 @@ class SymmetricKet:
             if k in self._amps
         )
 
-    def normalized_copy(self, tol: Tolerances = DEFAULT_TOLERANCES) -> "SymmetricKet":
+    def normalized_copy(self) -> "SymmetricKet":
         n = self.norm()
-        if n <= tol.pruning:
+        if n <= TOL.pruning:
             raise NullStateError("cannot normalize a null state")
         return SymmetricKet(
             self.n_particles,
             self.statistics,
             {k: v / n for k, v in self._amps.items()},
             normalized=True,
-            tol=tol,
         )
 
     def __repr__(self):
@@ -386,7 +387,6 @@ def _creation_fold(
 def symmetrize_product(
     kets: Sequence[SingleParticleKet],
     statistics: Statistics = Statistics.BOSON,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SymmetricKet:
     """(Anti)symmetrized product state with the combinatorial normalization.
 
@@ -400,13 +400,12 @@ def symmetrize_product(
         math.prod(math.factorial(v) for v in ket_multiplicities(kets))
     )
     amps = {k: v / scale for k, v in fold.items()}
-    return SymmetricKet(len(kets), statistics, amps, tol=tol)
+    return SymmetricKet(len(kets), statistics, amps)
 
 
 def make_product_state(
     kets: Sequence[SingleParticleKet],
     statistics: Statistics = Statistics.BOSON,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SymmetricKet:
     """Unit-norm (anti)symmetrized state of the given single-particle kets.
 
@@ -415,9 +414,9 @@ def make_product_state(
     """
     if not kets:
         raise ConsistencyError("at least one ket is required")
-    raw = symmetrize_product(kets, statistics, tol=tol)
+    raw = symmetrize_product(kets, statistics)
     n = raw.norm()
-    if n <= tol.pruning:
+    if n <= TOL.pruning:
         raise NullStateError(
             "antisymmetrized state vanishes identically (Pauli exclusion)"
         )
@@ -426,14 +425,12 @@ def make_product_state(
         statistics,
         {k: v / n for k, v in raw.items()},
         normalized=True,
-        tol=tol,
     )
 
 
 def expand_first_quantized(
     kets: Sequence[SingleParticleKet],
     statistics: Statistics = Statistics.BOSON,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Dict[Tuple[int, ...], complex]:
     """Literal pseudo-labeled expansion of the symmetrized product state.
 
@@ -470,7 +467,7 @@ def expand_first_quantized(
     terms: Dict[Tuple[int, ...], complex] = {}
     for key, coeff in zip(map(tuple, np.array(reps)[perms].tolist()), coeffs.tolist()):
         terms[key] = terms.get(key, 0j) + coeff
-    return {k: v for k, v in terms.items() if abs(v) > tol.pruning}
+    return {k: v for k, v in terms.items() if abs(v) > TOL.pruning}
 
 
 def _odd_inversions(rows: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 All numerical thresholds used by the package live in one frozen record so
 that comparisons, normalization checks and sparse pruning stay consistent
-across modules.
+across modules.  The library reads the fixed ``DEFAULT_TOLERANCES``
+directly; only the ``verify`` suites take a ``Tolerances``, built by
+:func:`tolerances_from_env`, for the thresholds they count failures
+against.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ DEFAULT_TOLERANCES = Tolerances()
 def tolerances_from_env(environ=None) -> Tolerances:
     """Return the default tolerances, with the comparison (and separability)
     threshold overridden by ``IDENTANGLE_TOL`` when set.  These set the
-    thresholds ``verify`` counts failures against; the run-time invariants
-    read ``normalization``, which the variable leaves alone.
+    thresholds ``verify`` counts failures against and nothing else: the
+    library reads ``DEFAULT_TOLERANCES``.
 
     Raises ConfigError when the variable holds anything but a positive,
     finite float.

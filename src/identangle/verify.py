@@ -122,7 +122,7 @@ def _report(
     }
 
 
-def _concurrences(ensembles: Sequence[ParticleEnsemble], tol: Tolerances) -> np.ndarray:
+def _concurrences(ensembles: Sequence[ParticleEnsemble]) -> np.ndarray:
     """Postselected average concurrence of each ensemble, as
     :func:`detection.entanglement_of_particles` gives it, from one
     :func:`detection.sweep_grid` call per (N, n_up) group."""
@@ -132,7 +132,7 @@ def _concurrences(ensembles: Sequence[ParticleEnsemble], tol: Tolerances) -> np.
     values = np.empty(len(ensembles))
     for (_, n_up), cases in groups.items():
         angles = np.concatenate([_angle_rows(ensembles[case]) for case in cases], axis=1)
-        values[cases] = sweep_grid(n_up, *angles, "concurrence", tol)[2]
+        values[cases] = sweep_grid(n_up, *angles, "concurrence")[2]
     return values
 
 
@@ -161,11 +161,11 @@ def suite_theorem1(
                 SpatialMode(theta=theta, omega=float(rng.uniform(0, 2 * math.pi)))
             )
         ensembles.append(ParticleEnsemble(n_up, tuple(modes)))
-    errors = _concurrences(ensembles, tol)
+    errors = _concurrences(ensembles)
     ok = errors < tol.separability
     for case, ensemble in enumerate(ensembles):
-        for sector in project_onto_detectors(ensemble, tol=tol).sectors:
-            evs = sector_reduced_density(sector.state, tol=tol).eigenvalues()
+        for sector in project_onto_detectors(ensemble).sectors:
+            evs = sector_reduced_density(sector.state).eigenvalues()
             second = float(evs[-2]) if len(evs) > 1 else 0.0
             errors[case] = max(errors[case], second)
             if second > tol.separability:
@@ -203,7 +203,7 @@ def suite_n2_closed_form(
                     )
                 )
                 expected.append(closed)
-    errors = np.abs(_concurrences(ensembles, tol) - expected)
+    errors = np.abs(_concurrences(ensembles) - expected)
     return _report(
         "n2-closed-form", seed, errors, np.count_nonzero(errors >= tol.comparison),
         lambda case: _ensemble_inputs(ensembles[case]),
@@ -257,7 +257,7 @@ def suite_n3_closed_form(
                 same_side,
             )
         )
-    values = _concurrences(ensembles, tol)
+    values = _concurrences(ensembles)
     errors = np.maximum(np.abs(values - theta_forms), np.abs(values - coherence_forms))
     return _report(
         "n3-closed-form", seed, errors, np.count_nonzero(errors >= threshold),
@@ -266,14 +266,14 @@ def suite_n3_closed_form(
 
 
 def label_split_error(
-    n_total: int, n_up: int, n_left: int, tol: Tolerances = DEFAULT_TOLERANCES
+    n_total: int, n_up: int, n_left: int
 ) -> float:
     """Largest deviation of the label-split Schmidt coefficients of the
     Dicke state (n_total, n_up) across n_left | n_total - n_left from the
     binomial closed form."""
     n_right = n_total - n_left
-    state = dicke_state(n_total, n_up, tol=tol)
-    result = schmidt_decompose(state, LabelSplit(n_left, n_right), tol=tol)
+    state = dicke_state(n_total, n_up)
+    result = schmidt_decompose(state, LabelSplit(n_left, n_right))
     expected = sorted(
         (
             math.sqrt(
@@ -293,11 +293,11 @@ def label_split_error(
 
 
 def mode_split_error(
-    theta: float, omega: float, tol: Tolerances = DEFAULT_TOLERANCES
+    theta: float, omega: float
 ) -> float:
     """Deviation of the (3, 2) mode-splitting equivalence at shared angles,
     split (2, 1), from the input form and from sqrt(2/3), sqrt(1/3)."""
-    report = verify_schmidt_equivalence(3, 2, theta, omega, (2, 1), tol=tol)
+    report = verify_schmidt_equivalence(3, 2, theta, omega, (2, 1))
     expected = sorted((math.sqrt(1 / 3), math.sqrt(2 / 3)), reverse=True)
     return max(
         report.max_abs_diff,
@@ -318,13 +318,13 @@ def suite_schmidt(
     for n_total in range(2, max_n + 1):
         for n_up in range(0, n_total + 1):
             for n_left in range(1, n_total):
-                errors.append(label_split_error(n_total, n_up, n_left, tol))
+                errors.append(label_split_error(n_total, n_up, n_left))
                 inputs.append({"n_total": n_total, "n_up": n_up, "n_left": n_left})
     # mode splitting at shared random angles reproduces the input form
     for _ in range(10):
         theta = float(rng.uniform(0.1, math.pi / 2 - 0.1))
         omega = float(rng.uniform(0.0, 2.0 * math.pi))
-        errors.append(mode_split_error(theta, omega, tol))
+        errors.append(mode_split_error(theta, omega))
         inputs.append({"theta": theta, "omega": omega})
     failures = sum(err >= tol.comparison for err in errors)
     return _report("schmidt", seed, errors, failures, inputs.__getitem__)
@@ -339,12 +339,12 @@ def amplitude_oracle_error(
 
 
 def projection_oracle_error(
-    ensemble: ParticleEnsemble, tol: Tolerances = DEFAULT_TOLERANCES
+    ensemble: ParticleEnsemble,
 ) -> float:
     """Largest deviation of the fold projection's leak and unnormalized
     sector amplitudes from :func:`oracles.project_by_substitution`."""
-    decomposition = project_onto_detectors(ensemble, tol=tol)
-    oracle_sectors, oracle_leak = project_by_substitution(ensemble, tol=tol)
+    decomposition = project_onto_detectors(ensemble)
+    oracle_sectors, oracle_leak = project_by_substitution(ensemble)
     err = abs(decomposition.leak_probability - oracle_leak)
     for sector in decomposition.sectors:
         reference = oracle_sectors.get(sector.q, {})
@@ -374,7 +374,7 @@ def suite_oracle(
     for n in range(2, max_n + 1):
         for _ in range(cases_per_n):
             ensemble = random_ensemble(rng, n, allow_leak=False)
-            errors.append(projection_oracle_error(ensemble, tol))
+            errors.append(projection_oracle_error(ensemble))
             inputs.append(ensemble)
 
     def case_inputs(case: int) -> Dict:

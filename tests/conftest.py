@@ -19,15 +19,15 @@ def random_ket(rng, labels=LR_LABELS):
     return SingleParticleKet({lab: complex(a) for lab, a in zip(labels, v)})
 
 
-def svd_route_entanglement(decomposition, measure, tol=DEFAULT_TOLERANCES):
+def svd_route_entanglement(decomposition, measure):
     """Postselected entanglement of a projection through the reference route:
     sum_q (p_q / sum p) * sector_entanglement(sector_q), 0 when sum p <=
-    tol.pruning."""
+    the pruning tolerance."""
     total_p = sum(s.probability for s in decomposition.sectors)
-    if total_p <= tol.pruning:
+    if total_p <= DEFAULT_TOLERANCES.pruning:
         return 0.0
     return sum(
-        s.probability / total_p * sector_entanglement(s.state, measure, tol=tol)
+        s.probability / total_p * sector_entanglement(s.state, measure)
         for s in decomposition.sectors
     )
 

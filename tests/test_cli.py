@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from identangle import cli, detection
+from identangle import cli, detection, measures
 from identangle.cli import main
 from identangle.config import (
     MAX_GRID_POINTS,
@@ -477,6 +477,24 @@ def test_schmidt_split_validation(runner):
     assert result.exit_code == 2
 
 
+def test_schmidt_over_the_cap_exits_2_before_the_label_split(runner, monkeypatch):
+    def label_split(*args, **kwargs):
+        raise AssertionError("label split computed above the projection cap")
+
+    monkeypatch.setattr(measures, "schmidt_decompose", label_split)
+    result = runner.invoke(main, ["schmidt", "--n-total", "1200", "--n-up", "600", "--split", "600,600"])
+    assert_usage_error(result, "projection is capped at N <= 170, got N = 1200")
+
+
+def test_schmidt_rejects_non_finite_angles(runner):
+    for option in ("--theta", "--omega"):
+        for value in ("inf", "-inf", "nan"):
+            result = runner.invoke(main, [
+                "schmidt", "--n-total", "3", "--n-up", "2", "--split", "2,1", option, value,
+            ])
+            assert_usage_error(result, f"{option[2:]} must be finite, got {value}")
+
+
 def test_verify_suite_runs(runner):
     result = runner.invoke(main, ["verify", "schmidt", "--seed", "3"])
     assert result.exit_code == 0, result.output
@@ -526,6 +544,51 @@ def test_strict_tolerance_leaves_run_time_checks_alone(runner, tmp_path, monkeyp
         assert json.loads(result.output)["cases"] > 0
     result = runner.invoke(main, ["verify", "oracle", "--cases", "30", "--seed", "3"])
     assert result.exit_code == 1 and json.loads(result.output)["failures"] > 0
+
+
+def test_tolerance_env_reaches_only_verify_failure_counts(runner, tmp_path, monkeypatch):
+    particles = [
+        {"spin": "up", "theta": 0.4, "omega": 1.1},
+        {"spin": "down", "theta": 1.2, "omega": 0.3, "phi": 1.1, "gamma": 2.0},
+        {"spin": "up", "theta": math.pi / 4, "phi": 1.4},
+    ]
+    bra = [dict(p, omega=p.get("omega", 0.0) + 0.2) for p in particles]
+    cfg = write(tmp_path, "cfg.json", {"particles": particles})
+    bra_cfg = write(tmp_path, "bra.json", {"particles": bra})
+    fermions = write(tmp_path, "fermions.json", {"statistics": "fermion", "particles": particles})
+    fermion_bra = write(tmp_path, "fermion-bra.json", {"statistics": "fermion", "particles": bra})
+    sweep = write(tmp_path, "sweep.json", {"axes": [
+        {"path": "particles[0].theta", "start": 0.0, "stop": 1.5, "steps": 7},
+        {"path": "particles[2].omega", "values": [-1.0, 0.0, 7.0]},
+    ]})
+    commands = [
+        ["project", "--config", cfg],
+        ["sweep", "--config", cfg, "--sweep", sweep],
+        ["sweep", "--config", cfg, "--sweep", sweep, "--format", "json", "--measure", "entropy"],
+        ["amplitude", "--config", cfg, "--bra-config", bra_cfg],
+        ["amplitude", "--config", fermions, "--bra-config", fermion_bra],
+        ["schmidt", "--n-total", "4", "--n-up", "2", "--split", "3,1", "--theta", "0.3,0.5,0.7,0.9"],
+        ["echo-config", "--config", cfg],
+    ]
+    suites = [["verify", suite, "--seed", "5", "--cases", "40"] for suite in ("theorem1", "n3-closed-form")]
+    seen = {}
+    for value in (None, "1e-3", "1e-17"):
+        if value is None:
+            monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(TOLERANCE_ENV_VAR, value)
+        outputs = []
+        for argv in commands:
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 0, (argv, result.output)
+            outputs.append(result.stdout_bytes)
+        for argv in suites:
+            report = json.loads(runner.invoke(main, argv).stdout_bytes)
+            report.pop("failures")
+            outputs.append(report)
+        seen[value] = outputs
+    assert seen["1e-3"] == seen[None]
+    assert seen["1e-17"] == seen[None]
 
 
 def test_tolerance_env_override(runner, tmp_path, monkeypatch):
@@ -649,8 +712,8 @@ def test_verify_schmidt_rejects_cases(runner):
 def test_probability_sum_invariant_exits_2(runner, tmp_path, monkeypatch):
     block = detection._detector_block
 
-    def skewed_block(c, s, r, tol):
-        amps, detected, leaked = block(c, s, r, tol)
+    def skewed_block(c, s, r):
+        amps, detected, leaked = block(c, s, r)
         return amps, detected, leaked + 1e-6
 
     monkeypatch.setattr(detection, "_detector_block", skewed_block)
@@ -790,8 +853,8 @@ def test_sweep_failure_names_first_failing_row(runner, tmp_path, monkeypatch):
     block = detection._detector_block
     cut = math.cos(1.0)
 
-    def skewed_block(c, s, r, tol):
-        amps, detected, leaked = block(c, s, r, tol)
+    def skewed_block(c, s, r):
+        amps, detected, leaked = block(c, s, r)
         # only the up block, and only where particle 0 has theta > 1
         if c.shape[1] == 1 and r.shape[1] == 1:
             leaked = leaked + 1e-6 * (abs(c[:, 0]) < cut)

@@ -406,7 +406,7 @@ def test_detector_block_names_first_vanishing_row():
     s = np.array([[0.8, 1.0], [0.0, 0.0], [1.0, 0.0]], dtype=complex)
     r = np.zeros((3, 2), dtype=complex)
     with pytest.raises(RowError, match="vanishing norm") as info:
-        detection._detector_block(c, s, r, DEFAULT_TOLERANCES)
+        detection._detector_block(c, s, r)
     assert info.value.row == 1
 
 

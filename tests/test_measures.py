@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from identangle import measures
 from identangle.algebra import DensityMatrix, convex_mixture, pure_to_density
 from identangle.detection import ParticleEnsemble, entanglement_of_particles
 from identangle.errors import (
     BipartitionError,
     ConsistencyError,
     NormalizationError,
+    SizeLimitError,
 )
 from identangle.measures import (
     LabelSplit,
@@ -273,6 +275,16 @@ def test_verify_schmidt_equivalence_partial_overlap_breaks():
 def test_verify_schmidt_equivalence_split_validation():
     with pytest.raises(ConsistencyError):
         verify_schmidt_equivalence(3, 2, 0.5, 0.0, (2, 2))
+
+
+def test_verify_schmidt_equivalence_checks_the_cap_before_the_label_split(monkeypatch):
+    # the label split costs O(N^3): N = 1200 took 70 s before failing the cap
+    def label_split(*args, **kwargs):
+        raise AssertionError("label split computed above the projection cap")
+
+    monkeypatch.setattr(measures, "schmidt_decompose", label_split)
+    with pytest.raises(SizeLimitError, match="projection is capped at N <= 170, got N = 171"):
+        verify_schmidt_equivalence(171, 85, 0.7, 0.0, (85, 86))
 
 
 def test_two_boson_closed_form_grid(rng):

@@ -84,6 +84,15 @@ def test_mode_angle_validation():
         SpatialMode(theta=0.3, phi=3.0)
 
 
+@pytest.mark.parametrize("angle", ["theta", "omega", "phi", "gamma"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_mode_rejects_non_finite_angles(angle, value):
+    # a non-finite phase used to be stored as NaN and fail later, elsewhere
+    angles = {"theta": 0.3, "omega": 0.1, "phi": 1.0, "gamma": 0.2, angle: value}
+    with pytest.raises(ConsistencyError, match=f"{angle} must be finite, got {value}"):
+        SpatialMode(**angles)
+
+
 def test_phases_wrap():
     mode = SpatialMode(theta=0.3, omega=2 * math.pi + 0.5, gamma=-0.5)
     assert abs(mode.omega - 0.5) < 1e-12

@@ -52,10 +52,10 @@ TOL = DEFAULT_TOLERANCES
 
 def theorem1_case(ensemble):
     """(error, failed) of one zero-coherence case."""
-    value = entanglement_of_particles(ensemble, "concurrence", tol=TOL)
+    value = entanglement_of_particles(ensemble, "concurrence")
     error, failed = value, value >= TOL.separability
-    for sector in project_onto_detectors(ensemble, tol=TOL).sectors:
-        evs = sector_reduced_density(sector.state, tol=TOL).eigenvalues()
+    for sector in project_onto_detectors(ensemble).sectors:
+        evs = sector_reduced_density(sector.state).eigenvalues()
         second = float(evs[-2]) if len(evs) > 1 else 0.0
         error = max(error, second)
         failed = failed or second > TOL.separability
@@ -63,14 +63,14 @@ def theorem1_case(ensemble):
 
 
 def n2_case(ensemble):
-    value = entanglement_of_particles(ensemble, "concurrence", tol=TOL)
+    value = entanglement_of_particles(ensemble, "concurrence")
     t1, t2 = (m.theta for m in ensemble.modes)
     error = abs(value - two_boson_average_concurrence(t1, t2))
     return error, error >= TOL.comparison
 
 
 def n3_case(ensemble):
-    value = entanglement_of_particles(ensemble, "concurrence", tol=TOL)
+    value = entanglement_of_particles(ensemble, "concurrence")
     thetas = tuple(m.theta for m in ensemble.modes)
     omegas = tuple(m.omega for m in ensemble.modes)
     t1, t2, t3 = thetas
