@@ -33,7 +33,7 @@ from .config import (
     parse_sweep_spec,
 )
 from .detection import _postselected, _project_batch, _sector_walk, fold_amplitude, sweep_grid
-from .errors import ConsistencyError, IdentangleError, RowError
+from .errors import ConsistencyError, IdentangleError, NullStateError, RowError
 from .measures import verify_schmidt_equivalence
 from .states import Statistics
 from .algebra import transition_amplitude
@@ -114,6 +114,11 @@ def amplitude(config_path: str, bra_path: str, output: str):
             angles = np.array([bra_config.angles(), ket_config.angles()]).swapaxes(0, 1)
             value = fold_amplitude(bra_config.n_up, ket_config.n_up, *angles)
         else:
+            # every mode lies in span{L, R, chi}: four same-spin fermions vanish
+            for side, c in (("bra", bra_config), ("ket", ket_config)):
+                for spin, count in (("up", c.n_up), ("down", c.n_total - c.n_up)):
+                    if count > 3:
+                        raise NullStateError(f"{side} state is null: {count} spin-{spin} fermions in modes L, R, chi")
             value = transition_amplitude(
                 bra_config.ensemble().kets(),
                 ket_config.ensemble().kets(),

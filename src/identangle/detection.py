@@ -26,7 +26,7 @@ from .errors import (
     SectorError,
     SizeLimitError,
 )
-from .measures import ModeSplit, mode_split_matrix, weight_measure
+from .measures import ModeSplit, _dicke_key, mode_split_matrix, weight_measure
 from .states import (
     OccupationKey,
     SingleParticleKet,
@@ -35,7 +35,6 @@ from .states import (
     Statistics,
     SymmetricKet,
     mode_ket,
-    occupation_key,
     wrap_phase,
 )
 from .tolerances import DEFAULT_TOLERANCES as TOL
@@ -457,6 +456,17 @@ def sweep_grid(
     return p, leak, _postselected(by_sector, p, measure)
 
 
+def _schmidt_weights(by_sector: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Schmidt weights across L|R of the sectors of :func:`_project_batch`,
+    (G, N+1, n_up+1): sector q's outcome weights |U[alpha] D[q-alpha]|^2 / p_q,
+    one term each, since distinct alpha give distinct keys on both sides
+    (:func:`sector_entanglement` reads them from an SVD); empty sectors read 0.
+    """
+    return np.divide(
+        by_sector, p[..., None], out=np.zeros_like(by_sector), where=p[..., None] > 0.0
+    )
+
+
 def _postselected(
     by_sector: np.ndarray, p: np.ndarray, measure: str
 ) -> np.ndarray:
@@ -464,17 +474,12 @@ def _postselected(
     kept outcome weights (G, N+1, n_up+1) and sector probabilities (G, N+1)
     of :func:`_project_batch`.
 
-    Each sector's Schmidt weights across L|R are its outcome weights
-    |U[alpha] D[q-alpha]|^2 / p_q, one term per kept outcome, since distinct
-    alpha give distinct keys on both sides (:func:`sector_entanglement`
-    reads them from an SVD instead).  A row whose sum(p) is at most
-    ``TOL.pruning`` reads 0.
+    Each sector's measure is read from its :func:`_schmidt_weights`, one
+    term per kept outcome.  A row whose sum(p) is at most ``TOL.pruning``
+    reads 0.
     """
-    schmidt = np.divide(
-        by_sector, p[..., None], out=np.zeros_like(by_sector), where=p[..., None] > 0.0
-    )
     terms = np.count_nonzero(by_sector, axis=2)
-    sector_values = weight_measure(schmidt, terms, measure)
+    sector_values = weight_measure(_schmidt_weights(by_sector, p), terms, measure)
     # postselected: sector weights renormalized over the detected probability
     total_p = p.sum(axis=1)[:, None]
     share = np.divide(p, total_p, out=np.zeros_like(p), where=total_p > TOL.pruning)
@@ -506,12 +511,7 @@ def sector_reduced_density(
     if not state.keys():
         raise SectorError("sector state is empty")
     q = _side_particle_count(state, (traced_side,))
-    basis = [
-        occupation_key(
-            [(traced_side, Spin.UP)] * a + [(traced_side, Spin.DOWN)] * (q - a)
-        )
-        for a in range(q + 1)
-    ]
+    basis = [_dicke_key(traced_side, q, a) for a in range(q + 1)]
     return symmetrized_partial_trace(pure_to_density(state), basis)
 
 

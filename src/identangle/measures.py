@@ -7,6 +7,7 @@ expressions for the two- and three-boson detector averages.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
@@ -14,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .algebra import DensityMatrix
-from .errors import BipartitionError, ConsistencyError, NormalizationError
+from .errors import BipartitionError, ConsistencyError, NormalizationError, SectorError
 from .states import (
     OccupationKey,
     SpatialMode,
@@ -29,20 +30,15 @@ from .tolerances import DEFAULT_TOLERANCES as TOL
 def von_neumann_entropy(
     rho: DensityMatrix,
 ) -> float:
-    """Entropy in bits (:func:`entropy_bits`) of the eigenvalues of a
-    trace-1 density matrix."""
+    """Entropy -sum(l * log2(l)) in bits of the eigenvalues l of a
+    trace-1 density matrix (:func:`weight_measure` with every eigenvalue
+    counted as a term)."""
     trace = rho.trace
     if abs(trace - 1.0) > TOL.trace_check:
         raise NormalizationError(
             f"entropy requires unit trace, got {trace!r}"
         )
-    return entropy_bits(rho.eigenvalues())
-
-
-def entropy_bits(weights) -> float:
-    """Entropy -sum(l * log2(l)) of a probability vector, in bits
-    (:func:`weight_measure` with every weight counted as a term)."""
-    weights = np.asarray(weights, dtype=float)
+    weights = rho.eigenvalues()
     return float(weight_measure(weights, weights.size, "entropy"))
 
 
@@ -213,6 +209,7 @@ def _schmidt_labels(
 
 
 def _dicke_key(mode: str, n: int, ups: int) -> OccupationKey:
+    """Key of n particles in ``mode``, ``ups`` of them spin-up."""
     return occupation_key(
         [(mode, Spin.UP)] * ups + [(mode, Spin.DOWN)] * (n - ups)
     )
@@ -381,12 +378,26 @@ def dicke_state(
     """Symmetric state of n_total bosons in one spatial mode, n_up spin-up."""
     if not 0 <= n_up <= n_total or n_total < 1:
         raise ConsistencyError(f"invalid spin split ({n_up} of {n_total})")
-    key = occupation_key(
-        [(mode, Spin.UP)] * n_up + [(mode, Spin.DOWN)] * (n_total - n_up)
-    )
     return SymmetricKet(
-        n_total, Statistics.BOSON, {key: 1.0 + 0j}, normalized=True
+        n_total, Statistics.BOSON, {_dicke_key(mode, n_total, n_up): 1.0 + 0j}, normalized=True
     )
+
+
+def label_split_coefficients(n_total: int, n_up: int, n_left: int) -> Tuple[float, ...]:
+    """Schmidt coefficients of the Dicke state (n_total, n_up) across
+    particle-label groups of n_left and n_right = n_total - n_left, from the
+    closed-form weights C(n_left, k) C(n_right, n_up - k) / C(n_total, n_up)
+    of k spin-up particles on the left (:func:`_schmidt_coefficients`)."""
+    n_right = n_total - n_left
+    ks = range(max(0, n_up - n_right), min(n_up, n_left) + 1)
+    weights = [math.comb(n_left, k) * math.comb(n_right, n_up - k) / math.comb(n_total, n_up) for k in ks]
+    return _schmidt_coefficients(weights)
+
+
+def _schmidt_coefficients(weights) -> Tuple[float, ...]:
+    """Square roots of Schmidt weights, descending, cut at
+    ``TOL.schmidt_cutoff`` as :func:`schmidt_decompose` cuts them."""
+    return tuple(sorted((c for c in np.sqrt(weights).tolist() if c > TOL.schmidt_cutoff), reverse=True))
 
 
 def verify_schmidt_equivalence(
@@ -407,8 +418,12 @@ def verify_schmidt_equivalence(
     are compared against the input ones.  Equal (theta, omega) for all
     particles reproduces the input coefficients exactly; distinct angles
     generally do not, and the deviation is reported.
+
+    Input: :func:`label_split_coefficients`; output: the sector's
+    :func:`detection._schmidt_weights` (:func:`schmidt_decompose` is the
+    SVD reference route for both).
     """
-    from .detection import ParticleEnsemble, _require_fold_size, project_onto_detectors
+    from .detection import ParticleEnsemble, _angle_rows, _project_batch, _schmidt_weights
 
     n_left, n_right = split
     if n_left + n_right != n_total:
@@ -419,31 +434,29 @@ def verify_schmidt_equivalence(
         raise ConsistencyError("both sides of the split must be nonempty")
     thetas = _broadcast_angle(theta, n_total, "theta")
     omegas = _broadcast_angle(omega, n_total, "omega")
-
-    reference = dicke_state(n_total, n_up)
+    if not 0 <= n_up <= n_total:
+        raise ConsistencyError(f"invalid spin split ({n_up} of {n_total})")
     ensemble = ParticleEnsemble(
         n_up, tuple(SpatialMode(theta=t, omega=w) for t, w in zip(thetas, omegas))
     )
-    # the projection's cap, checked before the O(N^3) label split below
-    _require_fold_size("projection", n_total)
-    input_coeffs = schmidt_decompose(
-        reference, LabelSplit(n_left, n_right)
-    ).coefficients
-
-    decomposition = project_onto_detectors(ensemble)
-    sector = decomposition.sector(n_left)
-    output_coeffs = schmidt_decompose(sector.state, ModeSplit()).coefficients
-
-    width = max(len(input_coeffs), len(output_coeffs))
-    padded_in = list(input_coeffs) + [0.0] * (width - len(input_coeffs))
-    padded_out = list(output_coeffs) + [0.0] * (width - len(output_coeffs))
-    diff = max(abs(a - b) for a, b in zip(padded_in, padded_out))
+    _, by_sector, p, _ = _project_batch(n_up, *_angle_rows(ensemble))
+    probability = float(p[0, n_left])
+    if probability == 0.0:
+        raise SectorError(f"sector q = {n_left} is empty or absent")
+    input_coeffs = label_split_coefficients(n_total, n_up, n_left)
+    output_coeffs = _schmidt_coefficients(_schmidt_weights(by_sector, p)[0, n_left])
     return SchmidtEquivalenceReport(
         input_coefficients=input_coeffs,
         output_coefficients=output_coeffs,
-        max_abs_diff=diff,
-        sector_probability=sector.probability,
+        max_abs_diff=coefficient_distance(input_coeffs, output_coeffs),
+        sector_probability=probability,
     )
+
+
+def coefficient_distance(a: Sequence[float], b: Sequence[float]) -> float:
+    """Largest difference between two descending coefficient lists, the
+    shorter one padded with zeros."""
+    return max(abs(x - y) for x, y in itertools.zip_longest(a, b, fillvalue=0.0))
 
 
 def _broadcast_angle(value, n: int, name: str) -> Tuple[float, ...]:

@@ -230,6 +230,20 @@ def test_amplitude_above_size_cap_is_usage_error(runner, tmp_path):
     )
 
 
+@pytest.mark.parametrize("spin", ["up", "down"])
+@pytest.mark.parametrize("side", ["bra", "ket"])
+def test_fermion_amplitude_of_a_null_state_exits_2(runner, tmp_path, side, spin):
+    # every mode lies in span{L, R, chi}, so four same-spin fermions vanish
+    # exactly; the determinant gave rounding noise with exit 0
+    null = [{"spin": spin, "theta": 0.2 + 0.3 * j, "omega": 0.7 * j, "phi": 1.2 + 0.1 * j} for j in range(4)]
+    fine = [{"spin": s, "theta": 0.5 + 0.2 * j, "omega": 0.4 * j} for j, s in enumerate(["up", "up", "down", "down"])]
+    configs = {"bra": fine, "ket": fine, side: null}
+    paths = {name: write(tmp_path, f"{name}.json", {"statistics": "fermion", "particles": particles})
+             for name, particles in configs.items()}
+    result = runner.invoke(main, ["amplitude", "--config", paths["ket"], "--bra-config", paths["bra"]])
+    assert_usage_error(result, f"{side} state is null: 4 spin-{spin} fermions")
+
+
 def test_amplitude_different_n_up_is_exactly_zero(runner, tmp_path):
     rng = np.random.default_rng(11)
     for n_total in (2, 9, 16):

@@ -1,22 +1,25 @@
 """Entropy, concurrence, Schmidt decomposition, and closed-form tests."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from identangle import measures
+from identangle import detection, measures
 from identangle.algebra import DensityMatrix, convex_mixture, pure_to_density
-from identangle.detection import ParticleEnsemble, entanglement_of_particles
+from identangle.detection import ParticleEnsemble, entanglement_of_particles, project_onto_detectors
 from identangle.errors import (
     BipartitionError,
     ConsistencyError,
+    IdentangleError,
     NormalizationError,
     SizeLimitError,
 )
 from identangle.measures import (
     LabelSplit,
     ModeSplit,
+    coefficient_distance,
     concurrence_pure,
     dicke_state,
     schmidt_decompose,
@@ -33,6 +36,7 @@ from identangle.states import (
     SymmetricKet,
     occupation_key,
 )
+from identangle.tolerances import DEFAULT_TOLERANCES
 
 
 def diag_density(*weights):
@@ -285,6 +289,95 @@ def test_verify_schmidt_equivalence_checks_the_cap_before_the_label_split(monkey
     monkeypatch.setattr(measures, "schmidt_decompose", label_split)
     with pytest.raises(SizeLimitError, match="projection is capped at N <= 170, got N = 171"):
         verify_schmidt_equivalence(171, 85, 0.7, 0.0, (85, 86))
+
+
+def svd_schmidt_equivalence(n_total, n_up, theta, omega, split):
+    """(input, output, sector probability) of the mode-splitting check
+    through the SVD routes: schmidt_decompose of dicke_state across the
+    label split and of the project_onto_detectors sector across L|R, with
+    the input checks in the order verify_schmidt_equivalence makes them."""
+    n_left, n_right = split
+    if n_left + n_right != n_total:
+        raise ConsistencyError(f"split {split} does not partition {n_total} particles")
+    if n_left < 1 or n_right < 1:
+        raise ConsistencyError("both sides of the split must be nonempty")
+    thetas = measures._broadcast_angle(theta, n_total, "theta")
+    omegas = measures._broadcast_angle(omega, n_total, "omega")
+    reference = dicke_state(n_total, n_up)
+    ensemble = ParticleEnsemble(
+        n_up, tuple(SpatialMode(theta=t, omega=w) for t, w in zip(thetas, omegas))
+    )
+    detection._require_fold_size("projection", n_total)
+    label = schmidt_decompose(reference, LabelSplit(n_left, n_right)).coefficients
+    sector = project_onto_detectors(ensemble).sector(n_left)
+    return label, schmidt_decompose(sector.state, ModeSplit()).coefficients, sector.probability
+
+
+def schmidt_equivalence_inputs(count, seed=1170):
+    """Seeded (n_total, n_up, theta, omega, split) inputs: shared and
+    distinct angles, thetas at 0 or pi/2 that empty sectors, N from 2 to
+    170, and every 23rd input made invalid one way or another."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        big = case % 40 == 0
+        n_total = 170 if case == 0 else int(rng.integers(31, 171) if big else rng.integers(2, 31))
+        n_up = int(rng.integers(0, n_total + 1))
+        if big:  # few particles of one spin keep the SVD routes cheap
+            n_up = min(n_up, 3) if rng.random() < 0.5 else max(n_up, n_total - 3)
+        n_left = int(rng.integers(1, n_total))
+        thetas = rng.uniform(0.0, math.pi / 2, n_total)
+        edges = rng.choice([0.0, math.pi / 2], n_total)
+        kind = case % 4
+        if kind == 0:  # one shared pair of angles
+            theta, omega = float(thetas[0]), float(rng.uniform(-7.0, 7.0))
+        elif kind == 1:  # distinct angles per particle
+            theta, omega = thetas.tolist(), rng.uniform(0.0, 2 * math.pi, n_total).tolist()
+        elif kind == 2:  # distinct, with about half the thetas at an edge
+            theta = np.where(rng.random(n_total) < 0.5, edges, thetas).tolist()
+            omega = float(rng.uniform(0.0, 2 * math.pi))
+        else:  # every theta at one edge: one sector holds everything
+            theta, omega = float(edges[0]), rng.uniform(0.0, 2 * math.pi, n_total).tolist()
+        split = (n_left, n_total - n_left)
+        if case % 23 == 22:
+            flaw = (case // 23) % 6
+            if flaw == 0:
+                n_up = n_total + 1
+            elif flaw == 1:
+                split = (n_left, n_total - n_left + 1)
+            elif flaw == 2:
+                split = (0, n_total)
+            elif flaw == 3:
+                theta = 1.7
+            elif flaw == 4:
+                omega = [0.0] * (n_total + 1)
+            else:
+                n_total, split = 171, (85, 86)
+                theta, omega = 0.7, 0.0
+        yield n_total, n_up, theta, omega, split
+
+
+def test_schmidt_equivalence_matches_the_svd_routes():
+    # the closed form and the fold's weights against the SVD routes they
+    # replace, on 320 seeded inputs: within tol.comparison, or the same error
+    tol = DEFAULT_TOLERANCES.comparison
+    seen = Counter()
+    for args in schmidt_equivalence_inputs(320):
+        try:
+            label, mode, probability = svd_schmidt_equivalence(*args)
+        except IdentangleError as exc:
+            with pytest.raises(IdentangleError) as raised:
+                verify_schmidt_equivalence(*args)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc)), args
+            seen[type(exc).__name__] += 1
+            continue
+        report = verify_schmidt_equivalence(*args)
+        assert coefficient_distance(report.input_coefficients, label) < tol, args
+        assert coefficient_distance(report.output_coefficients, mode) < tol, args
+        assert abs(report.max_abs_diff - coefficient_distance(label, mode)) < tol, args
+        assert report.sector_probability == probability, args
+        seen["shared" if isinstance(args[2], float) else "distinct"] += 1
+    assert seen["shared"] >= 50 and seen["distinct"] >= 100, seen
+    assert seen["SectorError"] >= 40 and seen["ConsistencyError"] >= 8 and seen["SizeLimitError"] >= 1, seen
 
 
 def test_two_boson_closed_form_grid(rng):

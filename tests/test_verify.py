@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from identangle import algebra, detection, measures, verify
 from identangle.algebra import transition_amplitude
 from identangle.cli import main
 from identangle.detection import (
@@ -158,6 +159,26 @@ def test_closed_form_suites_equal_case_by_case(seed, suite, draws, case):
     max_error, failures = case_by_case(draws(seed), case)
     assert report["max_error"] == max_error
     assert report["failures"] == failures
+
+
+def test_schmidt_and_theorem1_take_their_weights_from_the_fold(monkeypatch):
+    # the density-matrix, SVD and key-based projection routes are references
+    # only: neither command may reach them
+    def reference_route(*args, **kwargs):
+        raise AssertionError("reference route on the production path")
+
+    monkeypatch.setattr(algebra.DensityMatrix, "__init__", reference_route)
+    for module in (detection, measures, verify):
+        for name in ("schmidt_decompose", "project_onto_detectors"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, reference_route)
+    result = CliRunner().invoke(main, ["schmidt", "--n-total", "170", "--n-up", "85", "--split", "85,85"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["max_abs_diff"] < 1e-10
+    report = suite_theorem1(seed=3, cases=200)
+    assert (report["cases"], report["failures"]) == (200, 0)
+    result = CliRunner().invoke(main, ["verify", "theorem1", "--cases", "50"])
+    assert result.exit_code == 0, result.output
 
 
 # -- worst_case replay ------------------------------------------------------
