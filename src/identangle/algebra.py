@@ -63,9 +63,9 @@ def transition_amplitude(
     its permanent from :func:`permanent.permanent_ryser` (so N <= 30), and
     Nf the multiplicity normalization of :func:`normalization_total`.
     Kets over any labels are accepted; for configured detector modes
-    :func:`detection.fold_amplitude` gives the same value in polynomial
-    time.
-    Fermions: det(A), i.e. the same pattern with all multiplicities one.
+    :func:`fold.fold_amplitude` gives the same value in polynomial time.
+    Fermions: det(A), i.e. the same pattern with all multiplicities one;
+    :func:`fold.fermion_amplitude` gives it from spin-block minors.
     Both sides carry the combinatorial normalization, so the value is the
     physical inner product whenever the distinct constituents are
     orthogonal.

@@ -32,11 +32,10 @@ from .config import (
     parse_ensemble_config,
     parse_sweep_spec,
 )
-from .detection import _postselected, _project_batch, _sector_walk, fold_amplitude, sweep_grid
-from .errors import ConsistencyError, IdentangleError, NullStateError, RowError
+from .errors import ConsistencyError, IdentangleError, RowError
+from .fold import _postselected, _project_batch, _sector_walk, fermion_amplitude, fold_amplitude, sweep_grid
 from .measures import verify_schmidt_equivalence
-from .states import Statistics
-from .algebra import transition_amplitude
+from .states import Statistics, _odd_inversions
 from .tolerances import Tolerances, tolerances_from_env
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
@@ -108,24 +107,18 @@ def amplitude(config_path: str, bra_path: str, output: str):
     if ket_config.statistics is not bra_config.statistics:
         _fail_usage("bra and ket configs disagree on statistics")
     boson = ket_config.statistics is Statistics.BOSON
+    # (4, 2, N): row 0 of each angle the bra's, row 1 the ket's
+    angles = np.array([bra_config.angles(), ket_config.angles()]).swapaxes(0, 1)
+    fold = fold_amplitude if boson else fermion_amplitude
     try:
-        if boson:
-            # (4, 2, N): row 0 of each angle the bra's, row 1 the ket's
-            angles = np.array([bra_config.angles(), ket_config.angles()]).swapaxes(0, 1)
-            value = fold_amplitude(bra_config.n_up, ket_config.n_up, *angles)
-        else:
-            # every mode lies in span{L, R, chi}: four same-spin fermions vanish
-            for side, c in (("bra", bra_config), ("ket", ket_config)):
-                for spin, count in (("up", c.n_up), ("down", c.n_total - c.n_up)):
-                    if count > 3:
-                        raise NullStateError(f"{side} state is null: {count} spin-{spin} fermions in modes L, R, chi")
-            value = transition_amplitude(
-                bra_config.ensemble().kets(),
-                ket_config.ensemble().kets(),
-                Statistics.FERMION,
-            )
+        value = fold(bra_config.n_up, ket_config.n_up, *angles)
     except IdentangleError as exc:
         _fail_usage(str(exc))
+    if not boson:
+        # stored spin-up first: each side's reordering flips a fermion state by its sign
+        flips = _odd_inversions(np.array([bra_config.source_order, ket_config.source_order]))
+        if flips[0] != flips[1]:
+            value = -value
     record = {
         "amplitude": {"re": value.real, "im": value.imag},
         # "ryser" names the permanent kernel that once computed boson values;
@@ -150,7 +143,7 @@ def _sector_json(
     q: int, probability: float, state: List[Tuple[int, complex]], n_up: int, n_down: int
 ) -> str:
     """JSON text of sector q in the ``project`` record, from its state
-    (:func:`detection._sector_walk`) with alpha descending, each key
+    (:func:`fold._sector_walk`) with alpha descending, each key
     rendered from its four label counts.  The fold's checks admit only
     finite values, whose repr is their JSON.
     """
@@ -171,7 +164,7 @@ def _sector_json(
 
 def _project_json(config: EnsembleConfig) -> str:
     """The ``project`` record as json.dumps(record, indent=2) renders it,
-    from one fold (:func:`detection._project_batch`): sectors q descending,
+    from one fold (:func:`fold._project_batch`): sectors q descending,
     the leak and both postselected measures."""
     if config.statistics is not Statistics.BOSON:
         raise IdentangleError(
@@ -265,7 +258,7 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
     """Evaluate the projection over a parameter grid.
 
     The grid is evaluated in chunks of rows as numpy arrays
-    (:func:`detection.sweep_grid`); with --threads above one, up to that
+    (:func:`fold.sweep_grid`); with --threads above one, up to that
     many threads (never more than there are chunks) evaluate chunks side by
     side.  Every chunk is evaluated before anything is written, so a failing
     grid row writes no output.  Rows follow the lexicographic grid order of

@@ -18,9 +18,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .detection import ParticleEnsemble
 from .errors import ConfigError
-from .states import SpatialMode, Spin, Statistics
+from .states import Spin, Statistics
 
 MAX_GRID_POINTS = 10 ** 6
 
@@ -80,10 +79,6 @@ class EnsembleConfig:
         """The stored particles' angles as a (4, N) array, one row per
         angle in the order of ``ANGLES`` (theta, omega, phi, gamma)."""
         return np.array([_angles_of(p) for p in self.particles]).T
-
-    def ensemble(self) -> ParticleEnsemble:
-        modes = tuple(SpatialMode(*_angles_of(p)) for p in self.particles)
-        return ParticleEnsemble(self.n_up, modes)
 
     def locate(self, path: str) -> Tuple[int, str]:
         """Stored position and angle of a parameter path, whose

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .algebra import DensityMatrix
 from .errors import BipartitionError, ConsistencyError, NormalizationError, SectorError
+from .fold import _project_batch, _schmidt_weights, weight_measure
 from .states import (
     OccupationKey,
     SpatialMode,
@@ -31,7 +32,7 @@ def von_neumann_entropy(
     rho: DensityMatrix,
 ) -> float:
     """Entropy -sum(l * log2(l)) in bits of the eigenvalues l of a
-    trace-1 density matrix (:func:`weight_measure` with every eigenvalue
+    trace-1 density matrix (:func:`fold.weight_measure` with every eigenvalue
     counted as a term)."""
     trace = rho.trace
     if abs(trace - 1.0) > TOL.trace_check:
@@ -40,38 +41,6 @@ def von_neumann_entropy(
         )
     weights = rho.eigenvalues()
     return float(weight_measure(weights, weights.size, "entropy"))
-
-
-MEASURES = ("entropy", "concurrence")
-
-
-def weight_measure(
-    weights: np.ndarray,
-    terms,
-    measure: str,
-) -> np.ndarray:
-    """Entanglement of each row of squared Schmidt coefficients.
-
-    ``weights`` has shape (..., K), each row summing to one and padded with
-    zeros; ``terms`` (an int or an array of shape (...)) counts the Schmidt
-    terms of each row.  "entropy" is -sum(l * log2(l)) in bits, skipping
-    weights below the entropy cutoff to avoid 0*log(0) noise and clamped
-    to [0, log2(terms)].  "concurrence" is the cross-term
-    sqrt(sum_{i<j} l_i l_j) = sqrt((1 - sum l_i^2)/2), summed as pairwise
-    products: the subtraction would turn the normalization residue of
-    rank-1 rows into sqrt-amplified noise.
-    """
-    if measure not in MEASURES:
-        raise ConsistencyError(
-            f"unknown measure {measure!r}, expected one of {MEASURES}"
-        )
-    if measure == "entropy":
-        # weights at or below the cutoff become 1, whose term is 0
-        kept = np.where(weights > TOL.entropy_cutoff, weights, 1.0)
-        s = -(kept * np.log2(kept)).sum(axis=-1)
-        return np.minimum(np.maximum(s, 0.0), np.log2(np.maximum(terms, 1)))
-    pairs = weights[..., 1:] * weights.cumsum(axis=-1)[..., :-1]
-    return np.sqrt(pairs.sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -420,11 +389,9 @@ def verify_schmidt_equivalence(
     generally do not, and the deviation is reported.
 
     Input: :func:`label_split_coefficients`; output: the sector's
-    :func:`detection._schmidt_weights` (:func:`schmidt_decompose` is the
-    SVD reference route for both).
+    :func:`fold._schmidt_weights` (:func:`schmidt_decompose` is the SVD
+    reference route for both).
     """
-    from .detection import ParticleEnsemble, _angle_rows, _project_batch, _schmidt_weights
-
     n_left, n_right = split
     if n_left + n_right != n_total:
         raise ConsistencyError(
@@ -436,10 +403,9 @@ def verify_schmidt_equivalence(
     omegas = _broadcast_angle(omega, n_total, "omega")
     if not 0 <= n_up <= n_total:
         raise ConsistencyError(f"invalid spin split ({n_up} of {n_total})")
-    ensemble = ParticleEnsemble(
-        n_up, tuple(SpatialMode(theta=t, omega=w) for t, w in zip(thetas, omegas))
-    )
-    _, by_sector, p, _ = _project_batch(n_up, *_angle_rows(ensemble))
+    # SpatialMode checks the angles and supplies phi and gamma
+    modes = [astuple(SpatialMode(theta=t, omega=w)) for t, w in zip(thetas, omegas)]
+    _, by_sector, p, _ = _project_batch(n_up, *np.array([modes]).transpose(2, 0, 1))
     probability = float(p[0, n_left])
     if probability == 0.0:
         raise SectorError(f"sector q = {n_left} is empty or absent")

@@ -7,7 +7,7 @@ inclusion-exclusion kernel, which builds the row sums of every column
 subset as numpy tables and sums their signed row products.  Ryser serves
 :func:`algebra.transition_amplitude` for kets over any labels, and both
 kernels serve as oracles; the amplitudes of configured boson ensembles
-come from the spin-block fold (:func:`detection.fold_amplitude`), which
+come from the spin-block fold (:func:`fold.fold_amplitude`), which
 takes polynomial time.  Everything runs in double-precision complex
 arithmetic; there is no arbitrary precision fallback.
 """

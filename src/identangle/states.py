@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import ConsistencyError, NullStateError, SizeLimitError
+from .fold import wrap_phase
 from .tolerances import DEFAULT_TOLERANCES as TOL
 
 EXPANSION_SIZE_LIMIT = 6
@@ -59,16 +60,6 @@ def _label_sort_key(label: BasisLabel):
 def occupation_key(labels: Iterable[BasisLabel]) -> OccupationKey:
     """Canonical sorted occupation key from an iterable of basis labels."""
     return tuple(sorted(labels, key=_label_sort_key))
-
-
-def wrap_phase(angle):
-    """A phase, or an array of them, wrapped strictly into [0, 2*pi).
-
-    ``angle % (2*pi)`` alone rounds to 2*pi itself for tiny negative
-    angles (-1e-20 gives 6.283185307179586); the second remainder maps that
-    onto 0 and leaves every value below 2*pi as it is.
-    """
-    return angle % (2.0 * math.pi) % (2.0 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Each suite returns a report dict with ``suite``, ``cases``, ``failures``,
 ``max_error`` and ``worst_case`` (the seed, index and inputs of the case
 with the largest error) and is deterministic for a fixed seed.  The
-closed-form suites draw all their cases first and evaluate them with one
-fold (:func:`detection._project_batch`) per (N, n_up) group.
+closed-form suites draw all their cases as angle rows first and evaluate
+them with one fold (:func:`fold._project_batch`) per (N, n_up) group.
 These back the command-line ``verify`` command and the acceptance tests.
 """
 
@@ -16,15 +16,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import ANGLES
-from .detection import (
-    ParticleEnsemble,
-    _angle_rows,
-    _postselected,
-    _project_batch,
-    _schmidt_weights,
-    project_onto_detectors,
-)
+from .detection import ParticleEnsemble, _angle_rows, project_onto_detectors
 from .errors import ConfigError
+from .fold import _postselected, _project_batch, _schmidt_weights
 from .measures import (
     LabelSplit,
     coefficient_distance,
@@ -89,10 +83,16 @@ _LR_LABELS = (
 )
 
 
-def _ensemble_inputs(ensemble: ParticleEnsemble) -> Dict:
-    """n_up and the (wrapped) angle lists of an ensemble, as JSON values."""
-    rows = _angle_rows(ensemble)[:, 0].tolist()
-    return {"n_up": ensemble.n_up, **dict(zip(ANGLES, rows))}
+def _angles(thetas: Sequence[float], omegas: Sequence[float]) -> np.ndarray:
+    """(4, N) angle rows of particles with phi and gamma at their defaults."""
+    n = len(thetas)
+    return np.array([thetas, omegas, [ANGLES["phi"][0]] * n, [ANGLES["gamma"][0]] * n])
+
+
+def _ensemble_inputs(case: Tuple[int, np.ndarray]) -> Dict:
+    """n_up and the (wrapped) angle lists of a case, as JSON values."""
+    n_up, rows = case
+    return {"n_up": n_up, **dict(zip(ANGLES, rows.tolist()))}
 
 
 def _ket_inputs(kets: Sequence[SingleParticleKet]) -> List[Dict]:
@@ -125,21 +125,21 @@ def _report(
     }
 
 
-def _concurrences(ensembles: Sequence[ParticleEnsemble]) -> Tuple[np.ndarray, np.ndarray]:
-    """Postselected average concurrence of each ensemble, as
+def _concurrences(cases: Sequence[Tuple[int, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Postselected average concurrence of each (n_up, (4, N) angle rows) case, as
     :func:`detection.entanglement_of_particles` gives it, and its sectors'
     largest second Schmidt weight, from one fold per (N, n_up) group."""
     groups: Dict[Tuple[int, int], List[int]] = {}
-    for case, ensemble in enumerate(ensembles):
-        groups.setdefault((ensemble.n_total, ensemble.n_up), []).append(case)
-    values, seconds = np.empty((2, len(ensembles)))
-    for (_, n_up), cases in groups.items():
-        angles = np.concatenate([_angle_rows(ensembles[case]) for case in cases], axis=1)
+    for case, (n_up, rows) in enumerate(cases):
+        groups.setdefault((rows.shape[1], n_up), []).append(case)
+    values, seconds = np.empty((2, len(cases)))
+    for (_, n_up), members in groups.items():
+        angles = np.stack([cases[case][1] for case in members], axis=1)
         _, by_sector, p, _ = _project_batch(n_up, *angles)
-        values[cases] = _postselected(by_sector, p, "concurrence")
+        values[members] = _postselected(by_sector, p, "concurrence")
         # all weights but each sector's largest: their maximum is the largest second weight
         weights = np.sort(_schmidt_weights(by_sector, p), axis=2)[:, :, :-1]
-        seconds[cases] = weights.max(axis=(1, 2), initial=0.0)
+        seconds[members] = weights.max(axis=(1, 2), initial=0.0)
     return values, seconds
 
 
@@ -152,27 +152,25 @@ def suite_theorem1(
     pi/2 must leave every sector reduced state rank one (second Schmidt
     weight zero) and the average entanglement at zero."""
     rng = np.random.default_rng(seed)
-    ensembles = []
+    draws = []
     for _ in range(cases):
         n_total = int(rng.integers(2, 7))
         n_up = int(rng.integers(0, n_total + 1))
         force_up = bool(rng.integers(0, 2))
-        modes = []
+        thetas, omegas = [], []
         for j in range(n_total):
             forced = (j < n_up) if force_up else (j >= n_up)
             if forced:
-                theta = 0.0 if rng.random() < 0.5 else math.pi / 2
+                thetas.append(0.0 if rng.random() < 0.5 else math.pi / 2)
             else:
-                theta = float(rng.uniform(0.0, math.pi / 2))
-            modes.append(
-                SpatialMode(theta=theta, omega=float(rng.uniform(0, 2 * math.pi)))
-            )
-        ensembles.append(ParticleEnsemble(n_up, tuple(modes)))
-    values, seconds = _concurrences(ensembles)
+                thetas.append(float(rng.uniform(0.0, math.pi / 2)))
+            omegas.append(float(rng.uniform(0, 2 * math.pi)))
+        draws.append((n_up, _angles(thetas, omegas)))
+    values, seconds = _concurrences(draws)
     failed = (values >= tol.separability) | (seconds > tol.separability)
     return _report(
         "theorem1", seed, np.maximum(values, seconds), np.count_nonzero(failed),
-        lambda case: _ensemble_inputs(ensembles[case]),
+        lambda case: _ensemble_inputs(draws[case]),
     )
 
 
@@ -186,27 +184,19 @@ def suite_n2_closed_form(
     theta grid with random phases."""
     rng = np.random.default_rng(seed)
     thetas = np.linspace(0.0, math.pi / 2, grid)
-    ensembles = []
+    draws = []
     expected = []
     for t1 in thetas:
         for t2 in thetas:
             closed = two_boson_average_concurrence(float(t1), float(t2))
             for _ in range(omega_draws):
                 w1, w2 = rng.uniform(0.0, 2.0 * math.pi, 2)
-                ensembles.append(
-                    ParticleEnsemble(
-                        1,
-                        (
-                            SpatialMode(theta=float(t1), omega=float(w1)),
-                            SpatialMode(theta=float(t2), omega=float(w2)),
-                        ),
-                    )
-                )
+                draws.append((1, _angles([float(t1), float(t2)], [float(w1), float(w2)])))
                 expected.append(closed)
-    errors = np.abs(_concurrences(ensembles)[0] - expected)
+    errors = np.abs(_concurrences(draws)[0] - expected)
     return _report(
         "n2-closed-form", seed, errors, np.count_nonzero(errors >= tol.comparison),
-        lambda case: _ensemble_inputs(ensembles[case]),
+        lambda case: _ensemble_inputs(draws[case]),
     )
 
 
@@ -223,7 +213,7 @@ def suite_n3_closed_form(
     """
     rng = np.random.default_rng(seed)
     threshold = max(tol.comparison, 1e-9)
-    ensembles = []
+    draws = []
     theta_forms = []
     coherence_forms = []
     for case in range(cases):
@@ -241,11 +231,7 @@ def suite_n3_closed_form(
         w1, w2, w3 = rng.uniform(0.0, 2.0 * math.pi, 3)
         thetas = (float(t1), float(t2), float(t3))
         omegas = (float(w1), float(w2), float(w3))
-        ensembles.append(
-            ParticleEnsemble(
-                2, tuple(SpatialMode(theta=t, omega=w) for t, w in zip(thetas, omegas))
-            )
-        )
+        draws.append((2, _angles(thetas, omegas)))
         theta_forms.append(three_boson_average_concurrence(thetas, omegas))
         same_side = (t1 - math.pi / 4) * (t2 - math.pi / 4) >= 0.0
         coherence_forms.append(
@@ -257,11 +243,11 @@ def suite_n3_closed_form(
                 same_side,
             )
         )
-    values = _concurrences(ensembles)[0]
+    values = _concurrences(draws)[0]
     errors = np.maximum(np.abs(values - theta_forms), np.abs(values - coherence_forms))
     return _report(
         "n3-closed-form", seed, errors, np.count_nonzero(errors >= threshold),
-        lambda case: _ensemble_inputs(ensembles[case]),
+        lambda case: _ensemble_inputs(draws[case]),
     )
 
 
@@ -361,7 +347,7 @@ def suite_oracle(
 
     def case_inputs(case: int) -> Dict:
         if isinstance(inputs[case], ParticleEnsemble):
-            return _ensemble_inputs(inputs[case])
+            return _ensemble_inputs((inputs[case].n_up, _angle_rows(inputs[case])[:, 0]))
         bras, kets = inputs[case]
         return {"bras": _ket_inputs(bras), "kets": _ket_inputs(kets)}
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from identangle import cli, detection, measures
+from identangle import cli, detection, fold, measures
+from identangle.algebra import transition_amplitude
 from identangle.cli import main
 from identangle.config import (
     MAX_GRID_POINTS,
@@ -22,10 +23,12 @@ from identangle.config import (
 )
 from identangle.detection import entanglement_of_particles, project_onto_detectors
 from identangle.errors import ConfigError, ConsistencyError
+from identangle.oracles import expansion_inner_product
+from identangle.states import SpatialMode, Spin, Statistics, mode_ket
 from identangle.tolerances import DEFAULT_TOLERANCES, TOLERANCE_ENV_VAR
 from identangle.verify import SUITES
 
-from conftest import svd_route_entanglement
+from conftest import config_ensemble, svd_route_entanglement
 
 
 @pytest.fixture
@@ -101,8 +104,8 @@ def test_amplitude_matches_library(runner, tmp_path):
     assert result.exit_code == 0
     record = json.loads(result.output)
     expected = transition_amplitude(
-        parse_ensemble_config(json.dumps(bra_payload)).ensemble().kets(),
-        parse_ensemble_config(json.dumps(ket_payload)).ensemble().kets(),
+        config_ensemble(parse_ensemble_config(json.dumps(bra_payload))).kets(),
+        config_ensemble(parse_ensemble_config(json.dumps(ket_payload))).kets(),
     )
     assert abs(complex(record["amplitude"]["re"], record["amplitude"]["im"]) - expected) < 1e-12
 
@@ -162,8 +165,8 @@ def library_amplitude(bra, ket):
     from identangle.algebra import transition_amplitude
 
     return transition_amplitude(
-        parse_ensemble_config(json.dumps({"particles": bra})).ensemble().kets(),
-        parse_ensemble_config(json.dumps({"particles": ket})).ensemble().kets(),
+        config_ensemble(parse_ensemble_config(json.dumps({"particles": bra}))).kets(),
+        config_ensemble(parse_ensemble_config(json.dumps({"particles": ket}))).kets(),
     )
 
 
@@ -242,6 +245,112 @@ def test_fermion_amplitude_of_a_null_state_exits_2(runner, tmp_path, side, spin)
              for name, particles in configs.items()}
     result = runner.invoke(main, ["amplitude", "--config", paths["ket"], "--bra-config", paths["bra"]])
     assert_usage_error(result, f"{side} state is null: 4 spin-{spin} fermions")
+
+
+def file_order_kets(particles):
+    """The single-particle kets of a particle list in file order."""
+    return [
+        mode_ket(
+            SpatialMode(p["theta"], p.get("omega", 0.0), p.get("phi", HALF_PI), p.get("gamma", 0.0)),
+            Spin(p["spin"]),
+        )
+        for p in particles
+    ]
+
+
+def random_fermion_pair(rng, n_total):
+    """Bra and ket fermion lists with at most three particles per spin,
+    spins shuffled on each side independently, some phis below pi/2 and
+    some bra modes equal to their ket mode; a spin block of three with
+    every phi at pi/2 (all in span{L, R}) is null."""
+    n_up = int(rng.integers(max(0, n_total - 3), min(3, n_total) + 1))
+    spins = rng.permutation(["up"] * n_up + ["down"] * (n_total - n_up))
+    ket, bra = [], []
+    for spin in spins:
+        mode = {"spin": str(spin), "theta": float(rng.uniform(0.0, HALF_PI)), "omega": float(rng.uniform(0.0, 2 * math.pi))}
+        if rng.random() < 0.4:
+            mode["phi"] = float(rng.uniform(0.6, HALF_PI))
+            mode["gamma"] = float(rng.uniform(0.0, 2 * math.pi))
+        ket.append(mode)
+        near = dict(mode)
+        if rng.random() < 0.7:
+            near["theta"] = float(np.clip(mode["theta"] + rng.normal(0.0, 0.1), 0.0, HALF_PI))
+            near["omega"] = mode["omega"] + float(rng.normal(0.0, 0.2))
+        bra.append(near)
+    bra = [bra[i] for i in rng.permutation(n_total)]
+    return bra, ket
+
+
+def is_null_fermion_list(particles):
+    return any(
+        sum(p["spin"] == spin for p in particles) == 3
+        and all("phi" not in p for p in particles if p["spin"] == spin)
+        for spin in ("up", "down")
+    )
+
+
+def test_fermion_amplitude_matches_the_file_order_routes(runner, tmp_path):
+    # the parser stores particles spin-up first; the reordering's sign is
+    # part of the fermion amplitude between the states as written
+    rng = np.random.default_rng(12)
+    tol = DEFAULT_TOLERANCES.comparison
+    checked = nulls = flipped = 0
+    for k in range(400):
+        bra, ket = random_fermion_pair(rng, 1 + k % 6)
+        ket_path = write(tmp_path, "ket.json", {"statistics": "fermion", "particles": ket})
+        bra_path = write(tmp_path, "bra.json", {"statistics": "fermion", "particles": bra})
+        result = runner.invoke(main, ["amplitude", "--config", ket_path, "--bra-config", bra_path])
+        if is_null_fermion_list(bra) or is_null_fermion_list(ket):
+            assert_usage_error(result, "state is null")
+            nulls += 1
+            continue
+        assert result.exit_code == 0, (k, result.output)
+        record = json.loads(result.output)
+        assert record["method"] == "determinant"
+        got = complex(record["amplitude"]["re"], record["amplitude"]["im"])
+        bras, kets = file_order_kets(bra), file_order_kets(ket)
+        expected = transition_amplitude(bras, kets, Statistics.FERMION)
+        assert abs(got - expected) <= tol * max(1.0, abs(expected)), (k, got, expected)
+        if k % 4 == 0:
+            oracle = expansion_inner_product(bras, kets, Statistics.FERMION)
+            assert abs(got - oracle) <= tol, (k, got, oracle)
+        flipped += [p["spin"] for p in bra] != sorted(p["spin"] for p in bra)[::-1]
+        checked += 1
+    assert checked >= 300 and nulls > 20 and flipped > 100
+
+
+def test_fermion_amplitude_keeps_the_reorder_sign(runner, tmp_path):
+    bra = [{"spin": "up", "theta": 0.3}, {"spin": "down", "theta": 0.5}]
+    ket = [{"spin": "down", "theta": 0.5}, {"spin": "up", "theta": 0.3}]
+    ket_path = write(tmp_path, "ket.json", {"statistics": "fermion", "particles": ket})
+    bra_path = write(tmp_path, "bra.json", {"statistics": "fermion", "particles": bra})
+    result = runner.invoke(main, ["amplitude", "--config", ket_path, "--bra-config", bra_path])
+    assert result.exit_code == 0, result.output
+    assert abs(json.loads(result.output)["amplitude"]["re"] + 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("side", ["bra", "ket"])
+@pytest.mark.parametrize(
+    "null, message",
+    [
+        # three spin-up fermions in span{L, R} gave 2.8e-18 with exit 0
+        (
+            [{"spin": "up", "theta": 0.1 * (j + 1), "omega": 0.3 * j} for j in range(3)],
+            "state is null: its 3 spin-up fermion modes are linearly dependent",
+        ),
+        (
+            [{"spin": "down", "theta": 0.4, "omega": 1.1, "phi": 1.3}] * 2 + [{"spin": "up", "theta": 0.9}],
+            "state is null: its 2 spin-down fermion modes are linearly dependent",
+        ),
+    ],
+)
+def test_fermion_amplitude_of_a_dependent_null_state_exits_2(runner, tmp_path, side, null, message):
+    fine = [{"spin": s, "theta": 0.5 + 0.2 * j, "omega": 0.4 * j} for j, s in enumerate(["up", "down", "up"])]
+    configs = {"bra": fine, "ket": fine, side: null}
+    paths = {name: write(tmp_path, f"{name}.json", {"statistics": "fermion", "particles": particles})
+             for name, particles in configs.items()}
+    result = runner.invoke(main, ["amplitude", "--config", paths["ket"], "--bra-config", paths["bra"]])
+    assert_usage_error(result, f"{side} {message}")
 
 
 def test_amplitude_different_n_up_is_exactly_zero(runner, tmp_path):
@@ -724,15 +833,15 @@ def test_verify_schmidt_rejects_cases(runner):
 
 
 def test_probability_sum_invariant_exits_2(runner, tmp_path, monkeypatch):
-    block = detection._detector_block
+    block = fold._detector_block
 
     def skewed_block(c, s, r):
         amps, detected, leaked = block(c, s, r)
         return amps, detected, leaked + 1e-6
 
-    monkeypatch.setattr(detection, "_detector_block", skewed_block)
+    monkeypatch.setattr(fold, "_detector_block", skewed_block)
     cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
-    ensemble = parse_ensemble_config((tmp_path / "cfg.json").read_text()).ensemble()
+    ensemble = config_ensemble(parse_ensemble_config((tmp_path / "cfg.json").read_text()))
     with pytest.raises(ConsistencyError, match="miss one by"):
         detection.project_onto_detectors(ensemble)
     assert_usage_error(runner.invoke(main, ["project", "--config", cfg]), "miss one by")
@@ -798,7 +907,7 @@ def project_row(config, values, paths):
     parsed = parse_ensemble_config(json.dumps(config))
     for path, value in zip(paths, values):
         parsed = parsed.with_value(path, value)
-    ensemble = parsed.ensemble()
+    ensemble = config_ensemble(parsed)
     dec = project_onto_detectors(ensemble)
     probs = dec.probabilities()
     return (
@@ -864,7 +973,7 @@ def test_sweep_json_matches_csv(runner, tmp_path):
 
 
 def test_sweep_failure_names_first_failing_row(runner, tmp_path, monkeypatch):
-    block = detection._detector_block
+    block = fold._detector_block
     cut = math.cos(1.0)
 
     def skewed_block(c, s, r):
@@ -874,7 +983,7 @@ def test_sweep_failure_names_first_failing_row(runner, tmp_path, monkeypatch):
             leaked = leaked + 1e-6 * (abs(c[:, 0]) < cut)
         return amps, detected, leaked
 
-    monkeypatch.setattr(detection, "_detector_block", skewed_block)
+    monkeypatch.setattr(fold, "_detector_block", skewed_block)
     cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
     chunk = cli.SWEEP_CHUNK_ENTRIES // 2 ** 2
     values = [0.3] * (chunk + 1) + [1.2, 0.3, 1.4]
@@ -926,7 +1035,7 @@ def test_ensemble_missing_both_detectors(runner, tmp_path):
         [{"spin": "down", "theta": 0.7, "omega": 2.0, "phi": 0.0}] * 3,
     ):
         cfg = write(tmp_path, "cfg.json", {"particles": particles})
-        ensemble = parse_ensemble_config((tmp_path / "cfg.json").read_text()).ensemble()
+        ensemble = config_ensemble(parse_ensemble_config((tmp_path / "cfg.json").read_text()))
         for measure in ("entropy", "concurrence"):
             assert entanglement_of_particles(ensemble, measure) == 0.0
         result = runner.invoke(main, ["project", "--config", cfg])
@@ -970,7 +1079,7 @@ def test_non_utf8_inputs_are_usage_errors(runner, tmp_path):
 def library_project_json(config):
     """The ``project`` record built from the library routes, as
     json.dumps(record, indent=2) renders it."""
-    ensemble = config.ensemble()
+    ensemble = config_ensemble(config)
     decomposition = project_onto_detectors(ensemble)
     record = {
         "n_particles": config.n_total,
@@ -1101,7 +1210,7 @@ def test_project_makes_one_fold(runner, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_project_batch", counted("batch", cli._project_batch))
     monkeypatch.setattr(
-        detection, "_detector_block", counted("block", detection._detector_block)
+        fold, "_detector_block", counted("block", fold._detector_block)
     )
     cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
     result = runner.invoke(main, ["project", "--config", cfg])

@@ -9,21 +9,17 @@ from hypothesis import strategies as st
 
 from identangle.algebra import overlap_matrix
 from identangle.detection import (
-    PROJECTION_SIZE_LIMIT,
-    DetectionMatrixSpec,
     ParticleEnsemble,
     build_detection_matrix,
-    coherence,
     detection_key,
     entanglement_of_particles,
-    fold_amplitude,
     project_onto_detectors,
     sector_entanglement,
     sector_reduced_density,
-    sweep_grid,
     theorem1_separability_check,
 )
-from identangle import detection
+from identangle import detection, fold
+from identangle.fold import PROJECTION_SIZE_LIMIT, fold_amplitude, sweep_grid
 from identangle.errors import (
     BoundsError,
     ConsistencyError,
@@ -60,15 +56,15 @@ def uniform_ensemble(rng, n_total, n_up=None, allow_leak=False):
 
 
 def test_coherence_values():
-    assert abs(coherence(SpatialMode(theta=math.pi / 4)) - 1) < 1e-12
-    assert coherence(SpatialMode(theta=0.0)) == 0
-    assert abs(coherence(SpatialMode(theta=math.pi / 6)) - math.sqrt(3) / 2) < 1e-12
+    assert abs(SpatialMode(theta=math.pi / 4).coherence() - 1) < 1e-12
+    assert SpatialMode(theta=0.0).coherence() == 0
+    assert abs(SpatialMode(theta=math.pi / 6).coherence() - math.sqrt(3) / 2) < 1e-12
 
 
 def test_detection_matrix_diagonal_outcome():
     t1, t2 = 0.3, 0.8
     ens = ParticleEnsemble(1, (SpatialMode(theta=t1), SpatialMode(theta=t2)))
-    a = build_detection_matrix(ens, DetectionMatrixSpec(1, 1))
+    a = build_detection_matrix(ens, 1, 1)
     expected = np.array([[math.cos(t1), 0.0], [0.0, math.cos(t2)]])
     assert np.allclose(a, expected, atol=1e-14)
 
@@ -78,7 +74,7 @@ def test_detection_matrix_mixed_outcome():
     ens = ParticleEnsemble(
         1, (SpatialMode(theta=t1), SpatialMode(theta=t2, omega=w2))
     )
-    a = build_detection_matrix(ens, DetectionMatrixSpec(1, 0))
+    a = build_detection_matrix(ens, 1, 0)
     phase = complex(math.cos(w2), math.sin(w2))
     expected = np.array(
         [[math.cos(t1), 0.0], [0.0, phase * math.sin(t2)]], dtype=complex
@@ -93,8 +89,7 @@ def test_detection_matrix_matches_inner_product_oracle(rng):
         n = ens.n_up
         alpha = int(rng.integers(0, n + 1))
         beta = int(rng.integers(0, n_total - n + 1))
-        spec = DetectionMatrixSpec(alpha, beta)
-        a = build_detection_matrix(ens, spec)
+        a = build_detection_matrix(ens, alpha, beta)
         bras = [
             mode_ket(SpatialMode(theta=0.0), s)
             for s in [Spin.UP] * alpha + [Spin.DOWN] * beta
@@ -109,9 +104,9 @@ def test_detection_matrix_matches_inner_product_oracle(rng):
 def test_detection_matrix_bounds():
     ens = ParticleEnsemble(1, (SpatialMode(theta=0.1), SpatialMode(theta=0.2)))
     with pytest.raises(BoundsError):
-        build_detection_matrix(ens, DetectionMatrixSpec(2, 0))
+        build_detection_matrix(ens, 2, 0)
     with pytest.raises(BoundsError):
-        build_detection_matrix(ens, DetectionMatrixSpec(0, 2))
+        build_detection_matrix(ens, 0, 2)
 
 
 def test_projection_two_boson_amplitudes():
@@ -124,10 +119,10 @@ def test_projection_two_boson_amplitudes():
         root_p = math.sqrt(sector.probability)
         for key, value in sector.state.items():
             amps[key] = value * root_p
-    key_ll = detection_key(ens, DetectionMatrixSpec(1, 1))
-    key_ud = detection_key(ens, DetectionMatrixSpec(1, 0))
-    key_du = detection_key(ens, DetectionMatrixSpec(0, 1))
-    key_rr = detection_key(ens, DetectionMatrixSpec(0, 0))
+    key_ll = detection_key(ens, 1, 1)
+    key_ud = detection_key(ens, 1, 0)
+    key_du = detection_key(ens, 0, 1)
+    key_rr = detection_key(ens, 0, 0)
     assert abs(amps[key_ll] - c * c) < 1e-12
     assert abs(amps[key_ud] - c * s) < 1e-12
     assert abs(amps[key_du] - s * c) < 1e-12
@@ -147,12 +142,12 @@ def test_projection_three_boson_amplitude_pattern(rng):
     phases = np.exp(1j * om)
     interference = phases[1] * c[0] * s[1] + phases[0] * s[0] * c[1]
     printed = {
-        detection_key(ens, DetectionMatrixSpec(2, 1)): c[0] * c[1] * c[2],
-        detection_key(ens, DetectionMatrixSpec(2, 0)): phases[2] * c[0] * c[1] * s[2],
-        detection_key(ens, DetectionMatrixSpec(1, 1)): interference * c[2] / math.sqrt(2),
-        detection_key(ens, DetectionMatrixSpec(0, 1)): phases[0] * phases[1] * s[0] * s[1] * c[2],
-        detection_key(ens, DetectionMatrixSpec(1, 0)): phases[2] * interference * s[2] / math.sqrt(2),
-        detection_key(ens, DetectionMatrixSpec(0, 0)): phases[0] * phases[1] * phases[2] * s[0] * s[1] * s[2],
+        detection_key(ens, 2, 1): c[0] * c[1] * c[2],
+        detection_key(ens, 2, 0): phases[2] * c[0] * c[1] * s[2],
+        detection_key(ens, 1, 1): interference * c[2] / math.sqrt(2),
+        detection_key(ens, 0, 1): phases[0] * phases[1] * s[0] * s[1] * c[2],
+        detection_key(ens, 1, 0): phases[2] * interference * s[2] / math.sqrt(2),
+        detection_key(ens, 0, 0): phases[0] * phases[1] * phases[2] * s[0] * s[1] * s[2],
     }
     norm = math.sqrt(sum(abs(v) ** 2 for v in printed.values()))
     got = {}
@@ -291,14 +286,13 @@ def test_projection_fold_matches_detection_permanents(ens):
     reference = {}
     for alpha in range(n + 1):
         for beta in range(total - n + 1):
-            spec = DetectionMatrixSpec(alpha, beta)
             occupations = math.prod(
                 math.factorial(m) for m in (alpha, beta, n - alpha, total - n - beta)
             )
-            amp = permanent_naive(build_detection_matrix(ens, spec)) / math.sqrt(
+            amp = permanent_naive(build_detection_matrix(ens, alpha, beta)) / math.sqrt(
                 occupations * gram
             )
-            reference.setdefault(alpha + beta, {})[detection_key(ens, spec)] = amp
+            reference.setdefault(alpha + beta, {})[detection_key(ens, alpha, beta)] = amp
     leak = 1.0 - sum(abs(v) ** 2 for amps in reference.values() for v in amps.values())
     assert_projection_matches(project_onto_detectors(ens), reference, leak)
 
@@ -406,7 +400,7 @@ def test_detector_block_names_first_vanishing_row():
     s = np.array([[0.8, 1.0], [0.0, 0.0], [1.0, 0.0]], dtype=complex)
     r = np.zeros((3, 2), dtype=complex)
     with pytest.raises(RowError, match="vanishing norm") as info:
-        detection._detector_block(c, s, r)
+        fold._detector_block(c, s, r)
     assert info.value.row == 1
 
 
@@ -433,8 +427,8 @@ def test_single_spin_all_left_to_all_right_ratio(ens):
     total = ens.n_total
     up = ens.n_up == total
     dec = project_onto_detectors(ens)
-    left = detection_key(ens, DetectionMatrixSpec(total, 0) if up else DetectionMatrixSpec(0, total))
-    right = detection_key(ens, DetectionMatrixSpec(0, 0))
+    left = detection_key(ens, *((total, 0) if up else (0, total)))
+    right = detection_key(ens, 0, 0)
     ratio = (
         dec.sector(total).state.amplitude(left)
         * math.sqrt(dec.sector(total).probability)
@@ -454,7 +448,7 @@ def test_detection_matrix_row_exchange_invariance(rng):
         n = ens.n_up
         alpha = int(rng.integers(0, n + 1))
         beta = int(rng.integers(0, n_total - n + 1))
-        a = build_detection_matrix(ens, DetectionMatrixSpec(alpha, beta))
+        a = build_detection_matrix(ens, alpha, beta)
         reference = permanent_naive(a)
         p = rng.permutation(n_total)
         assert abs(permanent_naive(a[p]) - reference) < 1e-10 * (1 + abs(reference))

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from identangle import detection, measures
+from identangle import detection, fold, measures
 from identangle.algebra import DensityMatrix, convex_mixture, pure_to_density
 from identangle.detection import ParticleEnsemble, entanglement_of_particles, project_onto_detectors
 from identangle.errors import (
@@ -307,7 +307,7 @@ def svd_schmidt_equivalence(n_total, n_up, theta, omega, split):
     ensemble = ParticleEnsemble(
         n_up, tuple(SpatialMode(theta=t, omega=w) for t, w in zip(thetas, omegas))
     )
-    detection._require_fold_size("projection", n_total)
+    fold._require_fold_size("projection", n_total)
     label = schmidt_decompose(reference, LabelSplit(n_left, n_right)).coefficients
     sector = project_onto_detectors(ensemble).sector(n_left)
     return label, schmidt_decompose(sector.state, ModeSplit()).coefficients, sector.probability
