@@ -7,10 +7,12 @@ equivalence report), ``verify`` (randomized verification suites) and
 ``echo-config`` (canonical serialization of a config).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
-The environment variable ``IDENTANGLE_TOL`` overrides the default
-comparison tolerance.  Every subcommand rejects an invalid value, but only
-``verify`` uses it, for the thresholds it counts failures against; every
-other output is the same for any valid value.
+Commands raise IdentangleError for a bad input, and the subcommand class
+:class:`_Command` alone reports it: one ``error:`` line, exit 2.  The
+environment variable ``IDENTANGLE_TOL`` overrides the default comparison
+tolerance.  Every subcommand rejects an invalid value, but only ``verify``
+uses it, for the thresholds it counts failures against; every other
+output is the same for any valid value.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from .config import (
     parse_ensemble_config,
     parse_sweep_spec,
 )
-from .errors import ConsistencyError, IdentangleError, RowError
+from .errors import ConfigError, ConsistencyError, IdentangleError, RowError
 from .fold import _postselected, _project_batch, _sector_walk, fermion_amplitude, fold_amplitude, sweep_grid
 from .measures import verify_schmidt_equivalence
 from .states import Statistics, _odd_inversions
-from .tolerances import Tolerances, tolerances_from_env
+from .tolerances import tolerances_from_env
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 
@@ -46,48 +48,59 @@ def _fail_usage(message: str):
     sys.exit(2)
 
 
-def _tolerances() -> Tolerances:
-    try:
-        return tolerances_from_env()
-    except IdentangleError as exc:
-        _fail_usage(str(exc))
+class _Command(click.Command):
+    """A subcommand that reports any IdentangleError, an invalid
+    ``IDENTANGLE_TOL`` included, as a usage error (:func:`_fail_usage`);
+    click answers ``--help`` before ``invoke`` runs."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            tolerances_from_env()
+            return super().invoke(ctx)
+        except IdentangleError as exc:
+            _fail_usage(str(exc))
 
 
-def _load_config(path: str) -> EnsembleConfig:
+def _read_input(what: str, path: str, parse):
+    """``parse`` of the text of the input file ``path``; an unreadable
+    file or a parse error raises ConfigError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        _fail_usage(f"cannot read config {path}: {exc}")
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     try:
-        return parse_ensemble_config(text)
+        return parse(text)
     except IdentangleError as exc:
-        _fail_usage(f"{path}: {exc}")
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-@contextlib.contextmanager
+def _require_bosons(config: EnsembleConfig):
+    if config.statistics is not Statistics.BOSON:
+        raise ConfigError("detector projection is defined for bosonic ensembles only")
+
+
 def _output_stream(output: str):
+    """The stream ``--output`` names, as a context manager that leaves stdout open."""
     if output == "-":
-        yield sys.stdout
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        handle = open(output, "w", encoding="utf-8")
+        return open(output, "w", encoding="utf-8")
     except OSError as exc:
-        _fail_usage(f"cannot write output {output}: {exc}")
-    with handle:
-        yield handle
+        raise ConfigError(f"cannot write output {output}: {exc}") from None
 
 
 def _write_output(text: str, output: str):
-    if not text.endswith("\n"):
-        text += "\n"
     with _output_stream(output) as stream:
-        stream.write(text)
+        stream.write(text + "\n")
 
 
 @click.group()
 def main():
     """Identical-particle entanglement toolkit."""
+
+
+main.command_class = _Command
 
 
 @main.command()
@@ -96,24 +109,20 @@ def main():
 @click.option("--output", default="-", show_default=True)
 def amplitude(config_path: str, bra_path: str, output: str):
     """Transition amplitude between two configured product states."""
-    _tolerances()
-    ket_config = _load_config(config_path)
-    bra_config = _load_config(bra_path)
+    ket_config = _read_input("config", config_path, parse_ensemble_config)
+    bra_config = _read_input("config", bra_path, parse_ensemble_config)
     if ket_config.n_total != bra_config.n_total:
-        _fail_usage(
+        raise ConfigError(
             f"particle number mismatch: ket has {ket_config.n_total}, "
             f"bra has {bra_config.n_total}"
         )
     if ket_config.statistics is not bra_config.statistics:
-        _fail_usage("bra and ket configs disagree on statistics")
+        raise ConfigError("bra and ket configs disagree on statistics")
     boson = ket_config.statistics is Statistics.BOSON
     # (4, 2, N): row 0 of each angle the bra's, row 1 the ket's
     angles = np.array([bra_config.angles(), ket_config.angles()]).swapaxes(0, 1)
     fold = fold_amplitude if boson else fermion_amplitude
-    try:
-        value = fold(bra_config.n_up, ket_config.n_up, *angles)
-    except IdentangleError as exc:
-        _fail_usage(str(exc))
+    value = fold(bra_config.n_up, ket_config.n_up, *angles)
     if not boson:
         # stored spin-up first: each side's reordering flips a fermion state by its sign
         flips = _odd_inversions(np.array([bra_config.source_order, ket_config.source_order]))
@@ -166,10 +175,7 @@ def _project_json(config: EnsembleConfig) -> str:
     """The ``project`` record as json.dumps(record, indent=2) renders it,
     from one fold (:func:`fold._project_batch`): sectors q descending,
     the leak and both postselected measures."""
-    if config.statistics is not Statistics.BOSON:
-        raise IdentangleError(
-            "detector projection is defined for bosonic ensembles only"
-        )
+    _require_bosons(config)
     outcomes, by_sector, p, leak = _project_batch(
         config.n_up, *config.angles()[:, None]
     )
@@ -200,13 +206,8 @@ def _project_json(config: EnsembleConfig) -> str:
 def project(config_path: str, output: str):
     """Project the configured ensemble onto the detectors and report the
     sector decomposition plus both entanglement averages."""
-    _tolerances()
-    config = _load_config(config_path)
-    try:
-        text = _project_json(config)
-    except IdentangleError as exc:
-        _fail_usage(str(exc))
-    _write_output(text, output)
+    config = _read_input("config", config_path, parse_ensemble_config)
+    _write_output(_project_json(config), output)
 
 
 #: complex entries in one fold array of a sweep chunk: G * (n + 1)^2 for
@@ -264,19 +265,11 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
     grid row writes no output.  Rows follow the lexicographic grid order of
     the sweep axes and are identical for any thread count.
     """
-    _tolerances()
-    config = _load_config(config_path)
-    if config.statistics is not Statistics.BOSON:
-        _fail_usage("detector projection is defined for bosonic ensembles only")
-    try:
-        with open(sweep_path, "r", encoding="utf-8") as handle:
-            spec = parse_sweep_spec(handle.read(), config)
-    except (OSError, UnicodeDecodeError) as exc:
-        _fail_usage(f"cannot read sweep spec {sweep_path}: {exc}")
-    except IdentangleError as exc:
-        _fail_usage(f"{sweep_path}: {exc}")
+    config = _read_input("config", config_path, parse_ensemble_config)
+    _require_bosons(config)
+    spec = _read_input("sweep spec", sweep_path, functools.partial(parse_sweep_spec, config=config))
     if threads < 1:
-        _fail_usage("--threads must be >= 1")
+        raise ConfigError("--threads must be >= 1")
 
     axes = [
         (axis.path, config.locate(axis.path), np.asarray(axis.values))
@@ -291,14 +284,11 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
         _sweep_chunk, config=config, axes=axes, measure=measure
     )
     workers = min(threads, len(bounds))
-    try:
-        if workers == 1:
-            results = [evaluate(b) for b in bounds]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(evaluate, bounds))
-    except IdentangleError as exc:
-        _fail_usage(str(exc))
+    if workers == 1:
+        results = [evaluate(b) for b in bounds]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(evaluate, bounds))
 
     if fmt == "json":
         records = [
@@ -336,23 +326,17 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
 @click.option("--output", default="-", show_default=True)
 def schmidt(n_total, n_up, theta, omega, split, output):
     """Compare label-group Schmidt coefficients with the mode-split ones."""
-    _tolerances()
     try:
-        split_pair = tuple(int(s) for s in split.split(","))
-        if len(split_pair) != 2:
-            raise ValueError
-    except ValueError:
-        _fail_usage(f"--split must be two comma-separated integers, got {split!r}")
-    try:
-        report = verify_schmidt_equivalence(
-            n_total,
-            n_up,
-            _parse_angles(theta),
-            _parse_angles(omega),
-            split_pair,
-        )
-    except IdentangleError as exc:
-        _fail_usage(str(exc))
+        n_left, n_right = map(int, split.split(","))
+    except ValueError:  # a part that is no integer, or not two parts
+        raise ConfigError(f"--split must be two comma-separated integers, got {split!r}") from None
+    report = verify_schmidt_equivalence(
+        n_total,
+        n_up,
+        _parse_angles(theta),
+        _parse_angles(omega),
+        (n_left, n_right),
+    )
     record = {
         "input_coeffs": list(report.input_coefficients),
         "output_coeffs": list(report.output_coefficients),
@@ -367,7 +351,7 @@ def _parse_angles(text: str):
     try:
         values = [float(p) for p in parts]
     except ValueError:
-        _fail_usage(f"bad angle list {text!r}")
+        raise ConfigError(f"bad angle list {text!r}") from None
     return values[0] if len(values) == 1 else values
 
 
@@ -378,11 +362,7 @@ def _parse_angles(text: str):
 @click.option("--output", default="-", show_default=True)
 def verify(suite: str, seed: int, cases: Optional[int], output: str):
     """Run a named verification suite; exits 1 on any failure."""
-    tol = _tolerances()
-    try:
-        report = run_suite(suite, seed=seed, tol=tol, cases=cases)
-    except IdentangleError as exc:
-        _fail_usage(str(exc))
+    report = run_suite(suite, seed=seed, tol=tolerances_from_env(), cases=cases)
     _write_output(json.dumps(report, indent=2), output)
     if report["failures"]:
         sys.exit(1)
@@ -393,8 +373,7 @@ def verify(suite: str, seed: int, cases: Optional[int], output: str):
 @click.option("--output", default="-", show_default=True)
 def echo_config(config_path: str, output: str):
     """Parse a config and emit its canonical serialization (round-trip aid)."""
-    _tolerances()
-    config = _load_config(config_path)
+    config = _read_input("config", config_path, parse_ensemble_config)
     _write_output(dump_ensemble_config(config), output)
 
 

@@ -113,9 +113,13 @@ def parse_parameter_path(path: str, n_particles: int) -> Tuple[int, str]:
 def _number(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range, too long to echo
+        raise ConfigError(f"{where} must be finite, got an integer of {len(str(abs(value)))} digits") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 class _RepeatedFields(dict):
@@ -139,6 +143,22 @@ def _fields(pairs: List[Tuple[str, object]]) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_fields)
 
 
+def _decode(text: str, label: str, syntax: str):
+    """``_DECODER.decode(text)``, each failure a ConfigError: ``syntax``
+    formatted with the JSONDecodeError, or ``invalid <label>`` and the
+    reason for deep nesting and over-long integer literals, which escape
+    the decoder as RecursionError and ValueError."""
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        message = syntax.format(exc)
+    except RecursionError:
+        message = f"invalid {label}: nested too deeply"
+    except ValueError:
+        message = f"invalid {label}: an integer literal exceeds the limit on integer digits"
+    raise ConfigError(message)
+
+
 def _reject_repeated(entry: dict, prefix: str):
     if isinstance(entry, _RepeatedFields):
         raise ConfigError(f"{prefix}duplicate field {entry.repeated!r}")
@@ -160,10 +180,7 @@ def parse_ensemble_config(text: str) -> EnsembleConfig:
     given twice in one object, a non-boolean "degrees" and null values are
     errors.
     """
-    try:
-        data = _DECODER.decode(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    data = _decode(text, "JSON", "invalid JSON at line {0.lineno}, column {0.colno}: {0.msg}")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_repeated(data, "")
@@ -255,10 +272,7 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
     product, capped at 10^6 points; no two axes may sweep the same angle,
     and no object may give a field twice.
     """
-    try:
-        data = _DECODER.decode(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid sweep JSON: {exc.msg}") from None
+    data = _decode(text, "sweep JSON", "invalid sweep JSON: {0.msg}")
     if not isinstance(data, dict):
         raise ConfigError("sweep spec must be an object holding only 'axes'")
     _reject_repeated(data, "")
@@ -313,6 +327,9 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
             else:
                 h = (stop - start) / (steps - 1)
                 points = tuple(start + k * h for k in range(steps))
+                # stop - start can overflow; the points run monotonically from start
+                if not math.isfinite(points[-1]):
+                    raise ConfigError(f"{where}: the grid from {start!r} to {stop!r} leaves the float range")
         if attr in _BOUNDED:
             _check_range(where, itertools.repeat(path), points)
         axes.append(SweepAxis(path, points))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import DensityMatrix
 from .errors import BipartitionError, ConsistencyError, NormalizationError, SectorError
-from .fold import _project_batch, _schmidt_weights, weight_measure
+from .fold import _project_batch, _require_fold_size, _schmidt_weights, weight_measure
 from .states import (
     OccupationKey,
     SpatialMode,
@@ -399,6 +399,8 @@ def verify_schmidt_equivalence(
         )
     if n_left < 1 or n_right < 1:
         raise ConsistencyError("both sides of the split must be nonempty")
+    # before any per-particle work, which alone would take seconds at N = 10^6
+    _require_fold_size("projection", n_total)
     thetas = _broadcast_angle(theta, n_total, "theta")
     omegas = _broadcast_angle(omega, n_total, "omega")
     if not 0 <= n_up <= n_total:

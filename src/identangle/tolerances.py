@@ -45,7 +45,7 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def tolerances_from_env(environ=None) -> Tolerances:
+def tolerances_from_env() -> Tolerances:
     """Return the default tolerances, with the comparison (and separability)
     threshold overridden by ``IDENTANGLE_TOL`` when set.  These set the
     thresholds ``verify`` counts failures against and nothing else: the
@@ -54,8 +54,7 @@ def tolerances_from_env(environ=None) -> Tolerances:
     Raises ConfigError when the variable holds anything but a positive,
     finite float.
     """
-    environ = os.environ if environ is None else environ
-    raw = environ.get(TOLERANCE_ENV_VAR)
+    raw = os.environ.get(TOLERANCE_ENV_VAR)
     if raw is None:
         return DEFAULT_TOLERANCES
     try:

@@ -22,7 +22,7 @@ from identangle.config import (
     parse_sweep_spec,
 )
 from identangle.detection import entanglement_of_particles, project_onto_detectors
-from identangle.errors import ConfigError, ConsistencyError
+from identangle.errors import ConfigError, ConsistencyError, IdentangleError
 from identangle.oracles import expansion_inner_product
 from identangle.states import SpatialMode, Spin, Statistics, mode_ket
 from identangle.tolerances import DEFAULT_TOLERANCES, TOLERANCE_ENV_VAR
@@ -1074,6 +1074,89 @@ def test_non_utf8_inputs_are_usage_errors(runner, tmp_path):
         runner.invoke(main, ["sweep", "--config", cfg, "--sweep", str(bad)]),
         f"cannot read sweep spec {bad}",
     )
+
+
+#: 1e309, an integer above the largest float
+DIGITS_310 = "1" + "0" * 309
+#: past the interpreter's default limit of 4300 digits on int parsing
+DIGITS_4301 = "1" * 4301
+#: arrays nested past any recursion limit of the JSON decoder
+NESTED = "[" * 10 ** 5 + "]" * 10 ** 5
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, text, fragment", [
+    ("config", '{"particles": %s}' % NESTED, "invalid JSON: nested too deeply"),
+    ("sweep", '{"axes": %s}' % NESTED, "invalid sweep JSON: nested too deeply"),
+    ("config", '{"particles": [{"spin": "up", "theta": %s}]}' % DIGITS_4301,
+     "invalid JSON: an integer literal exceeds the limit on integer digits"),
+    ("sweep", '{"axes": [{"path": "particles[0].omega", "values": [%s]}]}' % DIGITS_4301,
+     "invalid sweep JSON: an integer literal exceeds the limit on integer digits"),
+    ("config", '{"particles": [{"spin": "up", "theta": 0.3, "omega": %s}]}' % DIGITS_310,
+     "particles[0]: field 'omega' must be finite, got an integer of 310 digits"),
+    ("sweep", '{"axes": [{"path": "particles[0].omega", "values": [0.5, %s]}]}' % DIGITS_310,
+     "axes[0]: values[1] must be finite, got an integer of 310 digits"),
+    ("sweep", '{"axes": [{"path": "particles[0].omega", "start": %s, "stop": 1, "steps": 3}]}' % DIGITS_310,
+     "axes[0]: 'start' must be finite, got an integer of 310 digits"),
+    ("sweep", '{"axes": [{"path": "particles[0].omega", "start": 0, "stop": -%s, "steps": 3}]}' % DIGITS_310,
+     "axes[0]: 'stop' must be finite, got an integer of 310 digits"),
+    ("sweep", '{"axes": [{"path": "particles[0].omega", "start": -1.7e308, "stop": 1.7e308, "steps": 3}]}',
+     "axes[0]: the grid from -1.7e+308 to 1.7e+308 leaves the float range"),
+    ("schmidt", "1000000", "projection is capped at N <= 170, got N = 1000000"),
+    ("schmidt", "99999999999999999999", "projection is capped at N <= 170, got N = 99999999999999999999"),
+], ids=[
+    "config-nested", "sweep-nested", "config-4301-digits", "sweep-4301-digits",
+    "config-310-digit-angle", "sweep-310-digit-value", "sweep-310-digit-start",
+    "sweep-310-digit-stop", "sweep-overflowing-axis", "schmidt-1e6", "schmidt-1e20",
+])
+def test_inputs_past_decoder_and_float_limits_exit_2(runner, tmp_path, monkeypatch, kind, text, fragment):
+    # one error line and no warning: the overflowing axis used to reach the
+    # fold as NaN, warn and fail its unit-norm check; above the cap, schmidt
+    # must not touch its particles (N = 10^6 took 13.8 s)
+    def per_particle(*args, **kwargs):
+        raise AssertionError("per-particle work above the projection cap")
+
+    monkeypatch.setattr(measures, "_broadcast_angle", per_particle)
+    if kind == "schmidt":
+        argv = ["schmidt", "--n-total", text, "--n-up", "1", "--split", f"1,{int(text) - 1}"]
+    elif kind == "config":
+        argv = ["project", "--config", write(tmp_path, "cfg.json", text)]
+    else:
+        cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+        argv = ["sweep", "--config", cfg, "--sweep", write(tmp_path, "sweep.json", text)]
+    assert_usage_error(runner.invoke(main, argv), fragment)
+
+
+@pytest.mark.parametrize("command, callee", [
+    ("amplitude", "fold_amplitude"),
+    ("project", "_project_json"),
+    ("sweep", "sweep_grid"),
+    ("schmidt", "verify_schmidt_equivalence"),
+    ("verify", "run_suite"),
+    ("echo-config", "dump_ensemble_config"),
+])
+def test_every_command_reports_identangle_errors_as_usage_errors(runner, tmp_path, monkeypatch, command, callee):
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+    sweep = write(tmp_path, "sweep.json", {"axes": [{"path": "particles[0].theta", "values": [0.2]}]})
+    argv = {
+        "amplitude": ["amplitude", "--config", cfg, "--bra-config", cfg],
+        "project": ["project", "--config", cfg],
+        "sweep": ["sweep", "--config", cfg, "--sweep", sweep],
+        "schmidt": ["schmidt", "--n-total", "3", "--n-up", "2", "--split", "2,1"],
+        "verify": ["verify", "schmidt"],
+        "echo-config": ["echo-config", "--config", cfg],
+    }[command]
+
+    def fail(*args, **kwargs):
+        raise IdentangleError(f"raised in {callee}")
+
+    monkeypatch.setattr(cli, callee, fail)
+    assert_usage_error(runner.invoke(main, argv), f"raised in {callee}")
+    # an invalid tolerance fails the command before its body, but not its --help
+    monkeypatch.setenv(TOLERANCE_ENV_VAR, "not-a-float")
+    assert_usage_error(runner.invoke(main, argv), f"{TOLERANCE_ENV_VAR} must be a float")
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0 and "Usage:" in result.output, result.output
 
 
 def library_project_json(config):

@@ -1,5 +1,6 @@
-"""Module layering: the fold stands alone, and the command line reads
-configs into the fold without the 1QL object model."""
+"""Module layering: the fold stands alone, the command line reads
+configs into the fold without the 1QL object model, and one place in the
+command line turns package errors into usage errors."""
 
 import ast
 import json
@@ -57,6 +58,37 @@ def test_no_module_imports_detection_inside_a_function():
     for path in SOURCE.glob("*.py"):
         for level, name, names, nested in imports(path.stem):
             assert not (nested and (name == "detection" or "detection" in names)), path.name
+
+
+def cli_functions():
+    """(qualified name, node) of every function and method in cli.py."""
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_cli_reports_usage_errors_in_one_place():
+    exits, reports, handlers = set(), set(), set()
+    for name, function in cli_functions():
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                callee = ast.unparse(node.func)
+                if callee == "sys.exit" and ast.unparse(node.args) == "2":
+                    exits.add(name)
+                elif callee == "_fail_usage":
+                    reports.add(name)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "IdentangleError" in ast.unparse(node.type):
+                    handlers.add(name)
+    assert exits == {"_fail_usage"}
+    assert reports == {"_Command.invoke"}
+    # _read_input only prefixes the path and raises again
+    assert handlers == {"_Command.invoke", "_read_input"}
 
 
 def test_fermion_amplitude_builds_no_kets(tmp_path, monkeypatch):

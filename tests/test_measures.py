@@ -301,13 +301,13 @@ def svd_schmidt_equivalence(n_total, n_up, theta, omega, split):
         raise ConsistencyError(f"split {split} does not partition {n_total} particles")
     if n_left < 1 or n_right < 1:
         raise ConsistencyError("both sides of the split must be nonempty")
+    fold._require_fold_size("projection", n_total)
     thetas = measures._broadcast_angle(theta, n_total, "theta")
     omegas = measures._broadcast_angle(omega, n_total, "omega")
     reference = dicke_state(n_total, n_up)
     ensemble = ParticleEnsemble(
         n_up, tuple(SpatialMode(theta=t, omega=w) for t, w in zip(thetas, omegas))
     )
-    fold._require_fold_size("projection", n_total)
     label = schmidt_decompose(reference, LabelSplit(n_left, n_right)).coefficients
     sector = project_onto_detectors(ensemble).sector(n_left)
     return label, schmidt_decompose(sector.state, ModeSplit()).coefficients, sector.probability
