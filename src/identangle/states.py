@@ -96,6 +96,14 @@ class SpatialMode:
         return 2.0 * math.cos(self.theta) * math.sin(self.theta)
 
 
+def _sparse_inner(bra: Dict, ket: Dict) -> complex:
+    """sum_k conj(bra[k]) * ket[k] over the keys the two amplitude dicts
+    share, iterating the smaller one (the bra's when equal in size)."""
+    if len(bra) > len(ket):
+        return sum(bra[k].conjugate() * v for k, v in ket.items() if k in bra)
+    return sum(v.conjugate() * ket[k] for k, v in bra.items() if k in ket)
+
+
 class SingleParticleKet:
     """Complex amplitude vector over the (spatial label, spin) basis.
 
@@ -140,17 +148,7 @@ class SingleParticleKet:
 
     def inner(self, other: "SingleParticleKet") -> complex:
         """<self|other> in the shared orthonormal basis."""
-        if len(self._amps) > len(other._amps):
-            return sum(
-                self._amps[l].conjugate() * v
-                for l, v in other._amps.items()
-                if l in self._amps
-            )
-        return sum(
-            v.conjugate() * other._amps[l]
-            for l, v in self._amps.items()
-            if l in other._amps
-        )
+        return _sparse_inner(self._amps, other._amps)
 
     def signature(self) -> tuple:
         """Hashable canonical form used to detect exactly equal kets."""
@@ -309,22 +307,7 @@ class SymmetricKet:
             )
         if self.statistics is not other.statistics:
             raise ConsistencyError("inner product requires matching statistics")
-        small, large = (
-            (self._amps, other._amps)
-            if len(self._amps) <= len(other._amps)
-            else (other._amps, self._amps)
-        )
-        if small is self._amps:
-            return sum(
-                v.conjugate() * other._amps[k]
-                for k, v in self._amps.items()
-                if k in other._amps
-            )
-        return sum(
-            self._amps[k].conjugate() * v
-            for k, v in other._amps.items()
-            if k in self._amps
-        )
+        return _sparse_inner(self._amps, other._amps)
 
     def normalized_copy(self) -> "SymmetricKet":
         n = self.norm()

@@ -4,21 +4,25 @@ Each suite returns a report dict with ``suite``, ``cases``, ``failures``,
 ``max_error`` and ``worst_case`` (the seed, index and inputs of the case
 with the largest error) and is deterministic for a fixed seed.  The
 closed-form suites draw all their cases as angle rows first and evaluate
-them with one fold (:func:`fold._project_batch`) per (N, n_up) group.
-These back the command-line ``verify`` command and the acceptance tests.
+them with one fold (:func:`fold._project_batch`) per (N, n_up) group; the
+oracle suite checks the fold routes of the ``amplitude`` and ``project``
+commands against the brute-force expansion oracles.  Every resizable
+suite takes its size as ``cases``.  These back the command-line
+``verify`` command and the acceptance tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import ANGLES
-from .detection import ParticleEnsemble, _angle_rows, project_onto_detectors
+from .detection import ParticleEnsemble, _angle_rows, detection_key
 from .errors import ConfigError
-from .fold import _postselected, _project_batch, _schmidt_weights
+from .fold import _postselected, _project_batch, _schmidt_weights, fold_amplitude
 from .measures import (
     LabelSplit,
     coefficient_distance,
@@ -31,13 +35,7 @@ from .measures import (
     verify_schmidt_equivalence,
 )
 from .oracles import expansion_inner_product, project_by_substitution
-from .states import (
-    SingleParticleKet,
-    SpatialMode,
-    Spin,
-    Statistics,
-)
-from .algebra import transition_amplitude
+from .states import SpatialMode
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 DEFAULT_SEED = 7
@@ -69,20 +67,6 @@ def random_ensemble(
     return ParticleEnsemble(n_up, tuple(modes))
 
 
-def random_ket(rng: np.random.Generator, labels: Sequence) -> SingleParticleKet:
-    v = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
-    v /= np.linalg.norm(v)
-    return SingleParticleKet({lab: complex(a) for lab, a in zip(labels, v)})
-
-
-_LR_LABELS = (
-    ("L", Spin.UP),
-    ("L", Spin.DOWN),
-    ("R", Spin.UP),
-    ("R", Spin.DOWN),
-)
-
-
 def _angles(thetas: Sequence[float], omegas: Sequence[float]) -> np.ndarray:
     """(4, N) angle rows of particles with phi and gamma at their defaults."""
     n = len(thetas)
@@ -95,12 +79,14 @@ def _ensemble_inputs(case: Tuple[int, np.ndarray]) -> Dict:
     return {"n_up": n_up, **dict(zip(ANGLES, rows.tolist()))}
 
 
-def _ket_inputs(kets: Sequence[SingleParticleKet]) -> List[Dict]:
-    """Each ket's [re, im] amplitudes keyed by "side,spin" label."""
-    return [
-        {f"{side},{spin.value}": [amp.real, amp.imag] for (side, spin), amp in ket.items()}
-        for ket in kets
-    ]
+def _inputs_of(ensemble: ParticleEnsemble) -> Dict:
+    """:func:`_ensemble_inputs` of an ensemble."""
+    return _ensemble_inputs((ensemble.n_up, _angle_rows(ensemble)[:, 0]))
+
+
+def _pair_inputs(bra: ParticleEnsemble, ket: ParticleEnsemble) -> Dict:
+    """Inputs of an amplitude case: the ensemble inputs of its bra and ket."""
+    return {"bra": _inputs_of(bra), "ket": _inputs_of(ket)}
 
 
 def _report(
@@ -176,20 +162,19 @@ def suite_theorem1(
 
 def suite_n2_closed_form(
     seed: int = DEFAULT_SEED,
-    grid: int = 20,
-    omega_draws: int = 10,
+    cases: int = 10,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Dict:
     """Two-boson average concurrence against the closed form C1*C2/4 on a
-    theta grid with random phases."""
+    20 x 20 theta grid, with ``cases`` random phase pairs per grid point."""
     rng = np.random.default_rng(seed)
-    thetas = np.linspace(0.0, math.pi / 2, grid)
+    thetas = np.linspace(0.0, math.pi / 2, 20)
     draws = []
     expected = []
     for t1 in thetas:
         for t2 in thetas:
             closed = two_boson_average_concurrence(float(t1), float(t2))
-            for _ in range(omega_draws):
+            for _ in range(cases):
                 w1, w2 = rng.uniform(0.0, 2.0 * math.pi, 2)
                 draws.append((1, _angles([float(t1), float(t2)], [float(w1), float(w2)])))
                 expected.append(closed)
@@ -275,15 +260,15 @@ def mode_split_error(
 
 def suite_schmidt(
     seed: int = DEFAULT_SEED,
-    max_n: int = 6,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Dict:
-    """Label-split Schmidt coefficients against the binomial closed form,
-    plus the mode-splitting equivalence for the three-particle pattern."""
+    """Label-split Schmidt coefficients against the binomial closed form at
+    N = 2..6, plus the mode-splitting equivalence for the three-particle
+    pattern."""
     rng = np.random.default_rng(seed)
     errors = []
     inputs = []
-    for n_total in range(2, max_n + 1):
+    for n_total in range(2, 7):
         for n_up in range(0, n_total + 1):
             for n_left in range(1, n_total):
                 errors.append(label_split_error(n_total, n_up, n_left))
@@ -298,61 +283,56 @@ def suite_schmidt(
     return _report("schmidt", seed, errors, failures, inputs.__getitem__)
 
 
-def amplitude_oracle_error(
-    bras: Sequence[SingleParticleKet], kets: Sequence[SingleParticleKet]
-) -> float:
-    """|Ryser-path boson amplitude - expansion oracle|."""
-    fast = transition_amplitude(bras, kets, Statistics.BOSON)
-    return abs(fast - expansion_inner_product(bras, kets, Statistics.BOSON))
+def amplitude_oracle_error(bra: ParticleEnsemble, ket: ParticleEnsemble) -> float:
+    """|fold amplitude - expansion oracle| of two boson ensembles, the fold
+    run as the ``amplitude`` command runs it: on their spin-up-first angle
+    rows, row 0 the bra's."""
+    angles = np.concatenate([_angle_rows(bra), _angle_rows(ket)], axis=1)
+    fast = fold_amplitude(bra.n_up, ket.n_up, *angles)
+    return abs(fast - expansion_inner_product(bra.kets(), ket.kets()))
 
 
 def projection_oracle_error(
     ensemble: ParticleEnsemble,
 ) -> float:
-    """Largest deviation of the fold projection's leak and unnormalized
-    sector amplitudes from :func:`oracles.project_by_substitution`."""
-    decomposition = project_onto_detectors(ensemble)
-    oracle_sectors, oracle_leak = project_by_substitution(ensemble)
-    err = abs(decomposition.leak_probability - oracle_leak)
-    for sector in decomposition.sectors:
-        reference = oracle_sectors.get(sector.q, {})
-        root_p = math.sqrt(sector.probability)
-        for key, value in sector.state.items():
-            err = max(err, abs(value * root_p - reference.get(key, 0j)))
-    return err
+    """Largest deviation of the fold projection's leak and raw outcome
+    amplitudes from :func:`oracles.project_by_substitution`, over every
+    outcome (alpha, beta): the oracle's amplitude of its detection key in
+    sector q = alpha + beta, 0 where the oracle has none."""
+    outcomes, _, _, leak = _project_batch(ensemble.n_up, *_angle_rows(ensemble))
+    sectors, oracle_leak = project_by_substitution(ensemble)
+    reference = np.zeros_like(outcomes[0])
+    for alpha, beta in np.ndindex(reference.shape):
+        reference[alpha, beta] = sectors.get(alpha + beta, {}).get(detection_key(ensemble, alpha, beta), 0j)
+    return max(abs(float(leak[0]) - oracle_leak), float(np.abs(outcomes[0] - reference).max()))
 
 
 def suite_oracle(
     seed: int = DEFAULT_SEED,
-    cases_per_n: int = 200,
-    max_n: int = 5,
+    cases: int = 200,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Dict:
-    """Permanent-path amplitudes and projection against the literal
-    permutation-expansion oracles."""
+    """The fold routes of the ``amplitude`` and ``project`` commands against
+    the literal permutation-expansion oracles: ``cases`` amplitudes at each
+    N = 1..5 between ensembles of equal n_up, whose particles leave the
+    detectors half the time, then ``cases`` leak-free projections at each
+    N = 2..5."""
     rng = np.random.default_rng(seed)
     errors = []
-    inputs = []
-    for n in range(1, max_n + 1):
-        for _ in range(cases_per_n):
-            bras = [random_ket(rng, _LR_LABELS) for _ in range(n)]
-            kets = [random_ket(rng, _LR_LABELS) for _ in range(n)]
-            errors.append(amplitude_oracle_error(bras, kets))
-            inputs.append((bras, kets))
-    for n in range(2, max_n + 1):
-        for _ in range(cases_per_n):
+    inputs: List[Callable[[], Dict]] = []
+    for n in range(1, 6):
+        for _ in range(cases):
+            ket = random_ensemble(rng, n, allow_leak=True)
+            bra = random_ensemble(rng, n, ket.n_up, allow_leak=True)
+            errors.append(amplitude_oracle_error(bra, ket))
+            inputs.append(functools.partial(_pair_inputs, bra, ket))
+    for n in range(2, 6):
+        for _ in range(cases):
             ensemble = random_ensemble(rng, n, allow_leak=False)
             errors.append(projection_oracle_error(ensemble))
-            inputs.append(ensemble)
-
-    def case_inputs(case: int) -> Dict:
-        if isinstance(inputs[case], ParticleEnsemble):
-            return _ensemble_inputs((inputs[case].n_up, _angle_rows(inputs[case])[:, 0]))
-        bras, kets = inputs[case]
-        return {"bras": _ket_inputs(bras), "kets": _ket_inputs(kets)}
-
+            inputs.append(functools.partial(_inputs_of, ensemble))
     failures = sum(err >= tol.comparison for err in errors)
-    return _report("oracle", seed, errors, failures, case_inputs)
+    return _report("oracle", seed, errors, failures, lambda case: inputs[case]())
 
 
 SUITES: Dict[str, Callable[..., Dict]] = {
@@ -361,14 +341,6 @@ SUITES: Dict[str, Callable[..., Dict]] = {
     "n3-closed-form": suite_n3_closed_form,
     "schmidt": suite_schmidt,
     "oracle": suite_oracle,
-}
-
-
-_SIZE_KEYWORD = {
-    "theorem1": "cases",
-    "n2-closed-form": "omega_draws",
-    "n3-closed-form": "cases",
-    "oracle": "cases_per_n",
 }
 
 
@@ -391,7 +363,7 @@ def run_suite(
     if cases is not None:
         if cases < 1:
             raise ConfigError("cases must be >= 1")
-        if name not in _SIZE_KEYWORD:
+        if name == "schmidt":
             raise ConfigError(f"suite {name!r} has a fixed size and takes no cases")
-        kwargs[_SIZE_KEYWORD[name]] = cases
+        kwargs["cases"] = cases
     return suite(seed=seed, tol=tol, **kwargs)

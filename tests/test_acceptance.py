@@ -39,7 +39,7 @@ def _report(criterion, detail):
 def test_criterion_1_two_boson_closed_form():
     """N=2 average concurrence equals C1*C2/4 on a 20x20 grid, under 5 s."""
     start = time.perf_counter()
-    report = suite_n2_closed_form(seed=SEED, grid=20, omega_draws=10)
+    report = suite_n2_closed_form(seed=SEED, cases=10)
     elapsed = time.perf_counter() - start
     assert report["failures"] == 0, report
     assert report["max_error"] < 1e-10
@@ -116,7 +116,7 @@ def test_criterion_6_schmidt_equivalence():
     )
     assert report.max_abs_diff < 1e-10
     assert pair_err < 1e-10
-    suite = suite_schmidt(seed=SEED, max_n=6)
+    suite = suite_schmidt(seed=SEED)
     assert suite["failures"] == 0, suite
     assert suite["max_error"] < 1e-10
     _report(6, f"(3,2,(2,1)) diff={report.max_abs_diff:.3e}; "
@@ -125,8 +125,8 @@ def test_criterion_6_schmidt_equivalence():
 
 
 def test_criterion_7_oracle_equivalence():
-    """Permanent-path amplitudes and projection match the expansion oracles."""
-    report = suite_oracle(seed=SEED, cases_per_n=200, max_n=5)
+    """Fold amplitudes and projections match the expansion oracles."""
+    report = suite_oracle(seed=SEED, cases=200)
     assert report["failures"] == 0, report
     assert report["max_error"] < 1e-10
     _report(7, f"max_error={report['max_error']:.3e} cases={report['cases']}")

@@ -61,7 +61,7 @@ def test_spin_orthogonal_amplitude_vanishes(rng):
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
 def test_amplitude_matches_expansion_oracle(rng, statistics):
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         for _ in range(10):
             bras = [random_ket(rng) for _ in range(n)]
             kets = [random_ket(rng) for _ in range(n)]

@@ -1,6 +1,7 @@
 """Module layering: the fold stands alone, the command line reads
-configs into the fold without the 1QL object model, and one place in the
-command line turns package errors into usage errors."""
+configs into the fold without the 1QL object model, verify checks the
+fold rather than the permanent route, and one place in the command line
+turns package errors into usage errors."""
 
 import ast
 import json
@@ -45,13 +46,20 @@ def test_fold_imports_only_numpy_the_stdlib_errors_and_tolerances():
             assert top == "numpy" or top in sys.stdlib_module_names, name
 
 
+def assert_imports_none_of(module, banned):
+    for level, name, names, _ in imports(module):
+        assert name.split(".")[-1] not in banned, (module, name)
+        if level and not name:
+            assert not banned & set(names), (module, names)
+
+
 def test_cli_and_config_stay_off_the_object_model():
-    banned = {"algebra", "detection", "oracles", "permanent"}
     for module in ("cli", "config"):
-        for level, name, names, _ in imports(module):
-            assert name.split(".")[-1] not in banned, (module, name)
-            if level and not name:
-                assert not banned & set(names), (module, names)
+        assert_imports_none_of(module, {"algebra", "detection", "oracles", "permanent"})
+
+
+def test_verify_stays_off_the_permanent_route():
+    assert_imports_none_of("verify", {"algebra", "permanent"})
 
 
 def test_no_module_imports_detection_inside_a_function():

@@ -18,6 +18,7 @@ from identangle.detection import (
     sector_reduced_density,
 )
 from identangle.errors import NullStateError, SizeLimitError
+from identangle.fold import fold_amplitude
 from identangle.measures import (
     three_boson_average_concurrence,
     three_boson_average_concurrence_coherences,
@@ -103,12 +104,12 @@ def theorem1_draws(seed, cases):
         yield ParticleEnsemble(n_up, tuple(modes))
 
 
-def n2_draws(seed, omega_draws, grid=20):
+def n2_draws(seed, cases):
     rng = np.random.default_rng(seed)
-    thetas = np.linspace(0.0, math.pi / 2, grid)
+    thetas = np.linspace(0.0, math.pi / 2, 20)
     for t1 in thetas:
         for t2 in thetas:
-            for _ in range(omega_draws):
+            for _ in range(cases):
                 w1, w2 = rng.uniform(0.0, 2.0 * math.pi, 2)
                 yield ParticleEnsemble(
                     1,
@@ -149,7 +150,7 @@ def case_by_case(draws, case):
     "suite, draws, case",
     [
         (lambda seed: suite_theorem1(seed, cases=150), lambda seed: theorem1_draws(seed, 150), theorem1_case),
-        (lambda seed: suite_n2_closed_form(seed, omega_draws=2), lambda seed: n2_draws(seed, 2), n2_case),
+        (lambda seed: suite_n2_closed_form(seed, cases=2), lambda seed: n2_draws(seed, 2), n2_case),
         (lambda seed: suite_n3_closed_form(seed, cases=300), lambda seed: n3_draws(seed, 300), n3_case),
     ],
     ids=["theorem1", "n2-closed-form", "n3-closed-form"],
@@ -189,18 +190,6 @@ def ensemble_from(inputs):
     return ParticleEnsemble(inputs["n_up"], tuple(SpatialMode(*a) for a in angles))
 
 
-def kets_from(entries):
-    return [
-        SingleParticleKet(
-            {
-                (label.split(",")[0], Spin(label.split(",")[1])): complex(re, im)
-                for label, (re, im) in entry.items()
-            }
-        )
-        for entry in entries
-    ]
-
-
 def replay(worst):
     """The error of a report's worst case, from its JSON inputs alone."""
     inputs = worst["inputs"]
@@ -208,8 +197,8 @@ def replay(worst):
         if "theta" in inputs:
             return mode_split_error(inputs["theta"], inputs["omega"])
         return label_split_error(inputs["n_total"], inputs["n_up"], inputs["n_left"])
-    if "bras" in inputs:
-        return amplitude_oracle_error(kets_from(inputs["bras"]), kets_from(inputs["kets"]))
+    if "bra" in inputs:
+        return amplitude_oracle_error(ensemble_from(inputs["bra"]), ensemble_from(inputs["ket"]))
     ensemble = ensemble_from(inputs)
     if worst["suite"] == "oracle":
         return projection_oracle_error(ensemble)
@@ -240,15 +229,24 @@ def test_worst_case_replays_from_json(argv):
     assert replay(worst) == report["max_error"]
 
 
-def test_oracle_amplitude_worst_case_replays_from_json():
-    # without projections (they start at n = 2) the worst case is an amplitude
-    report = json.loads(json.dumps(suite_oracle(seed=5, cases_per_n=30, max_n=1)))
-    assert "bras" in report["worst_case"]["inputs"]
+def test_oracle_amplitude_worst_case_replays_from_json(monkeypatch):
+    # with every projection error at 0 the worst case is an amplitude
+    monkeypatch.setattr(verify, "projection_oracle_error", lambda ensemble: 0.0)
+    report = json.loads(json.dumps(suite_oracle(seed=5, cases=30)))
+    assert "bra" in report["worst_case"]["inputs"]
     assert replay(report["worst_case"]) == report["max_error"] > 0.0
 
 
+def test_oracle_suite_checks_the_fold_amplitude(monkeypatch):
+    # the route the amplitude command runs, off by 1e-9 on every call
+    monkeypatch.setattr(verify, "fold_amplitude", lambda *args: fold_amplitude(*args) + 1e-9)
+    result = CliRunner().invoke(main, ["verify", "oracle", "--cases", "2"])
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output)["failures"] > 0
+
+
 def test_suite_without_cases_has_no_worst_case():
-    report = suite_n2_closed_form(omega_draws=0)
+    report = suite_n2_closed_form(cases=0)
     assert report == {
         "suite": "n2-closed-form", "cases": 0, "failures": 0, "max_error": 0.0, "worst_case": None
     }
