@@ -11,8 +11,8 @@ Commands raise IdentangleError for a bad input, and the subcommand class
 :class:`_Command` alone reports it: one ``error:`` line, exit 2.  The
 environment variable ``IDENTANGLE_TOL`` overrides the default comparison
 tolerance.  Every subcommand rejects an invalid value, but only ``verify``
-uses it, for the thresholds it counts failures against; every other
-output is the same for any valid value.
+uses it, for the one threshold every suite counts failures against; every
+other output is the same for any valid value.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import ConfigError, ConsistencyError, IdentangleError, RowError
 from .fold import _postselected, _project_batch, _sector_walk, fermion_amplitude, fold_amplitude, sweep_grid
 from .measures import verify_schmidt_equivalence
 from .states import Statistics, _odd_inversions
-from .tolerances import tolerances_from_env
+from .tolerances import comparison_from_env
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 
@@ -55,7 +55,7 @@ class _Command(click.Command):
 
     def invoke(self, ctx: click.Context):
         try:
-            tolerances_from_env()
+            comparison_from_env()
             return super().invoke(ctx)
         except IdentangleError as exc:
             _fail_usage(str(exc))
@@ -347,9 +347,9 @@ def schmidt(n_total, n_up, theta, omega, split, output):
 
 
 def _parse_angles(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
+    """Scalar or list of angles; every comma-separated part must be a float."""
     try:
-        values = [float(p) for p in parts]
+        values = [float(p) for p in text.split(",")]
     except ValueError:
         raise ConfigError(f"bad angle list {text!r}") from None
     return values[0] if len(values) == 1 else values
@@ -362,7 +362,7 @@ def _parse_angles(text: str):
 @click.option("--output", default="-", show_default=True)
 def verify(suite: str, seed: int, cases: Optional[int], output: str):
     """Run a named verification suite; exits 1 on any failure."""
-    report = run_suite(suite, seed=seed, tol=tolerances_from_env(), cases=cases)
+    report = run_suite(suite, seed=seed, cases=cases)
     _write_output(json.dumps(report, indent=2), output)
     if report["failures"]:
         sys.exit(1)

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import DensityMatrix, pure_to_density, symmetrized_partial_trace
 from .errors import BoundsError, ConsistencyError, SectorError
 from .fold import _project_batch, _sector_walk, sweep_grid, weight_measure
-from .measures import ModeSplit, _dicke_key, mode_split_matrix
+from .measures import _dicke_key, mode_split_matrix
 from .states import (
     OccupationKey,
     SingleParticleKet,
@@ -197,7 +197,7 @@ def sector_entanglement(
     measures.three_boson_average_concurrence.  The reference route for
     :func:`fold.sweep_grid`, which reads the same weights from the outcomes.
     """
-    matrix = mode_split_matrix(state, ModeSplit())[0]
+    matrix = mode_split_matrix(state)[0]
     weights = np.linalg.svd(matrix, compute_uv=False) ** 2
     weights /= weights.sum()
     return float(weight_measure(weights, weights.size, measure))
@@ -228,11 +228,11 @@ class SeparabilityVerdict:
 
 def theorem1_separability_check(
     ensemble: ParticleEnsemble,
-    measure: str = "concurrence",
 ) -> SeparabilityVerdict:
     """Check the coherence criterion: if every spin-up particle or every
     spin-down particle has zero spatial coherence, the projected state is
-    separable.  The converse does not hold.
+    separable.  The converse does not hold.  The verdict reads the average
+    concurrence; whether it vanishes does not depend on the measure.
     """
     cs = [m.coherence() for m in ensemble.modes]
     ups = cs[: ensemble.n_up]
@@ -240,5 +240,5 @@ def theorem1_separability_check(
     criterion = all(c <= TOL.coherence_zero for c in ups) or all(
         c <= TOL.coherence_zero for c in downs
     )
-    value = entanglement_of_particles(ensemble, measure=measure)
+    value = entanglement_of_particles(ensemble, "concurrence")
     return SeparabilityVerdict(criterion, value, value < TOL.separability)

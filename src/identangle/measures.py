@@ -45,10 +45,7 @@ def von_neumann_entropy(
 
 @dataclass(frozen=True)
 class ModeSplit:
-    """Bipartition of the spatial labels into a left and a right detector side."""
-
-    left: Tuple[str, ...] = ("L",)
-    right: Tuple[str, ...] = ("R",)
+    """Bipartition of the spatial labels into detector sides "L" and "R"."""
 
 
 @dataclass(frozen=True)
@@ -84,8 +81,8 @@ def schmidt_decompose(
 ) -> SchmidtResult:
     """Schmidt decomposition of a normalized pure state.
 
-    Mode splits factor the occupation keys across two disjoint spatial
-    label sets and require a fixed particle count on each side.  Label
+    Mode splits factor the occupation keys across the two detector
+    labels and require a fixed particle count on each side.  Label
     splits treat a state whose particles all share one spatial mode as a
     symmetric spin state and split its particle labels into two groups.
     """
@@ -93,7 +90,7 @@ def schmidt_decompose(
     if abs(norm - 1.0) > TOL.normalization:
         raise NormalizationError(f"schmidt_decompose needs a unit ket, norm = {norm!r}")
     if isinstance(bipartition, ModeSplit):
-        m, left_keys, right_keys, n_left = mode_split_matrix(psi, bipartition)
+        m, left_keys, right_keys, n_left = mode_split_matrix(psi)
         split = ("modes", n_left, psi.n_particles - n_left)
         return _svd_result(m, left_keys, right_keys, split, psi.statistics)
     if isinstance(bipartition, LabelSplit):
@@ -102,24 +99,20 @@ def schmidt_decompose(
 
 
 def mode_split_matrix(
-    psi: SymmetricKet, split: ModeSplit
+    psi: SymmetricKet,
 ) -> Tuple[np.ndarray, List[OccupationKey], List[OccupationKey], int]:
-    """Coefficient matrix of a state across a mode split.
+    """Coefficient matrix of a state across the detector split "L" | "R".
 
     Returns (M, left_keys, right_keys, n_left) with
     M[i, j] = <left_keys[i], right_keys[j]|psi>; the singular values of M
     are the Schmidt coefficients.  Every key must hold the same number
     n_left of particles on the left side.
     """
-    left_set = set(split.left)
-    right_set = set(split.right)
-    if left_set & right_set:
-        raise BipartitionError("mode split sides must be disjoint")
     pairs: Dict[Tuple[OccupationKey, OccupationKey], complex] = {}
     counts = set()
     for key, value in psi.items():
-        left = [lab for lab in key if lab[0] in left_set]
-        right = [lab for lab in key if lab[0] in right_set]
+        left = [lab for lab in key if lab[0] == "L"]
+        right = [lab for lab in key if lab[0] == "R"]
         if len(left) + len(right) != len(key):
             raise BipartitionError(
                 f"key {key} has support outside the requested mode split"
@@ -314,7 +307,7 @@ def three_boson_average_concurrence_coherences(
     bracket the plus sign), False when they straddle it.
     """
     for c in (c1, c2, c3):
-        if not 0.0 <= c <= 1.0 + 1e-12:
+        if not 0.0 <= c <= 1.0 + TOL.normalization:
             raise ConsistencyError(f"coherences must lie in [0, 1], got {c}")
     eps = 1.0 if same_side else -1.0
     root = math.sqrt(max(0.0, (1.0 - c1 * c1) * (1.0 - c2 * c2)))
@@ -342,13 +335,12 @@ class SchmidtEquivalenceReport:
 def dicke_state(
     n_total: int,
     n_up: int,
-    mode: str = "psi",
 ) -> SymmetricKet:
-    """Symmetric state of n_total bosons in one spatial mode, n_up spin-up."""
+    """Symmetric state of n_total bosons in spatial mode "psi", n_up spin-up."""
     if not 0 <= n_up <= n_total or n_total < 1:
         raise ConsistencyError(f"invalid spin split ({n_up} of {n_total})")
     return SymmetricKet(
-        n_total, Statistics.BOSON, {_dicke_key(mode, n_total, n_up): 1.0 + 0j}, normalized=True
+        n_total, Statistics.BOSON, {_dicke_key("psi", n_total, n_up): 1.0 + 0j}, normalized=True
     )
 
 

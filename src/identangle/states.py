@@ -107,9 +107,9 @@ def _sparse_inner(bra: Dict, ket: Dict) -> complex:
 class SingleParticleKet:
     """Complex amplitude vector over the (spatial label, spin) basis.
 
-    Amplitudes below the pruning threshold are dropped at construction.
-    Instances are treated as immutable values; do not mutate the mapping
-    returned by :meth:`items`.
+    Amplitudes below the pruning threshold are dropped at construction,
+    and the ket must have unit norm.  Instances are treated as immutable
+    values; do not mutate the mapping returned by :meth:`items`.
     """
 
     __slots__ = ("_amps",)
@@ -117,8 +117,6 @@ class SingleParticleKet:
     def __init__(
         self,
         amplitudes: Mapping[BasisLabel, complex],
-        *,
-        unnormalized: bool = False,
     ):
         amps = {
             label: complex(value)
@@ -126,13 +124,11 @@ class SingleParticleKet:
             if abs(value) > TOL.pruning
         }
         self._amps = amps
-        if not unnormalized:
-            n = self.norm()
-            if abs(n - 1.0) > TOL.normalization:
-                raise ConsistencyError(
-                    f"single-particle ket must be unit norm, got {n!r} "
-                    "(pass unnormalized=True to skip the check)"
-                )
+        n = self.norm()
+        if abs(n - 1.0) > TOL.normalization:
+            raise ConsistencyError(
+                f"single-particle ket must be unit norm, got {n!r}"
+            )
 
     def items(self):
         return self._amps.items()
@@ -244,7 +240,7 @@ class SymmetricKet:
     with a repeated basis pair are rejected (Pauli exclusion).
     """
 
-    __slots__ = ("n_particles", "statistics", "_amps", "normalized")
+    __slots__ = ("n_particles", "statistics", "_amps")
 
     def __init__(
         self,
@@ -274,7 +270,6 @@ class SymmetricKet:
         self.n_particles = n_particles
         self.statistics = statistics
         self._amps = amps
-        self.normalized = normalized
         if normalized:
             n = self.norm()
             if abs(n - 1.0) > TOL.normalization:

@@ -2,17 +2,18 @@
 
 All numerical thresholds used by the package live in one frozen record so
 that comparisons, normalization checks and sparse pruning stay consistent
-across modules.  The library reads the fixed ``DEFAULT_TOLERANCES``
-directly; only the ``verify`` suites take a ``Tolerances``, built by
-:func:`tolerances_from_env`, for the thresholds they count failures
-against.
+across modules.  No function takes a ``Tolerances``: the library reads
+the fixed ``DEFAULT_TOLERANCES`` directly, and :func:`comparison_from_env`
+is read in two places only, by ``verify._report`` for the threshold it
+counts failures against and by the command line, which rejects an invalid
+``IDENTANGLE_TOL`` before any work starts.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -23,7 +24,7 @@ TOLERANCE_ENV_VAR = "IDENTANGLE_TOL"
 @dataclass(frozen=True)
 class Tolerances:
     #: numerical comparisons: oracle agreement, which ``verify`` counts
-    #: failures against, and partial-trace completeness
+    #: failures against in every suite, and partial-trace completeness
     comparison: float = 1e-10
     #: run-time invariants of states: unit norm of states flagged as
     #: normalized, valid density matrices, sum p_q + leak = 1
@@ -45,18 +46,17 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def tolerances_from_env() -> Tolerances:
-    """Return the default tolerances, with the comparison (and separability)
-    threshold overridden by ``IDENTANGLE_TOL`` when set.  These set the
-    thresholds ``verify`` counts failures against and nothing else: the
-    library reads ``DEFAULT_TOLERANCES``.
+def comparison_from_env() -> float:
+    """Return the comparison threshold ``verify`` counts failures against:
+    ``IDENTANGLE_TOL`` when set, else the default.  It sets nothing else:
+    the library reads ``DEFAULT_TOLERANCES``.
 
     Raises ConfigError when the variable holds anything but a positive,
     finite float.
     """
     raw = os.environ.get(TOLERANCE_ENV_VAR)
     if raw is None:
-        return DEFAULT_TOLERANCES
+        return DEFAULT_TOLERANCES.comparison
     try:
         value = float(raw)
     except ValueError:
@@ -67,4 +67,4 @@ def tolerances_from_env() -> Tolerances:
         raise ConfigError(
             f"{TOLERANCE_ENV_VAR} must be a positive finite float, got {raw!r}"
         )
-    return replace(DEFAULT_TOLERANCES, comparison=value, separability=value)
+    return value

@@ -7,7 +7,8 @@ closed-form suites draw all their cases as angle rows first and evaluate
 them with one fold (:func:`fold._project_batch`) per (N, n_up) group; the
 oracle suite checks the fold routes of the ``amplitude`` and ``project``
 commands against the brute-force expansion oracles.  Every resizable
-suite takes its size as ``cases``.  These back the command-line
+suite takes its size as ``cases``, and none takes a tolerance:
+:func:`_report` alone counts failures.  These back the command-line
 ``verify`` command and the acceptance tests.
 """
 
@@ -36,7 +37,7 @@ from .measures import (
 )
 from .oracles import expansion_inner_product, project_by_substitution
 from .states import SpatialMode
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import comparison_from_env
 
 DEFAULT_SEED = 7
 
@@ -93,20 +94,23 @@ def _report(
     suite: str,
     seed: int,
     errors: Sequence[float],
-    failures: int,
     inputs: Callable[[int], Dict],
 ) -> Dict:
-    """Suite report over the per-case errors; ``worst_case`` names the case
-    with the largest error (the first, on ties) and holds ``inputs`` of it,
-    or is None when the suite ran no case."""
+    """Suite report over the per-case errors, the one place failures are
+    counted: every case whose error is not below :func:`comparison_from_env`,
+    a NaN error included.  ``worst_case`` names the case with the largest
+    error (the first, on ties; the first NaN, if any) and holds ``inputs``
+    of it, or is None when the suite ran no case."""
     if len(errors) == 0:
         return {"suite": suite, "cases": 0, "failures": 0, "max_error": 0.0, "worst_case": None}
     worst = int(np.argmax(errors))
+    worst_error = float(errors[worst])
+    failures = np.count_nonzero(~(np.asarray(errors) < comparison_from_env()))
     return {
         "suite": suite,
         "cases": len(errors),
         "failures": int(failures),
-        "max_error": max(0.0, float(errors[worst])),
+        "max_error": worst_error if math.isnan(worst_error) else max(0.0, worst_error),
         "worst_case": {"suite": suite, "seed": seed, "case": worst, "inputs": inputs(worst)},
     }
 
@@ -132,11 +136,11 @@ def _concurrences(cases: Sequence[Tuple[int, np.ndarray]]) -> Tuple[np.ndarray, 
 def suite_theorem1(
     seed: int = DEFAULT_SEED,
     cases: int = 1000,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Dict:
     """Zero-coherence criterion: forcing one spin group's thetas to 0 or
     pi/2 must leave every sector reduced state rank one (second Schmidt
-    weight zero) and the average entanglement at zero."""
+    weight zero) and the average entanglement at zero; a case's error is
+    the larger of the two."""
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(cases):
@@ -153,9 +157,8 @@ def suite_theorem1(
             omegas.append(float(rng.uniform(0, 2 * math.pi)))
         draws.append((n_up, _angles(thetas, omegas)))
     values, seconds = _concurrences(draws)
-    failed = (values >= tol.separability) | (seconds > tol.separability)
     return _report(
-        "theorem1", seed, np.maximum(values, seconds), np.count_nonzero(failed),
+        "theorem1", seed, np.maximum(values, seconds),
         lambda case: _ensemble_inputs(draws[case]),
     )
 
@@ -163,7 +166,6 @@ def suite_theorem1(
 def suite_n2_closed_form(
     seed: int = DEFAULT_SEED,
     cases: int = 10,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Dict:
     """Two-boson average concurrence against the closed form C1*C2/4 on a
     20 x 20 theta grid, with ``cases`` random phase pairs per grid point."""
@@ -180,7 +182,7 @@ def suite_n2_closed_form(
                 expected.append(closed)
     errors = np.abs(_concurrences(draws)[0] - expected)
     return _report(
-        "n2-closed-form", seed, errors, np.count_nonzero(errors >= tol.comparison),
+        "n2-closed-form", seed, errors,
         lambda case: _ensemble_inputs(draws[case]),
     )
 
@@ -188,7 +190,6 @@ def suite_n2_closed_form(
 def suite_n3_closed_form(
     seed: int = DEFAULT_SEED,
     cases: int = 500,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Dict:
     """Three-boson average concurrence against the closed form, in both the
     angle variables and the coherence variables with the branch sign rule.
@@ -197,7 +198,6 @@ def suite_n3_closed_form(
     on opposite sides, so both branches of the sign rule are exercised.
     """
     rng = np.random.default_rng(seed)
-    threshold = max(tol.comparison, 1e-9)
     draws = []
     theta_forms = []
     coherence_forms = []
@@ -231,7 +231,7 @@ def suite_n3_closed_form(
     values = _concurrences(draws)[0]
     errors = np.maximum(np.abs(values - theta_forms), np.abs(values - coherence_forms))
     return _report(
-        "n3-closed-form", seed, errors, np.count_nonzero(errors >= threshold),
+        "n3-closed-form", seed, errors,
         lambda case: _ensemble_inputs(draws[case]),
     )
 
@@ -260,7 +260,6 @@ def mode_split_error(
 
 def suite_schmidt(
     seed: int = DEFAULT_SEED,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Dict:
     """Label-split Schmidt coefficients against the binomial closed form at
     N = 2..6, plus the mode-splitting equivalence for the three-particle
@@ -279,8 +278,7 @@ def suite_schmidt(
         omega = float(rng.uniform(0.0, 2.0 * math.pi))
         errors.append(mode_split_error(theta, omega))
         inputs.append({"theta": theta, "omega": omega})
-    failures = sum(err >= tol.comparison for err in errors)
-    return _report("schmidt", seed, errors, failures, inputs.__getitem__)
+    return _report("schmidt", seed, errors, inputs.__getitem__)
 
 
 def amplitude_oracle_error(bra: ParticleEnsemble, ket: ParticleEnsemble) -> float:
@@ -310,7 +308,6 @@ def projection_oracle_error(
 def suite_oracle(
     seed: int = DEFAULT_SEED,
     cases: int = 200,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Dict:
     """The fold routes of the ``amplitude`` and ``project`` commands against
     the literal permutation-expansion oracles: ``cases`` amplitudes at each
@@ -331,8 +328,7 @@ def suite_oracle(
             ensemble = random_ensemble(rng, n, allow_leak=False)
             errors.append(projection_oracle_error(ensemble))
             inputs.append(functools.partial(_inputs_of, ensemble))
-    failures = sum(err >= tol.comparison for err in errors)
-    return _report("oracle", seed, errors, failures, lambda case: inputs[case]())
+    return _report("oracle", seed, errors, lambda case: inputs[case]())
 
 
 SUITES: Dict[str, Callable[..., Dict]] = {
@@ -347,7 +343,6 @@ SUITES: Dict[str, Callable[..., Dict]] = {
 def run_suite(
     name: str,
     seed: int = DEFAULT_SEED,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     cases: Optional[int] = None,
 ) -> Dict:
     """Run a named suite; ``cases`` rescales its dominant sample count."""
@@ -366,4 +361,4 @@ def run_suite(
         if name == "schmidt":
             raise ConfigError(f"suite {name!r} has a fixed size and takes no cases")
         kwargs["cases"] = cases
-    return suite(seed=seed, tol=tol, **kwargs)
+    return suite(seed=seed, **kwargs)

@@ -618,6 +618,15 @@ def test_schmidt_rejects_non_finite_angles(runner):
             assert_usage_error(result, f"{option[2:]} must be finite, got {value}")
 
 
+@pytest.mark.parametrize("text", ["0.1,,0.2,0.3", "0.1,", ""])
+def test_schmidt_rejects_empty_angle_list_parts(runner, text):
+    # an empty part is an error, not a dropped entry that shortens the list
+    result = runner.invoke(main, [
+        "schmidt", "--n-total", "3", "--n-up", "2", "--split", "2,1", "--theta", text,
+    ])
+    assert_usage_error(result, f"bad angle list {text!r}")
+
+
 def test_verify_suite_runs(runner):
     result = runner.invoke(main, ["verify", "schmidt", "--seed", "3"])
     assert result.exit_code == 0, result.output
@@ -640,6 +649,14 @@ def test_verify_failure_exit_code(runner, monkeypatch):
     assert result.exit_code == 1
     record = json.loads(result.output)
     assert record["failures"] > 0
+
+
+def test_verify_n3_counts_failures_below_1e_9(runner, monkeypatch):
+    # every suite counts failures against IDENTANGLE_TOL itself, with no floor
+    monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-16")
+    result = runner.invoke(main, ["verify", "n3-closed-form", "--cases", "20", "--seed", "3"])
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output)["failures"] > 0
 
 
 def test_strict_tolerance_leaves_run_time_checks_alone(runner, tmp_path, monkeypatch):

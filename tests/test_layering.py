@@ -1,7 +1,8 @@
 """Module layering: the fold stands alone, the command line reads
 configs into the fold without the 1QL object model, verify checks the
-fold rather than the permanent route, and one place in the command line
-turns package errors into usage errors."""
+fold rather than the permanent route, one place in the command line
+turns package errors into usage errors, and no function takes a
+tolerance."""
 
 import ast
 import json
@@ -68,9 +69,10 @@ def test_no_module_imports_detection_inside_a_function():
             assert not (nested and (name == "detection" or "detection" in names)), path.name
 
 
-def cli_functions():
-    """(qualified name, node) of every function and method in cli.py."""
-    tree = ast.parse((SOURCE / "cli.py").read_text())
+def functions(module):
+    """(qualified name, node) of every function and method defined at the
+    top of a package module or of a class in it."""
+    tree = ast.parse((SOURCE / f"{module}.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, node
@@ -82,7 +84,7 @@ def cli_functions():
 
 def test_cli_reports_usage_errors_in_one_place():
     exits, reports, handlers = set(), set(), set()
-    for name, function in cli_functions():
+    for name, function in functions("cli"):
         for node in ast.walk(function):
             if isinstance(node, ast.Call):
                 callee = ast.unparse(node.func)
@@ -124,3 +126,39 @@ def test_fermion_amplitude_builds_no_kets(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["amplitude", "--config", str(path), "--bra-config", str(path)])
     assert result.exit_code == 0, result.output
     assert abs(json.loads(result.output)["amplitude"]["re"] - expected.real) < 1e-12
+
+
+def test_no_function_takes_a_tolerance():
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                    if arg is not None:
+                        assert arg.arg != "tol", (path.name, node.lineno)
+                        annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+                        assert "Tolerances" not in annotation, (path.name, node.lineno)
+
+
+def reads_env_tolerance(node):
+    return isinstance(node, ast.Call) and ast.unparse(node.func).endswith("comparison_from_env")
+
+
+def test_the_environment_tolerance_is_read_in_two_places():
+    # the command line checks IDENTANGLE_TOL before any work; verify counts failures against it
+    readers, calls = [], 0
+    for path in SOURCE.glob("*.py"):
+        calls += sum(map(reads_env_tolerance, ast.walk(ast.parse(path.read_text()))))
+        for name, function in functions(path.stem):
+            readers += [f"{path.stem}.{name}" for node in ast.walk(function) if reads_env_tolerance(node)]
+    assert sorted(readers) == ["cli._Command.invoke", "verify._report"]
+    assert calls == len(readers)
+
+
+def test_small_thresholds_live_in_tolerances():
+    for path in SOURCE.glob("*.py"):
+        if path.stem == "tolerances":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                assert not 0.0 < node.value < 1e-6, (path.name, node.lineno, node.value)

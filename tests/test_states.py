@@ -110,8 +110,6 @@ def test_tiny_negative_phases_wrap_to_zero():
 def test_single_particle_ket_norm_check():
     with pytest.raises(ConsistencyError):
         SingleParticleKet({("L", Spin.UP): 0.5})
-    ket = SingleParticleKet({("L", Spin.UP): 0.5}, unnormalized=True)
-    assert abs(ket.norm() - 0.5) < 1e-12
 
 
 def test_make_product_state_single_ket(rng):
