@@ -7,7 +7,9 @@ the spin-block fold of the production paths, so the routes can be checked
 against each other.  Every term of the expansion is still enumerated, but as
 numpy arrays: a slot assignment becomes a row of ket indices, a choice of
 one basis label per slot a leaf, and no array holds more than
-``LEAF_CHUNK`` leaves.
+``LEAF_CHUNK`` leaves.  ``verify`` draws every case as the fold's input,
+n_up and (4, N) angle rows, and the oracles build kets from those rows
+through :func:`rows_ensemble`, one :func:`states.mode_ket` per column.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .states import (
     BasisLabel,
     OccupationKey,
     SingleParticleKet,
+    SpatialMode,
     Statistics,
     SymmetricKet,
     _odd_inversions,
@@ -195,6 +198,11 @@ def collected_product_state(
     return SymmetricKet(len(kets), statistics, amps)
 
 
+def rows_ensemble(n_up: int, rows: np.ndarray) -> ParticleEnsemble:
+    """The boson ensemble of n_up and (4, N) angle rows, one column per particle."""
+    return ParticleEnsemble(n_up, tuple(SpatialMode(*column) for column in rows.T.tolist()))
+
+
 def project_by_substitution(
     ensemble: ParticleEnsemble,
 ) -> Tuple[Dict[int, Dict[OccupationKey, complex]], float]:
@@ -204,6 +212,9 @@ def project_by_substitution(
     particle's detector components, collects occupation amplitudes,
     normalizes, and groups the detector-supported keys by the particle
     number q at L.  Returns (sectors, leak) with normalized amplitudes.
+    It takes a ``ParticleEnsemble``, the public form the benchmark's
+    self-check calls, and stays boson-only (as the ensemble is) until
+    ``project`` has a fermion route for it to check.
     """
     kets = ensemble.kets()
     amps = collect_expansion(kets, Statistics.BOSON)

@@ -2,11 +2,11 @@
 
 Each suite returns a report dict with ``suite``, ``cases``, ``failures``,
 ``max_error`` and ``worst_case`` (the seed, index and inputs of the case
-with the largest error) and is deterministic for a fixed seed.  The
-closed-form suites draw all their cases as angle rows first and evaluate
-them with one fold (:func:`fold._project_batch`) per (N, n_up) group; the
-oracle suite checks the fold routes of the ``amplitude`` and ``project``
-commands against the brute-force expansion oracles.  Every resizable
+with the largest error) and is deterministic for a fixed seed.  Every
+suite but ``schmidt`` draws its cases as (n_up, (4, N) angle rows), the
+fold's input: the closed-form suites run one fold per (N, n_up) group,
+and the oracle suite runs the ``amplitude`` and ``project`` fold routes on
+each case against expansion oracles built from its rows.  Every resizable
 suite takes its size as ``cases``, and none takes a tolerance:
 :func:`_report` alone counts failures.  These back the command-line
 ``verify`` command and the acceptance tests.
@@ -14,14 +14,12 @@ suite takes its size as ``cases``, and none takes a tolerance:
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import ANGLES
-from .detection import ParticleEnsemble, _angle_rows, detection_key
 from .errors import ConfigError
 from .fold import _postselected, _project_batch, _schmidt_weights, fold_amplitude
 from .measures import (
@@ -35,8 +33,7 @@ from .measures import (
     two_boson_average_concurrence,
     verify_schmidt_equivalence,
 )
-from .oracles import expansion_inner_product, project_by_substitution
-from .states import SpatialMode
+from .oracles import expansion_inner_product, project_by_substitution, rows_ensemble
 from .tolerances import comparison_from_env
 
 DEFAULT_SEED = 7
@@ -47,25 +44,20 @@ def random_ensemble(
     n_total: int,
     n_up: Optional[int] = None,
     allow_leak: bool = False,
-) -> ParticleEnsemble:
-    """Random detector ensemble; ``allow_leak`` draws phi below pi/2 half
-    the time."""
+) -> Tuple[int, np.ndarray]:
+    """Random detector ensemble as an (n_up, (4, N) angle rows) case;
+    ``allow_leak`` draws phi below pi/2 half the time."""
     if n_up is None:
         n_up = int(rng.integers(0, n_total + 1))
-    modes = []
+    columns = []
     for _ in range(n_total):
         phi = math.pi / 2
         if allow_leak and rng.random() < 0.5:
             phi = float(rng.uniform(0.2, math.pi / 2))
-        modes.append(
-            SpatialMode(
-                theta=float(rng.uniform(0.0, math.pi / 2)),
-                omega=float(rng.uniform(0.0, 2.0 * math.pi)),
-                phi=phi,
-                gamma=float(rng.uniform(0.0, 2.0 * math.pi)),
-            )
-        )
-    return ParticleEnsemble(n_up, tuple(modes))
+        theta = float(rng.uniform(0.0, math.pi / 2))
+        omega = float(rng.uniform(0.0, 2.0 * math.pi))
+        columns.append((theta, omega, phi, float(rng.uniform(0.0, 2.0 * math.pi))))
+    return n_up, np.array(columns).T
 
 
 def _angles(thetas: Sequence[float], omegas: Sequence[float]) -> np.ndarray:
@@ -78,16 +70,6 @@ def _ensemble_inputs(case: Tuple[int, np.ndarray]) -> Dict:
     """n_up and the (wrapped) angle lists of a case, as JSON values."""
     n_up, rows = case
     return {"n_up": n_up, **dict(zip(ANGLES, rows.tolist()))}
-
-
-def _inputs_of(ensemble: ParticleEnsemble) -> Dict:
-    """:func:`_ensemble_inputs` of an ensemble."""
-    return _ensemble_inputs((ensemble.n_up, _angle_rows(ensemble)[:, 0]))
-
-
-def _pair_inputs(bra: ParticleEnsemble, ket: ParticleEnsemble) -> Dict:
-    """Inputs of an amplitude case: the ensemble inputs of its bra and ket."""
-    return {"bra": _inputs_of(bra), "ket": _inputs_of(ket)}
 
 
 def _report(
@@ -281,27 +263,30 @@ def suite_schmidt(
     return _report("schmidt", seed, errors, inputs.__getitem__)
 
 
-def amplitude_oracle_error(bra: ParticleEnsemble, ket: ParticleEnsemble) -> float:
-    """|fold amplitude - expansion oracle| of two boson ensembles, the fold
-    run as the ``amplitude`` command runs it: on their spin-up-first angle
-    rows, row 0 the bra's."""
-    angles = np.concatenate([_angle_rows(bra), _angle_rows(ket)], axis=1)
-    fast = fold_amplitude(bra.n_up, ket.n_up, *angles)
-    return abs(fast - expansion_inner_product(bra.kets(), ket.kets()))
+def amplitude_oracle_error(bra: Tuple[int, np.ndarray], ket: Tuple[int, np.ndarray]) -> float:
+    """|fold amplitude - expansion oracle| of two boson (n_up, (4, N) angle
+    rows) cases, the fold run as the ``amplitude`` command runs it: on their
+    spin-up-first angle rows, row 0 the bra's."""
+    angles = np.stack([bra[1], ket[1]], axis=1)
+    fast = fold_amplitude(bra[0], ket[0], *angles)
+    return abs(fast - expansion_inner_product(rows_ensemble(*bra).kets(), rows_ensemble(*ket).kets()))
 
 
 def projection_oracle_error(
-    ensemble: ParticleEnsemble,
+    case: Tuple[int, np.ndarray],
 ) -> float:
     """Largest deviation of the fold projection's leak and raw outcome
-    amplitudes from :func:`oracles.project_by_substitution`, over every
-    outcome (alpha, beta): the oracle's amplitude of its detection key in
-    sector q = alpha + beta, 0 where the oracle has none."""
-    outcomes, _, _, leak = _project_batch(ensemble.n_up, *_angle_rows(ensemble))
-    sectors, oracle_leak = project_by_substitution(ensemble)
+    amplitudes of a case from :func:`oracles.project_by_substitution`, over
+    every outcome (alpha, beta): the oracle's amplitude of the key with alpha
+    spin-up and beta spin-down particles at L, 0 where the oracle has none."""
+    n_up, rows = case
+    outcomes, _, _, leak = _project_batch(n_up, *rows[:, None])
+    sectors, oracle_leak = project_by_substitution(rows_ensemble(n_up, rows))
     reference = np.zeros_like(outcomes[0])
-    for alpha, beta in np.ndindex(reference.shape):
-        reference[alpha, beta] = sectors.get(alpha + beta, {}).get(detection_key(ensemble, alpha, beta), 0j)
+    for q, amplitudes in sectors.items():
+        for key, value in amplitudes.items():
+            alpha = sum(spin.value == "up" for side, spin in key if side == "L")
+            reference[alpha, q - alpha] = value
     return max(abs(float(leak[0]) - oracle_leak), float(np.abs(outcomes[0] - reference).max()))
 
 
@@ -315,20 +300,22 @@ def suite_oracle(
     detectors half the time, then ``cases`` leak-free projections at each
     N = 2..5."""
     rng = np.random.default_rng(seed)
-    errors = []
-    inputs: List[Callable[[], Dict]] = []
+    pairs = []
     for n in range(1, 6):
         for _ in range(cases):
             ket = random_ensemble(rng, n, allow_leak=True)
-            bra = random_ensemble(rng, n, ket.n_up, allow_leak=True)
-            errors.append(amplitude_oracle_error(bra, ket))
-            inputs.append(functools.partial(_pair_inputs, bra, ket))
-    for n in range(2, 6):
-        for _ in range(cases):
-            ensemble = random_ensemble(rng, n, allow_leak=False)
-            errors.append(projection_oracle_error(ensemble))
-            inputs.append(functools.partial(_inputs_of, ensemble))
-    return _report("oracle", seed, errors, lambda case: inputs[case]())
+            pairs.append((random_ensemble(rng, n, ket[0], allow_leak=True), ket))
+    draws = [random_ensemble(rng, n) for n in range(2, 6) for _ in range(cases)]
+    errors = [amplitude_oracle_error(bra, ket) for bra, ket in pairs]
+    errors += [projection_oracle_error(case) for case in draws]
+
+    def inputs(case: int) -> Dict:
+        if case < len(pairs):
+            bra, ket = pairs[case]
+            return {"bra": _ensemble_inputs(bra), "ket": _ensemble_inputs(ket)}
+        return _ensemble_inputs(draws[case - len(pairs)])
+
+    return _report("oracle", seed, errors, inputs)
 
 
 SUITES: Dict[str, Callable[..., Dict]] = {

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from identangle.detection import ParticleEnsemble, sector_entanglement
-from identangle.states import SingleParticleKet, SpatialMode, Spin
+from identangle.detection import sector_entanglement
+from identangle.states import SingleParticleKet, Spin
 from identangle.tolerances import DEFAULT_TOLERANCES
 
 LR_LABELS = (
@@ -17,11 +17,6 @@ def random_ket(rng, labels=LR_LABELS):
     v = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
     v /= np.linalg.norm(v)
     return SingleParticleKet({lab: complex(a) for lab, a in zip(labels, v)})
-
-
-def config_ensemble(config):
-    """ParticleEnsemble of a parsed config, built from its angle rows."""
-    return ParticleEnsemble(config.n_up, tuple(SpatialMode(*a) for a in config.angles().T.tolist()))
 
 
 def svd_route_entanglement(decomposition, measure):

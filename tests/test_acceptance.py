@@ -18,6 +18,7 @@ from identangle.detection import (
     sector_reduced_density,
 )
 from identangle.measures import verify_schmidt_equivalence
+from identangle.oracles import rows_ensemble
 from identangle.permanent import permanent_naive, permanent_ryser
 from identangle.states import SpatialMode
 from identangle.verify import (
@@ -155,8 +156,8 @@ def test_criterion_9_completeness():
     max_error = 0.0
     for _ in range(1000):
         n_total = int(rng.integers(2, 7))
-        ens = random_ensemble(rng, n_total, allow_leak=True)
-        dec = project_onto_detectors(ens)
+        case = random_ensemble(rng, n_total, allow_leak=True)
+        dec = project_onto_detectors(rows_ensemble(*case))
         total = sum(s.probability for s in dec.sectors) + dec.leak_probability
         max_error = max(max_error, abs(total - 1))
     assert max_error < 1e-10

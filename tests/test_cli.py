@@ -23,12 +23,12 @@ from identangle.config import (
 )
 from identangle.detection import entanglement_of_particles, project_onto_detectors
 from identangle.errors import ConfigError, ConsistencyError, IdentangleError
-from identangle.oracles import expansion_inner_product
+from identangle.oracles import expansion_inner_product, rows_ensemble
 from identangle.states import SpatialMode, Spin, Statistics, mode_ket
 from identangle.tolerances import DEFAULT_TOLERANCES, TOLERANCE_ENV_VAR
 from identangle.verify import SUITES
 
-from conftest import config_ensemble, svd_route_entanglement
+from conftest import svd_route_entanglement
 
 
 @pytest.fixture
@@ -103,9 +103,10 @@ def test_amplitude_matches_library(runner, tmp_path):
     result = runner.invoke(main, ["amplitude", "--config", ket, "--bra-config", bra])
     assert result.exit_code == 0
     record = json.loads(result.output)
+    bra_config, ket_config = (parse_ensemble_config(json.dumps(p)) for p in (bra_payload, ket_payload))
     expected = transition_amplitude(
-        config_ensemble(parse_ensemble_config(json.dumps(bra_payload))).kets(),
-        config_ensemble(parse_ensemble_config(json.dumps(ket_payload))).kets(),
+        rows_ensemble(bra_config.n_up, bra_config.angles()).kets(),
+        rows_ensemble(ket_config.n_up, ket_config.angles()).kets(),
     )
     assert abs(complex(record["amplitude"]["re"], record["amplitude"]["im"]) - expected) < 1e-12
 
@@ -164,9 +165,10 @@ def library_amplitude(bra, ket):
     """The Ryser route: transition_amplitude over the configs' kets."""
     from identangle.algebra import transition_amplitude
 
+    bra_config, ket_config = (parse_ensemble_config(json.dumps({"particles": p})) for p in (bra, ket))
     return transition_amplitude(
-        config_ensemble(parse_ensemble_config(json.dumps({"particles": bra}))).kets(),
-        config_ensemble(parse_ensemble_config(json.dumps({"particles": ket}))).kets(),
+        rows_ensemble(bra_config.n_up, bra_config.angles()).kets(),
+        rows_ensemble(ket_config.n_up, ket_config.angles()).kets(),
     )
 
 
@@ -858,7 +860,8 @@ def test_probability_sum_invariant_exits_2(runner, tmp_path, monkeypatch):
 
     monkeypatch.setattr(fold, "_detector_block", skewed_block)
     cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
-    ensemble = config_ensemble(parse_ensemble_config((tmp_path / "cfg.json").read_text()))
+    config = parse_ensemble_config((tmp_path / "cfg.json").read_text())
+    ensemble = rows_ensemble(config.n_up, config.angles())
     with pytest.raises(ConsistencyError, match="miss one by"):
         detection.project_onto_detectors(ensemble)
     assert_usage_error(runner.invoke(main, ["project", "--config", cfg]), "miss one by")
@@ -924,7 +927,7 @@ def project_row(config, values, paths):
     parsed = parse_ensemble_config(json.dumps(config))
     for path, value in zip(paths, values):
         parsed = parsed.with_value(path, value)
-    ensemble = config_ensemble(parsed)
+    ensemble = rows_ensemble(parsed.n_up, parsed.angles())
     dec = project_onto_detectors(ensemble)
     probs = dec.probabilities()
     return (
@@ -1052,7 +1055,8 @@ def test_ensemble_missing_both_detectors(runner, tmp_path):
         [{"spin": "down", "theta": 0.7, "omega": 2.0, "phi": 0.0}] * 3,
     ):
         cfg = write(tmp_path, "cfg.json", {"particles": particles})
-        ensemble = config_ensemble(parse_ensemble_config((tmp_path / "cfg.json").read_text()))
+        config = parse_ensemble_config((tmp_path / "cfg.json").read_text())
+        ensemble = rows_ensemble(config.n_up, config.angles())
         for measure in ("entropy", "concurrence"):
             assert entanglement_of_particles(ensemble, measure) == 0.0
         result = runner.invoke(main, ["project", "--config", cfg])
@@ -1179,7 +1183,7 @@ def test_every_command_reports_identangle_errors_as_usage_errors(runner, tmp_pat
 def library_project_json(config):
     """The ``project`` record built from the library routes, as
     json.dumps(record, indent=2) renders it."""
-    ensemble = config_ensemble(config)
+    ensemble = rows_ensemble(config.n_up, config.angles())
     decomposition = project_onto_detectors(ensemble)
     record = {
         "n_particles": config.n_total,

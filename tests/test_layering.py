@@ -1,6 +1,6 @@
 """Module layering: the fold stands alone, the command line reads
-configs into the fold without the 1QL object model, verify checks the
-fold rather than the permanent route, one place in the command line
+configs into the fold without the 1QL object model, verify hands the fold
+and the oracles angle rows, one place in the command line
 turns package errors into usage errors, and no function takes a
 tolerance."""
 
@@ -59,8 +59,15 @@ def test_cli_and_config_stay_off_the_object_model():
         assert_imports_none_of(module, {"algebra", "detection", "oracles", "permanent"})
 
 
-def test_verify_stays_off_the_permanent_route():
-    assert_imports_none_of("verify", {"algebra", "permanent"})
+def test_verify_imports_only_config_errors_fold_measures_oracles_and_tolerances():
+    # verify draws angle rows: neither the permanent route nor the object
+    # model of detection and states
+    allowed = ("config", "errors", "fold", "measures", "oracles", "tolerances")
+    for level, name, names, _ in imports("verify"):
+        if level:
+            assert name in allowed, (name, names)
+        else:
+            assert name.split(".")[0] != "identangle", name
 
 
 def test_no_module_imports_detection_inside_a_function():

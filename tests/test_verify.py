@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from identangle import algebra, detection, measures, verify
 from identangle.algebra import transition_amplitude
 from identangle.cli import main
+from identangle.config import ANGLES
 from identangle.detection import (
     ParticleEnsemble,
     entanglement_of_particles,
@@ -18,13 +19,13 @@ from identangle.detection import (
     sector_reduced_density,
 )
 from identangle.errors import NullStateError, SizeLimitError
-from identangle.fold import fold_amplitude
+from identangle.fold import _project_batch, fold_amplitude
 from identangle.measures import (
     three_boson_average_concurrence,
     three_boson_average_concurrence_coherences,
     two_boson_average_concurrence,
 )
-from identangle.oracles import collect_expansion, expansion_inner_product
+from identangle.oracles import collect_expansion, expansion_inner_product, rows_ensemble
 from identangle.states import (
     EXPANSION_SIZE_LIMIT,
     SingleParticleKet,
@@ -183,9 +184,9 @@ def test_schmidt_and_theorem1_take_their_weights_from_the_fold(monkeypatch):
 # -- worst_case replay ------------------------------------------------------
 
 
-def ensemble_from(inputs):
-    angles = zip(inputs["theta"], inputs["omega"], inputs["phi"], inputs["gamma"])
-    return ParticleEnsemble(inputs["n_up"], tuple(SpatialMode(*a) for a in angles))
+def case_from(inputs):
+    """The (n_up, (4, N) angle rows) case of a report's ensemble inputs."""
+    return inputs["n_up"], np.array([inputs[name] for name in ANGLES])
 
 
 def replay(worst):
@@ -196,12 +197,11 @@ def replay(worst):
             return mode_split_error(inputs["theta"], inputs["omega"])
         return label_split_error(inputs["n_total"], inputs["n_up"], inputs["n_left"])
     if "bra" in inputs:
-        return amplitude_oracle_error(ensemble_from(inputs["bra"]), ensemble_from(inputs["ket"]))
-    ensemble = ensemble_from(inputs)
+        return amplitude_oracle_error(case_from(inputs["bra"]), case_from(inputs["ket"]))
     if worst["suite"] == "oracle":
-        return projection_oracle_error(ensemble)
+        return projection_oracle_error(case_from(inputs))
     case = {"theorem1": theorem1_case, "n2-closed-form": n2_case, "n3-closed-form": n3_case}
-    return case[worst["suite"]](ensemble)[0]
+    return case[worst["suite"]](rows_ensemble(*case_from(inputs)))[0]
 
 
 @pytest.mark.parametrize(
@@ -229,7 +229,7 @@ def test_worst_case_replays_from_json(argv):
 
 def test_oracle_amplitude_worst_case_replays_from_json(monkeypatch):
     # with every projection error at 0 the worst case is an amplitude
-    monkeypatch.setattr(verify, "projection_oracle_error", lambda ensemble: 0.0)
+    monkeypatch.setattr(verify, "projection_oracle_error", lambda case: 0.0)
     report = json.loads(json.dumps(suite_oracle(seed=5, cases=30)))
     assert "bra" in report["worst_case"]["inputs"]
     assert replay(report["worst_case"]) == report["max_error"] > 0.0
@@ -238,6 +238,20 @@ def test_oracle_amplitude_worst_case_replays_from_json(monkeypatch):
 def test_oracle_suite_checks_the_fold_amplitude(monkeypatch):
     # the route the amplitude command runs, off by 1e-9 on every call
     monkeypatch.setattr(verify, "fold_amplitude", lambda *args: fold_amplitude(*args) + 1e-9)
+    result = CliRunner().invoke(main, ["verify", "oracle", "--cases", "2"])
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output)["failures"] > 0
+
+
+def test_oracle_suite_checks_the_fold_projection(monkeypatch):
+    # the route the project command runs, one outcome amplitude off by 1e-9:
+    # the reference read from the oracle's label counts must catch it
+    def shifted(*args):
+        outcomes, by_sector, p, leak = _project_batch(*args)
+        outcomes[0, 0, 0] += 1e-9
+        return outcomes, by_sector, p, leak
+
+    monkeypatch.setattr(verify, "_project_batch", shifted)
     result = CliRunner().invoke(main, ["verify", "oracle", "--cases", "2"])
     assert result.exit_code == 1, result.output
     assert json.loads(result.output)["failures"] > 0
