@@ -176,16 +176,15 @@ def _project_json(config: EnsembleConfig) -> str:
     from one fold (:func:`fold._project_batch`): sectors q descending,
     the leak and both postselected measures."""
     _require_bosons(config)
-    outcomes, by_sector, p, leak = _project_batch(
-        config.n_up, *config.angles()[:, None]
-    )
+    n_up = config.n_up
+    outcomes, by_sector, p, leak = _project_batch(n_up, *config.angles()[:, None])
     sectors = [
-        _sector_json(q, probability, state, config.n_up, config.n_total - config.n_up)
+        _sector_json(q, probability, state, n_up, config.n_total - n_up)
         for q, probability, state in _sector_walk(outcomes[0], p[0])
     ]
     record = {
         "n_particles": config.n_total,
-        "n_up": config.n_up,
+        "n_up": n_up,
         "source_order": list(config.source_order),
         "sectors": None,  # replaced by the rendered sectors
         "leak": float(leak[0]),

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import astuple, dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .algebra import DensityMatrix
+from .config import _angles_of
 from .errors import BipartitionError, ConsistencyError, NormalizationError, SectorError
 from .fold import _project_batch, _require_fold_size, _schmidt_weights, weight_measure
 from .states import (
@@ -85,16 +86,67 @@ def schmidt_decompose(
     labels and require a fixed particle count on each side.  Label
     splits treat a state whose particles all share one spatial mode as a
     symmetric spin state and split its particle labels into two groups.
+    The coefficients are :func:`schmidt_coefficients`, from the same
+    matrix and SVD.
     """
+    m, split, basis_keys = _schmidt_matrix(psi, bipartition, "schmidt_decompose")
+    u, s, vh = np.linalg.svd(m)
+    keep = _kept(s)
+    left_keys, right_keys = basis_keys()
+    _, n_left, n_right = split
+    left = tuple(
+        _basis_ket(n_left, left_keys, u[:, i], psi.statistics) for i in keep
+    )
+    right = tuple(
+        _basis_ket(n_right, right_keys, vh[i, :].conj(), psi.statistics)
+        for i in keep
+    )
+    return SchmidtResult(tuple(float(s[i]) for i in keep), left, right, split)
+
+
+def schmidt_coefficients(
+    psi: SymmetricKet,
+    bipartition: Bipartition,
+) -> Tuple[float, ...]:
+    """Schmidt coefficients of a normalized pure state, descending: the
+    ``coefficients`` of :func:`schmidt_decompose`, with the same checks,
+    without building its basis kets."""
+    m, _, _ = _schmidt_matrix(psi, bipartition, "schmidt_coefficients")
+    # the full SVD, as schmidt_decompose runs it: LAPACK's values-only
+    # route can differ from it in the last bit
+    _, s, _ = np.linalg.svd(m)
+    return tuple(float(s[i]) for i in _kept(s))
+
+
+def _kept(singular_values: np.ndarray) -> List[int]:
+    """Indices of the singular values above ``TOL.schmidt_cutoff``."""
+    return [i for i, val in enumerate(singular_values) if val > TOL.schmidt_cutoff]
+
+
+#: the keys of a coefficient matrix's rows and columns, built when called
+_BasisKeys = Callable[[], Tuple[List[OccupationKey], List[OccupationKey]]]
+
+
+def _schmidt_matrix(
+    psi: SymmetricKet, bipartition: Bipartition, caller: str
+) -> Tuple[np.ndarray, Tuple[str, int, int], _BasisKeys]:
+    """(M, bipartition record, keys) of a unit ket: M is the coefficient
+    matrix across ``bipartition``, whose singular values are the Schmidt
+    coefficients, and keys() gives the keys of its rows and columns."""
     norm = psi.norm()
     if abs(norm - 1.0) > TOL.normalization:
-        raise NormalizationError(f"schmidt_decompose needs a unit ket, norm = {norm!r}")
+        raise NormalizationError(f"{caller} needs a unit ket, norm = {norm!r}")
     if isinstance(bipartition, ModeSplit):
         m, left_keys, right_keys, n_left = mode_split_matrix(psi)
         split = ("modes", n_left, psi.n_particles - n_left)
-        return _svd_result(m, left_keys, right_keys, split, psi.statistics)
+        return m, split, lambda: (left_keys, right_keys)
     if isinstance(bipartition, LabelSplit):
-        return _schmidt_labels(psi, bipartition)
+        m, mode = label_split_matrix(psi, bipartition)
+        nx, ny = bipartition.n_left, bipartition.n_right
+        return m, ("labels", nx, ny), lambda: (
+            [_dicke_key(mode, nx, kx) for kx in range(nx + 1)],
+            [_dicke_key(mode, ny, ky) for ky in range(ny + 1)],
+        )
     raise BipartitionError(f"unsupported bipartition {bipartition!r}")
 
 
@@ -134,9 +186,17 @@ def mode_split_matrix(
     return m, left_keys, right_keys, counts.pop()
 
 
-def _schmidt_labels(
+def label_split_matrix(
     psi: SymmetricKet, split: LabelSplit
-) -> SchmidtResult:
+) -> Tuple[np.ndarray, str]:
+    """Coefficient matrix of a one-mode boson state across particle-label
+    groups of split.n_left and split.n_right.
+
+    Returns (M, mode) with M[kx, ky] the amplitude of kx spin-up particles
+    among the left labels and ky among the right ones, in each group's
+    normalized Dicke basis; the singular values of M are the Schmidt
+    coefficients.
+    """
     if psi.statistics is not Statistics.BOSON:
         raise BipartitionError("label splits are defined for bosonic states")
     n = psi.n_particles
@@ -150,24 +210,17 @@ def _schmidt_labels(
             "label split requires all particles in one spatial mode, "
             f"found modes {sorted(modes)}"
         )
-    mode = modes.pop()
-    # amplitude per number of spin-up particles
-    c: Dict[int, complex] = {}
-    for key, value in psi.items():
-        ups = sum(1 for lab in key if lab[1] is Spin.UP)
-        c[ups] = value
     nx, ny = split.n_left, split.n_right
     m = np.zeros((nx + 1, ny + 1), dtype=complex)
-    for k, value in c.items():
+    for key, value in psi.items():
+        k = sum(1 for lab in key if lab[1] is Spin.UP)
         for kx in range(max(0, k - ny), min(k, nx) + 1):
             ky = k - kx
             weight = math.sqrt(
                 math.comb(nx, kx) * math.comb(ny, ky) / math.comb(n, k)
             )
             m[kx, ky] += value * weight
-    left_keys = [_dicke_key(mode, nx, kx) for kx in range(nx + 1)]
-    right_keys = [_dicke_key(mode, ny, ky) for ky in range(ny + 1)]
-    return _svd_result(m, left_keys, right_keys, ("labels", nx, ny), psi.statistics)
+    return m, modes.pop()
 
 
 def _dicke_key(mode: str, n: int, ups: int) -> OccupationKey:
@@ -175,27 +228,6 @@ def _dicke_key(mode: str, n: int, ups: int) -> OccupationKey:
     return occupation_key(
         [(mode, Spin.UP)] * ups + [(mode, Spin.DOWN)] * (n - ups)
     )
-
-
-def _svd_result(
-    m: np.ndarray,
-    left_keys: Sequence[OccupationKey],
-    right_keys: Sequence[OccupationKey],
-    bipartition: Tuple[str, int, int],
-    statistics: Statistics,
-) -> SchmidtResult:
-    _, n_left, n_right = bipartition
-    u, s, vh = np.linalg.svd(m)
-    keep = [i for i, val in enumerate(s) if val > TOL.schmidt_cutoff]
-    coeffs = tuple(float(s[i]) for i in keep)
-    left = tuple(
-        _basis_ket(n_left, left_keys, u[:, i], statistics) for i in keep
-    )
-    right = tuple(
-        _basis_ket(n_right, right_keys, vh[i, :].conj(), statistics)
-        for i in keep
-    )
-    return SchmidtResult(coeffs, left, right, bipartition)
 
 
 def _basis_ket(
@@ -219,7 +251,7 @@ def concurrence_pure(
     norm = psi.norm()
     if abs(norm - 1.0) > TOL.normalization:
         raise NormalizationError(f"concurrence_pure needs a unit ket, norm = {norm!r}")
-    coeffs = schmidt_decompose(psi, bipartition).coefficients
+    coeffs = schmidt_coefficients(psi, bipartition)
     purity = sum(c ** 4 for c in coeffs)
     return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
 
@@ -398,7 +430,7 @@ def verify_schmidt_equivalence(
     if not 0 <= n_up <= n_total:
         raise ConsistencyError(f"invalid spin split ({n_up} of {n_total})")
     # SpatialMode checks the angles and supplies phi and gamma
-    modes = [astuple(SpatialMode(theta=t, omega=w)) for t, w in zip(thetas, omegas)]
+    modes = [_angles_of(SpatialMode(theta=t, omega=w)) for t, w in zip(thetas, omegas)]
     _, by_sector, p, _ = _project_batch(n_up, *np.array([modes]).transpose(2, 0, 1))
     probability = float(p[0, n_left])
     if probability == 0.0:

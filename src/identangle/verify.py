@@ -27,7 +27,7 @@ from .measures import (
     coefficient_distance,
     dicke_state,
     label_split_coefficients,
-    schmidt_decompose,
+    schmidt_coefficients,
     three_boson_average_concurrence,
     three_boson_average_concurrence_coherences,
     two_boson_average_concurrence,
@@ -225,9 +225,9 @@ def label_split_error(
     Dicke state (n_total, n_up) across n_left | n_total - n_left, by SVD,
     from the binomial closed form."""
     state = dicke_state(n_total, n_up)
-    result = schmidt_decompose(state, LabelSplit(n_left, n_total - n_left))
+    coefficients = schmidt_coefficients(state, LabelSplit(n_left, n_total - n_left))
     expected = label_split_coefficients(n_total, n_up, n_left)
-    return coefficient_distance(result.coefficients, expected)
+    return coefficient_distance(coefficients, expected)
 
 
 def mode_split_error(

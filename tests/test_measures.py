@@ -22,6 +22,7 @@ from identangle.measures import (
     coefficient_distance,
     concurrence_pure,
     dicke_state,
+    schmidt_coefficients,
     schmidt_decompose,
     three_boson_average_concurrence,
     three_boson_average_concurrence_coherences,
@@ -228,10 +229,8 @@ def test_schmidt_label_split_three_two():
     assert max(abs(a - b) for a, b in zip(result.coefficients, expected)) < 1e-12
 
 
-def test_schmidt_bipartition_errors(rng):
-    state = dicke_state(3, 2)
-    with pytest.raises(BipartitionError):
-        schmidt_decompose(state, LabelSplit(2, 2))
+def invalid_schmidt_inputs():
+    """(state, bipartition) pairs that neither Schmidt route accepts."""
     mixed_q = SymmetricKet(
         1,
         Statistics.BOSON,
@@ -241,18 +240,63 @@ def test_schmidt_bipartition_errors(rng):
         },
         normalized=True,
     )
-    with pytest.raises(BipartitionError):
-        schmidt_decompose(mixed_q, ModeSplit())
     chi_state = SymmetricKet(
         1,
         Statistics.BOSON,
         {occupation_key([("chi", Spin.UP)]): 1.0},
         normalized=True,
     )
-    with pytest.raises(BipartitionError):
-        schmidt_decompose(chi_state, ModeSplit())
-    with pytest.raises(BipartitionError):
-        schmidt_decompose(mixed_q, LabelSplit(1, 0))
+    return [
+        (dicke_state(3, 2), LabelSplit(2, 2)),
+        (mixed_q, ModeSplit()),
+        (chi_state, ModeSplit()),
+        (mixed_q, LabelSplit(1, 0)),
+    ]
+
+
+def test_schmidt_bipartition_errors(rng):
+    # both routes reject each input with the same message
+    for state, bipartition in invalid_schmidt_inputs():
+        with pytest.raises(BipartitionError) as decompose_error:
+            schmidt_decompose(state, bipartition)
+        with pytest.raises(BipartitionError) as coefficients_error:
+            schmidt_coefficients(state, bipartition)
+        assert str(coefficients_error.value) == str(decompose_error.value)
+
+
+def test_schmidt_coefficients_are_the_decomposition_coefficients(rng):
+    # one matrix and one SVD per split: the coefficients agree bit for bit
+    for n_total in range(2, 7):
+        for n_up in range(0, n_total + 1):
+            state = dicke_state(n_total, n_up)
+            for n_left in range(1, n_total):
+                split = LabelSplit(n_left, n_total - n_left)
+                assert schmidt_coefficients(state, split) == schmidt_decompose(state, split).coefficients
+    sectors = 0
+    for _ in range(40):
+        n_total = int(rng.integers(2, 7))
+        modes = tuple(
+            SpatialMode(theta=float(t), omega=float(w), phi=float(f))
+            for t, w, f in zip(
+                rng.uniform(0.0, math.pi / 2, n_total),
+                rng.uniform(0.0, 2 * math.pi, n_total),
+                rng.uniform(1.0, math.pi / 2, n_total),
+            )
+        )
+        for sector in project_onto_detectors(ParticleEnsemble(int(rng.integers(0, n_total + 1)), modes)).sectors:
+            sectors += 1
+            assert schmidt_coefficients(sector.state, ModeSplit()) == schmidt_decompose(sector.state, ModeSplit()).coefficients
+    assert sectors > 100
+
+
+def test_schmidt_routes_reject_a_non_unit_ket_and_an_unknown_split():
+    key = occupation_key([("L", Spin.UP), ("R", Spin.DOWN)])
+    state = SymmetricKet(2, Statistics.BOSON, {key: 2.0})
+    for route in (schmidt_decompose, schmidt_coefficients):
+        with pytest.raises(NormalizationError, match=f"{route.__name__} needs a unit ket"):
+            route(state, ModeSplit())
+        with pytest.raises(BipartitionError, match="unsupported bipartition"):
+            route(bell_sector(), ("modes", 1, 1))
 
 
 def test_verify_schmidt_equivalence_three_two():

@@ -169,7 +169,7 @@ def test_schmidt_and_theorem1_take_their_weights_from_the_fold(monkeypatch):
 
     monkeypatch.setattr(algebra.DensityMatrix, "__init__", reference_route)
     for module in (detection, measures, verify):
-        for name in ("schmidt_decompose", "project_onto_detectors"):
+        for name in ("schmidt_decompose", "schmidt_coefficients", "project_onto_detectors"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, reference_route)
     result = CliRunner().invoke(main, ["schmidt", "--n-total", "170", "--n-up", "85", "--split", "85,85"])
