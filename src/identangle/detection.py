@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import DensityMatrix, pure_to_density, symmetrized_partial_trace
 from .errors import BoundsError, ConsistencyError, SectorError
 from .fold import _project_batch, _sector_walk, sweep_grid, weight_measure
-from .measures import _dicke_key, mode_split_matrix
+from .measures import ModeSplit, _dicke_key, schmidt_coefficients
 from .states import (
     OccupationKey,
     SingleParticleKet,
@@ -91,13 +91,8 @@ def detection_key(ensemble: ParticleEnsemble, alpha: int, beta: int) -> Occupati
         raise BoundsError(f"alpha = {alpha} outside [0, {n}]")
     if not 0 <= beta <= total - n:
         raise BoundsError(f"beta = {beta} outside [0, {total - n}]")
-    # already canonical: L before R, up before down
-    return (
-        (("L", Spin.UP),) * alpha
-        + (("L", Spin.DOWN),) * beta
-        + (("R", Spin.UP),) * (n - alpha)
-        + (("R", Spin.DOWN),) * (total - n - beta)
-    )
+    # already canonical: L before R
+    return _dicke_key("L", alpha + beta, alpha) + _dicke_key("R", total - alpha - beta, n - alpha)
 
 
 def build_detection_matrix(
@@ -185,9 +180,9 @@ def sector_entanglement(
 ) -> float:
     """Entanglement of one sector state across the two detector sides.
 
-    Splits the state's keys into an L|R coefficient matrix
-    (:func:`measures.mode_split_matrix`), takes its squared singular values
-    l_i and evaluates the chosen measure with
+    Takes the squared Schmidt coefficients l_i across L|R
+    (:func:`measures.schmidt_coefficients` of a :class:`measures.ModeSplit`)
+    and evaluates the chosen measure with
     :func:`fold.weight_measure`: "entropy" in bits, or "concurrence"
     with the cross-term normalization sqrt(sum_{i<j} l_i l_j) =
     sqrt((1 - sum l_i^2)/2), equal to the product of the two Schmidt
@@ -197,9 +192,7 @@ def sector_entanglement(
     measures.three_boson_average_concurrence.  The reference route for
     :func:`fold.sweep_grid`, which reads the same weights from the outcomes.
     """
-    matrix = mode_split_matrix(state)[0]
-    weights = np.linalg.svd(matrix, compute_uv=False) ** 2
-    weights /= weights.sum()
+    weights = np.square(schmidt_coefficients(state, ModeSplit()))
     return float(weight_measure(weights, weights.size, measure))
 
 

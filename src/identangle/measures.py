@@ -101,7 +101,7 @@ def schmidt_decompose(
         _basis_ket(n_right, right_keys, vh[i, :].conj(), psi.statistics)
         for i in keep
     )
-    return SchmidtResult(tuple(float(s[i]) for i in keep), left, right, split)
+    return SchmidtResult(tuple(s[keep].tolist()), left, right, split)
 
 
 def schmidt_coefficients(
@@ -115,12 +115,15 @@ def schmidt_coefficients(
     # the full SVD, as schmidt_decompose runs it: LAPACK's values-only
     # route can differ from it in the last bit
     _, s, _ = np.linalg.svd(m)
-    return tuple(float(s[i]) for i in _kept(s))
+    return tuple(s[_kept(s)].tolist())
 
 
-def _kept(singular_values: np.ndarray) -> List[int]:
-    """Indices of the singular values above ``TOL.schmidt_cutoff``."""
-    return [i for i, val in enumerate(singular_values) if val > TOL.schmidt_cutoff]
+def _kept(values: np.ndarray) -> np.ndarray:
+    """Indices of the values above ``TOL.schmidt_cutoff``, largest first
+    (ties in index order): the one rule that cuts and orders Schmidt
+    coefficients."""
+    order = np.argsort(-values, kind="stable")
+    return order[values[order] > TOL.schmidt_cutoff]
 
 
 #: the keys of a coefficient matrix's rows and columns, built when called
@@ -224,10 +227,9 @@ def label_split_matrix(
 
 
 def _dicke_key(mode: str, n: int, ups: int) -> OccupationKey:
-    """Key of n particles in ``mode``, ``ups`` of them spin-up."""
-    return occupation_key(
-        [(mode, Spin.UP)] * ups + [(mode, Spin.DOWN)] * (n - ups)
-    )
+    """Key of n particles in ``mode``, ``ups`` of them spin-up, in
+    canonical order: up before down."""
+    return ((mode, Spin.UP),) * ups + ((mode, Spin.DOWN),) * (n - ups)
 
 
 def _basis_ket(
@@ -246,14 +248,13 @@ def concurrence_pure(
 ) -> float:
     """I-concurrence sqrt(2 * (1 - Tr(rho_reduced^2))) of a pure state.
 
-    Equals 2 * l1 * l2 for Schmidt-rank-2 states.
+    Equals 2 * l1 * l2 for Schmidt-rank-2 states.  Taken as twice the
+    cross-term measure of :func:`fold.weight_measure` of the squared
+    :func:`schmidt_coefficients` (which check the unit norm), so a rank-1
+    state reads exactly 0.
     """
-    norm = psi.norm()
-    if abs(norm - 1.0) > TOL.normalization:
-        raise NormalizationError(f"concurrence_pure needs a unit ket, norm = {norm!r}")
-    coeffs = schmidt_coefficients(psi, bipartition)
-    purity = sum(c ** 4 for c in coeffs)
-    return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
+    weights = np.square(schmidt_coefficients(psi, bipartition))
+    return float(2.0 * weight_measure(weights, weights.size, "concurrence"))
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +389,10 @@ def label_split_coefficients(n_total: int, n_up: int, n_left: int) -> Tuple[floa
 
 
 def _schmidt_coefficients(weights) -> Tuple[float, ...]:
-    """Square roots of Schmidt weights, descending, cut at
-    ``TOL.schmidt_cutoff`` as :func:`schmidt_decompose` cuts them."""
-    return tuple(sorted((c for c in np.sqrt(weights).tolist() if c > TOL.schmidt_cutoff), reverse=True))
+    """Square roots of Schmidt weights, cut and ordered by :func:`_kept`
+    as :func:`schmidt_decompose` cuts them."""
+    values = np.sqrt(weights)
+    return tuple(values[_kept(values)].tolist())
 
 
 def verify_schmidt_equivalence(

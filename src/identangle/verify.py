@@ -24,6 +24,7 @@ from .errors import ConfigError
 from .fold import _postselected, _project_batch, _schmidt_weights, fold_amplitude
 from .measures import (
     LabelSplit,
+    _schmidt_coefficients,
     coefficient_distance,
     dicke_state,
     label_split_coefficients,
@@ -31,7 +32,6 @@ from .measures import (
     three_boson_average_concurrence,
     three_boson_average_concurrence_coherences,
     two_boson_average_concurrence,
-    verify_schmidt_equivalence,
 )
 from .oracles import expansion_inner_product, project_by_substitution, rows_ensemble
 from .tolerances import comparison_from_env
@@ -230,22 +230,14 @@ def label_split_error(
     return coefficient_distance(coefficients, expected)
 
 
-def mode_split_error(
-    theta: float, omega: float
-) -> float:
-    """Deviation of the (3, 2) mode-splitting equivalence at shared angles,
-    split (2, 1), from the input form and from sqrt(2/3), sqrt(1/3)."""
-    report = verify_schmidt_equivalence(3, 2, theta, omega, (2, 1))
-    expected = (math.sqrt(2 / 3), math.sqrt(1 / 3))
-    return max(report.max_abs_diff, coefficient_distance(report.output_coefficients, expected))
-
-
 def suite_schmidt(
     seed: int = DEFAULT_SEED,
 ) -> Dict:
     """Label-split Schmidt coefficients against the binomial closed form at
     N = 2..6, plus the mode-splitting equivalence for the three-particle
-    pattern."""
+    pattern: a mode-split case's error is the
+    :func:`measures.verify_schmidt_equivalence` ``max_abs_diff`` of (3, 2) at
+    its shared angles, split (2, 1), from one fold of all ten cases."""
     rng = np.random.default_rng(seed)
     errors = []
     inputs = []
@@ -255,11 +247,16 @@ def suite_schmidt(
                 errors.append(label_split_error(n_total, n_up, n_left))
                 inputs.append({"n_total": n_total, "n_up": n_up, "n_left": n_left})
     # mode splitting at shared random angles reproduces the input form
+    draws = []
     for _ in range(10):
         theta = float(rng.uniform(0.1, math.pi / 2 - 0.1))
         omega = float(rng.uniform(0.0, 2.0 * math.pi))
-        errors.append(mode_split_error(theta, omega))
+        draws.append(_angles([theta] * 3, [omega] * 3))
         inputs.append({"theta": theta, "omega": omega})
+    _, by_sector, p, _ = _project_batch(2, *np.stack(draws, axis=1))
+    expected = label_split_coefficients(3, 2, 2)
+    for weights in _schmidt_weights(by_sector, p)[:, 2]:
+        errors.append(coefficient_distance(_schmidt_coefficients(weights), expected))
     return _report("schmidt", seed, errors, inputs.__getitem__)
 
 

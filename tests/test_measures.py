@@ -106,6 +106,20 @@ def test_concurrence_product_state():
     assert concurrence_pure(state, ModeSplit()) == 0.0
 
 
+def test_concurrence_reads_zero_on_a_product_state_off_unit_norm():
+    # 1 - 5e-13 passes the unit-norm check; sqrt(2 * (1 - sum c^4)) read 2.0e-06
+    key = occupation_key([("L", Spin.UP), ("R", Spin.DOWN)])
+    state = SymmetricKet(2, Statistics.BOSON, {key: 1.0 - 5e-13}, normalized=True)
+    assert concurrence_pure(state, ModeSplit()) == 0.0
+
+
+def test_concurrence_rejects_a_non_unit_ket():
+    key = occupation_key([("L", Spin.UP), ("R", Spin.DOWN)])
+    state = SymmetricKet(2, Statistics.BOSON, {key: 2.0})
+    with pytest.raises(NormalizationError, match="needs a unit ket"):
+        concurrence_pure(state, ModeSplit())
+
+
 def test_concurrence_bell_state():
     assert abs(concurrence_pure(bell_sector(), ModeSplit()) - 1.0) < 1e-12
 

@@ -24,6 +24,7 @@ from identangle.measures import (
     three_boson_average_concurrence,
     three_boson_average_concurrence_coherences,
     two_boson_average_concurrence,
+    verify_schmidt_equivalence,
 )
 from identangle.oracles import collect_expansion, expansion_inner_product, rows_ensemble
 from identangle.states import (
@@ -38,11 +39,11 @@ from identangle.tolerances import DEFAULT_TOLERANCES
 from identangle.verify import (
     amplitude_oracle_error,
     label_split_error,
-    mode_split_error,
     projection_oracle_error,
     suite_n2_closed_form,
     suite_n3_closed_form,
     suite_oracle,
+    suite_schmidt,
     suite_theorem1,
 )
 
@@ -161,6 +162,21 @@ def test_closed_form_suites_equal_case_by_case(seed, suite, draws, case):
     assert report["failures"] == failures
 
 
+def test_schmidt_mode_splits_equal_case_by_case(monkeypatch):
+    # the ten mode-split cases share one fold; each must read what the
+    # schmidt command reads at its angles
+    reports = []
+    monkeypatch.setattr(verify, "_report", lambda suite, seed, errors, inputs: reports.append((errors, inputs)))
+    for seed in range(1, 41):
+        suite_schmidt(seed)
+        errors, inputs = reports.pop()
+        mode_splits = [(error, inputs(case)) for case, error in enumerate(errors) if "theta" in inputs(case)]
+        assert len(mode_splits) == 10
+        for error, angles in mode_splits:
+            report = verify_schmidt_equivalence(3, 2, angles["theta"], angles["omega"], (2, 1))
+            assert error == report.max_abs_diff
+
+
 def test_schmidt_and_theorem1_take_their_weights_from_the_fold(monkeypatch):
     # the density-matrix, SVD and key-based projection routes are references
     # only: neither command may reach them
@@ -194,7 +210,7 @@ def replay(worst):
     inputs = worst["inputs"]
     if worst["suite"] == "schmidt":
         if "theta" in inputs:
-            return mode_split_error(inputs["theta"], inputs["omega"])
+            return verify_schmidt_equivalence(3, 2, inputs["theta"], inputs["omega"], (2, 1)).max_abs_diff
         return label_split_error(inputs["n_total"], inputs["n_up"], inputs["n_left"])
     if "bra" in inputs:
         return amplitude_oracle_error(case_from(inputs["bra"]), case_from(inputs["ket"]))
