@@ -201,10 +201,6 @@ def convex_mixture(
     return DensityMatrix(keys, out)
 
 
-def _key_counts(key: OccupationKey) -> Counter:
-    return Counter(key)
-
-
 def _contraction_weight(sub: Counter, full: Counter) -> float:
     """Squared contraction coefficient prod_b C(n_b, m_b), 0 if sub > full."""
     w = 1.0
@@ -240,8 +236,8 @@ def symmetrized_partial_trace(
         raise ConsistencyError(
             f"subsystem of {n_sub} particles exceeds state of {rho.n_particles}"
         )
-    sub_counts = [_key_counts(k) for k in basis]
-    full_counts = [_key_counts(k) for k in rho.basis]
+    sub_counts = [Counter(k) for k in basis]
+    full_counts = [Counter(k) for k in rho.basis]
 
     # completeness: sum_m prod_b C(n_b, m_b) must be 1 on every support key
     worst = 0.0

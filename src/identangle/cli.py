@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
@@ -28,8 +29,8 @@ import click
 import numpy as np
 
 from .config import (
-    ANGLES,
     EnsembleConfig,
+    SweepAxis,
     dump_ensemble_config,
     parse_ensemble_config,
     parse_sweep_spec,
@@ -214,14 +215,11 @@ def project(config_path: str, output: str):
 #: sizes alone, so rows do not depend on --threads.
 SWEEP_CHUNK_ENTRIES = 1 << 16
 
-#: one sweep axis: its path, the (particle, angle) it sets and its values
-_Axis = Tuple[str, Tuple[int, str], np.ndarray]
-
 
 def _sweep_chunk(
     bounds: Tuple[int, int],
     config: EnsembleConfig,
-    axes: List[_Axis],
+    axes: List[SweepAxis],
     measure: str,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Grid rows [start, stop) as (axis values, p, leak, entanglement) arrays.
@@ -230,18 +228,17 @@ def _sweep_chunk(
     values.
     """
     start, stop = bounds
-    index = np.unravel_index(np.arange(start, stop), [len(v) for _, _, v in axes])
-    values = np.column_stack([v[i] for (_, _, v), i in zip(axes, index)])
+    index = np.unravel_index(np.arange(start, stop), [len(axis.values) for axis in axes])
+    values = np.column_stack([axis.values[i] for axis, i in zip(axes, index)])
     angles = np.repeat(config.angles()[:, None], stop - start, axis=1)
-    rows = list(ANGLES)
-    for column, (_, (particle, attr), _) in enumerate(axes):
-        angles[rows.index(attr), :, particle] = values[:, column]
+    for column, axis in enumerate(axes):
+        angles[axis.row, :, axis.particle] = values[:, column]
     try:
         p, leak, entanglement = sweep_grid(config.n_up, *angles, measure)
     except RowError as exc:
         point = ", ".join(
-            f"{path} = {value!r}"
-            for (path, _, _), value in zip(axes, values[exc.row].tolist())
+            f"{axis.path} = {value!r}"
+            for axis, value in zip(axes, values[exc.row].tolist())
         )
         raise ConsistencyError(f"grid row {start + exc.row} ({point}): {exc}") from None
     return values, p, leak, entanglement
@@ -266,19 +263,16 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
     """
     config = _read_input("config", config_path, parse_ensemble_config)
     _require_bosons(config)
-    spec = _read_input("sweep spec", sweep_path, functools.partial(parse_sweep_spec, config=config))
+    axes = _read_input("sweep spec", sweep_path, functools.partial(parse_sweep_spec, config=config))
     if threads < 1:
         raise ConfigError("--threads must be >= 1")
 
-    axes = [
-        (axis.path, config.locate(axis.path), np.asarray(axis.values))
-        for axis in spec.axes
-    ]
-    paths = [axis.path for axis in spec.axes]
+    paths = [axis.path for axis in axes]
+    size = math.prod(len(axis.values) for axis in axes)
     n = config.n_total
     block = max(config.n_up, n - config.n_up) + 1
     chunk = max(1, SWEEP_CHUNK_ENTRIES // block ** 2)
-    bounds = [(start, min(start + chunk, spec.size)) for start in range(0, spec.size, chunk)]
+    bounds = [(start, min(start + chunk, size)) for start in range(0, size, chunk)]
     evaluate = functools.partial(
         _sweep_chunk, config=config, axes=axes, measure=measure
     )

@@ -14,7 +14,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, make_dataclass, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -245,32 +245,27 @@ def dump_ensemble_config(config: EnsembleConfig) -> str:
     return json.dumps(payload, indent=2)
 
 
-@dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(NamedTuple):
+    """One parsed sweep axis: its path, the stored index of the particle it
+    sets, the angle's row in :meth:`EnsembleConfig.angles` and its points."""
+
     path: str
-    values: Tuple[float, ...]
+    particle: int
+    row: int
+    values: np.ndarray
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    axes: Tuple[SweepAxis, ...]
-
-    @property
-    def size(self) -> int:
-        size = 1
-        for axis in self.axes:
-            size *= len(axis.values)
-        return size
-
-
-def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
-    """Parse a sweep spec from JSON text.
+def parse_sweep_spec(text: str, config: EnsembleConfig) -> List[SweepAxis]:
+    """Parse a sweep spec from JSON text into its axes, each located in
+    ``config`` once.
 
     Schema: {"axes": [{"path": "particles[0].theta", "start": a, "stop": b,
     "steps": k} | {"path": ..., "values": [...]}]}.  ``particles[i]`` counts
     the config's particles in file order.  Multiple axes form the cross
     product, capped at 10^6 points; no two axes may sweep the same angle,
-    and no object may give a field twice.
+    and no object may give a field twice.  A theta or phi range must start,
+    and stop when it has more than one step, in [0, pi/2]; its points are
+    clamped into that interval, and a values list is checked point by point.
     """
     data = _decode(text, "sweep JSON", "invalid sweep JSON: {0.msg}")
     if not isinstance(data, dict):
@@ -295,7 +290,7 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
                 f"{where}: {path} sweeps the same angle as axes[{swept[parameter]}]"
             )
         swept[parameter] = i
-        attr = parameter[1]
+        particle, attr = parameter
         if "values" in entry:
             expected = {"path", "values"}
         else:
@@ -312,6 +307,7 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
             points = tuple(
                 _number(v, f"{where}: values[{k}]") for k, v in enumerate(values)
             )
+            checked = points
         else:
             steps = entry["steps"]
             if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
@@ -330,12 +326,17 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> SweepSpec:
                 # stop - start can overflow; the points run monotonically from start
                 if not math.isfinite(points[-1]):
                     raise ConfigError(f"{where}: the grid from {start!r} to {stop!r} leaves the float range")
+            checked = (start, stop)[:steps]
+        grid = np.array(points)
         if attr in _BOUNDED:
-            _check_range(where, itertools.repeat(path), points)
-        axes.append(SweepAxis(path, points))
-    spec = SweepSpec(tuple(axes))
-    if spec.size > MAX_GRID_POINTS:
+            _check_range(where, itertools.repeat(path), checked)
+            # start + k * h can pass an end on the bound by rounding; the points
+            # run monotonically between the checked ends, so only such a point moves
+            np.clip(grid, 0.0, math.pi / 2, out=grid)
+        axes.append(SweepAxis(path, particle, list(ANGLES).index(attr), grid))
+    size = math.prod(len(axis.values) for axis in axes)
+    if size > MAX_GRID_POINTS:
         raise ConfigError(
-            f"sweep grid holds {spec.size} points, above the cap of {MAX_GRID_POINTS}"
+            f"sweep grid holds {size} points, above the cap of {MAX_GRID_POINTS}"
         )
-    return spec
+    return axes

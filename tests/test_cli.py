@@ -16,6 +16,7 @@ from identangle.algebra import transition_amplitude
 from identangle.cli import main
 from identangle.config import (
     MAX_GRID_POINTS,
+    EnsembleConfig,
     dump_ensemble_config,
     parse_ensemble_config,
     parse_parameter_path,
@@ -844,6 +845,50 @@ def test_sweep_rejects_out_of_range_angles_before_evaluation(runner, tmp_path):
     # the cap holds for one axis too, before its points are built
     axis = {"path": "particles[0].omega", "start": 0.0, "stop": 1.0, "steps": MAX_GRID_POINTS + 1}
     assert_usage_error(run_sweep(runner, tmp_path, {"axes": [axis]}), "grid cap")
+
+
+def test_sweep_range_ending_on_the_bound_runs(runner, tmp_path):
+    # start + k * h can pass pi/2 or 0 by one ulp, as at 26 steps from 0 to pi/2
+    for path, start, stop in (("particles[0].theta", 0.0, math.pi / 2), ("particles[1].phi", math.pi / 2, 0.0)):
+        for steps in range(2, 401):
+            axis = {"path": path, "start": start, "stop": stop, "steps": steps}
+            result = run_sweep(runner, tmp_path, {"axes": [axis]})
+            assert result.exit_code == 0, (steps, result.output)
+            values = [float(line.split(",")[0]) for line in result.output.splitlines()[1:]]
+            h = (stop - start) / (steps - 1)
+            assert values == [min(max(start + k * h, 0.0), math.pi / 2) for k in range(steps)]
+            # the grid's own last point, kept unless it passes the bound, lies within one ulp of stop
+            assert abs(values[-1] - stop) <= math.ulp(math.pi / 2), (steps, values[-1])
+            if steps == 26:  # the grid's last point passes the bound and is clamped onto it
+                assert values[-1] == stop
+    # an end outside the interval is named, not the first grid point past it
+    axis = {"path": "particles[0].theta", "start": 0.0, "stop": 1.6, "steps": 26}
+    assert_usage_error(run_sweep(runner, tmp_path, {"axes": [axis]}), "got 1.6")
+
+
+def test_sweep_locates_each_axis_once(runner, tmp_path, monkeypatch):
+    calls = []
+    locate = EnsembleConfig.locate
+
+    def counting_locate(self, path):
+        calls.append(path)
+        return locate(self, path)
+
+    monkeypatch.setattr(EnsembleConfig, "locate", counting_locate)
+    spec = {"axes": [
+        {"path": "particles[0].theta", "values": [0.1, 0.2]},
+        {"path": "particles[1].omega", "start": 0.0, "stop": 1.0, "steps": 3},
+    ]}
+    result = run_sweep(runner, tmp_path, spec)
+    assert result.exit_code == 0, result.output
+    assert calls == ["particles[0].theta", "particles[1].omega"]
+    # stored spin-up first: file particle 0 is stored at 1, and phi is row 2 of angles()
+    config = parse_ensemble_config(json.dumps(
+        {"particles": [{"spin": "down", "theta": 0.2}, {"spin": "up", "theta": 0.9}]}
+    ))
+    (axis,) = parse_sweep_spec(json.dumps({"axes": [{"path": "particles[0].phi", "values": [0.5, 1]}]}), config)
+    assert (axis.path, axis.particle, axis.row) == ("particles[0].phi", 1, 2)
+    assert axis.values.dtype == np.float64 and axis.values.tolist() == [0.5, 1.0]
 
 
 def test_verify_schmidt_rejects_cases(runner):
