@@ -1,20 +1,24 @@
 """Brute-force reference implementations.
 
 Everything here works from the literal pseudo-labeled expansion over all
-N! permutations (:func:`states.expand_first_quantized`) and the kets'
+N! permutations (the slot assignments and coefficients of
+:func:`states.expand_first_quantized`, read as arrays) and the kets'
 amplitudes alone, independent of permanents, the creation-operator fold and
 the spin-block fold of the production paths, so the routes can be checked
 against each other.  Every term of the expansion is still enumerated, but as
 numpy arrays: a slot assignment becomes a row of ket indices, a choice of
-one basis label per slot a leaf, and no array holds more than
-``LEAF_CHUNK`` leaves.  ``verify`` draws every case as the fold's input,
-n_up and (4, N) angle rows, and the oracles build kets from those rows
-through :func:`rows_ensemble`, one :func:`states.mode_ket` per column.
+one basis label per slot a leaf.  :func:`collect_expansion` looks each
+leaf's occupation key up in a table built once per call, and no array holds
+more than ``LEAF_CHUNK`` leaves (one assignment's, if it has more).
+``verify`` draws every case as the fold's input, n_up and (4, N) angle
+rows, and the oracles build kets from those rows through
+:func:`rows_ensemble`, one :func:`states.mode_ket` per column.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -28,24 +32,14 @@ from .states import (
     SpatialMode,
     Statistics,
     SymmetricKet,
+    _expansion_terms,
     _odd_inversions,
-    expand_first_quantized,
     occupation_key,
 )
 from .tolerances import DEFAULT_TOLERANCES as TOL
 
 #: most terms (slot assignment x label choice) one temporary array holds
 LEAF_CHUNK = 2 ** 16
-
-
-def _expansion_arrays(
-    kets: Sequence[SingleParticleKet], statistics: Statistics
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The slot assignments (T, N) and coefficients (T,) of
-    :func:`states.expand_first_quantized`."""
-    terms = expand_first_quantized(kets, statistics)
-    slots = np.array(list(terms), dtype=np.intp).reshape(len(terms), len(kets))
-    return slots, np.array(list(terms.values()), dtype=complex)
 
 
 def _basis(kets: Sequence[SingleParticleKet]) -> Tuple[BasisLabel, ...]:
@@ -68,8 +62,8 @@ def expansion_inner_product(
     if len(bras) != len(kets):
         raise ConsistencyError("bra and ket lists differ in length")
     n = len(kets)
-    bra_slots, bra_coeffs = _expansion_arrays(bras, statistics)
-    ket_slots, ket_coeffs = _expansion_arrays(kets, statistics)
+    bra_slots, bra_coeffs = _expansion_terms(bras, statistics)
+    ket_slots, ket_coeffs = _expansion_terms(kets, statistics)
     basis = _basis(list(bras) + list(kets))
     index = {label: i for i, label in enumerate(basis)}
 
@@ -107,14 +101,20 @@ def collect_expansion(
     ``states.symmetrize_product``.
 
     A term (leaf) picks, for each slot, one label of the ket in that slot.
-    Labels carry integer codes in canonical order, so the sorted codes of a
-    leaf are its occupation key, encoded as one base-L integer and summed
-    with ``np.bincount``.  A fermion leaf takes the sign of the inversions of its
-    codes in slot order and vanishes when it repeats a label; a boson key
-    is weighted by sqrt(prod n_b!) / sqrt(N!).
+    Every assignment holds the same kets, so its leaves match the label
+    choices c of the first assignment's kets in its slot order one to one,
+    and a leaf's occupation key is that choice's: the sorted integer codes
+    (canonical order) of its labels, found once per choice in a key table.
+    The terms themselves are per-slot outer products in each assignment's
+    slot order, carrying each leaf's value and its choice index
+    c = sum_j c_j * stride_j, and are summed by key with ``np.bincount``.
+    A fermion leaf takes the sign of the inversions of its codes in slot
+    order, the parity of the slot-to-ket permutation times that of the
+    choice's codes, and vanishes when it repeats a label; a boson key is
+    weighted by sqrt(prod n_b!) / sqrt(N!).
     """
     n = len(kets)
-    slots, coeffs = _expansion_arrays(kets, statistics)
+    slots, coeffs = _expansion_terms(kets, statistics)
     basis = _basis(kets)
     width = len(basis)
     if width ** n > np.iinfo(np.int64).max:
@@ -122,48 +122,68 @@ def collect_expansion(
             f"collect_expansion encodes keys in base {width}, "
             f"which overflows at N = {n}"
         )
-    index = {label: i for i, label in enumerate(basis)}
-    # each ket's own labels (as codes) and amplitudes, padded to one width
-    sizes = np.array([len(ket.labels()) for ket in kets], dtype=np.intp)
-    codes = np.zeros((n, max(sizes)), dtype=np.int64)
-    amps = np.zeros((n, max(sizes)), dtype=complex)
-    for row, ket in enumerate(kets):
-        for col, (label, amp) in enumerate(ket.items()):
-            codes[row, col] = index[label]
-            amps[row, col] = amp
-    # leaf l of an assignment picks choice (l // stride) % radix at a slot
-    radix = sizes[slots]
-    stride = np.ones_like(radix)
-    stride[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
-    leaves = int(np.prod(sizes))
-    # every assignment spans the same number of leaves
-    total_leaves = len(slots) * leaves
-    if total_leaves == 0:  # all terms cancelled, or a ket without labels
+    if len(slots) == 0:  # every term cancelled
         return {}
-    place = width ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    index = {label: i for i, label in enumerate(basis)}
     fermion = statistics is Statistics.FERMION
 
-    found, sums = [], []
-    for start in range(0, total_leaves, LEAF_CHUNK):
-        term, leaf = np.divmod(
-            np.arange(start, min(start + LEAF_CHUNK, total_leaves)), leaves
-        )
-        chosen = np.empty((len(term), n), dtype=np.int64)
-        value = coeffs[term]
-        for slot in range(n):
-            ket = slots[term, slot]
-            choice = leaf // stride[term, slot] % radix[term, slot]
-            chosen[:, slot] = codes[ket, choice]
-            value = value * amps[ket, choice]
-        key = np.sort(chosen, axis=1)
-        if fermion:
-            value = np.where(_odd_inversions(chosen), -value, value)
-            distinct = (key[:, 1:] != key[:, :-1]).all(axis=1)
-            key, value = key[distinct], value[distinct]
-        keys, total = _sum_by_key(key @ place, value)
-        found.append(keys)
-        sums.append(total)
-    keys, total = _sum_by_key(np.concatenate(found), np.concatenate(sums))
+    # the key table: choice c of the first assignment's kets, in its slot order
+    first = [kets[k] for k in slots[0].tolist()]
+    sizes = [len(ket.labels()) for ket in first]
+    stride = [math.prod(sizes[j + 1 :]) for j in range(n)]
+    codes = np.array(
+        list(product(*[[index[label] for label in ket.labels()] for ket in first])), dtype=np.int64
+    ).reshape(-1, n)
+    ordered = np.sort(codes, axis=1)
+    place = width ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1) if fermion else slice(None)
+    keys, key_of = np.unique(ordered[distinct] @ place, return_inverse=True)
+    # a fermion choice that repeats a label lands in one extra bin, then dropped
+    table = np.full(len(codes), len(keys))
+    table[distinct] = key_of
+    # each ket's amplitudes and choice offsets c_j * stride_j, one column a ket
+    amps = np.zeros((max(sizes), n), dtype=complex)
+    offsets = np.zeros((max(sizes), n), dtype=np.intp)
+    for j, ket in enumerate(first):
+        amps[: sizes[j], j] = [amp for _, amp in ket.items()]
+        offsets[: sizes[j], j] = np.arange(sizes[j]) * stride[j]
+
+    # where[t, a]: the first assignment's slot whose ket sits at slot a of
+    # assignment t, the copies of a ket matched in order
+    where = np.empty_like(slots)
+    np.put_along_axis(
+        where, np.argsort(slots, axis=1, kind="stable"),
+        np.argsort(slots[0], kind="stable")[None], axis=1,
+    )
+    if fermion:
+        odd_slots, odd_codes = _odd_inversions(where), _odd_inversions(codes)
+    totals = np.zeros((2, len(keys) + 1))
+    # assignments whose slots hold kets of equal sizes in the same order
+    pattern = np.array(sizes)[where]
+    _, samples, group = np.unique(
+        (pattern - 1) @ max(sizes) ** np.arange(n), return_index=True, return_inverse=True
+    )
+    block = max(1, LEAF_CHUNK // len(codes))
+    for g, sample in enumerate(samples.tolist()):
+        members = np.flatnonzero(group == g)
+        for start in range(0, len(members), block):
+            terms = members[start : start + block]
+            # (choice, slot, term) tables: every product runs along the terms
+            slot_amps = np.take(amps, where[terms].T, axis=1)
+            slot_offsets = np.take(offsets, where[terms].T, axis=1)
+            value = coeffs[None, terms]
+            leaf = np.zeros((1, len(terms)), dtype=np.intp)
+            for slot, size in enumerate(pattern[sample].tolist()):
+                value = (value[:, None] * slot_amps[:size, slot]).reshape(-1, len(terms))
+                leaf = (leaf[:, None] + slot_offsets[:size, slot]).reshape(-1, len(terms))
+            # summed term by term, each term's leaves in order
+            value, leaf = value.T, leaf.T
+            if fermion:
+                value = np.where(odd_slots[terms, None] ^ odd_codes[leaf], -value, value)
+            key = table[leaf].ravel()
+            totals[0] += np.bincount(key, value.real.ravel(), totals.shape[1])
+            totals[1] += np.bincount(key, value.imag.ravel(), totals.shape[1])
+    total = totals[0, :-1] + 1j * totals[1, :-1]
 
     labels = keys[:, None] // place % width
     if fermion:
@@ -178,15 +198,6 @@ def collect_expansion(
         for row, amp in zip(labels.tolist(), total.tolist())
         if abs(amp) > TOL.pruning
     }
-
-
-def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct ``keys`` and the sum of ``values`` over each."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    total = np.bincount(inverse, values.real, len(distinct)) + 1j * np.bincount(
-        inverse, values.imag, len(distinct)
-    )
-    return distinct, total
 
 
 def collected_product_state(

@@ -13,6 +13,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -411,6 +412,20 @@ def expand_first_quantized(
     the single-particle basis and normalizing reproduces
     :func:`make_product_state`.
     """
+    slots, coeffs = _expansion_terms(kets, statistics)
+    return dict(zip(map(tuple, slots.tolist()), coeffs.tolist()))
+
+
+def _expansion_terms(
+    kets: Sequence[SingleParticleKet], statistics: Statistics
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The slot assignments (T, N) and complex coefficients (T,) of
+    :func:`expand_first_quantized`, in its order.
+
+    Each permutation's row names the first occurrence of each slot's ket;
+    equal rows merge in order of first appearance, their coefficients
+    summed in permutation order, and terms that cancel are dropped.
+    """
     n = len(kets)
     if n == 0:
         raise ConsistencyError("at least one ket is required")
@@ -418,25 +433,36 @@ def expand_first_quantized(
         raise SizeLimitError(
             f"expand_first_quantized is capped at N <= {EXPANSION_SIZE_LIMIT}, got N = {n}"
         )
-    reps: List[int] = []
-    seen: Dict[tuple, int] = {}
-    for idx, ket in enumerate(kets):
-        sig = ket.signature()
-        if sig not in seen:
-            seen[sig] = idx
-        reps.append(seen[sig])
+    first: Dict[tuple, int] = {}
+    reps = np.array([first.setdefault(ket.signature(), idx) for idx, ket in enumerate(kets)])
+    multiplicities = np.bincount(reps)
     base = 1.0 / math.sqrt(
-        math.factorial(n)
-        * math.prod(math.factorial(v) for v in ket_multiplicities(kets))
+        math.factorial(n) * math.prod(math.factorial(v) for v in multiplicities.tolist())
     )
-    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    perms, odd = _permutations(n)
+    slots = reps[perms]
     coeffs = np.full(len(perms), base)
     if statistics is Statistics.FERMION:
-        coeffs[_odd_inversions(perms)] = -base
-    terms: Dict[Tuple[int, ...], complex] = {}
-    for key, coeff in zip(map(tuple, np.array(reps)[perms].tolist()), coeffs.tolist()):
-        terms[key] = terms.get(key, 0j) + coeff
-    return {k: v for k, v in terms.items() if abs(v) > TOL.pruning}
+        coeffs[odd] = -base
+    if len(first) < n:
+        # equal rows share a base-n code; keep each row's first appearance
+        codes = slots @ n ** np.arange(n)
+        _, first_at, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first_at)
+        slots = slots[first_at[order]]
+        coeffs = np.bincount(inverse, coeffs, len(first_at))[order]
+    keep = np.abs(coeffs) > TOL.pruning
+    return slots[keep], coeffs[keep].astype(complex)
+
+
+@lru_cache(maxsize=None)
+def _permutations(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The n! permutations of range(n) in ``itertools.permutations`` order,
+    as read-only rows, and whether each is odd."""
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    odd = _odd_inversions(perms)
+    perms.flags.writeable = odd.flags.writeable = False
+    return perms, odd
 
 
 def _odd_inversions(rows: np.ndarray) -> np.ndarray:

@@ -5,9 +5,11 @@ Each suite returns a report dict with ``suite``, ``cases``, ``failures``,
 with the largest error) and is deterministic for a fixed seed.  Every
 suite but ``schmidt`` draws its cases as (n_up, (4, N) angle rows), the
 fold's input: the closed-form suites run one fold per (N, n_up) group,
-and the oracle suite runs the ``amplitude`` and ``project`` fold routes on
-each case against expansion oracles built from its rows.  Every resizable
-suite takes its size as ``cases``, and none takes a tolerance:
+and the oracle suite checks the ``amplitude`` fold route on each pair and
+the ``project`` fold route, one fold per (N, n_up) group, against
+expansion oracles built from the cases' rows.  Every resizable
+suite takes its size as ``cases`` (:func:`run_suite` takes 1 to
+``MAX_CASES``), and none takes a tolerance:
 :func:`_report` alone counts failures.  These back the command-line
 ``verify`` command and the acceptance tests.
 """
@@ -37,6 +39,9 @@ from .oracles import expansion_inner_product, project_by_substitution, rows_ense
 from .tolerances import comparison_from_env
 
 DEFAULT_SEED = 7
+#: largest ``cases`` :func:`run_suite` takes: at 1000, ``n2-closed-form``
+#: (400 fold cases per unit) peaks near 350 MB and ``oracle`` runs about 5 s
+MAX_CASES = 1000
 
 
 def random_ensemble(
@@ -97,15 +102,21 @@ def _report(
     }
 
 
+def _groups(cases: Sequence[Tuple[int, np.ndarray]]) -> Dict[Tuple[int, int], List[int]]:
+    """The indices of the (n_up, (4, N) angle rows) cases of each (N, n_up)
+    group, in draw order; one fold evaluates a group."""
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for case, (n_up, rows) in enumerate(cases):
+        groups.setdefault((rows.shape[1], n_up), []).append(case)
+    return groups
+
+
 def _concurrences(cases: Sequence[Tuple[int, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
     """Postselected average concurrence of each (n_up, (4, N) angle rows) case, as
     :func:`detection.entanglement_of_particles` gives it, and its sectors'
     largest second Schmidt weight, from one fold per (N, n_up) group."""
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for case, (n_up, rows) in enumerate(cases):
-        groups.setdefault((rows.shape[1], n_up), []).append(case)
     values, seconds = np.empty((2, len(cases)))
-    for (_, n_up), members in groups.items():
+    for (_, n_up), members in _groups(cases).items():
         angles = np.stack([cases[case][1] for case in members], axis=1)
         _, by_sector, p, _ = _project_batch(n_up, *angles)
         values[members] = _postselected(by_sector, p, "concurrence")
@@ -276,15 +287,27 @@ def projection_oracle_error(
     amplitudes of a case from :func:`oracles.project_by_substitution`, over
     every outcome (alpha, beta): the oracle's amplitude of the key with alpha
     spin-up and beta spin-down particles at L, 0 where the oracle has none."""
-    n_up, rows = case
-    outcomes, _, _, leak = _project_batch(n_up, *rows[:, None])
-    sectors, oracle_leak = project_by_substitution(rows_ensemble(n_up, rows))
-    reference = np.zeros_like(outcomes[0])
-    for q, amplitudes in sectors.items():
-        for key, value in amplitudes.items():
-            alpha = sum(spin.value == "up" for side, spin in key if side == "L")
-            reference[alpha, q - alpha] = value
-    return max(abs(float(leak[0]) - oracle_leak), float(np.abs(outcomes[0] - reference).max()))
+    return float(_projection_oracle_errors([case])[0])
+
+
+def _projection_oracle_errors(cases: Sequence[Tuple[int, np.ndarray]]) -> np.ndarray:
+    """:func:`projection_oracle_error` of each case, from one fold per (N,
+    n_up) group; a fold's rows are independent, so each error is the one
+    case's alone, bit for bit."""
+    errors = np.empty(len(cases))
+    for (_, n_up), members in _groups(cases).items():
+        outcomes, _, _, leak = _project_batch(n_up, *np.stack([cases[case][1] for case in members], axis=1))
+        for row, case in enumerate(members):
+            sectors, oracle_leak = project_by_substitution(rows_ensemble(*cases[case]))
+            reference = np.zeros_like(outcomes[row])
+            for q, amplitudes in sectors.items():
+                for key, value in amplitudes.items():
+                    alpha = sum(spin.value == "up" for side, spin in key if side == "L")
+                    reference[alpha, q - alpha] = value
+            errors[case] = max(
+                abs(float(leak[row]) - oracle_leak), float(np.abs(outcomes[row] - reference).max())
+            )
+    return errors
 
 
 def suite_oracle(
@@ -304,7 +327,7 @@ def suite_oracle(
             pairs.append((random_ensemble(rng, n, ket[0], allow_leak=True), ket))
     draws = [random_ensemble(rng, n) for n in range(2, 6) for _ in range(cases)]
     errors = [amplitude_oracle_error(bra, ket) for bra, ket in pairs]
-    errors += [projection_oracle_error(case) for case in draws]
+    errors += _projection_oracle_errors(draws).tolist()
 
     def inputs(case: int) -> Dict:
         if case < len(pairs):
@@ -340,8 +363,8 @@ def run_suite(
         ) from None
     kwargs = {}
     if cases is not None:
-        if cases < 1:
-            raise ConfigError("cases must be >= 1")
+        if not 1 <= cases <= MAX_CASES:
+            raise ConfigError(f"cases must lie in [1, {MAX_CASES}], got {cases}")
         if name == "schmidt":
             raise ConfigError(f"suite {name!r} has a fixed size and takes no cases")
         kwargs["cases"] = cases

@@ -27,7 +27,7 @@ from identangle.errors import ConfigError, ConsistencyError, IdentangleError
 from identangle.oracles import expansion_inner_product, rows_ensemble
 from identangle.states import SpatialMode, Spin, Statistics, mode_ket
 from identangle.tolerances import DEFAULT_TOLERANCES, TOLERANCE_ENV_VAR
-from identangle.verify import SUITES
+from identangle.verify import MAX_CASES, SUITES
 
 from conftest import svd_route_entanglement
 
@@ -894,6 +894,20 @@ def test_sweep_locates_each_axis_once(runner, tmp_path, monkeypatch):
 def test_verify_schmidt_rejects_cases(runner):
     result = runner.invoke(main, ["verify", "schmidt", "--cases", "3"])
     assert_usage_error(result, "schmidt")
+
+
+def test_verify_cases_outside_the_cap_is_usage_error(runner, monkeypatch):
+    # rejected before any draw: no suite runs
+    def suite(**kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in ("oracle", "n2-closed-form"):
+        monkeypatch.setitem(SUITES, name, suite)
+        for cases in ("99999999999999999999", str(MAX_CASES + 1), "0"):
+            result = runner.invoke(main, ["verify", name, "--cases", cases])
+            assert_usage_error(result, f"[1, {MAX_CASES}]", f"got {cases}")
+    result = runner.invoke(main, ["verify", "theorem1", "--cases", str(MAX_CASES)])
+    assert result.exit_code == 0, result.output
 
 
 def test_probability_sum_invariant_exits_2(runner, tmp_path, monkeypatch):

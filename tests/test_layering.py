@@ -1,6 +1,7 @@
 """Module layering: the fold stands alone, the command line reads
 configs into the fold without the 1QL object model, verify hands the fold
-and the oracles angle rows, one place in the command line
+and the oracles angle rows, the oracles stay off the routes they check,
+one place in the command line
 turns package errors into usage errors, and no function takes a
 tolerance."""
 
@@ -57,6 +58,12 @@ def assert_imports_none_of(module, banned):
 def test_cli_and_config_stay_off_the_object_model():
     for module in ("cli", "config"):
         assert_imports_none_of(module, {"algebra", "detection", "oracles", "permanent"})
+
+
+def test_oracles_import_none_of_the_routes_they_check():
+    # the oracles expand states term by term; a faster oracle must not
+    # borrow the fold, the permanent kernels, the algebra or the measures
+    assert_imports_none_of("oracles", {"fold", "permanent", "algebra", "measures"})
 
 
 def test_verify_imports_only_config_errors_fold_measures_oracles_and_tolerances():

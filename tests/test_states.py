@@ -1,12 +1,15 @@
 """State construction, normalization factors, and expansion oracle tests."""
 
 import math
+from collections import Counter
+from itertools import permutations
 
 import pytest
 
 from identangle.errors import ConsistencyError, NullStateError, SizeLimitError
 from identangle.oracles import collected_product_state
 from identangle.states import (
+    EXPANSION_SIZE_LIMIT,
     SingleParticleKet,
     SpatialMode,
     Spin,
@@ -20,6 +23,7 @@ from identangle.states import (
     occupation_key,
     symmetrize_product,
 )
+from identangle.tolerances import DEFAULT_TOLERANCES
 
 from conftest import LR_LABELS, random_ket
 
@@ -229,6 +233,43 @@ def test_expand_fermion_signs(rng):
     kets = [random_ket(rng), random_ket(rng)]
     terms = expand_first_quantized(kets, Statistics.FERMION)
     assert abs(terms[(0, 1)] + terms[(1, 0)]) < 1e-12
+
+
+def literal_expansion(kets, statistics):
+    """The expansion as a plain loop over itertools.permutations: slot a of
+    permutation p holds the first ket equal to kets[p[a]], coefficients of
+    equal rows summed in permutation order, cancelled rows dropped."""
+    n = len(kets)
+    first = {}
+    reps = [first.setdefault(ket.signature(), idx) for idx, ket in enumerate(kets)]
+    base = 1.0 / math.sqrt(
+        math.factorial(n) * math.prod(math.factorial(v) for v in Counter(reps).values())
+    )
+    terms = {}
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        sign = -1 if statistics is Statistics.FERMION and inversions % 2 else 1
+        key = tuple(reps[p] for p in perm)
+        terms[key] = terms.get(key, 0j) + sign * base
+    return {k: v for k, v in terms.items() if abs(v) > DEFAULT_TOLERANCES.pruning}
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("n", range(1, EXPANSION_SIZE_LIMIT + 1))
+def test_expand_first_quantized_is_the_permutation_loop(rng, statistics, n):
+    distinct = [random_ket(rng) for _ in range(n)]
+    # a copy is a different object with the same amplitudes
+    copy = SingleParticleKet(dict(distinct[0].items()))
+    patterns = [
+        distinct,
+        [distinct[k] for k in (0, 1, 0, 2, 1, 0)[:n]],
+        [distinct[-1]] * n,
+        [copy] + distinct[: n - 1],
+    ]
+    for kets in patterns:
+        got = expand_first_quantized(kets, statistics)
+        assert list(got.items()) == list(literal_expansion(kets, statistics).items())
+        assert all(type(key) is tuple and type(value) is complex for key, value in got.items())
 
 
 def test_symmetrize_product_combinatorial_norm(rng):

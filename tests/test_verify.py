@@ -245,10 +245,32 @@ def test_worst_case_replays_from_json(argv):
 
 def test_oracle_amplitude_worst_case_replays_from_json(monkeypatch):
     # with every projection error at 0 the worst case is an amplitude
-    monkeypatch.setattr(verify, "projection_oracle_error", lambda case: 0.0)
+    monkeypatch.setattr(verify, "_projection_oracle_errors", lambda cases: np.zeros(len(cases)))
     report = json.loads(json.dumps(suite_oracle(seed=5, cases=30)))
     assert "bra" in report["worst_case"]["inputs"]
     assert replay(report["worst_case"]) == report["max_error"] > 0.0
+
+
+@pytest.mark.parametrize("seed", [4, 9])
+def test_oracle_suite_errors_equal_case_by_case(monkeypatch, seed):
+    # the suite folds its projections per (N, n_up) group; every error must
+    # still be the one-case helper's, bit for bit
+    captured = {}
+    report = verify._report
+
+    def capture(suite, seed, errors, inputs):
+        captured.update(errors=list(errors), inputs=inputs)
+        return report(suite, seed, errors, inputs)
+
+    monkeypatch.setattr(verify, "_report", capture)
+    assert suite_oracle(seed=seed, cases=8)["cases"] == 72
+    for case, error in enumerate(captured["errors"]):
+        inputs = captured["inputs"](case)
+        if "bra" in inputs:
+            expected = amplitude_oracle_error(case_from(inputs["bra"]), case_from(inputs["ket"]))
+        else:
+            expected = projection_oracle_error(case_from(inputs))
+        assert error == expected, case
 
 
 def test_oracle_suite_checks_the_fold_amplitude(monkeypatch):
@@ -332,6 +354,35 @@ def test_fermion_oracles_at_n6(rng):
         make_product_state(kets, Statistics.FERMION)
     assert abs(expansion_inner_product(bras, kets, Statistics.FERMION)) < 1e-12
     assert transition_amplitude(bras, kets, Statistics.FERMION) == pytest.approx(0.0, abs=1e-12)
+
+
+POOL = tuple((f"m{i}", spin) for i in range(8) for spin in Spin)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("n", range(2, EXPANSION_SIZE_LIMIT + 1))
+def test_collect_expansion_with_mixed_label_counts(rng, statistics, n):
+    # kets of 1, 2, 3 and 12 labels, overlapping; ket j starts at label 2j
+    sizes = (1, 12, 2, 3, 1, 2)[:n]
+    kets = [random_ket(rng, POOL[2 * j : 2 * j + size]) for j, size in enumerate(sizes)]
+    assert_same_state(collect_expansion(kets, statistics), make_product_state(kets, statistics))
+    # repeats: the 12-label ket twice, and a 2-label ket twice at n >= 5
+    kets[0] = kets[1]
+    if n >= 5:
+        kets[4] = kets[2]
+    if statistics is Statistics.FERMION:
+        assert collect_expansion(kets, statistics) == {}
+    else:
+        assert_same_state(collect_expansion(kets, statistics), make_product_state(kets, statistics))
+
+
+def test_collect_expansion_on_one_wide_ket_at_n6(rng):
+    # 720 x 100 terms: a key table padded to the widest ket would hold 100^6
+    wide = random_ket(rng, tuple((f"w{i}", Spin.UP) for i in range(100)))
+    narrow = [SingleParticleKet({(f"w{i}", Spin.DOWN): 1.0}) for i in range(5)]
+    for position in (0, 3):
+        kets = narrow[:position] + [wide] + narrow[position:]
+        assert_same_state(collect_expansion(kets), make_product_state(kets))
 
 
 def test_collect_expansion_rejects_keys_beyond_int64():
