@@ -6,26 +6,30 @@ states), ``project`` (detector projection with sector entanglement),
 equivalence report), ``verify`` (randomized verification suites) and
 ``echo-config`` (canonical serialization of a config).
 
+Each subcommand is a plain function whose options :data:`COMMANDS`
+lists; :func:`main` parses the arguments against that table.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
-Commands raise IdentangleError for a bad input, and the subcommand class
-:class:`_Command` alone reports it: one ``error:`` line, exit 2.  The
-environment variable ``IDENTANGLE_TOL`` overrides the default comparison
-tolerance.  Every subcommand rejects an invalid value, but only ``verify``
-uses it, for the one threshold every suite counts failures against; every
-other output is the same for any valid value.
+A bad argument or input raises IdentangleError, and :func:`main` alone
+reports it: one ``error:`` line, exit 2.  The environment variable
+``IDENTANGLE_TOL`` overrides the default comparison tolerance.  Every
+subcommand rejects an invalid value, but only ``verify`` uses it, for the
+one threshold every suite counts failures against; every other output is
+the same for any valid value.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import inspect
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-import click
 import numpy as np
 
 from .config import (
@@ -44,22 +48,8 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 
 
 def _fail_usage(message: str):
-    # not click.echo: it caches every stream it writes to and never frees it
     sys.stderr.write(f"error: {message}\n")
     sys.exit(2)
-
-
-class _Command(click.Command):
-    """A subcommand that reports any IdentangleError, an invalid
-    ``IDENTANGLE_TOL`` included, as a usage error (:func:`_fail_usage`);
-    click answers ``--help`` before ``invoke`` runs."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            comparison_from_env()
-            return super().invoke(ctx)
-        except IdentangleError as exc:
-            _fail_usage(str(exc))
 
 
 def _read_input(what: str, path: str, parse):
@@ -96,18 +86,6 @@ def _write_output(text: str, output: str):
         stream.write(text + "\n")
 
 
-@click.group()
-def main():
-    """Identical-particle entanglement toolkit."""
-
-
-main.command_class = _Command
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(), help="Ket-side ensemble config (JSON).")
-@click.option("--bra-config", "bra_path", required=True, type=click.Path(), help="Bra-side ensemble config (JSON).")
-@click.option("--output", default="-", show_default=True)
 def amplitude(config_path: str, bra_path: str, output: str):
     """Transition amplitude between two configured product states."""
     ket_config = _read_input("config", config_path, parse_ensemble_config)
@@ -200,9 +178,6 @@ def _project_json(config: EnsembleConfig) -> str:
     )
 
 
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--output", default="-", show_default=True)
 def project(config_path: str, output: str):
     """Project the configured ensemble onto the detectors and report the
     sector decomposition plus both entanglement averages."""
@@ -244,13 +219,6 @@ def _sweep_chunk(
     return values, p, leak, entanglement
 
 
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--sweep", "sweep_path", required=True, type=click.Path(), help="Sweep spec (JSON).")
-@click.option("--measure", type=click.Choice(["entropy", "concurrence"]), default="concurrence", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
-@click.option("--output", default="-", show_default=True)
 def sweep(config_path, sweep_path, measure, fmt, threads, output):
     """Evaluate the projection over a parameter grid.
 
@@ -308,15 +276,6 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
             stream.write("".join(row_format % tuple(row) for row in rows))
 
 
-@main.command()
-@click.option("--n-total", type=int, required=True, help="Total particle number.")
-@click.option("--n-up", type=int, required=True, help="Spin-up particle count.")
-@click.option("--theta", default="0.7853981633974483", show_default=True,
-              help="Scalar or comma-separated list of mixing angles.")
-@click.option("--omega", default="0.0", show_default=True,
-              help="Scalar or comma-separated list of phases.")
-@click.option("--split", required=True, help="Local particle numbers, e.g. 2,1.")
-@click.option("--output", default="-", show_default=True)
 def schmidt(n_total, n_up, theta, omega, split, output):
     """Compare label-group Schmidt coefficients with the mode-split ones."""
     try:
@@ -348,11 +307,6 @@ def _parse_angles(text: str):
     return values[0] if len(values) == 1 else values
 
 
-@main.command()
-@click.argument("suite", type=click.Choice(sorted(SUITES)))
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--cases", type=int, default=None, help="Override the suite's sample count (not for schmidt).")
-@click.option("--output", default="-", show_default=True)
 def verify(suite: str, seed: int, cases: Optional[int], output: str):
     """Run a named verification suite; exits 1 on any failure."""
     report = run_suite(suite, seed=seed, cases=cases)
@@ -361,13 +315,174 @@ def verify(suite: str, seed: int, cases: Optional[int], output: str):
         sys.exit(1)
 
 
-@main.command("echo-config")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--output", default="-", show_default=True)
 def echo_config(config_path: str, output: str):
     """Parse a config and emit its canonical serialization (round-trip aid)."""
     config = _read_input("config", config_path, parse_ensemble_config)
     _write_output(dump_ensemble_config(config), output)
+
+
+#: the default of an argument that must be given
+REQUIRED = object()
+
+
+class Option(NamedTuple):
+    """One argument of a command: ``flag`` is ``--name`` for an option
+    and the metavar of a positional argument otherwise; ``convert`` is
+    ``str``, ``int`` or the tuple of accepted values."""
+
+    flag: str
+    param: str
+    convert: Union[type, Tuple[str, ...]]
+    default: object
+    help: str
+
+
+_OUTPUT = Option("--output", "output", str, "-", "Output file; - for stdout.")
+
+#: command name -> (function, its arguments)
+COMMANDS = {
+    "amplitude": (amplitude, (
+        Option("--config", "config_path", str, REQUIRED, "Ket-side ensemble config (JSON)."),
+        Option("--bra-config", "bra_path", str, REQUIRED, "Bra-side ensemble config (JSON)."),
+        _OUTPUT,
+    )),
+    "project": (project, (
+        Option("--config", "config_path", str, REQUIRED, "Ensemble config (JSON)."),
+        _OUTPUT,
+    )),
+    "sweep": (sweep, (
+        Option("--config", "config_path", str, REQUIRED, "Ensemble config (JSON)."),
+        Option("--sweep", "sweep_path", str, REQUIRED, "Sweep spec (JSON)."),
+        Option("--measure", "measure", ("entropy", "concurrence"), "concurrence", "Entanglement measure."),
+        Option("--format", "fmt", ("csv", "json"), "csv", "Output format."),
+        Option("--threads", "threads", int, 1, "Threads that evaluate grid chunks."),
+        _OUTPUT,
+    )),
+    "schmidt": (schmidt, (
+        Option("--n-total", "n_total", int, REQUIRED, "Total particle number."),
+        Option("--n-up", "n_up", int, REQUIRED, "Spin-up particle count."),
+        Option("--theta", "theta", str, "0.7853981633974483", "Scalar or comma-separated list of mixing angles."),
+        Option("--omega", "omega", str, "0.0", "Scalar or comma-separated list of phases."),
+        Option("--split", "split", str, REQUIRED, "Local particle numbers, e.g. 2,1."),
+        _OUTPUT,
+    )),
+    "verify": (verify, (
+        Option("SUITE", "suite", tuple(sorted(SUITES)), REQUIRED, "The suite to run."),
+        Option("--seed", "seed", int, DEFAULT_SEED, "Seed of the suite's random draws."),
+        Option("--cases", "cases", int, None, "Override the suite's sample count (not for schmidt)."),
+        _OUTPUT,
+    )),
+    "echo-config": (echo_config, (
+        Option("--config", "config_path", str, REQUIRED, "Ensemble config (JSON)."),
+        _OUTPUT,
+    )),
+}
+
+
+def _convert(name: str, option: Option, text: str):
+    if option.convert is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{name}: {option.flag} must be an integer, got {text!r}") from None
+    if option.convert is not str and text not in option.convert:
+        raise ConfigError(f"{name}: {option.flag} must be one of {', '.join(option.convert)}, got {text!r}")
+    return text
+
+
+def _parse(name: str, args: Sequence[str]) -> Optional[dict]:
+    """The keyword arguments of command ``name`` from its arguments, or
+    None when they ask for ``--help``.  ``--flag value`` takes the next
+    argument as it is, ``-3`` or ``--help`` included; ``--flag=value``
+    works too, and a repeated option keeps its last value.  A bad
+    argument raises ConfigError."""
+    options = COMMANDS[name][1]
+    flags = {option.flag: option for option in options if option.flag.startswith("--")}
+    positional = [option for option in options if not option.flag.startswith("--")]
+    given = {}
+    tokens = iter(args)
+    for token in tokens:
+        if token == "--help":
+            return None
+        if token.startswith("-") and token != "-":
+            flag, has_value, value = token.partition("=")
+            if flag not in flags:
+                raise ConfigError(f"{name}: no such option {flag}")
+            if not has_value:
+                value = next(tokens, None)
+                if value is None:
+                    raise ConfigError(f"{name}: {flag} needs a value")
+            given[flags[flag].param] = value
+        elif positional:
+            given[positional.pop(0).param] = token
+        else:
+            raise ConfigError(f"{name}: unexpected argument {token!r}")
+    kwargs = {}
+    for option in options:
+        if option.param in given:
+            kwargs[option.param] = _convert(name, option, given[option.param])
+        elif option.default is REQUIRED:
+            raise ConfigError(f"{name}: missing {option.flag}")
+        else:
+            kwargs[option.param] = option.default
+    return kwargs
+
+
+def _help(prog_name: str, name: Optional[str] = None) -> str:
+    """Help text of command ``name``, or of the program for None."""
+    if name is None:
+        usage, doc, heading = f"{prog_name} COMMAND [OPTIONS]", main.__doc__, "Commands"
+        rows = [
+            (command, " ".join(function.__doc__.split("\n\n")[0].split()))
+            for command, (function, _) in COMMANDS.items()
+        ]
+    else:
+        function, options = COMMANDS[name]
+        positional = "".join(f" {option.flag}" for option in options if not option.flag.startswith("--"))
+        usage, doc, heading = f"{prog_name} {name}{positional} [OPTIONS]", function.__doc__, "Options"
+        rows = []
+        for option in options:
+            kind = {int: "INTEGER", str: "TEXT"}.get(option.convert) or "[" + "|".join(option.convert) + "]"
+            if option.default is REQUIRED:
+                note = "[required]"
+            else:
+                note = "" if option.default is None else f"[default: {option.default}]"
+            rows.append((option.flag, "  ".join(filter(None, (kind, option.help, note)))))
+    width = max(len(left) for left, _ in rows)
+    lines = [f"Usage: {usage}", "", inspect.cleandoc(doc), "", f"{heading}:"]
+    lines += [f"  {left.ljust(width)}  {right}" for left, right in rows]
+    return "\n".join(lines) + "\n"
+
+
+def main(args: Optional[Sequence[str]] = None, prog_name: str = "identangle"):
+    """Identical-particle entanglement toolkit."""
+    # --help first, before IDENTANGLE_TOL is read; then parse, check the
+    # tolerance and run, each step reporting IdentangleError as a usage error
+    args = sys.argv[1:] if args is None else list(args)
+    try:
+        if args[:1] == ["--help"]:
+            sys.stdout.write(_help(prog_name))
+            return
+        if not args or args[0] not in COMMANDS:
+            what = f"no such command {args[0]!r}" if args else "missing command"
+            raise ConfigError(f"{what}; expected one of {', '.join(COMMANDS)}")
+        kwargs = _parse(args[0], args[1:])
+        if kwargs is None:
+            sys.stdout.write(_help(prog_name, args[0]))
+            return
+        comparison_from_env()
+        COMMANDS[args[0]][0](**kwargs)
+    except IdentangleError as exc:
+        _fail_usage(str(exc))
+    except BrokenPipeError:
+        # the reader of stdout left early: point stdout at devnull, so
+        # that the flush at exit does not fail on what is still buffered
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        sys.stderr.write("Aborted!\n")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,7 @@
+import contextlib
+import io
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,31 @@ LR_LABELS = (
     ("R", Spin.UP),
     ("R", Spin.DOWN),
 )
+
+
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout, then stderr
+    stdout_bytes: bytes
+
+
+class CliRunner:
+    """Runs a command-line entry point in process with captured streams.
+
+    Unlike click's runner of that name, an exception other than
+    SystemExit propagates: a crash fails the test instead of reading as
+    exit code 1.
+    """
+
+    def invoke(self, main, args):
+        out, err = io.StringIO(), io.StringIO()
+        code = 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args)
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+        return Result(code, out.getvalue() + err.getvalue(), out.getvalue().encode())
 
 
 def random_ket(rng, labels=LR_LABELS):

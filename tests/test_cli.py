@@ -5,11 +5,13 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from identangle import cli, detection, fold, measures
 from identangle.algebra import transition_amplitude
@@ -29,7 +31,7 @@ from identangle.states import SpatialMode, Spin, Statistics, mode_ket
 from identangle.tolerances import DEFAULT_TOLERANCES, TOLERANCE_ENV_VAR
 from identangle.verify import MAX_CASES, SUITES
 
-from conftest import svd_route_entanglement
+from conftest import CliRunner, svd_route_entanglement
 
 
 @pytest.fixture
@@ -774,7 +776,7 @@ def test_in_process_calls_free_their_streams(tmp_path):
         stream = io.StringIO()
         with redirect(stream):
             try:
-                main(argv, standalone_mode=False)
+                main(argv)
             except SystemExit:
                 pass
         assert stream.getvalue()
@@ -1391,3 +1393,80 @@ def test_project_sector_norm_check_exits_2(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_project_batch", scaled_outcomes)
     cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
     assert_usage_error(runner.invoke(main, ["project", "--config", cfg]), "sector q = 2 has norm")
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["project"], "missing --config"),
+    (["sweep", "--config", "c.json", "--sweep", "s.json", "--threads", "two"], "--threads must be an integer, got 'two'"),
+    (["verify", "nosuch"], "must be one of"),
+    (["project", "--confg", "c.json"], "no such option --confg"),
+    (["nosuch", "--config", "c.json"], "no such command 'nosuch'"),
+    ([], "missing command"),
+], ids=["missing-option", "bad-integer", "bad-suite", "unknown-option", "unknown-command", "no-command"])
+def test_argument_errors_are_one_line(runner, argv, fragment):
+    assert_usage_error(runner.invoke(main, argv), fragment)
+
+
+def test_values_starting_with_a_dash_reach_the_command(runner):
+    base = ["schmidt", "--n-total", "3", "--n-up", "2", "--split", "2,1"]
+    result = runner.invoke(main, base + ["--omega", "-0.3,0.4,0.1"])
+    assert result.exit_code == 0, result.output
+    # --flag=value is the same option, and a repeated option keeps its last value
+    for argv in (base + ["--omega=-0.3,0.4,0.1"], base + ["--omega", "0.0", "--omega", "-0.3,0.4,0.1"]):
+        assert runner.invoke(main, argv).stdout_bytes == result.stdout_bytes
+    assert_usage_error(runner.invoke(main, ["verify", "theorem1", "--cases", "-3"]), "cases must lie in [1, 1000]")
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_help_lists_every_option(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith(f"Usage: identangle {command}")
+    for option in cli.COMMANDS[command][1]:
+        assert option.flag in result.output
+
+
+def test_program_help_lists_every_command(runner):
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0, result.output
+    assert all(command in result.output for command in cli.COMMANDS)
+
+
+def test_interrupt_exits_1_with_aborted(runner, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_suite", interrupted)
+    result = runner.invoke(main, ["verify", "schmidt"])
+    assert (result.exit_code, result.output) == (1, "Aborted!\n")
+
+
+def run_module(args, **kwargs):
+    """A child Python with the package's sources first on its path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.Popen([sys.executable] + args, env=env, **kwargs)
+
+
+def test_cli_imports_no_click():
+    child = run_module(["-c", "import sys, identangle.cli; sys.exit('click' in sys.modules)"])
+    assert child.wait(timeout=60) == 0
+
+
+def test_sweep_into_a_closed_pipe_exits_1_quietly(tmp_path):
+    # about 1.5 MB of rows, far more than a pipe holds, so the sweep is
+    # still writing when its reader leaves
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+    sweep = write(tmp_path, "sweep.json", {"axes": [
+        {"path": "particles[0].theta", "start": 0.0, "stop": 1.5, "steps": 100},
+        {"path": "particles[1].omega", "start": 0.0, "stop": 6.0, "steps": 100},
+    ]})
+    child = run_module(
+        ["-m", "identangle.cli", "sweep", "--config", cfg, "--sweep", sweep],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline().startswith(b"particles[0].theta,")
+    child.stdout.close()
+    assert child.wait(timeout=60) == 1
+    assert child.stderr.read() == b""
+    child.stderr.close()

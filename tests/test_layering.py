@@ -11,10 +11,10 @@ import math
 import pathlib
 import sys
 
-from click.testing import CliRunner
-
 from identangle import algebra, states
 from identangle.cli import main
+
+from conftest import CliRunner
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "identangle"
 
@@ -110,9 +110,9 @@ def test_cli_reports_usage_errors_in_one_place():
                 if "IdentangleError" in ast.unparse(node.type):
                     handlers.add(name)
     assert exits == {"_fail_usage"}
-    assert reports == {"_Command.invoke"}
+    assert reports == {"main"}
     # _read_input only prefixes the path and raises again
-    assert handlers == {"_Command.invoke", "_read_input"}
+    assert handlers == {"main", "_read_input"}
 
 
 def test_fermion_amplitude_builds_no_kets(tmp_path, monkeypatch):
@@ -165,7 +165,7 @@ def test_the_environment_tolerance_is_read_in_two_places():
         calls += sum(map(reads_env_tolerance, ast.walk(ast.parse(path.read_text()))))
         for name, function in functions(path.stem):
             readers += [f"{path.stem}.{name}" for node in ast.walk(function) if reads_env_tolerance(node)]
-    assert sorted(readers) == ["cli._Command.invoke", "verify._report"]
+    assert sorted(readers) == ["cli.main", "verify._report"]
     assert calls == len(readers)
 
 

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from identangle import algebra, detection, measures, verify
 from identangle.algebra import transition_amplitude
@@ -47,7 +46,7 @@ from identangle.verify import (
     suite_theorem1,
 )
 
-from conftest import LR_LABELS, random_ket
+from conftest import LR_LABELS, CliRunner, random_ket
 
 TOL = DEFAULT_TOLERANCES
 
