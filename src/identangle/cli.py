@@ -40,7 +40,7 @@ from .config import (
     parse_sweep_spec,
 )
 from .errors import ConfigError, ConsistencyError, IdentangleError, RowError
-from .fold import _postselected, _project_batch, _sector_walk, fermion_amplitude, fold_amplitude, sweep_grid
+from .fold import MEASURES, _postselected, _project_batch, _sector_walk, fermion_amplitude, fold_amplitude, sweep_grid
 from .measures import verify_schmidt_equivalence
 from .states import Statistics, _odd_inversions
 from .tolerances import comparison_from_env
@@ -71,14 +71,30 @@ def _require_bosons(config: EnsembleConfig):
         raise ConfigError("detector projection is defined for bosonic ensembles only")
 
 
+def _discard_stdout():
+    """Point stdout at devnull, so that the flush at exit does not fail
+    again on what is still buffered."""
+    if sys.stdout is sys.__stdout__:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+@contextlib.contextmanager
 def _output_stream(output: str):
-    """The stream ``--output`` names, as a context manager that leaves stdout open."""
-    if output == "-":
-        return contextlib.nullcontext(sys.stdout)
+    """The stream ``--output`` names, flushed at the end; stdout stays open.
+
+    An OSError from opening, writing or flushing raises ConfigError naming
+    the output, except a BrokenPipeError, which :func:`main` handles.
+    """
     try:
-        return open(output, "w", encoding="utf-8")
+        with contextlib.nullcontext(sys.stdout) if output == "-" else open(output, "w", encoding="utf-8") as stream:
+            yield stream
+            stream.flush()
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        raise ConfigError(f"cannot write output {output}: {exc}") from None
+        if output == "-":
+            _discard_stdout()
+        raise ConfigError(f"cannot write output {'stdout' if output == '-' else output}: {exc}") from None
 
 
 def _write_output(text: str, output: str):
@@ -169,7 +185,7 @@ def _project_json(config: EnsembleConfig) -> str:
         "leak": float(leak[0]),
         "entanglement": {
             measure: float(_postselected(by_sector, p, measure)[0])
-            for measure in ("entropy", "concurrence")
+            for measure in MEASURES
         },
     }
     sectors_json = "[\n" + ",\n".join(sectors) + "\n  ]" if sectors else "[]"
@@ -353,7 +369,7 @@ COMMANDS = {
     "sweep": (sweep, (
         Option("--config", "config_path", str, REQUIRED, "Ensemble config (JSON)."),
         Option("--sweep", "sweep_path", str, REQUIRED, "Sweep spec (JSON)."),
-        Option("--measure", "measure", ("entropy", "concurrence"), "concurrence", "Entanglement measure."),
+        Option("--measure", "measure", MEASURES, "concurrence", "Entanglement measure."),
         Option("--format", "fmt", ("csv", "json"), "csv", "Output format."),
         Option("--threads", "threads", int, 1, "Threads that evaluate grid chunks."),
         _OUTPUT,
@@ -475,10 +491,8 @@ def main(args: Optional[Sequence[str]] = None, prog_name: str = "identangle"):
     except IdentangleError as exc:
         _fail_usage(str(exc))
     except BrokenPipeError:
-        # the reader of stdout left early: point stdout at devnull, so
-        # that the flush at exit does not fail on what is still buffered
-        if sys.stdout is sys.__stdout__:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader of stdout left early
+        _discard_stdout()
         sys.exit(1)
     except KeyboardInterrupt:
         sys.stderr.write("Aborted!\n")

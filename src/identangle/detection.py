@@ -19,43 +19,8 @@ from .algebra import DensityMatrix, pure_to_density, symmetrized_partial_trace
 from .errors import BoundsError, ConsistencyError, SectorError
 from .fold import _project_batch, _sector_walk, sweep_grid, weight_measure
 from .measures import ModeSplit, _dicke_key, schmidt_coefficients
-from .states import (
-    OccupationKey,
-    SingleParticleKet,
-    SpatialMode,
-    Spin,
-    Statistics,
-    SymmetricKet,
-    mode_ket,
-)
+from .states import OccupationKey, ParticleEnsemble, Statistics, SymmetricKet
 from .tolerances import DEFAULT_TOLERANCES as TOL
-
-
-@dataclass(frozen=True)
-class ParticleEnsemble:
-    """N bosons ordered spin-up first: modes[:n_up] are up, the rest down."""
-
-    n_up: int
-    modes: Tuple[SpatialMode, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if not self.modes:
-            raise ConsistencyError("ensemble must contain at least one particle")
-        if not 0 <= self.n_up <= len(self.modes):
-            raise ConsistencyError(
-                f"n_up = {self.n_up} outside [0, {len(self.modes)}]"
-            )
-
-    @property
-    def n_total(self) -> int:
-        return len(self.modes)
-
-    def kets(self) -> List[SingleParticleKet]:
-        return [
-            mode_ket(mode, Spin.UP if j < self.n_up else Spin.DOWN)
-            for j, mode in enumerate(self.modes)
-        ]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ transition amplitudes of ensembles given as (G, N) angle rows, spin-up
 first.  Each spin block lies in span{L, R, chi}, so its state follows from
 its particles' (c, s, r) amplitudes: Fock amplitudes for bosons, minors for
 fermions.  Past numpy and the stdlib it imports only ``errors`` and
-``tolerances``; ``states``, ``detection`` and ``measures`` build on it.
+``tolerances``; ``detection`` and ``measures`` build on it.
 """
 
 from __future__ import annotations

@@ -23,11 +23,11 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .detection import ParticleEnsemble
 from .errors import ConsistencyError, SizeLimitError
 from .states import (
     BasisLabel,
     OccupationKey,
+    ParticleEnsemble,
     SingleParticleKet,
     SpatialMode,
     Statistics,

@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import ConsistencyError, NullStateError, SizeLimitError
-from .fold import wrap_phase
 from .tolerances import DEFAULT_TOLERANCES as TOL
 
 EXPANSION_SIZE_LIMIT = 6
@@ -88,9 +87,11 @@ class SpatialMode:
             raise ConsistencyError(f"theta must lie in [0, pi/2], got {self.theta}")
         if not 0.0 <= self.phi <= math.pi / 2:
             raise ConsistencyError(f"phi must lie in [0, pi/2], got {self.phi}")
-        # phases are periodic; store them wrapped into [0, 2*pi)
-        object.__setattr__(self, "omega", wrap_phase(float(self.omega)))
-        object.__setattr__(self, "gamma", wrap_phase(float(self.gamma)))
+        # phases are periodic; store them wrapped into [0, 2*pi) by the
+        # rule of fold.wrap_phase: the second remainder maps the 2*pi that
+        # -1e-20 % (2*pi) rounds to onto 0
+        object.__setattr__(self, "omega", float(self.omega) % (2.0 * math.pi) % (2.0 * math.pi))
+        object.__setattr__(self, "gamma", float(self.gamma) % (2.0 * math.pi) % (2.0 * math.pi))
 
     def coherence(self) -> float:
         """Off-diagonal weight 2*cos(theta)*sin(theta) in the {L, R} basis."""
@@ -174,6 +175,33 @@ def mode_ket(mode: SpatialMode, spin: Spin) -> SingleParticleKet:
         (REMAINDER_LABEL, spin): cos_phi * _phase(mode.gamma),
     }
     return SingleParticleKet(amps)
+
+
+@dataclass(frozen=True)
+class ParticleEnsemble:
+    """N bosons ordered spin-up first: modes[:n_up] are up, the rest down."""
+
+    n_up: int
+    modes: Tuple[SpatialMode, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "modes", tuple(self.modes))
+        if not self.modes:
+            raise ConsistencyError("ensemble must contain at least one particle")
+        if not 0 <= self.n_up <= len(self.modes):
+            raise ConsistencyError(
+                f"n_up = {self.n_up} outside [0, {len(self.modes)}]"
+            )
+
+    @property
+    def n_total(self) -> int:
+        return len(self.modes)
+
+    def kets(self) -> List[SingleParticleKet]:
+        return [
+            mode_ket(mode, Spin.UP if j < self.n_up else Spin.DOWN)
+            for j, mode in enumerate(self.modes)
+        ]
 
 
 def _phase(angle: float) -> complex:

@@ -3,11 +3,13 @@
 Each suite returns a report dict with ``suite``, ``cases``, ``failures``,
 ``max_error`` and ``worst_case`` (the seed, index and inputs of the case
 with the largest error) and is deterministic for a fixed seed.  Every
-suite but ``schmidt`` draws its cases as (n_up, (4, N) angle rows), the
-fold's input: the closed-form suites run one fold per (N, n_up) group,
-and the oracle suite checks the ``amplitude`` fold route on each pair and
-the ``project`` fold route, one fold per (N, n_up) group, against
-expansion oracles built from the cases' rows.  Every resizable
+suite hands the fold one (4, G, N) angle array per (N, n_up) group: the
+closed-form suites and ``schmidt``'s mode splits build it from their
+drawn angles as a whole, and ``theorem1`` and ``oracle``, whose draws
+branch case by case, stack their (n_up, (4, N) angle rows) cases by
+group.  The oracle suite checks the ``amplitude`` fold route on each pair
+and the ``project`` fold route against expansion oracles built from the
+cases' rows.  Every resizable
 suite takes its size as ``cases`` (:func:`run_suite` takes 1 to
 ``MAX_CASES``), and none takes a tolerance:
 :func:`_report` alone counts failures.  These back the command-line
@@ -17,7 +19,7 @@ suite takes its size as ``cases`` (:func:`run_suite` takes 1 to
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +42,8 @@ from .tolerances import comparison_from_env
 
 DEFAULT_SEED = 7
 #: largest ``cases`` :func:`run_suite` takes: at 1000, ``n2-closed-form``
-#: (400 fold cases per unit) peaks near 350 MB and ``oracle`` runs about 5 s
+#: (400 fold cases per unit, all in one fold) peaks near 210 MB and
+#: ``oracle`` runs about 5 s
 MAX_CASES = 1000
 
 
@@ -65,10 +68,11 @@ def random_ensemble(
     return n_up, np.array(columns).T
 
 
-def _angles(thetas: Sequence[float], omegas: Sequence[float]) -> np.ndarray:
-    """(4, N) angle rows of particles with phi and gamma at their defaults."""
-    n = len(thetas)
-    return np.array([thetas, omegas, [ANGLES["phi"][0]] * n, [ANGLES["gamma"][0]] * n])
+def _angles(thetas, omegas) -> np.ndarray:
+    """(4, ..., N) angle rows of particles with phi and gamma at their
+    defaults, from thetas and omegas of shape (..., N)."""
+    shape = np.shape(thetas)
+    return np.array([thetas, omegas, np.full(shape, ANGLES["phi"][0]), np.full(shape, ANGLES["gamma"][0])])
 
 
 def _ensemble_inputs(case: Tuple[int, np.ndarray]) -> Dict:
@@ -102,28 +106,22 @@ def _report(
     }
 
 
-def _groups(cases: Sequence[Tuple[int, np.ndarray]]) -> Dict[Tuple[int, int], List[int]]:
-    """The indices of the (n_up, (4, N) angle rows) cases of each (N, n_up)
-    group, in draw order; one fold evaluates a group."""
+def _groups(cases: Sequence[Tuple[int, np.ndarray]]) -> Iterator[Tuple[int, List[int], np.ndarray]]:
+    """n_up, the case indices in draw order and the (4, G, N) stacked angle
+    rows of each (N, n_up) group of (n_up, (4, N) angle rows) cases; one
+    fold evaluates a group."""
     groups: Dict[Tuple[int, int], List[int]] = {}
     for case, (n_up, rows) in enumerate(cases):
         groups.setdefault((rows.shape[1], n_up), []).append(case)
-    return groups
+    for (_, n_up), members in groups.items():
+        yield n_up, members, np.stack([cases[case][1] for case in members], axis=1)
 
 
-def _concurrences(cases: Sequence[Tuple[int, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Postselected average concurrence of each (n_up, (4, N) angle rows) case, as
-    :func:`detection.entanglement_of_particles` gives it, and its sectors'
-    largest second Schmidt weight, from one fold per (N, n_up) group."""
-    values, seconds = np.empty((2, len(cases)))
-    for (_, n_up), members in _groups(cases).items():
-        angles = np.stack([cases[case][1] for case in members], axis=1)
-        _, by_sector, p, _ = _project_batch(n_up, *angles)
-        values[members] = _postselected(by_sector, p, "concurrence")
-        # all weights but each sector's largest: their maximum is the largest second weight
-        weights = np.sort(_schmidt_weights(by_sector, p), axis=2)[:, :, :-1]
-        seconds[members] = weights.max(axis=(1, 2), initial=0.0)
-    return values, seconds
+def _concurrences(n_up: int, angles: np.ndarray) -> np.ndarray:
+    """Postselected average concurrence of each ensemble of (4, G, N) angle
+    rows, as :func:`detection.entanglement_of_particles` gives it, from one fold."""
+    _, by_sector, p, _ = _project_batch(n_up, *angles)
+    return _postselected(by_sector, p, "concurrence")
 
 
 def suite_theorem1(
@@ -149,11 +147,13 @@ def suite_theorem1(
                 thetas.append(float(rng.uniform(0.0, math.pi / 2)))
             omegas.append(float(rng.uniform(0, 2 * math.pi)))
         draws.append((n_up, _angles(thetas, omegas)))
-    values, seconds = _concurrences(draws)
-    return _report(
-        "theorem1", seed, np.maximum(values, seconds),
-        lambda case: _ensemble_inputs(draws[case]),
-    )
+    errors = np.empty(cases)
+    for n_up, members, angles in _groups(draws):
+        _, by_sector, p, _ = _project_batch(n_up, *angles)
+        # all weights but each sector's largest: their maximum is the largest second weight
+        seconds = np.sort(_schmidt_weights(by_sector, p), axis=2)[:, :, :-1].max(axis=(1, 2), initial=0.0)
+        errors[members] = np.maximum(_postselected(by_sector, p, "concurrence"), seconds)
+    return _report("theorem1", seed, errors, lambda case: _ensemble_inputs(draws[case]))
 
 
 def suite_n2_closed_form(
@@ -163,21 +163,15 @@ def suite_n2_closed_form(
     """Two-boson average concurrence against the closed form C1*C2/4 on a
     20 x 20 theta grid, with ``cases`` random phase pairs per grid point."""
     rng = np.random.default_rng(seed)
-    thetas = np.linspace(0.0, math.pi / 2, 20)
-    draws = []
-    expected = []
-    for t1 in thetas:
-        for t2 in thetas:
-            closed = two_boson_average_concurrence(float(t1), float(t2))
-            for _ in range(cases):
-                w1, w2 = rng.uniform(0.0, 2.0 * math.pi, 2)
-                draws.append((1, _angles([float(t1), float(t2)], [float(w1), float(w2)])))
-                expected.append(closed)
-    errors = np.abs(_concurrences(draws)[0] - expected)
-    return _report(
-        "n2-closed-form", seed, errors,
-        lambda case: _ensemble_inputs(draws[case]),
-    )
+    grid = np.linspace(0.0, math.pi / 2, 20).tolist()
+    points = [(t1, t2) for t1 in grid for t2 in grid]
+    closed = [two_boson_average_concurrence(t1, t2) for t1, t2 in points]
+    # each point repeated for its cases, and all phase pairs in one draw:
+    # the stream of one uniform(..., 2) per case
+    thetas = np.repeat(points, cases, axis=0)
+    angles = _angles(thetas, rng.uniform(0.0, 2.0 * math.pi, (len(thetas), 2)))
+    errors = np.abs(_concurrences(1, angles) - np.repeat(closed, cases))
+    return _report("n2-closed-form", seed, errors, lambda case: _ensemble_inputs((1, angles[:, case])))
 
 
 def suite_n3_closed_form(
@@ -191,7 +185,8 @@ def suite_n3_closed_form(
     on opposite sides, so both branches of the sign rule are exercised.
     """
     rng = np.random.default_rng(seed)
-    draws = []
+    # the drawn thetas and omegas, one row a case
+    drawn = np.empty((2, cases, 3))
     theta_forms = []
     coherence_forms = []
     for case in range(cases):
@@ -209,7 +204,7 @@ def suite_n3_closed_form(
         w1, w2, w3 = rng.uniform(0.0, 2.0 * math.pi, 3)
         thetas = (float(t1), float(t2), float(t3))
         omegas = (float(w1), float(w2), float(w3))
-        draws.append((2, _angles(thetas, omegas)))
+        drawn[:, case] = thetas, omegas
         theta_forms.append(three_boson_average_concurrence(thetas, omegas))
         same_side = (t1 - math.pi / 4) * (t2 - math.pi / 4) >= 0.0
         coherence_forms.append(
@@ -221,12 +216,10 @@ def suite_n3_closed_form(
                 same_side,
             )
         )
-    values = _concurrences(draws)[0]
+    angles = _angles(*drawn)
+    values = _concurrences(2, angles)
     errors = np.maximum(np.abs(values - theta_forms), np.abs(values - coherence_forms))
-    return _report(
-        "n3-closed-form", seed, errors,
-        lambda case: _ensemble_inputs(draws[case]),
-    )
+    return _report("n3-closed-form", seed, errors, lambda case: _ensemble_inputs((2, angles[:, case])))
 
 
 def label_split_error(
@@ -258,13 +251,15 @@ def suite_schmidt(
                 errors.append(label_split_error(n_total, n_up, n_left))
                 inputs.append({"n_total": n_total, "n_up": n_up, "n_left": n_left})
     # mode splitting at shared random angles reproduces the input form
-    draws = []
+    shared = []
     for _ in range(10):
         theta = float(rng.uniform(0.1, math.pi / 2 - 0.1))
         omega = float(rng.uniform(0.0, 2.0 * math.pi))
-        draws.append(_angles([theta] * 3, [omega] * 3))
+        shared.append((theta, omega))
         inputs.append({"theta": theta, "omega": omega})
-    _, by_sector, p, _ = _project_batch(2, *np.stack(draws, axis=1))
+    # a case's three particles all at its angles
+    thetas, omegas = np.repeat(np.array(shared).T[:, :, None], 3, axis=2)
+    _, by_sector, p, _ = _project_batch(2, *_angles(thetas, omegas))
     expected = label_split_coefficients(3, 2, 2)
     for weights in _schmidt_weights(by_sector, p)[:, 2]:
         errors.append(coefficient_distance(_schmidt_coefficients(weights), expected))
@@ -295,8 +290,8 @@ def _projection_oracle_errors(cases: Sequence[Tuple[int, np.ndarray]]) -> np.nda
     n_up) group; a fold's rows are independent, so each error is the one
     case's alone, bit for bit."""
     errors = np.empty(len(cases))
-    for (_, n_up), members in _groups(cases).items():
-        outcomes, _, _, leak = _project_batch(n_up, *np.stack([cases[case][1] for case in members], axis=1))
+    for n_up, members, angles in _groups(cases):
+        outcomes, _, _, leak = _project_batch(n_up, *angles)
         for row, case in enumerate(members):
             sectors, oracle_leak = project_by_substitution(rows_ensemble(*cases[case]))
             reference = np.zeros_like(outcomes[row])

@@ -1470,3 +1470,48 @@ def test_sweep_into_a_closed_pipe_exits_1_quietly(tmp_path):
     assert child.wait(timeout=60) == 1
     assert child.stderr.read() == b""
     child.stderr.close()
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+def every_command(tmp_path):
+    """Arguments that run each command to its output."""
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9, 0.4))
+    sweep = write(tmp_path, "sweep.json", {"axes": [
+        {"path": "particles[0].theta", "start": 0.0, "stop": 1.5, "steps": 5},
+    ]})
+    return {
+        "amplitude": ["amplitude", "--config", cfg, "--bra-config", cfg],
+        "project": ["project", "--config", cfg],
+        "sweep": ["sweep", "--config", cfg, "--sweep", sweep],
+        "schmidt": ["schmidt", "--n-total", "3", "--n-up", "2", "--split", "2,1"],
+        "verify": ["verify", "n2-closed-form", "--cases", "1"],
+        "echo-config": ["echo-config", "--config", cfg],
+    }
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_full_output_exits_2_with_one_line(runner, tmp_path, command):
+    # the write succeeds into the buffer and the flush fails: a usage-style
+    # error, not a traceback and not exit 1, which means a failed verification
+    result = runner.invoke(main, every_command(tmp_path)[command] + ["--output", "/dev/full"])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: cannot write output /dev/full: ")
+    assert result.output.count("\n") == 1
+
+
+@needs_dev_full
+def test_stdout_on_a_full_device_exits_2_with_one_line(tmp_path):
+    # stdout still holds the record after the failed flush; the flush at
+    # exit must not fail a second time
+    with open("/dev/full", "w") as full:
+        child = run_module(
+            ["-m", "identangle.cli"] + every_command(tmp_path)["project"],
+            stdout=full, stderr=subprocess.PIPE,
+        )
+        _, err = child.communicate(timeout=60)
+    assert child.returncode == 2, err
+    assert err.startswith(b"error: cannot write output stdout: ")
+    assert err.count(b"\n") == 1

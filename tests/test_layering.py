@@ -66,6 +66,20 @@ def test_oracles_import_none_of_the_routes_they_check():
     assert_imports_none_of("oracles", {"fold", "permanent", "algebra", "measures"})
 
 
+def test_no_module_the_oracles_reach_is_a_route_they_check():
+    # nor may any module they import, directly or through other package
+    # modules: detection alone would bring in the fold and the measures
+    reached, pending = set(), ["oracles"]
+    while pending:
+        for level, name, names, _ in imports(pending.pop()):
+            if level:
+                # from .states import ..., or from . import states
+                new = ({name} if name else set(names)) - reached
+                reached |= new
+                pending += sorted(new)
+    assert not reached & {"fold", "permanent", "algebra", "measures", "detection"}, sorted(reached)
+
+
 def test_verify_imports_only_config_errors_fold_measures_oracles_and_tolerances():
     # verify draws angle rows: neither the permanent route nor the object
     # model of detection and states

@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 from identangle.errors import ConsistencyError, NullStateError, SizeLimitError
+from identangle.fold import wrap_phase
 from identangle.oracles import collected_product_state
 from identangle.states import (
     EXPANSION_SIZE_LIMIT,
@@ -109,6 +110,13 @@ def test_tiny_negative_phases_wrap_to_zero():
     assert mode.omega == 0.0 and mode.gamma == 0.0
     mode = SpatialMode(theta=0.3, omega=2 * math.pi + 1e-15, gamma=-2 * math.pi)
     assert 0.0 <= mode.omega < 2 * math.pi and mode.gamma == 0.0
+
+
+def test_phases_wrap_as_the_fold_wraps_them():
+    # states keeps its own copy of fold.wrap_phase's rule, so that it needs no fold
+    for value in (-1e-20, -5e-324, -2 * math.pi, 2 * math.pi + 1e-15, 7.5, -123.456, 1e300, -1e300):
+        mode = SpatialMode(theta=0.3, omega=value, gamma=value)
+        assert mode.omega == mode.gamma == wrap_phase(value), value
 
 
 def test_single_particle_ket_norm_check():
