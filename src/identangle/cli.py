@@ -40,7 +40,7 @@ from .config import (
     parse_sweep_spec,
 )
 from .errors import ConfigError, ConsistencyError, IdentangleError, RowError
-from .fold import MEASURES, _postselected, _project_batch, _sector_walk, fermion_amplitude, fold_amplitude, sweep_grid
+from .fold import MEASURES, _postselected, _project_batch, _sector_walk, fermion_amplitude, fold_amplitude, fold_chunks, sweep_grid
 from .measures import verify_schmidt_equivalence
 from .states import Statistics, _odd_inversions
 from .tolerances import comparison_from_env
@@ -172,7 +172,7 @@ def _project_json(config: EnsembleConfig) -> str:
     the leak and both postselected measures."""
     _require_bosons(config)
     n_up = config.n_up
-    outcomes, by_sector, p, leak = _project_batch(n_up, *config.angles()[:, None])
+    outcomes, weights, p, leak = _project_batch(n_up, *config.angles()[:, None])
     sectors = [
         _sector_json(q, probability, state, n_up, config.n_total - n_up)
         for q, probability, state in _sector_walk(outcomes[0], p[0])
@@ -184,7 +184,7 @@ def _project_json(config: EnsembleConfig) -> str:
         "sectors": None,  # replaced by the rendered sectors
         "leak": float(leak[0]),
         "entanglement": {
-            measure: float(_postselected(by_sector, p, measure)[0])
+            measure: float(_postselected(weights, p, measure)[0])
             for measure in MEASURES
         },
     }
@@ -201,27 +201,20 @@ def project(config_path: str, output: str):
     _write_output(_project_json(config), output)
 
 
-#: complex entries in one fold array of a sweep chunk: G * (n + 1)^2 for
-#: the larger spin block.  The chunk size follows from this and the block
-#: sizes alone, so rows do not depend on --threads.
-SWEEP_CHUNK_ENTRIES = 1 << 16
-
-
 def _sweep_chunk(
-    bounds: Tuple[int, int],
+    rows: slice,
     config: EnsembleConfig,
     axes: List[SweepAxis],
     measure: str,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Grid rows [start, stop) as (axis values, p, leak, entanglement) arrays.
+    """The grid rows ``rows`` as (axis values, p, leak, entanglement) arrays.
 
     A failed consistency check names the first failing row and its axis
     values.
     """
-    start, stop = bounds
-    index = np.unravel_index(np.arange(start, stop), [len(axis.values) for axis in axes])
+    index = np.unravel_index(np.arange(rows.start, rows.stop), [len(axis.values) for axis in axes])
     values = np.column_stack([axis.values[i] for axis, i in zip(axes, index)])
-    angles = np.repeat(config.angles()[:, None], stop - start, axis=1)
+    angles = np.repeat(config.angles()[:, None], len(values), axis=1)
     for column, axis in enumerate(axes):
         angles[axis.row, :, axis.particle] = values[:, column]
     try:
@@ -231,19 +224,20 @@ def _sweep_chunk(
             f"{axis.path} = {value!r}"
             for axis, value in zip(axes, values[exc.row].tolist())
         )
-        raise ConsistencyError(f"grid row {start + exc.row} ({point}): {exc}") from None
+        raise ConsistencyError(f"grid row {rows.start + exc.row} ({point}): {exc}") from None
     return values, p, leak, entanglement
 
 
 def sweep(config_path, sweep_path, measure, fmt, threads, output):
     """Evaluate the projection over a parameter grid.
 
-    The grid is evaluated in chunks of rows as numpy arrays
-    (:func:`fold.sweep_grid`); with --threads above one, up to that
-    many threads (never more than there are chunks) evaluate chunks side by
-    side.  Every chunk is evaluated before anything is written, so a failing
-    grid row writes no output.  Rows follow the lexicographic grid order of
-    the sweep axes and are identical for any thread count.
+    The grid is evaluated in the chunks of rows of :func:`fold.fold_chunks`,
+    each as numpy arrays (:func:`fold.sweep_grid`); with --threads above
+    one, up to that many threads (never more than there are chunks)
+    evaluate chunks side by side.  Every chunk is evaluated before anything
+    is written, so a failing grid row writes no output.  Rows follow the
+    lexicographic grid order of the sweep axes and are identical for any
+    thread count.
     """
     config = _read_input("config", config_path, parse_ensemble_config)
     _require_bosons(config)
@@ -252,20 +246,17 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
         raise ConfigError("--threads must be >= 1")
 
     paths = [axis.path for axis in axes]
-    size = math.prod(len(axis.values) for axis in axes)
     n = config.n_total
-    block = max(config.n_up, n - config.n_up) + 1
-    chunk = max(1, SWEEP_CHUNK_ENTRIES // block ** 2)
-    bounds = [(start, min(start + chunk, size)) for start in range(0, size, chunk)]
+    chunks = fold_chunks(config.n_up, n, math.prod(len(axis.values) for axis in axes))
     evaluate = functools.partial(
         _sweep_chunk, config=config, axes=axes, measure=measure
     )
-    workers = min(threads, len(bounds))
+    workers = min(threads, len(chunks))
     if workers == 1:
-        results = [evaluate(b) for b in bounds]
+        results = [evaluate(rows) for rows in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, bounds))
+            results = list(pool.map(evaluate, chunks))
 
     if fmt == "json":
         records = [
@@ -467,7 +458,7 @@ def _help(prog_name: str, name: Optional[str] = None) -> str:
     width = max(len(left) for left, _ in rows)
     lines = [f"Usage: {usage}", "", inspect.cleandoc(doc), "", f"{heading}:"]
     lines += [f"  {left.ljust(width)}  {right}" for left, right in rows]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def main(args: Optional[Sequence[str]] = None, prog_name: str = "identangle"):
@@ -477,14 +468,14 @@ def main(args: Optional[Sequence[str]] = None, prog_name: str = "identangle"):
     args = sys.argv[1:] if args is None else list(args)
     try:
         if args[:1] == ["--help"]:
-            sys.stdout.write(_help(prog_name))
+            _write_output(_help(prog_name), "-")
             return
         if not args or args[0] not in COMMANDS:
             what = f"no such command {args[0]!r}" if args else "missing command"
             raise ConfigError(f"{what}; expected one of {', '.join(COMMANDS)}")
         kwargs = _parse(args[0], args[1:])
         if kwargs is None:
-            sys.stdout.write(_help(prog_name, args[0]))
+            _write_output(_help(prog_name, args[0]), "-")
             return
         comparison_from_env()
         COMMANDS[args[0]][0](**kwargs)

@@ -79,13 +79,6 @@ def build_detection_matrix(
     )
 
 
-def _angle_rows(ensemble: ParticleEnsemble) -> np.ndarray:
-    """theta, omega, phi and gamma of the ensemble's particles, shape (4, 1, N)."""
-    return np.array(
-        [[(m.theta, m.omega, m.phi, m.gamma) for m in ensemble.modes]]
-    ).transpose(2, 0, 1)
-
-
 def project_onto_detectors(
     ensemble: ParticleEnsemble,
 ) -> SectorDecomposition:
@@ -98,7 +91,7 @@ def project_onto_detectors(
     sector probabilities plus the leak miss one by more than
     ``TOL.normalization``.
     """
-    outcomes, _, p, leak = _project_batch(ensemble.n_up, *_angle_rows(ensemble))
+    outcomes, _, p, leak = _project_batch(ensemble.n_up, *ensemble.angle_rows())
     sectors: List[Sector] = []
     for q, probability, state in _sector_walk(outcomes[0], p[0]):
         amps = {
@@ -168,11 +161,11 @@ def entanglement_of_particles(
     """Postselected average entanglement sum_q p_q E(sector_q).
 
     :func:`fold.sweep_grid` on the ensemble's one row: each sector's measure is
-    read from its outcome weights, and the sector weights are renormalized
+    read from its Schmidt weights, and the sector weights are renormalized
     to sum to one when some probability leaks outside the detector
     subspace.  Returns 0 when every particle misses both detectors.
     """
-    return float(sweep_grid(ensemble.n_up, *_angle_rows(ensemble), measure)[2][0])
+    return float(sweep_grid(ensemble.n_up, *ensemble.angle_rows(), measure)[2][0])
 
 
 @dataclass(frozen=True)

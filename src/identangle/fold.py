@@ -212,9 +212,12 @@ def _project_batch(
     Outcomes with |amplitude| <= ``TOL.pruning`` are dropped and the rest
     grouped into sectors by q = alpha + beta; a sector below
     ``TOL.pruning`` reads as empty (probability 0).  Returns the outcome
-    amplitudes (G, n_up+1, N-n_up+1), their kept weights by sector
-    (G, N+1, n_up+1) indexed by (q, alpha), the sector probabilities
-    (G, N+1) and the leak (G,).
+    amplitudes (G, n_up+1, N-n_up+1), each sector's Schmidt weights across
+    L|R (G, N+1, n_up+1) indexed by (q, alpha), the sector probabilities
+    (G, N+1) and the leak (G,).  Sector q's Schmidt weights are its kept
+    outcome weights |U[alpha] D[q-alpha]|^2 / p_q, one term per distinct
+    alpha (:func:`detection.sector_entanglement` reads them from an SVD),
+    and 0 in an empty sector.
 
     The leak is the weight of the a_chi > 0 outcomes (phi < pi/2), summed
     rather than taken as the complement, so that probabilities plus leak
@@ -228,11 +231,11 @@ def _project_batch(
     up, up_detected, up_leaked = _detector_block(c[:, :n_up], s[:, :n_up], r[:, :n_up])
     down, _, down_leaked = _detector_block(c[:, n_up:], s[:, n_up:], r[:, n_up:])
     outcomes = up[:, :, None] * down[:, None, :]
-    weights = outcomes.real ** 2 + outcomes.imag ** 2
-    weights[np.abs(outcomes) <= TOL.pruning] = 0.0
+    kept = outcomes.real ** 2 + outcomes.imag ** 2
+    kept[np.abs(outcomes) <= TOL.pruning] = 0.0
     q, alpha = _sector_layout(n_up, total - n_up)
     by_sector = np.zeros((len(outcomes), total + 1, n_up + 1))
-    by_sector[:, q, alpha] = weights
+    by_sector[:, q, alpha] = kept
     p = by_sector.sum(axis=2)
     # an outcome leaks when either block has a particle in its remainder mode
     leak = up_leaked + up_detected * down_leaked
@@ -242,7 +245,8 @@ def _project_batch(
         lambda row: f"sector probabilities plus leak miss one by {deviation[row]:.3e}",
     )
     p[p < TOL.pruning] = 0.0
-    return outcomes, by_sector, p, leak
+    weights = np.divide(by_sector, p[..., None], out=np.zeros_like(by_sector), where=p[..., None] > 0.0)
+    return outcomes, weights, p, leak
 
 
 def fold_amplitude(
@@ -355,6 +359,21 @@ def _sector_walk(
     return sectors
 
 
+#: complex entries in one fold array of a chunk: G * (n + 1)^2 for the
+#: larger spin block of n particles
+CHUNK_ENTRIES = 1 << 16
+
+
+def fold_chunks(n_up: int, n_total: int, rows: int) -> List[slice]:
+    """The row slices, in order, in which ``rows`` ensembles of N =
+    ``n_total`` particles, n_up of them up, are folded: CHUNK_ENTRIES //
+    (n + 1)^2 rows each (at least one), so they follow from the block
+    sizes alone.  An empty batch is one empty slice."""
+    block = max(n_up, n_total - n_up) + 1
+    size = max(1, CHUNK_ENTRIES // block ** 2)
+    return [slice(start, min(start + size, rows)) for start in range(0, max(rows, 1), size)]
+
+
 def sweep_grid(
     n_up: int,
     theta: np.ndarray,
@@ -371,38 +390,30 @@ def sweep_grid(
     average of ``measure`` (G,); row g equals
     :func:`detection.project_onto_detectors` of the ensemble in that row.
 
-    The entanglement is :func:`_postselected` of the projection.  A failed
-    check raises RowError naming the first failing row.
+    The rows are folded chunk by chunk (:func:`fold_chunks`), each with
+    :func:`_postselected` of its projection.  A failed check raises
+    RowError naming the first failing row of the batch.
     """
-    _, by_sector, p, leak = _project_batch(n_up, theta, omega, phi, gamma)
-    return p, leak, _postselected(by_sector, p, measure)
+    results = []
+    for rows in fold_chunks(n_up, theta.shape[1], len(theta)):
+        try:
+            _, weights, p, leak = _project_batch(n_up, theta[rows], omega[rows], phi[rows], gamma[rows])
+        except RowError as exc:
+            raise RowError(rows.start + exc.row, str(exc)) from None
+        results.append((p, leak, _postselected(weights, p, measure)))
+    return tuple(np.concatenate(parts) for parts in zip(*results))
 
 
-def _schmidt_weights(by_sector: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Schmidt weights across L|R of the sectors of :func:`_project_batch`,
-    (G, N+1, n_up+1): sector q's outcome weights |U[alpha] D[q-alpha]|^2 / p_q,
-    one term each, since distinct alpha give distinct keys on both sides
-    (:func:`detection.sector_entanglement` reads them from an SVD); empty
-    sectors read 0.
-    """
-    return np.divide(
-        by_sector, p[..., None], out=np.zeros_like(by_sector), where=p[..., None] > 0.0
-    )
-
-
-def _postselected(
-    by_sector: np.ndarray, p: np.ndarray, measure: str
-) -> np.ndarray:
+def _postselected(weights: np.ndarray, p: np.ndarray, measure: str) -> np.ndarray:
     """Postselected average of ``measure`` over G projections, from the
-    kept outcome weights (G, N+1, n_up+1) and sector probabilities (G, N+1)
-    of :func:`_project_batch`.
+    sector Schmidt weights (G, N+1, n_up+1) and sector probabilities
+    (G, N+1) of :func:`_project_batch`.
 
-    Each sector's measure is read from its :func:`_schmidt_weights`, one
-    term per kept outcome.  A row whose sum(p) is at most ``TOL.pruning``
-    reads 0.
+    Each sector's measure is read from its Schmidt weights, one term per
+    nonzero weight.  A row whose sum(p) is at most ``TOL.pruning`` reads 0.
     """
-    terms = np.count_nonzero(by_sector, axis=2)
-    sector_values = weight_measure(_schmidt_weights(by_sector, p), terms, measure)
+    terms = np.count_nonzero(weights, axis=2)
+    sector_values = weight_measure(weights, terms, measure)
     # postselected: sector weights renormalized over the detected probability
     total_p = p.sum(axis=1)[:, None]
     share = np.divide(p, total_p, out=np.zeros_like(p), where=total_p > TOL.pruning)

@@ -15,11 +15,11 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .algebra import DensityMatrix
-from .config import _angles_of
 from .errors import BipartitionError, ConsistencyError, NormalizationError, SectorError
-from .fold import _project_batch, _require_fold_size, _schmidt_weights, weight_measure
+from .fold import _project_batch, _require_fold_size, weight_measure
 from .states import (
     OccupationKey,
+    ParticleEnsemble,
     SpatialMode,
     Spin,
     Statistics,
@@ -414,9 +414,9 @@ def verify_schmidt_equivalence(
     particles reproduces the input coefficients exactly; distinct angles
     generally do not, and the deviation is reported.
 
-    Input: :func:`label_split_coefficients`; output: the sector's
-    :func:`fold._schmidt_weights` (:func:`schmidt_decompose` is the SVD
-    reference route for both).
+    Input: :func:`label_split_coefficients`; output: the sector's Schmidt
+    weights from :func:`fold._project_batch` (:func:`schmidt_decompose` is
+    the SVD reference route for both).
     """
     n_left, n_right = split
     if n_left + n_right != n_total:
@@ -432,13 +432,13 @@ def verify_schmidt_equivalence(
     if not 0 <= n_up <= n_total:
         raise ConsistencyError(f"invalid spin split ({n_up} of {n_total})")
     # SpatialMode checks the angles and supplies phi and gamma
-    modes = [_angles_of(SpatialMode(theta=t, omega=w)) for t, w in zip(thetas, omegas)]
-    _, by_sector, p, _ = _project_batch(n_up, *np.array([modes]).transpose(2, 0, 1))
+    ensemble = ParticleEnsemble(n_up, [SpatialMode(theta=t, omega=w) for t, w in zip(thetas, omegas)])
+    _, weights, p, _ = _project_batch(n_up, *ensemble.angle_rows())
     probability = float(p[0, n_left])
     if probability == 0.0:
         raise SectorError(f"sector q = {n_left} is empty or absent")
     input_coeffs = label_split_coefficients(n_total, n_up, n_left)
-    output_coeffs = _schmidt_coefficients(_schmidt_weights(by_sector, p)[0, n_left])
+    output_coeffs = _schmidt_coefficients(weights[0, n_left])
     return SchmidtEquivalenceReport(
         input_coefficients=input_coeffs,
         output_coefficients=output_coeffs,

@@ -203,6 +203,11 @@ class ParticleEnsemble:
             for j, mode in enumerate(self.modes)
         ]
 
+    def angle_rows(self) -> np.ndarray:
+        """theta, omega, phi and gamma of the particles, shape (4, 1, N):
+        the angle arrays of a one-row fold."""
+        return np.array([[(m.theta, m.omega, m.phi, m.gamma) for m in self.modes]]).transpose(2, 0, 1)
+
 
 def _phase(angle: float) -> complex:
     return complex(math.cos(angle), math.sin(angle))

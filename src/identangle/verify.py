@@ -7,13 +7,13 @@ suite hands the fold one (4, G, N) angle array per (N, n_up) group: the
 closed-form suites and ``schmidt``'s mode splits build it from their
 drawn angles as a whole, and ``theorem1`` and ``oracle``, whose draws
 branch case by case, stack their (n_up, (4, N) angle rows) cases by
-group.  The oracle suite checks the ``amplitude`` fold route on each pair
-and the ``project`` fold route against expansion oracles built from the
-cases' rows.  Every resizable
-suite takes its size as ``cases`` (:func:`run_suite` takes 1 to
-``MAX_CASES``), and none takes a tolerance:
-:func:`_report` alone counts failures.  These back the command-line
-``verify`` command and the acceptance tests.
+group.  The closed-form suites fold it through :func:`fold.sweep_grid`,
+chunk by chunk.  The oracle suite checks the ``amplitude`` fold route on
+each pair and the ``project`` fold route against expansion oracles built
+from the cases' rows.  Every resizable suite takes its size as ``cases``
+(:func:`run_suite` takes 1 to ``MAX_CASES``), and none takes a
+tolerance: :func:`_report` alone counts failures.  These back the
+command-line ``verify`` command and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import ANGLES
 from .errors import ConfigError
-from .fold import _postselected, _project_batch, _schmidt_weights, fold_amplitude
+from .fold import _postselected, _project_batch, fold_amplitude, sweep_grid
 from .measures import (
     LabelSplit,
     _schmidt_coefficients,
@@ -42,7 +42,7 @@ from .tolerances import comparison_from_env
 
 DEFAULT_SEED = 7
 #: largest ``cases`` :func:`run_suite` takes: at 1000, ``n2-closed-form``
-#: (400 fold cases per unit, all in one fold) peaks near 210 MB and
+#: (400 fold cases per unit, folded chunk by chunk) peaks near 107 MB and
 #: ``oracle`` runs about 5 s
 MAX_CASES = 1000
 
@@ -117,13 +117,6 @@ def _groups(cases: Sequence[Tuple[int, np.ndarray]]) -> Iterator[Tuple[int, List
         yield n_up, members, np.stack([cases[case][1] for case in members], axis=1)
 
 
-def _concurrences(n_up: int, angles: np.ndarray) -> np.ndarray:
-    """Postselected average concurrence of each ensemble of (4, G, N) angle
-    rows, as :func:`detection.entanglement_of_particles` gives it, from one fold."""
-    _, by_sector, p, _ = _project_batch(n_up, *angles)
-    return _postselected(by_sector, p, "concurrence")
-
-
 def suite_theorem1(
     seed: int = DEFAULT_SEED,
     cases: int = 1000,
@@ -149,10 +142,10 @@ def suite_theorem1(
         draws.append((n_up, _angles(thetas, omegas)))
     errors = np.empty(cases)
     for n_up, members, angles in _groups(draws):
-        _, by_sector, p, _ = _project_batch(n_up, *angles)
+        _, weights, p, _ = _project_batch(n_up, *angles)
         # all weights but each sector's largest: their maximum is the largest second weight
-        seconds = np.sort(_schmidt_weights(by_sector, p), axis=2)[:, :, :-1].max(axis=(1, 2), initial=0.0)
-        errors[members] = np.maximum(_postselected(by_sector, p, "concurrence"), seconds)
+        seconds = np.sort(weights, axis=2)[:, :, :-1].max(axis=(1, 2), initial=0.0)
+        errors[members] = np.maximum(_postselected(weights, p, "concurrence"), seconds)
     return _report("theorem1", seed, errors, lambda case: _ensemble_inputs(draws[case]))
 
 
@@ -170,7 +163,7 @@ def suite_n2_closed_form(
     # the stream of one uniform(..., 2) per case
     thetas = np.repeat(points, cases, axis=0)
     angles = _angles(thetas, rng.uniform(0.0, 2.0 * math.pi, (len(thetas), 2)))
-    errors = np.abs(_concurrences(1, angles) - np.repeat(closed, cases))
+    errors = np.abs(sweep_grid(1, *angles, "concurrence")[2] - np.repeat(closed, cases))
     return _report("n2-closed-form", seed, errors, lambda case: _ensemble_inputs((1, angles[:, case])))
 
 
@@ -217,7 +210,7 @@ def suite_n3_closed_form(
             )
         )
     angles = _angles(*drawn)
-    values = _concurrences(2, angles)
+    values = sweep_grid(2, *angles, "concurrence")[2]
     errors = np.maximum(np.abs(values - theta_forms), np.abs(values - coherence_forms))
     return _report("n3-closed-form", seed, errors, lambda case: _ensemble_inputs((2, angles[:, case])))
 
@@ -259,10 +252,10 @@ def suite_schmidt(
         inputs.append({"theta": theta, "omega": omega})
     # a case's three particles all at its angles
     thetas, omegas = np.repeat(np.array(shared).T[:, :, None], 3, axis=2)
-    _, by_sector, p, _ = _project_batch(2, *_angles(thetas, omegas))
+    _, weights, _, _ = _project_batch(2, *_angles(thetas, omegas))
     expected = label_split_coefficients(3, 2, 2)
-    for weights in _schmidt_weights(by_sector, p)[:, 2]:
-        errors.append(coefficient_distance(_schmidt_coefficients(weights), expected))
+    for sector in weights[:, 2]:
+        errors.append(coefficient_distance(_schmidt_coefficients(sector), expected))
     return _report("schmidt", seed, errors, inputs.__getitem__)
 
 

@@ -1002,7 +1002,7 @@ def test_sweep_chunk_boundary_rows(runner, tmp_path, recording_pool):
     config = leaky_three_boson_config()
     cfg = write(tmp_path, "cfg.json", config)
     # the larger spin block holds two particles
-    chunk = cli.SWEEP_CHUNK_ENTRIES // 3 ** 2
+    chunk = fold.CHUNK_ENTRIES // 3 ** 2
     paths = ["particles[0].theta"]
     sweep = write(tmp_path, "sweep.json", {
         "axes": [{"path": paths[0], "start": 0.0, "stop": math.pi / 2, "steps": chunk + 3}]
@@ -1066,7 +1066,7 @@ def test_sweep_failure_names_first_failing_row(runner, tmp_path, monkeypatch):
 
     monkeypatch.setattr(fold, "_detector_block", skewed_block)
     cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
-    chunk = cli.SWEEP_CHUNK_ENTRIES // 2 ** 2
+    chunk = fold.CHUNK_ENTRIES // 2 ** 2
     values = [0.3] * (chunk + 1) + [1.2, 0.3, 1.4]
     sweep = write(tmp_path, "sweep.json", {
         "axes": [
@@ -1387,8 +1387,8 @@ def test_project_sector_norm_check_exits_2(runner, tmp_path, monkeypatch):
     batch = cli._project_batch
 
     def scaled_outcomes(*args):
-        outcomes, by_sector, p, leak = batch(*args)
-        return outcomes * 1.001, by_sector, p, leak
+        outcomes, weights, p, leak = batch(*args)
+        return outcomes * 1.001, weights, p, leak
 
     monkeypatch.setattr(cli, "_project_batch", scaled_outcomes)
     cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
@@ -1500,6 +1500,17 @@ def test_a_full_output_exits_2_with_one_line(runner, tmp_path, command):
     assert result.exit_code == 2, result.output
     assert result.output.startswith("error: cannot write output /dev/full: ")
     assert result.output.count("\n") == 1
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_on_a_full_device_exits_2_with_one_line(argv):
+    with open("/dev/full", "w") as full:
+        child = run_module(["-m", "identangle.cli"] + argv, stdout=full, stderr=subprocess.PIPE)
+        _, err = child.communicate(timeout=60)
+    assert child.returncode == 2, err
+    assert err.startswith(b"error: cannot write output stdout: ")
+    assert err.count(b"\n") == 1
 
 
 @needs_dev_full

@@ -18,7 +18,7 @@ from identangle.detection import (
     sector_reduced_density,
     theorem1_separability_check,
 )
-from identangle import detection, fold
+from identangle import fold
 from identangle.fold import PROJECTION_SIZE_LIMIT, fold_amplitude, sweep_grid
 from identangle.errors import (
     BoundsError,
@@ -318,7 +318,7 @@ def test_fold_amplitude_matches_naive_permanent(pair):
     # perm(<bra_i|ket_j>) / sqrt(prod nu! prod mu!), nu and mu the repeat
     # counts of equal kets on each side
     bra, ket = pair
-    angles = np.concatenate([detection._angle_rows(bra), detection._angle_rows(ket)], axis=1)
+    angles = np.concatenate([bra.angle_rows(), ket.angle_rows()], axis=1)
     got = fold_amplitude(bra.n_up, ket.n_up, *angles)
     bras, kets = bra.kets(), ket.kets()
     repeats = math.prod(
@@ -393,6 +393,58 @@ def test_sweep_grid_matches_per_point_projection(grid):
         assert abs(leak[g] - dec.leak_probability) < tol
         for measure, (_, _, ent) in values.items():
             assert abs(ent[g] - svd_route_entanglement(dec, measure)) < tol
+
+
+def random_batch(rng, rows, n_total):
+    """(G, N) angle arrays of ``rows`` random ensembles, particles leaving
+    the detectors through phi < pi/2."""
+    shape = (rows, n_total)
+    return (
+        rng.uniform(0.0, math.pi / 2, shape),
+        rng.uniform(0.0, 2 * math.pi, shape),
+        rng.uniform(0.3, math.pi / 2, shape),
+        rng.uniform(0.0, 2 * math.pi, shape),
+    )
+
+
+def test_sweep_grid_over_chunks_is_bit_identical_to_one_fold_per_chunk(rng):
+    # three particles, two of them up: a chunk holds CHUNK_ENTRIES // 3^2 rows
+    n_up, chunk = 2, fold.CHUNK_ENTRIES // 3 ** 2
+    angles = random_batch(rng, 2 * chunk + 5, 3)
+    chunks = fold.fold_chunks(n_up, 3, 2 * chunk + 5)
+    assert [(rows.start, rows.stop) for rows in chunks] == [(0, chunk), (chunk, 2 * chunk), (2 * chunk, 2 * chunk + 5)]
+    for measure in fold.MEASURES:
+        got = sweep_grid(n_up, *angles, measure)
+        per_chunk = []
+        for rows in chunks:
+            _, weights, p, leak = fold._project_batch(n_up, *(a[rows] for a in angles))
+            per_chunk.append((p, leak, fold._postselected(weights, p, measure)))
+        # and one fold of the whole batch: a fold's rows are independent
+        _, weights, p, leak = fold._project_batch(n_up, *angles)
+        whole = (p, leak, fold._postselected(weights, p, measure))
+        for column, (value, parts) in enumerate(zip(got, zip(*per_chunk))):
+            assert np.array_equal(value, np.concatenate(parts))
+            assert np.array_equal(value, whole[column])
+
+
+def test_sweep_grid_names_the_batch_row_of_a_later_chunk(monkeypatch):
+    block = fold._detector_block
+    cut = math.cos(1.0)
+
+    def skewed_block(c, s, r):
+        amps, detected, leaked = block(c, s, r)
+        # only where a particle has theta > 1, which the down one never has
+        return amps, detected, leaked + 1e-6 * (abs(c[:, 0]) < cut)
+
+    monkeypatch.setattr(fold, "_detector_block", skewed_block)
+    # one up and one down particle: a chunk holds CHUNK_ENTRIES // 2^2 rows
+    chunk = fold.CHUNK_ENTRIES // 2 ** 2
+    theta = np.full((2 * chunk + 9, 2), 0.3)
+    theta[chunk + 7, 0] = theta[2 * chunk + 2, 0] = 1.2
+    zeros = np.zeros_like(theta)
+    with pytest.raises(RowError, match="miss one by 1.000e-06") as info:
+        sweep_grid(1, theta, zeros, np.full_like(theta, math.pi / 2), zeros)
+    assert info.value.row == chunk + 7
 
 
 def test_detector_block_names_first_vanishing_row():

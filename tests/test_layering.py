@@ -60,6 +60,11 @@ def test_cli_and_config_stay_off_the_object_model():
         assert_imports_none_of(module, {"algebra", "detection", "oracles", "permanent"})
 
 
+def test_measures_stay_off_the_config():
+    # the mode-splitting check reads its angle rows from the object model
+    assert_imports_none_of("measures", {"config"})
+
+
 def test_oracles_import_none_of_the_routes_they_check():
     # the oracles expand states term by term; a faster oracle must not
     # borrow the fold, the permanent kernels, the algebra or the measures

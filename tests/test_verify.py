@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from identangle import algebra, detection, measures, verify
+from identangle import algebra, detection, fold, measures, verify
 from identangle.algebra import transition_amplitude
 from identangle.cli import main
 from identangle.config import ANGLES
@@ -284,14 +284,32 @@ def test_oracle_suite_checks_the_fold_projection(monkeypatch):
     # the route the project command runs, one outcome amplitude off by 1e-9:
     # the reference read from the oracle's label counts must catch it
     def shifted(*args):
-        outcomes, by_sector, p, leak = _project_batch(*args)
+        outcomes, weights, p, leak = _project_batch(*args)
         outcomes[0, 0, 0] += 1e-9
-        return outcomes, by_sector, p, leak
+        return outcomes, weights, p, leak
 
     monkeypatch.setattr(verify, "_project_batch", shifted)
     result = CliRunner().invoke(main, ["verify", "oracle", "--cases", "2"])
     assert result.exit_code == 1, result.output
     assert json.loads(result.output)["failures"] > 0
+
+
+def test_n2_closed_form_folds_one_chunk_at_a_time(monkeypatch):
+    folded = []
+
+    def recorded(batch):
+        def wrapper(n_up, *angles):
+            folded.append(len(angles[0]))
+            return batch(n_up, *angles)
+        return wrapper
+
+    # the suite may reach the fold through either module's reference
+    monkeypatch.setattr(verify, "_project_batch", recorded(verify._project_batch))
+    monkeypatch.setattr(fold, "_project_batch", recorded(fold._project_batch))
+    assert suite_n2_closed_form(cases=50)["cases"] == 400 * 50
+    # one up and one down particle: a chunk holds CHUNK_ENTRIES // 2^2 rows
+    assert sum(folded) == 400 * 50
+    assert max(folded) <= fold.CHUNK_ENTRIES // 2 ** 2
 
 
 def test_suite_without_cases_has_no_worst_case():
