@@ -221,7 +221,10 @@ def symmetrized_partial_trace(
     ``subsystem_basis`` lists n-particle occupation keys whose projector
     sum must resolve the identity on the support of ``rho`` (checked, with
     the worst deficit reported).  Returns the (N - n)-particle reduced
-    density matrix; the trace is preserved.  Bosonic occupation counting.
+    density matrix on the remainders of ``rho.basis``; the trace is
+    preserved.  Each (subsystem key, state key) contraction is found once,
+    with its weight prod_b C(n_b, m_b), and feeds both the completeness
+    check and the reduced entries.  Bosonic occupation counting.
     """
     basis = [occupation_key(k) for k in subsystem_basis]
     if not basis:
@@ -236,52 +239,37 @@ def symmetrized_partial_trace(
         raise ConsistencyError(
             f"subsystem of {n_sub} particles exceeds state of {rho.n_particles}"
         )
-    sub_counts = [Counter(k) for k in basis]
     full_counts = [Counter(k) for k in rho.basis]
+    # per subsystem key: the index, remainder index and weight of every
+    # state key it contracts with a nonzero weight; the remainders, in the
+    # order found, index the reduced basis
+    contractions = []
+    remainders: Dict[OccupationKey, int] = {}
+    totals = [0.0] * len(full_counts)
+    for sc in map(Counter, basis):
+        terms = []
+        for i, fc in enumerate(full_counts):
+            w = _contraction_weight(sc, fc)
+            if w:
+                terms.append((i, remainders.setdefault(_subtract_key(fc, sc), len(remainders)), w))
+                totals[i] += w
+        contractions.append(terms)
 
-    # completeness: sum_m prod_b C(n_b, m_b) must be 1 on every support key
-    worst = 0.0
-    for fc in full_counts:
-        s = sum(_contraction_weight(sc, fc) for sc in sub_counts)
-        worst = max(worst, abs(s - 1.0))
+    # completeness: the weights of every support key must sum to 1
+    worst = max(abs(total - 1.0) for total in totals)
     if worst > TOL.comparison:
         raise CompletenessError(
             "subsystem basis does not resolve the identity on the state "
             f"support (deficit norm {worst:.3e})"
         )
 
-    reduced: Dict[Tuple[OccupationKey, OccupationKey], complex] = {}
-    remainder_keys = set()
-    dim = len(rho.basis)
-    for i in range(dim):
-        ci = full_counts[i]
-        for j in range(dim):
-            value = rho.entries[i, j]
-            if value == 0:
-                continue
-            cj = full_counts[j]
-            for sc, sub_key in zip(sub_counts, basis):
-                wi = _contraction_weight(sc, ci)
-                if wi == 0.0:
-                    continue
-                wj = _contraction_weight(sc, cj)
-                if wj == 0.0:
-                    continue
-                ri = _subtract_key(ci, sc)
-                rj = _subtract_key(cj, sc)
-                remainder_keys.add(ri)
-                remainder_keys.add(rj)
-                prev = reduced.get((ri, rj), 0j)
-                reduced[(ri, rj)] = prev + math.sqrt(wi * wj) * value
-
-    keys = sorted(remainder_keys)
-    if not keys:
-        keys = [()]
-    index = {k: i for i, k in enumerate(keys)}
-    out = np.zeros((len(keys), len(keys)), dtype=complex)
-    for (ri, rj), value in reduced.items():
-        out[index[ri], index[rj]] = value
-    return DensityMatrix(keys, out)
+    entries = rho.entries.tolist()
+    out = [[0j] * len(remainders) for _ in remainders]
+    for terms in contractions:
+        for i, ri, wi in terms:
+            for j, rj, wj in terms:
+                out[ri][rj] += math.sqrt(wi * wj) * entries[i][j]
+    return DensityMatrix(list(remainders), out)
 
 
 def _subtract_key(full: Counter, sub: Counter) -> OccupationKey:

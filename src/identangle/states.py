@@ -417,18 +417,7 @@ def make_product_state(
     """
     if not kets:
         raise ConsistencyError("at least one ket is required")
-    raw = symmetrize_product(kets, statistics)
-    n = raw.norm()
-    if n <= TOL.pruning:
-        raise NullStateError(
-            "antisymmetrized state vanishes identically (Pauli exclusion)"
-        )
-    return SymmetricKet(
-        raw.n_particles,
-        statistics,
-        {k: v / n for k, v in raw.items()},
-        normalized=True,
-    )
+    return symmetrize_product(kets, statistics).normalized_copy()
 
 
 def expand_first_quantized(

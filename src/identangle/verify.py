@@ -3,17 +3,19 @@
 Each suite returns a report dict with ``suite``, ``cases``, ``failures``,
 ``max_error`` and ``worst_case`` (the seed, index and inputs of the case
 with the largest error) and is deterministic for a fixed seed.  Every
-suite hands the fold one (4, G, N) angle array per (N, n_up) group: the
-closed-form suites and ``schmidt``'s mode splits build it from their
-drawn angles as a whole, and ``theorem1`` and ``oracle``, whose draws
-branch case by case, stack their (n_up, (4, N) angle rows) cases by
-group.  The closed-form suites fold it through :func:`fold.sweep_grid`,
-chunk by chunk.  The oracle suite checks the ``amplitude`` fold route on
-each pair and the ``project`` fold route against expansion oracles built
-from the cases' rows.  Every resizable suite takes its size as ``cases``
-(:func:`run_suite` takes 1 to ``MAX_CASES``), and none takes a
-tolerance: :func:`_report` alone counts failures.  These back the
-command-line ``verify`` command and the acceptance tests.
+suite builds one (4, G, N) angle array per (N, n_up) group: the
+closed-form suites and ``schmidt``'s mode splits from their drawn angles
+as a whole, and ``theorem1`` and ``oracle``, whose draws branch case by
+case, by stacking their (n_up, (4, N) angle rows) cases.  The fold takes
+each resizable group one :func:`fold.fold_chunks` chunk at a time:
+through :func:`fold.sweep_grid` for the closed-form suites, through
+:func:`_groups` for ``theorem1`` and ``oracle``; ``schmidt``'s ten mode
+splits are one fold.  The oracle suite checks the ``amplitude`` fold
+route on each pair and the ``project`` fold route against expansion
+oracles built from the cases' rows.  Every resizable suite takes its
+size as ``cases`` (:func:`run_suite` takes 1 to ``MAX_CASES``), and none
+takes a tolerance: :func:`_report` alone counts failures.  These back
+the command-line ``verify`` command and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .config import ANGLES
 from .errors import ConfigError
-from .fold import _postselected, _project_batch, fold_amplitude, sweep_grid
+from .fold import _postselected, _project_batch, fold_amplitude, fold_chunks, sweep_grid
 from .measures import (
     LabelSplit,
     _schmidt_coefficients,
@@ -42,8 +44,8 @@ from .tolerances import comparison_from_env
 
 DEFAULT_SEED = 7
 #: largest ``cases`` :func:`run_suite` takes: at 1000, ``n2-closed-form``
-#: (400 fold cases per unit, folded chunk by chunk) peaks near 107 MB and
-#: ``oracle`` runs about 5 s
+#: (400 fold cases per unit, drawn whole) peaks near 107 MB and ``oracle``
+#: runs about 5 s; every suite folds chunk by chunk, so no fold grows with it
 MAX_CASES = 1000
 
 
@@ -108,13 +110,14 @@ def _report(
 
 def _groups(cases: Sequence[Tuple[int, np.ndarray]]) -> Iterator[Tuple[int, List[int], np.ndarray]]:
     """n_up, the case indices in draw order and the (4, G, N) stacked angle
-    rows of each (N, n_up) group of (n_up, (4, N) angle rows) cases; one
-    fold evaluates a group."""
+    rows of each :func:`fold.fold_chunks` chunk of each (N, n_up) group of
+    (n_up, (4, N) angle rows) cases; one fold evaluates a chunk."""
     groups: Dict[Tuple[int, int], List[int]] = {}
     for case, (n_up, rows) in enumerate(cases):
         groups.setdefault((rows.shape[1], n_up), []).append(case)
-    for (_, n_up), members in groups.items():
-        yield n_up, members, np.stack([cases[case][1] for case in members], axis=1)
+    for (n_total, n_up), members in groups.items():
+        for chunk in fold_chunks(n_up, n_total, len(members)):
+            yield n_up, members[chunk], np.stack([cases[case][1] for case in members[chunk]], axis=1)
 
 
 def suite_theorem1(

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from identangle import algebra
 from identangle.algebra import (
     DensityMatrix,
     contract_single,
@@ -306,6 +307,49 @@ def test_partial_trace_preserves_trace_and_psd(rng):
         reduced = symmetrized_partial_trace(rho, basis)
         assert abs(reduced.trace - rho.trace) < 1e-10
         assert reduced.eigenvalues().min() > -1e-10
+
+
+def test_partial_trace_finds_each_contraction_once(monkeypatch):
+    # two up particles and one down: tracing out every key of the up
+    # particles leaves the down particle's pure state, and each state key
+    # meets every subsystem key once
+    (t1, w1), (t2, w2), (t3, w3) = (0.4, 0.3), (1.1, 2.0), (0.7, 4.1)
+    kets = [
+        mode_ket(SpatialMode(theta=t1, omega=w1), Spin.UP),
+        mode_ket(SpatialMode(theta=t2, omega=w2), Spin.UP),
+        mode_ket(SpatialMode(theta=t3, omega=w3), Spin.DOWN),
+    ]
+    rho = pure_to_density(make_product_state(kets))
+    ups = [("L", Spin.UP), ("R", Spin.UP)]
+    basis = [occupation_key(c) for c in combinations_with_replacement(ups, 2)]
+    calls = []
+    weight = algebra._contraction_weight
+    monkeypatch.setattr(
+        algebra, "_contraction_weight", lambda sub, full: calls.append(1) or weight(sub, full)
+    )
+    reduced = symmetrized_partial_trace(rho, basis)
+    assert 0 < len(calls) <= len(basis) * len(rho.basis)
+    assert reduced.basis == [occupation_key([(side, Spin.DOWN)]) for side in ("L", "R")]
+    down = np.array([math.cos(t3), math.sin(t3) * np.exp(1j * w3)])
+    assert np.abs(reduced.entries - np.outer(down, down.conj())).max() < 1e-12
+
+
+def test_partial_trace_of_a_trace_zero_state_keeps_its_remainders():
+    # the reduced basis is the remainders of the state's basis, whatever
+    # its entries: a weight-0 mixture leaves the zero matrix on the
+    # one-particle keys at R, not a zero-particle state
+    key_ud = occupation_key([("L", Spin.UP), ("R", Spin.DOWN)])
+    key_du = occupation_key([("L", Spin.DOWN), ("R", Spin.UP)])
+    amp = 1 / math.sqrt(2)
+    state = SymmetricKet(
+        2, Statistics.BOSON, {key_ud: amp, key_du: amp}, normalized=True
+    )
+    rho = convex_mixture([(0.0, pure_to_density(state))])
+    basis = [occupation_key([("L", s)]) for s in (Spin.UP, Spin.DOWN)]
+    reduced = symmetrized_partial_trace(rho, basis)
+    assert reduced.n_particles == 1
+    assert reduced.basis == [occupation_key([("R", s)]) for s in (Spin.UP, Spin.DOWN)]
+    assert not reduced.entries.any()
 
 
 def test_partial_trace_incomplete_basis_reports_deficit():

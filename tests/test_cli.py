@@ -364,6 +364,17 @@ def test_amplitude_different_n_up_is_exactly_zero(runner, tmp_path):
         _, ket = random_amplitude_pair(rng, n_total, n_total // 2)
         bra, _ = random_amplitude_pair(rng, n_total, n_total // 2 + 1)
         assert cli_amplitude(runner, tmp_path, bra, ket) == 0
+    # fermions too, once both states are checked to be non-null
+    modes = [{"theta": 0.3, "omega": 0.2}, {"theta": 1.1, "omega": 1.7}, {"theta": 0.7, "phi": 1.0}]
+    ket = write(tmp_path, "ket.json", {"statistics": "fermion", "particles": [
+        dict(mode, spin=spin) for mode, spin in zip(modes, ("up", "down", "down"))
+    ]})
+    bra = write(tmp_path, "bra.json", {"statistics": "fermion", "particles": [
+        dict(mode, spin=spin) for mode, spin in zip(modes, ("up", "up", "down"))
+    ]})
+    result = runner.invoke(main, ["amplitude", "--config", ket, "--bra-config", bra])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["amplitude"] == {"re": 0.0, "im": 0.0}
 
 
 def test_project_balanced_two_bosons(runner, tmp_path):
@@ -428,6 +439,39 @@ def test_parse_errors_are_usage_errors(runner, tmp_path):
     empty = write(tmp_path, "empty.json", {"particles": []})
     result = runner.invoke(main, ["project", "--config", empty])
     assert result.exit_code == 2
+    up = {"spin": "up", "theta": 0.3}
+    for payload, fragment in (
+        ([up], "config root must be a JSON object"),
+        ({"statistics": "anyon", "particles": [up]}, "statistics must be 'boson' or 'fermion', got 'anyon'"),
+        ({"particles": [1]}, "particles[0]: each particle must be an object"),
+        ({"particles": [up, {"spin": "sideways", "theta": 0.3}]}, "particles[1]: field 'spin' must be"),
+        ({"particles": [{"spin": "up"}]}, "particles[0]: field 'theta' is required"),
+    ):
+        config = write(tmp_path, "config.json", payload)
+        assert_usage_error(runner.invoke(main, ["project", "--config", config]), fragment)
+    for spec, fragment in (
+        ([], "sweep spec must be an object holding only 'axes'"),
+        ({"axes": []}, "sweep spec needs a non-empty 'axes' list"),
+        ({"axes": [{"path": 0, "values": [0.1]}]}, "axes[0]: each axis needs a string 'path'"),
+        ({"axes": [{"path": "particles[0].omega", "values": []}]}, "axes[0]: 'values' must be a non-empty list"),
+    ):
+        assert_usage_error(run_sweep(runner, tmp_path, spec), fragment)
+    # checks past parsing: the two configs' statistics, and the thread count
+    ket = write(tmp_path, "ket.json", two_boson_config(0.3, 0.4))
+    bra = write(tmp_path, "bra.json", dict(two_boson_config(0.3, 0.4), statistics="fermion"))
+    result = runner.invoke(main, ["amplitude", "--config", ket, "--bra-config", bra])
+    assert_usage_error(result, "bra and ket configs disagree on statistics")
+    sweep = write(tmp_path, "sweep.json", {"axes": [{"path": "particles[0].omega", "values": [0.1]}]})
+    result = runner.invoke(main, ["sweep", "--config", ket, "--sweep", sweep, "--threads", "0"])
+    assert_usage_error(result, "--threads must be >= 1")
+
+
+def test_sweep_one_step_range_runs_one_row_at_start(runner, tmp_path):
+    axis = {"path": "particles[0].theta", "start": 0.4, "stop": 1.3, "steps": 1}
+    result = run_sweep(runner, tmp_path, {"axes": [axis]})
+    assert result.exit_code == 0, result.output
+    rows = result.output.strip().splitlines()[1:]
+    assert len(rows) == 1 and float(rows[0].split(",")[0]) == 0.4
 
 
 def test_config_round_trip(tmp_path):
@@ -1402,7 +1446,13 @@ def test_project_sector_norm_check_exits_2(runner, tmp_path, monkeypatch):
     (["project", "--confg", "c.json"], "no such option --confg"),
     (["nosuch", "--config", "c.json"], "no such command 'nosuch'"),
     ([], "missing command"),
-], ids=["missing-option", "bad-integer", "bad-suite", "unknown-option", "unknown-command", "no-command"])
+    (["schmidt", "--n-total", "3", "--n-up", "2", "--split", "2;1"], "--split must be two comma-separated integers, got '2;1'"),
+    (["project", "--config"], "project: --config needs a value"),
+    (["project", "--config", "c.json", "extra"], "project: unexpected argument 'extra'"),
+], ids=[
+    "missing-option", "bad-integer", "bad-suite", "unknown-option", "unknown-command", "no-command",
+    "bad-split", "option-without-value", "unexpected-positional",
+])
 def test_argument_errors_are_one_line(runner, argv, fragment):
     assert_usage_error(runner.invoke(main, argv), fragment)
 

@@ -152,6 +152,11 @@ def test_concurrence_entropy_verdicts_agree(rng):
         assert (c < 1e-10) == (entropy_like < 1e-10)
 
 
+def test_weight_measure_rejects_an_unknown_measure():
+    with pytest.raises(ConsistencyError, match="unknown measure 'negativity'"):
+        fold.weight_measure(np.array([[1.0, 0.0]]), 1, "negativity")
+
+
 def test_schmidt_product_state_single_coefficient():
     key = occupation_key([("L", Spin.UP), ("R", Spin.DOWN)])
     state = SymmetricKet(2, Statistics.BOSON, {key: 1.0}, normalized=True)

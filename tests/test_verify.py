@@ -312,6 +312,26 @@ def test_n2_closed_form_folds_one_chunk_at_a_time(monkeypatch):
     assert max(folded) <= fold.CHUNK_ENTRIES // 2 ** 2
 
 
+@pytest.mark.parametrize("suite", [suite_theorem1, suite_oracle])
+def test_grouped_suites_fold_one_chunk_at_a_time(monkeypatch, suite):
+    folded = []
+
+    def recorded(n_up, *angles):
+        folded.append((n_up, *angles[0].shape))
+        return _project_batch(n_up, *angles)
+
+    monkeypatch.setattr(verify, "_project_batch", recorded)
+    unpatched = suite(seed=11, cases=60)
+    groups = len(folded)
+    # 64 entries: from 16 rows of a one-particle block down to 1 row of a
+    # six-particle block
+    monkeypatch.setattr(fold, "CHUNK_ENTRIES", 64)
+    assert suite(seed=11, cases=60) == unpatched
+    assert len(folded) > 2 * groups
+    for n_up, rows, n_total in folded[groups:]:
+        assert fold.fold_chunks(n_up, n_total, rows) == [slice(0, rows)]
+
+
 def test_suite_without_cases_has_no_worst_case():
     report = suite_n2_closed_form(cases=0)
     assert report == {
