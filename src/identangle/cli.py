@@ -119,9 +119,10 @@ def amplitude(config_path: str, bra_path: str, output: str):
     fold = fold_amplitude if boson else fermion_amplitude
     value = fold(bra_config.n_up, ket_config.n_up, *angles)
     if not boson:
-        # stored spin-up first: each side's reordering flips a fermion state by its sign
+        # stored spin-up first: each side's reordering flips a fermion state by
+        # its sign; an exact zero stays 0.0, whatever the file order
         flips = _odd_inversions(np.array([bra_config.source_order, ket_config.source_order]))
-        if flips[0] != flips[1]:
+        if flips[0] != flips[1] and value != 0:
             value = -value
     record = {
         "amplitude": {"re": value.real, "im": value.imag},

@@ -267,87 +267,100 @@ def concurrence_pure(
 # ---------------------------------------------------------------------------
 
 
-def two_boson_average_concurrence(theta1: float, theta2: float) -> float:
-    """Closed form C1*C2/4 for two opposite-spin bosons at two detectors.
+def two_boson_average_concurrence(theta1, theta2):
+    """Closed form C1*C2/4 for two opposite-spin bosons at two detectors,
+    elementwise over theta_1 and theta_2 (scalars or broadcastable arrays).
 
     Independent of the relative phases.  C_j = 2*cos(theta_j)*sin(theta_j).
     """
-    c1 = 2.0 * math.cos(theta1) * math.sin(theta1)
-    c2 = 2.0 * math.cos(theta2) * math.sin(theta2)
+    c1 = 2.0 * np.cos(theta1) * np.sin(theta1)
+    c2 = 2.0 * np.cos(theta2) * np.sin(theta2)
     return 0.25 * c1 * c2
 
 
-def three_boson_projected_norm_sq(
-    thetas: Sequence[float], omegas: Sequence[float]
-) -> float:
+def _positive(x):
+    """x where x > 0, else 0.0 (NaN and -0.0 included): max(0.0, x) elementwise."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _three_angles(thetas, omegas) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+    """The thetas and the omegas of particles 1, 2 and 3, each of shape
+    (...), from arrays of shape (..., 3); the trailing dimension of both
+    must be 3."""
+    particles = []
+    for name, values in (("thetas", thetas), ("omegas", omegas)):
+        values = np.asarray(values, dtype=float)
+        if values.shape[-1:] != (3,):
+            raise ConsistencyError(f"exactly three angles are required, got {name} of shape {values.shape}")
+        particles.append((values[..., 0], values[..., 1], values[..., 2]))
+    return particles[0], particles[1]
+
+
+def three_boson_projected_norm_sq(thetas, omegas):
     """Squared norm of the unnormalized projected state of three bosons
-    (two spin-up, one spin-down) written in its conventional amplitude form.
+    (two spin-up, one spin-down) written in its conventional amplitude form,
+    for thetas and omegas of shape (..., 3).
 
     Equals c1^2 c2^2 + s1^2 s2^2 + P^2 / 2 with P the magnitude of the
     interference sum of the two spin-up particles.
     """
-    t1, t2, _ = thetas
-    c1, s1 = math.cos(t1), math.sin(t1)
-    c2, s2 = math.cos(t2), math.sin(t2)
+    (t1, t2, _), _ = _three_angles(thetas, omegas)
+    c1, s1 = np.cos(t1), np.sin(t1)
+    c2, s2 = np.cos(t2), np.sin(t2)
     p_sq = _interference_sq(thetas, omegas)
     return c1 * c1 * c2 * c2 + s1 * s1 * s2 * s2 + 0.5 * p_sq
 
 
-def _interference_sq(thetas: Sequence[float], omegas: Sequence[float]) -> float:
-    t1, t2, _ = thetas
-    w1, w2, _ = omegas
-    c1, s1 = math.cos(t1), math.sin(t1)
-    c2, s2 = math.cos(t2), math.sin(t2)
+def _interference_sq(thetas, omegas):
+    (t1, t2, _), (w1, w2, _) = _three_angles(thetas, omegas)
+    c1, s1 = np.cos(t1), np.sin(t1)
+    c2, s2 = np.cos(t2), np.sin(t2)
     return (
         c1 * c1 * s2 * s2
         + s1 * s1 * c2 * c2
-        + 2.0 * math.cos(w1 - w2) * c1 * s1 * c2 * s2
+        + 2.0 * np.cos(w1 - w2) * c1 * s1 * c2 * s2
     )
 
 
-def three_boson_average_concurrence(
-    thetas: Sequence[float], omegas: Sequence[float]
-) -> float:
-    """Closed-form average concurrence for three bosons (two up, one down).
+def three_boson_average_concurrence(thetas, omegas):
+    """Closed-form average concurrence for three bosons (two up, one down),
+    for thetas and omegas of shape (..., 3).
 
     P * sin(t3) * cos(t3) * (c1 c2 + s1 s2) / (sqrt(2) * N) with N the
     squared norm of :func:`three_boson_projected_norm_sq`.  Matches the
     numerical postselected average of the sector cross-term measure.
     """
-    if len(thetas) != 3 or len(omegas) != 3:
-        raise ConsistencyError("exactly three angles are required")
-    t1, t2, t3 = thetas
-    c1, s1 = math.cos(t1), math.sin(t1)
-    c2, s2 = math.cos(t2), math.sin(t2)
-    c3, s3 = math.cos(t3), math.sin(t3)
-    p = math.sqrt(max(0.0, _interference_sq(thetas, omegas)))
+    (t1, t2, t3), _ = _three_angles(thetas, omegas)
+    c1, s1 = np.cos(t1), np.sin(t1)
+    c2, s2 = np.cos(t2), np.sin(t2)
+    c3, s3 = np.cos(t3), np.sin(t3)
+    p = np.sqrt(_positive(_interference_sq(thetas, omegas)))
     norm_sq = three_boson_projected_norm_sq(thetas, omegas)
     return p * s3 * c3 * (c1 * c2 + s1 * s2) / (math.sqrt(2.0) * norm_sq)
 
 
-def three_boson_average_concurrence_coherences(
-    c1: float,
-    c2: float,
-    c3: float,
-    delta_omega: float,
-    same_side: bool,
-) -> float:
-    """Coherence-variable form of :func:`three_boson_average_concurrence`.
+def three_boson_average_concurrence_coherences(c1, c2, c3, delta_omega, same_side):
+    """Coherence-variable form of :func:`three_boson_average_concurrence`,
+    elementwise over broadcastable arrays (or scalars).
 
     The square roots carry opposite signs that flip with the branch:
     ``same_side`` is True when theta_1 and theta_2 lie on the same side of
     pi/4 (then the cos(delta) bracket takes the minus sign and the other
-    bracket the plus sign), False when they straddle it.
+    bracket the plus sign), False when they straddle it.  A coherence
+    outside [0, 1] anywhere raises ConsistencyError naming the first one,
+    in the order of the cases and (c1, c2, c3) within a case.
     """
-    for c in (c1, c2, c3):
-        if not 0.0 <= c <= 1.0 + TOL.normalization:
-            raise ConsistencyError(f"coherences must lie in [0, 1], got {c}")
-    eps = 1.0 if same_side else -1.0
-    root = math.sqrt(max(0.0, (1.0 - c1 * c1) * (1.0 - c2 * c2)))
-    first = max(0.0, 1.0 + c1 * c2 * math.cos(delta_omega) - eps * root)
-    second = max(0.0, 1.0 + c1 * c2 + eps * root)
+    c1, c2, c3 = np.broadcast_arrays(c1, c2, c3)
+    coherences = np.stack([c1, c2, c3], axis=-1)
+    bad = ~((0.0 <= coherences) & (coherences <= 1.0 + TOL.normalization))
+    if bad.any():
+        raise ConsistencyError(f"coherences must lie in [0, 1], got {float(coherences[bad][0])}")
+    eps = np.where(same_side, 1.0, -1.0)
+    root = np.sqrt(_positive((1.0 - c1 * c1) * (1.0 - c2 * c2)))
+    first = _positive(1.0 + c1 * c2 * np.cos(delta_omega) - eps * root)
+    second = _positive(1.0 + c1 * c2 + eps * root)
     norm_sq = 0.5 * (1.0 + eps * root) + 0.25 * first
-    return c3 * math.sqrt(first * second) / (4.0 * math.sqrt(2.0) * norm_sq)
+    return c3 * np.sqrt(first * second) / (4.0 * math.sqrt(2.0) * norm_sq)
 
 
 # ---------------------------------------------------------------------------

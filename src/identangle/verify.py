@@ -2,20 +2,21 @@
 
 Each suite returns a report dict with ``suite``, ``cases``, ``failures``,
 ``max_error`` and ``worst_case`` (the seed, index and inputs of the case
-with the largest error) and is deterministic for a fixed seed.  Every
-suite builds one (4, G, N) angle array per (N, n_up) group: the
-closed-form suites and ``schmidt``'s mode splits from their drawn angles
-as a whole, and ``theorem1`` and ``oracle``, whose draws branch case by
-case, by stacking their (n_up, (4, N) angle rows) cases.  The fold takes
-each resizable group one :func:`fold.fold_chunks` chunk at a time:
-through :func:`fold.sweep_grid` for the closed-form suites, through
-:func:`_groups` for ``theorem1`` and ``oracle``; ``schmidt``'s ten mode
-splits are one fold.  The oracle suite checks the ``amplitude`` fold
-route on each pair and the ``project`` fold route against expansion
-oracles built from the cases' rows.  Every resizable suite takes its
-size as ``cases`` (:func:`run_suite` takes 1 to ``MAX_CASES``), and none
-takes a tolerance: :func:`_report` alone counts failures.  These back
-the command-line ``verify`` command and the acceptance tests.
+with the largest error) and is deterministic for a fixed seed.  The
+closed-form suites are array programs with no per-case Python:
+``n3-closed-form`` draws its cases as one block (:func:`_n3_draws`) and
+evaluates both closed forms once over all of them, and ``n2-closed-form``
+draws, folds and scores its rows one :func:`fold.fold_chunks` chunk at a
+time, so its memory does not grow with ``cases``.  ``theorem1`` and
+``oracle``, whose draws branch case by case, stack their (n_up, (4, N)
+angle rows) cases and fold them one chunk at a time through
+:func:`_groups`; ``schmidt``'s ten mode splits are one fold.  The oracle
+suite checks the ``amplitude`` fold route on each pair and the
+``project`` fold route against expansion oracles built from the cases'
+rows.  Every resizable suite takes its size as ``cases``
+(:func:`run_suite` takes 1 to ``MAX_CASES``), and none takes a
+tolerance: :func:`_report` alone counts failures.  These back the
+command-line ``verify`` command and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ from .oracles import expansion_inner_product, project_by_substitution, rows_ense
 from .tolerances import comparison_from_env
 
 DEFAULT_SEED = 7
-#: largest ``cases`` :func:`run_suite` takes: at 1000, ``n2-closed-form``
-#: (400 fold cases per unit, drawn whole) peaks near 107 MB and ``oracle``
-#: runs about 5 s; every suite folds chunk by chunk, so no fold grows with it
+#: largest ``cases`` :func:`run_suite` takes: every suite folds chunk by
+#: chunk and ``n2-closed-form`` (400 fold cases per unit) also draws so, but
+#: ``theorem1`` and ``oracle`` hold all their drawn cases, and ``oracle``
+#: runs about 5 s at 1000
 MAX_CASES = 1000
 
 
@@ -157,17 +159,57 @@ def suite_n2_closed_form(
     cases: int = 10,
 ) -> Dict:
     """Two-boson average concurrence against the closed form C1*C2/4 on a
-    20 x 20 theta grid, with ``cases`` random phase pairs per grid point."""
+    20 x 20 theta grid, with ``cases`` random phase pairs per grid point.
+
+    Row r of the 400 * ``cases`` rows is grid point r // ``cases``.  The
+    rows are drawn, folded and scored one :func:`fold.fold_chunks` chunk at
+    a time (consecutive draws give the stream of one draw); only the errors
+    and each chunk's worst phase pair, one of which is the report's worst
+    case, outlive their chunk."""
     rng = np.random.default_rng(seed)
-    grid = np.linspace(0.0, math.pi / 2, 20).tolist()
-    points = [(t1, t2) for t1 in grid for t2 in grid]
-    closed = [two_boson_average_concurrence(t1, t2) for t1, t2 in points]
-    # each point repeated for its cases, and all phase pairs in one draw:
-    # the stream of one uniform(..., 2) per case
-    thetas = np.repeat(points, cases, axis=0)
-    angles = _angles(thetas, rng.uniform(0.0, 2.0 * math.pi, (len(thetas), 2)))
-    errors = np.abs(sweep_grid(1, *angles, "concurrence")[2] - np.repeat(closed, cases))
-    return _report("n2-closed-form", seed, errors, lambda case: _ensemble_inputs((1, angles[:, case])))
+    grid = np.linspace(0.0, math.pi / 2, 20)
+    points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    closed = two_boson_average_concurrence(points[:, 0], points[:, 1])
+    rows = len(points) * cases
+    errors = np.empty(rows)
+    worst_omegas = {}
+    for chunk in fold_chunks(1, 2, rows):
+        point = np.arange(chunk.start, chunk.stop) // cases
+        omegas = rng.uniform(0.0, 2.0 * math.pi, (len(point), 2))
+        values = sweep_grid(1, *_angles(points[point], omegas), "concurrence")[2]
+        errors[chunk] = np.abs(values - closed[point])
+        if len(point):
+            worst = int(np.argmax(errors[chunk]))
+            worst_omegas[chunk.start + worst] = omegas[worst]
+
+    def inputs(case: int) -> Dict:
+        return _ensemble_inputs((1, _angles(points[case // cases], worst_omegas[case])))
+
+    return _report("n2-closed-form", seed, errors, inputs)
+
+
+def _n3_draws(rng: np.random.Generator, cases: int) -> np.ndarray:
+    """The (thetas, omegas) of ``cases`` three-boson cases, shape (2, cases,
+    3), from one block of 7 uniform doubles u0..u6 per case.
+
+    An even case puts theta_1 and theta_2 (u1, u2) on one side of pi/4,
+    the lower one when u0 < 0.5; an odd case puts theta_1 (u0) below pi/4
+    and theta_2 (u1) above it, swapped when u2 < 0.5; theta_3 (u3) and the
+    omegas (u4..u6) follow.  ``rng.uniform(lo, hi)`` maps a double u to
+    ``lo + (hi - lo) * u``, and every theta range is pi/4 or pi/2 wide
+    exactly, so this is the stream of one scalar draw per double, case by
+    case.
+    """
+    quarter = math.pi / 4
+    u = rng.random((cases, 7))
+    same_side = np.where(u[:, :1] < 0.5, 0.0, quarter) + quarter * u[:, 1:3]
+    straddle = np.stack([quarter * u[:, 0], quarter + quarter * u[:, 1]], axis=1)
+    straddle = np.where(u[:, 2:3] < 0.5, straddle[:, ::-1], straddle)
+    drawn = np.empty((2, cases, 3))
+    drawn[0, :, :2] = np.where((np.arange(cases) % 2 == 0)[:, None], same_side, straddle)
+    drawn[0, :, 2] = math.pi / 2 * u[:, 3]
+    drawn[1] = 2.0 * math.pi * u[:, 4:]
+    return drawn
 
 
 def suite_n3_closed_form(
@@ -180,40 +222,16 @@ def suite_n3_closed_form(
     Half the draws put theta_1 and theta_2 on the same side of pi/4, half
     on opposite sides, so both branches of the sign rule are exercised.
     """
-    rng = np.random.default_rng(seed)
-    # the drawn thetas and omegas, one row a case
-    drawn = np.empty((2, cases, 3))
-    theta_forms = []
-    coherence_forms = []
-    for case in range(cases):
-        if case % 2 == 0:
-            # same side of pi/4
-            side = rng.random() < 0.5
-            lo, hi = (0.0, math.pi / 4) if side else (math.pi / 4, math.pi / 2)
-            t1, t2 = rng.uniform(lo, hi, 2)
-        else:
-            t1 = rng.uniform(0.0, math.pi / 4)
-            t2 = rng.uniform(math.pi / 4, math.pi / 2)
-            if rng.random() < 0.5:
-                t1, t2 = t2, t1
-        t3 = rng.uniform(0.0, math.pi / 2)
-        w1, w2, w3 = rng.uniform(0.0, 2.0 * math.pi, 3)
-        thetas = (float(t1), float(t2), float(t3))
-        omegas = (float(w1), float(w2), float(w3))
-        drawn[:, case] = thetas, omegas
-        theta_forms.append(three_boson_average_concurrence(thetas, omegas))
-        same_side = (t1 - math.pi / 4) * (t2 - math.pi / 4) >= 0.0
-        coherence_forms.append(
-            three_boson_average_concurrence_coherences(
-                2.0 * math.cos(t1) * math.sin(t1),
-                2.0 * math.cos(t2) * math.sin(t2),
-                2.0 * math.cos(t3) * math.sin(t3),
-                w1 - w2,
-                same_side,
-            )
-        )
-    angles = _angles(*drawn)
+    thetas, omegas = _n3_draws(np.random.default_rng(seed), cases)
+    angles = _angles(thetas, omegas)
     values = sweep_grid(2, *angles, "concurrence")[2]
+    t1, t2 = thetas[:, 0], thetas[:, 1]
+    same_side = (t1 - math.pi / 4) * (t2 - math.pi / 4) >= 0.0
+    coherences = 2.0 * np.cos(thetas) * np.sin(thetas)
+    theta_forms = three_boson_average_concurrence(thetas, omegas)
+    coherence_forms = three_boson_average_concurrence_coherences(
+        *coherences.T, omegas[:, 0] - omegas[:, 1], same_side
+    )
     errors = np.maximum(np.abs(values - theta_forms), np.abs(values - coherence_forms))
     return _report("n3-closed-form", seed, errors, lambda case: _ensemble_inputs((2, angles[:, case])))
 

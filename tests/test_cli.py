@@ -377,6 +377,21 @@ def test_amplitude_different_n_up_is_exactly_zero(runner, tmp_path):
     assert json.loads(result.output)["amplitude"] == {"re": 0.0, "im": 0.0}
 
 
+def test_fermion_zero_amplitude_keeps_a_positive_zero_in_either_file_order(runner, tmp_path):
+    # spin orders of odd relative parity, and different n_up: the value is exactly 0
+    ket = write(tmp_path, "ket.json", {"statistics": "fermion", "particles": [
+        {"spin": "down", "theta": 0.5}, {"spin": "up", "theta": 0.3},
+    ]})
+    bra = write(tmp_path, "bra.json", {"statistics": "fermion", "particles": [
+        {"spin": "up", "theta": 0.5}, {"spin": "up", "theta": 0.3, "omega": 1.0},
+    ]})
+    for first, second in ((ket, bra), (bra, ket)):
+        result = runner.invoke(main, ["amplitude", "--config", first, "--bra-config", second])
+        assert result.exit_code == 0, result.output
+        assert '"re": 0.0,' in result.output and '"im": 0.0\n' in result.output, result.output
+        assert "-0.0" not in result.output
+
+
 def test_project_balanced_two_bosons(runner, tmp_path):
     cfg = write(tmp_path, "cfg.json", two_boson_config(math.pi / 4, math.pi / 4))
     result = runner.invoke(main, ["project", "--config", cfg])

@@ -1,5 +1,6 @@
 """Entropy, concurrence, Schmidt decomposition, and closed-form tests."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -26,6 +27,7 @@ from identangle.measures import (
     schmidt_decompose,
     three_boson_average_concurrence,
     three_boson_average_concurrence_coherences,
+    three_boson_projected_norm_sq,
     two_boson_average_concurrence,
     verify_schmidt_equivalence,
     von_neumann_entropy,
@@ -520,3 +522,146 @@ def test_three_boson_sign_rule_matters():
     reference = three_boson_average_concurrence((t1, t2, t3), w)
     assert abs(correct - reference) < 1e-12
     assert abs(wrong - reference) > 1e-3
+
+
+# -- the array closed forms against the scalar math-module formulas --------
+
+
+def math_two_boson(theta1, theta2):
+    c1 = 2.0 * math.cos(theta1) * math.sin(theta1)
+    c2 = 2.0 * math.cos(theta2) * math.sin(theta2)
+    return 0.25 * c1 * c2
+
+
+def math_interference_sq(thetas, omegas):
+    t1, t2, _ = thetas
+    w1, w2, _ = omegas
+    c1, s1 = math.cos(t1), math.sin(t1)
+    c2, s2 = math.cos(t2), math.sin(t2)
+    return c1 * c1 * s2 * s2 + s1 * s1 * c2 * c2 + 2.0 * math.cos(w1 - w2) * c1 * s1 * c2 * s2
+
+
+def math_three_boson_norm_sq(thetas, omegas):
+    t1, t2, _ = thetas
+    c1, s1 = math.cos(t1), math.sin(t1)
+    c2, s2 = math.cos(t2), math.sin(t2)
+    return c1 * c1 * c2 * c2 + s1 * s1 * s2 * s2 + 0.5 * math_interference_sq(thetas, omegas)
+
+
+def math_three_boson(thetas, omegas):
+    t1, t2, t3 = thetas
+    c1, s1 = math.cos(t1), math.sin(t1)
+    c2, s2 = math.cos(t2), math.sin(t2)
+    c3, s3 = math.cos(t3), math.sin(t3)
+    p = math.sqrt(max(0.0, math_interference_sq(thetas, omegas)))
+    norm_sq = math_three_boson_norm_sq(thetas, omegas)
+    return p * s3 * c3 * (c1 * c2 + s1 * s2) / (math.sqrt(2.0) * norm_sq)
+
+
+def math_three_boson_coherences(c1, c2, c3, delta_omega, same_side):
+    eps = 1.0 if same_side else -1.0
+    root = math.sqrt(max(0.0, (1.0 - c1 * c1) * (1.0 - c2 * c2)))
+    first = max(0.0, 1.0 + c1 * c2 * math.cos(delta_omega) - eps * root)
+    second = max(0.0, 1.0 + c1 * c2 + eps * root)
+    norm_sq = 0.5 * (1.0 + eps * root) + 0.25 * first
+    return c3 * math.sqrt(first * second) / (4.0 * math.sqrt(2.0) * norm_sq)
+
+
+def assert_within_ulps(got, want, ulps=4):
+    got, want = np.broadcast_arrays(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
+    assert got.shape == want.shape
+    scale = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    assert np.all(np.abs(got - want) <= ulps * scale), np.abs(got - want).max()
+
+
+def closed_form_points(rng):
+    """Theta triples on {0, pi/4, pi/2}^3 and at random, each with random omegas."""
+    special = (0.0, math.pi / 4, math.pi / 2)
+    thetas = [triple for triple in itertools.product(special, repeat=3)]
+    thetas += rng.uniform(0.0, math.pi / 2, (200, 3)).tolist()
+    omegas = rng.uniform(0.0, 2.0 * math.pi, (len(thetas), 3))
+    return np.array(thetas), omegas
+
+
+def test_array_closed_forms_match_the_math_formulas(rng):
+    thetas, omegas = closed_form_points(rng)
+    coherences = 2.0 * np.cos(thetas) * np.sin(thetas)
+    same_side = (thetas[:, 0] - math.pi / 4) * (thetas[:, 1] - math.pi / 4) >= 0.0
+    cases = list(zip(thetas.tolist(), omegas.tolist(), coherences.tolist(), same_side.tolist()))
+    assert_within_ulps(
+        two_boson_average_concurrence(thetas[:, 0], thetas[:, 1]),
+        [math_two_boson(t[0], t[1]) for t, _, _, _ in cases],
+    )
+    assert_within_ulps(
+        measures._interference_sq(thetas, omegas), [math_interference_sq(t, w) for t, w, _, _ in cases]
+    )
+    assert_within_ulps(
+        three_boson_projected_norm_sq(thetas, omegas), [math_three_boson_norm_sq(t, w) for t, w, _, _ in cases]
+    )
+    assert_within_ulps(
+        three_boson_average_concurrence(thetas, omegas), [math_three_boson(t, w) for t, w, _, _ in cases]
+    )
+    assert_within_ulps(
+        three_boson_average_concurrence_coherences(*coherences.T, omegas[:, 0] - omegas[:, 1], same_side),
+        [math_three_boson_coherences(*c, w[0] - w[1], side) for _, w, c, side in cases],
+    )
+    # scalar calls still work, and give the scalar formula
+    t, w, c, side = cases[-1]
+    for got, want in [
+        (two_boson_average_concurrence(t[0], t[1]), math_two_boson(t[0], t[1])),
+        (three_boson_projected_norm_sq(t, w), math_three_boson_norm_sq(t, w)),
+        (three_boson_average_concurrence(tuple(t), tuple(w)), math_three_boson(t, w)),
+        (three_boson_average_concurrence_coherences(*c, w[0] - w[1], side),
+         math_three_boson_coherences(*c, w[0] - w[1], side)),
+    ]:
+        assert np.ndim(got) == 0
+        assert_within_ulps(float(got), want)
+
+
+def test_array_closed_forms_broadcast(rng):
+    t1 = rng.uniform(0.0, math.pi / 2, (5, 1))
+    t2 = rng.uniform(0.0, math.pi / 2, 4)
+    values = two_boson_average_concurrence(t1, t2)
+    assert values.shape == (5, 4)
+    assert_within_ulps(values, [[math_two_boson(a, b) for b in t2] for a in t1[:, 0]])
+    # thetas (2, 5, 3) against one omega triple
+    thetas = rng.uniform(0.0, math.pi / 2, (2, 5, 3))
+    omegas = rng.uniform(0.0, 2.0 * math.pi, 3)
+    for form, reference in [
+        (three_boson_average_concurrence, math_three_boson),
+        (three_boson_projected_norm_sq, math_three_boson_norm_sq),
+    ]:
+        values = form(thetas, omegas)
+        assert values.shape == (2, 5)
+        assert_within_ulps(values, [[reference(t, omegas) for t in block] for block in thetas.tolist()])
+    # coherences (4, 1), (5,) and a scalar, a (4, 5) phase difference and a (5,) branch
+    c1 = rng.uniform(0.0, 1.0, (4, 1))
+    c2 = rng.uniform(0.0, 1.0, 5)
+    delta = rng.uniform(-math.pi, math.pi, (4, 5))
+    side = np.array([True, False, True, True, False])
+    values = three_boson_average_concurrence_coherences(c1, c2, 0.7, delta, side)
+    assert values.shape == (4, 5)
+    assert_within_ulps(values, [
+        [math_three_boson_coherences(c1[i, 0], c2[j], 0.7, delta[i, j], side[j]) for j in range(5)]
+        for i in range(4)
+    ])
+
+
+def test_array_closed_forms_check_the_whole_array():
+    # the first coherence out of range, case by case and (c1, c2, c3) within a case
+    c1 = np.array([0.1, 0.2, 2.0, 0.3])
+    c2 = np.array([0.4, 1.7, 0.5, 0.6])
+    with pytest.raises(ConsistencyError, match=r"coherences must lie in \[0, 1\], got 1\.7$"):
+        three_boson_average_concurrence_coherences(c1, c2, 0.5, 0.3, True)
+    with pytest.raises(ConsistencyError, match=r"got -0\.25$"):
+        three_boson_average_concurrence_coherences(0.5, 0.5, np.array([0.2, -0.25]), 0.3, False)
+    with pytest.raises(ConsistencyError, match=r"got nan$"):
+        three_boson_average_concurrence_coherences(0.5, np.array([0.5, math.nan]), 0.5, 0.3, False)
+    # the trailing dimension of thetas and omegas must be 3
+    thetas, omegas = np.full((4, 3), 0.3), np.full((4, 3), 1.1)
+    for form in (three_boson_average_concurrence, three_boson_projected_norm_sq, measures._interference_sq):
+        for bad_thetas, bad_omegas in [
+            (thetas[:, :2], omegas), (thetas, omegas[:, :2]), (thetas.T, omegas.T), ([0.1, 0.2], [0.3, 0.4]), (0.1, 0.2)
+        ]:
+            with pytest.raises(ConsistencyError, match="exactly three angles are required"):
+                form(bad_thetas, bad_omegas)

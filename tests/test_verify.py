@@ -120,9 +120,19 @@ def n2_draws(seed, cases):
 
 
 def n3_draws(seed, cases):
-    rng = np.random.default_rng(seed)
+    thetas, omegas = per_case_n3_draws(np.random.default_rng(seed), cases)
+    for case_thetas, case_omegas in zip(thetas.tolist(), omegas.tolist()):
+        yield ParticleEnsemble(
+            2, tuple(SpatialMode(theta=t, omega=w) for t, w in zip(case_thetas, case_omegas))
+        )
+
+
+def per_case_n3_draws(rng, cases):
+    """The n3-closed-form draws as a loop of scalar draws, case by case."""
+    drawn = np.empty((2, cases, 3))
     for case in range(cases):
         if case % 2 == 0:
+            # same side of pi/4
             side = rng.random() < 0.5
             lo, hi = (0.0, math.pi / 4) if side else (math.pi / 4, math.pi / 2)
             t1, t2 = rng.uniform(lo, hi, 2)
@@ -132,11 +142,9 @@ def n3_draws(seed, cases):
             if rng.random() < 0.5:
                 t1, t2 = t2, t1
         t3 = rng.uniform(0.0, math.pi / 2)
-        omegas = rng.uniform(0.0, 2.0 * math.pi, 3)
-        yield ParticleEnsemble(
-            2,
-            tuple(SpatialMode(theta=float(t), omega=float(w)) for t, w in zip((t1, t2, t3), omegas)),
-        )
+        w1, w2, w3 = rng.uniform(0.0, 2.0 * math.pi, 3)
+        drawn[:, case] = (float(t1), float(t2), float(t3)), (float(w1), float(w2), float(w3))
+    return drawn
 
 
 def case_by_case(draws, case):
@@ -310,6 +318,27 @@ def test_n2_closed_form_folds_one_chunk_at_a_time(monkeypatch):
     # one up and one down particle: a chunk holds CHUNK_ENTRIES // 2^2 rows
     assert sum(folded) == 400 * 50
     assert max(folded) <= fold.CHUNK_ENTRIES // 2 ** 2
+
+
+@pytest.mark.parametrize("seed", [2, 7, 11, 501])
+@pytest.mark.parametrize("cases", [1, 2, 7, 100])
+def test_n3_block_draw_equals_the_per_case_draws(seed, cases):
+    block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(verify._n3_draws(block_rng, cases), per_case_n3_draws(loop_rng, cases))
+    # both took the same number of doubles from the stream
+    assert block_rng.random() == loop_rng.random()
+
+
+def test_n2_closed_form_report_does_not_depend_on_the_chunk_size(monkeypatch):
+    for seed, cases in [(2, 3), (11, 1), (501, 2)]:
+        rows = 400 * cases
+        # one up and one down particle: a chunk holds CHUNK_ENTRIES // 2^2 rows
+        monkeypatch.setattr(fold, "CHUNK_ENTRIES", 4 * rows)
+        assert len(fold.fold_chunks(1, 2, rows)) == 1
+        whole = suite_n2_closed_form(seed, cases=cases)
+        monkeypatch.setattr(fold, "CHUNK_ENTRIES", 4 * 7)
+        assert len(fold.fold_chunks(1, 2, rows)) == -(-rows // 7)
+        assert suite_n2_closed_form(seed, cases=cases) == whole
 
 
 @pytest.mark.parametrize("suite", [suite_theorem1, suite_oracle])
