@@ -22,29 +22,28 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import inspect
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from .config import (
-    EnsembleConfig,
-    SweepAxis,
-    dump_ensemble_config,
-    parse_ensemble_config,
-    parse_sweep_spec,
-)
 from .errors import ConfigError, ConsistencyError, IdentangleError, RowError
-from .fold import MEASURES, _postselected, _project_batch, _sector_walk, fermion_amplitude, fold_amplitude, fold_chunks, sweep_grid
-from .measures import verify_schmidt_equivalence
-from .states import Statistics, _odd_inversions
 from .tolerances import comparison_from_env
-from .verify import DEFAULT_SEED, SUITES, run_suite
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .config import EnsembleConfig, SweepAxis
+
+# Each command imports what it runs, so that --help and a usage error
+# load no numpy, and project, sweep and amplitude no oracle, measure or
+# object-model module.  The option table therefore holds these values as
+# literals; tests pin them to fold.MEASURES, verify.SUITES and
+# verify.DEFAULT_SEED.
+MEASURES = ("entropy", "concurrence")
+SUITE_NAMES = ("n2-closed-form", "n3-closed-form", "oracle", "schmidt", "theorem1")
+DEFAULT_SEED = 7
 
 
 def _fail_usage(message: str):
@@ -67,6 +66,8 @@ def _read_input(what: str, path: str, parse):
 
 
 def _require_bosons(config: EnsembleConfig):
+    from .states import Statistics
+
     if config.statistics is not Statistics.BOSON:
         raise ConfigError("detector projection is defined for bosonic ensembles only")
 
@@ -104,6 +105,12 @@ def _write_output(text: str, output: str):
 
 def amplitude(config_path: str, bra_path: str, output: str):
     """Transition amplitude between two configured product states."""
+    import numpy as np
+
+    from .config import parse_ensemble_config
+    from .fold import fermion_amplitude, fold_amplitude
+    from .states import Statistics, _odd_inversions
+
     ket_config = _read_input("config", config_path, parse_ensemble_config)
     bra_config = _read_input("config", bra_path, parse_ensemble_config)
     if ket_config.n_total != bra_config.n_total:
@@ -171,6 +178,8 @@ def _project_json(config: EnsembleConfig) -> str:
     """The ``project`` record as json.dumps(record, indent=2) renders it,
     from one fold (:func:`fold._project_batch`): sectors q descending,
     the leak and both postselected measures."""
+    from .fold import _postselected, _project_batch, _sector_walk
+
     _require_bosons(config)
     n_up = config.n_up
     outcomes, weights, p, leak = _project_batch(n_up, *config.angles()[:, None])
@@ -198,6 +207,8 @@ def _project_json(config: EnsembleConfig) -> str:
 def project(config_path: str, output: str):
     """Project the configured ensemble onto the detectors and report the
     sector decomposition plus both entanglement averages."""
+    from .config import parse_ensemble_config
+
     config = _read_input("config", config_path, parse_ensemble_config)
     _write_output(_project_json(config), output)
 
@@ -213,6 +224,10 @@ def _sweep_chunk(
     A failed consistency check names the first failing row and its axis
     values.
     """
+    import numpy as np
+
+    from .fold import sweep_grid
+
     index = np.unravel_index(np.arange(rows.start, rows.stop), [len(axis.values) for axis in axes])
     values = np.column_stack([axis.values[i] for axis, i in zip(axes, index)])
     angles = np.repeat(config.angles()[:, None], len(values), axis=1)
@@ -240,6 +255,11 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
     lexicographic grid order of the sweep axes and are identical for any
     thread count.
     """
+    import numpy as np
+
+    from .config import parse_ensemble_config, parse_sweep_spec
+    from .fold import fold_chunks
+
     config = _read_input("config", config_path, parse_ensemble_config)
     _require_bosons(config)
     axes = _read_input("sweep spec", sweep_path, functools.partial(parse_sweep_spec, config=config))
@@ -256,6 +276,8 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
     if workers == 1:
         results = [evaluate(rows) for rows in chunks]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(evaluate, chunks))
 
@@ -286,6 +308,8 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
 
 def schmidt(n_total, n_up, theta, omega, split, output):
     """Compare label-group Schmidt coefficients with the mode-split ones."""
+    from .measures import verify_schmidt_equivalence
+
     try:
         n_left, n_right = map(int, split.split(","))
     except ValueError:  # a part that is no integer, or not two parts
@@ -317,6 +341,8 @@ def _parse_angles(text: str):
 
 def verify(suite: str, seed: int, cases: Optional[int], output: str):
     """Run a named verification suite; exits 1 on any failure."""
+    from .verify import run_suite
+
     report = run_suite(suite, seed=seed, cases=cases)
     _write_output(json.dumps(report, indent=2), output)
     if report["failures"]:
@@ -325,6 +351,8 @@ def verify(suite: str, seed: int, cases: Optional[int], output: str):
 
 def echo_config(config_path: str, output: str):
     """Parse a config and emit its canonical serialization (round-trip aid)."""
+    from .config import dump_ensemble_config, parse_ensemble_config
+
     config = _read_input("config", config_path, parse_ensemble_config)
     _write_output(dump_ensemble_config(config), output)
 
@@ -375,7 +403,7 @@ COMMANDS = {
         _OUTPUT,
     )),
     "verify": (verify, (
-        Option("SUITE", "suite", tuple(sorted(SUITES)), REQUIRED, "The suite to run."),
+        Option("SUITE", "suite", SUITE_NAMES, REQUIRED, "The suite to run."),
         Option("--seed", "seed", int, DEFAULT_SEED, "Seed of the suite's random draws."),
         Option("--cases", "cases", int, None, "Override the suite's sample count (not for schmidt)."),
         _OUTPUT,
@@ -438,6 +466,8 @@ def _parse(name: str, args: Sequence[str]) -> Optional[dict]:
 
 def _help(prog_name: str, name: Optional[str] = None) -> str:
     """Help text of command ``name``, or of the program for None."""
+    import inspect
+
     if name is None:
         usage, doc, heading = f"{prog_name} COMMAND [OPTIONS]", main.__doc__, "Commands"
         rows = [

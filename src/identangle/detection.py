@@ -1,4 +1,4 @@
-"""Detector projection of boson ensembles and coherence-based separability.
+"""Detector projection of boson ensembles.
 
 An ensemble of N bosons with pseudospins meets two distinguishable
 detectors L and R.  Projecting the symmetrized state onto the detector
@@ -20,7 +20,6 @@ from .errors import BoundsError, ConsistencyError, SectorError
 from .fold import _project_batch, _sector_walk, sweep_grid, weight_measure
 from .measures import ModeSplit, _dicke_key, schmidt_coefficients
 from .states import OccupationKey, ParticleEnsemble, Statistics, SymmetricKet
-from .tolerances import DEFAULT_TOLERANCES as TOL
 
 
 @dataclass(frozen=True)
@@ -166,30 +165,3 @@ def entanglement_of_particles(
     subspace.  Returns 0 when every particle misses both detectors.
     """
     return float(sweep_grid(ensemble.n_up, *ensemble.angle_rows(), measure)[2][0])
-
-
-@dataclass(frozen=True)
-class SeparabilityVerdict:
-    """Outcome of the spatial-coherence separability criterion."""
-
-    criterion_holds: bool
-    entanglement: float
-    separable: bool
-
-
-def theorem1_separability_check(
-    ensemble: ParticleEnsemble,
-) -> SeparabilityVerdict:
-    """Check the coherence criterion: if every spin-up particle or every
-    spin-down particle has zero spatial coherence, the projected state is
-    separable.  The converse does not hold.  The verdict reads the average
-    concurrence; whether it vanishes does not depend on the measure.
-    """
-    cs = [m.coherence() for m in ensemble.modes]
-    ups = cs[: ensemble.n_up]
-    downs = cs[ensemble.n_up :]
-    criterion = all(c <= TOL.coherence_zero for c in ups) or all(
-        c <= TOL.coherence_zero for c in downs
-    )
-    value = entanglement_of_particles(ensemble, "concurrence")
-    return SeparabilityVerdict(criterion, value, value < TOL.separability)

@@ -31,10 +31,6 @@ class Tolerances:
     normalization: float = 1e-12
     #: sparse amplitudes below this are dropped
     pruning: float = 1e-14
-    #: entanglement below this counts as separable
-    separability: float = 1e-10
-    #: coherences below this count as zero in the separability criterion
-    coherence_zero: float = 1e-12
     #: eigenvalues below this are skipped in the entropy sum
     entropy_cutoff: float = 1e-14
     #: Schmidt coefficients below this are dropped

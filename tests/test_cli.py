@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import concurrent.futures
 import contextlib
 import gc
 import io
@@ -13,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from identangle import cli, detection, fold, measures
+from identangle import cli, detection, fold, measures, verify
 from identangle.algebra import transition_amplitude
 from identangle.cli import main
 from identangle.config import (
@@ -1002,7 +1003,7 @@ def test_sweep_rejects_repeated_path(runner, tmp_path):
         assert_usage_error(run_sweep(runner, tmp_path, spec), "axes[1]", "axes[0]")
 
 
-class RecordingPool(cli.ThreadPoolExecutor):
+class RecordingPool(concurrent.futures.ThreadPoolExecutor):
     """Thread pool that records the worker counts it is asked for."""
 
     sizes = []
@@ -1015,7 +1016,7 @@ class RecordingPool(cli.ThreadPoolExecutor):
 @pytest.fixture
 def recording_pool(monkeypatch):
     RecordingPool.sizes = []
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     return RecordingPool.sizes
 
 
@@ -1291,7 +1292,16 @@ def test_every_command_reports_identangle_errors_as_usage_errors(runner, tmp_pat
     def fail(*args, **kwargs):
         raise IdentangleError(f"raised in {callee}")
 
-    monkeypatch.setattr(cli, callee, fail)
+    # each command imports its callee from the defining module when it runs
+    owner = {
+        "fold_amplitude": "fold",
+        "_project_json": "cli",
+        "sweep_grid": "fold",
+        "verify_schmidt_equivalence": "measures",
+        "run_suite": "verify",
+        "dump_ensemble_config": "config",
+    }[callee]
+    monkeypatch.setattr(f"identangle.{owner}.{callee}", fail)
     assert_usage_error(runner.invoke(main, argv), f"raised in {callee}")
     # an invalid tolerance fails the command before its body, but not its --help
     monkeypatch.setenv(TOLERANCE_ENV_VAR, "not-a-float")
@@ -1432,7 +1442,7 @@ def test_project_makes_one_fold(runner, tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cli, "_project_batch", counted("batch", cli._project_batch))
+    monkeypatch.setattr(fold, "_project_batch", counted("batch", fold._project_batch))
     monkeypatch.setattr(
         fold, "_detector_block", counted("block", fold._detector_block)
     )
@@ -1443,13 +1453,13 @@ def test_project_makes_one_fold(runner, tmp_path, monkeypatch):
 
 
 def test_project_sector_norm_check_exits_2(runner, tmp_path, monkeypatch):
-    batch = cli._project_batch
+    batch = fold._project_batch
 
     def scaled_outcomes(*args):
         outcomes, weights, p, leak = batch(*args)
         return outcomes * 1.001, weights, p, leak
 
-    monkeypatch.setattr(cli, "_project_batch", scaled_outcomes)
+    monkeypatch.setattr(fold, "_project_batch", scaled_outcomes)
     cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
     assert_usage_error(runner.invoke(main, ["project", "--config", cfg]), "sector q = 2 has norm")
 
@@ -1501,7 +1511,7 @@ def test_interrupt_exits_1_with_aborted(runner, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "run_suite", interrupted)
+    monkeypatch.setattr(verify, "run_suite", interrupted)
     result = runner.invoke(main, ["verify", "schmidt"])
     assert (result.exit_code, result.output) == (1, "Aborted!\n")
 

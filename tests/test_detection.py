@@ -16,7 +16,6 @@ from identangle.detection import (
     project_onto_detectors,
     sector_entanglement,
     sector_reduced_density,
-    theorem1_separability_check,
 )
 from identangle import fold
 from identangle.fold import PROJECTION_SIZE_LIMIT, fold_amplitude, sweep_grid
@@ -618,8 +617,21 @@ def test_entanglement_renormalizes_under_leak(rng):
     assert abs(a - b) < 1e-10
 
 
+def theorem1_verdict(ensemble):
+    """(criterion holds, average concurrence, separable) of the
+    zero-coherence criterion: if every spin-up or every spin-down particle
+    has zero spatial coherence, the projected state is separable.  The
+    concurrence is the fold's (:func:`fold.sweep_grid`)."""
+    coherences = [m.coherence() for m in ensemble.modes]
+    criterion = all(c <= 1e-12 for c in coherences[: ensemble.n_up]) or all(
+        c <= 1e-12 for c in coherences[ensemble.n_up :]
+    )
+    value = float(sweep_grid(ensemble.n_up, *ensemble.angle_rows(), "concurrence")[2][0])
+    return criterion, value, value < 1e-10
+
+
 def test_theorem1_examples():
-    v = theorem1_separability_check(
+    criterion, _, separable = theorem1_verdict(
         ParticleEnsemble(
             2,
             (
@@ -629,9 +641,9 @@ def test_theorem1_examples():
             ),
         )
     )
-    assert v.criterion_holds and v.separable
+    assert criterion and separable
 
-    v = theorem1_separability_check(
+    criterion, _, separable = theorem1_verdict(
         ParticleEnsemble(
             2,
             (
@@ -641,17 +653,17 @@ def test_theorem1_examples():
             ),
         )
     )
-    assert not v.criterion_holds
-    assert v.separable
+    assert not criterion
+    assert separable
 
-    v = theorem1_separability_check(
+    criterion, entanglement, separable = theorem1_verdict(
         ParticleEnsemble(
             1, (SpatialMode(theta=math.pi / 4), SpatialMode(theta=math.pi / 4))
         )
     )
-    assert not v.criterion_holds
-    assert not v.separable
-    assert abs(v.entanglement - 0.25) < 1e-10
+    assert not criterion
+    assert not separable
+    assert abs(entanglement - 0.25) < 1e-10
 
 
 def test_theorem1_random_property(rng):
@@ -668,9 +680,9 @@ def test_theorem1_random_property(rng):
                 else float(rng.uniform(0, math.pi / 2))
             )
             modes.append(SpatialMode(theta=theta, omega=float(rng.uniform(0, 2 * math.pi))))
-        verdict = theorem1_separability_check(ParticleEnsemble(n_up, tuple(modes)))
-        assert verdict.criterion_holds
-        assert verdict.separable
+        criterion, _, separable = theorem1_verdict(ParticleEnsemble(n_up, tuple(modes)))
+        assert criterion
+        assert separable
 
 
 def test_empty_sector_lookup():

@@ -1,15 +1,19 @@
 """Module layering: the fold stands alone, the command line reads
-configs into the fold without the 1QL object model, verify hands the fold
-and the oracles angle rows, the oracles stay off the routes they check,
-one place in the command line
+configs into the fold without the 1QL object model and loads only the
+modules a command runs, verify hands the fold and the oracles angle rows,
+the oracles stay off the routes they check, one place in the command line
 turns package errors into usage errors, and no function takes a
 tolerance."""
 
 import ast
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
+
+import pytest
 
 from identangle import algebra, states
 from identangle.cli import main
@@ -100,6 +104,59 @@ def test_no_module_imports_detection_inside_a_function():
     for path in SOURCE.glob("*.py"):
         for level, name, names, nested in imports(path.stem):
             assert not (nested and (name == "detection" or "detection" in names)), path.name
+
+
+#: runs ``python -m identangle.cli`` on the arguments after the first and
+#: writes the names in sys.modules at exit to the file the first names
+LAUNCH = """
+import atexit, json, runpy, sys
+out = sys.argv.pop(1)
+atexit.register(lambda: open(out, "w").write(json.dumps(sorted(sys.modules))))
+runpy.run_module("identangle.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def launch(tmp_path, args):
+    """(exit code, modules loaded at exit) of one command-line launch."""
+    out = tmp_path / "modules.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SOURCE.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCH, str(out)] + args,
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+    return proc.returncode, set(json.loads(out.read_text())), proc.stderr
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--help"], 0),
+    (["project", "--help"], 0),
+    (["nope"], 2),
+], ids=["help", "command-help", "unknown-command"])
+def test_help_and_usage_errors_load_no_numpy(tmp_path, args, code):
+    returncode, modules, stderr = launch(tmp_path, args)
+    assert returncode == code, stderr
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("command", ["project", "sweep", "amplitude"])
+def test_fold_commands_load_no_oracle_measure_or_object_model(tmp_path, command):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"particles": [
+        {"spin": "up", "theta": 0.3, "omega": 0.2},
+        {"spin": "down", "theta": 1.1, "phi": 1.2},
+    ]}))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"axes": [{"path": "particles[0].theta", "values": [0.1, 0.5]}]}))
+    args = {
+        "project": ["project", "--config", str(config)],
+        "sweep": ["sweep", "--config", str(config), "--sweep", str(sweep), "--threads", "2"],
+        "amplitude": ["amplitude", "--config", str(config), "--bra-config", str(config)],
+    }[command]
+    returncode, modules, stderr = launch(tmp_path, args)
+    assert returncode == 0, stderr
+    assert "identangle.fold" in modules
+    loaded = {name.partition(".")[2] for name in modules if name.startswith("identangle.")}
+    assert not loaded & {"algebra", "detection", "measures", "oracles", "permanent", "verify"}, sorted(loaded)
 
 
 def functions(module):

@@ -1,0 +1,32 @@
+"""The package namespace resolves its public names on first use, and the
+command line's option values, kept as literals so that ``--help`` loads
+no numpy, are the values of the modules that define them."""
+
+import pytest
+
+import identangle
+from identangle import cli, fold, verify
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(identangle)
+    for name in identangle.__all__:
+        assert getattr(identangle, name) is not None
+        assert name in listed, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from identangle import *", namespace)
+    assert set(identangle.__all__) <= namespace.keys()
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        identangle.no_such_name
+
+
+def test_cli_option_literals_match_their_modules():
+    assert cli.MEASURES == fold.MEASURES
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+    assert cli.DEFAULT_SEED == verify.DEFAULT_SEED
