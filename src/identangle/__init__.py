@@ -27,7 +27,6 @@ _EXPORTS = {
         "transition_amplitude",
     ),
     "detection": (
-        "ParticleEnsemble",
         "Sector",
         "SectorDecomposition",
         "build_detection_matrix",
@@ -69,6 +68,7 @@ _EXPORTS = {
     "permanent": ("determinant", "permanent_naive", "permanent_ryser"),
     "states": (
         "OccupationKey",
+        "ParticleEnsemble",
         "SingleParticleKet",
         "SpatialMode",
         "Spin",

@@ -185,7 +185,7 @@ def _project_json(config: EnsembleConfig) -> str:
     outcomes, weights, p, leak = _project_batch(n_up, *config.angles()[:, None])
     sectors = [
         _sector_json(q, probability, state, n_up, config.n_total - n_up)
-        for q, probability, state in _sector_walk(outcomes[0], p[0])
+        for q, probability, state in _sector_walk(outcomes[0], weights[0], p[0])
     ]
     record = {
         "n_particles": config.n_total,
@@ -249,11 +249,11 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
 
     The grid is evaluated in the chunks of rows of :func:`fold.fold_chunks`,
     each as numpy arrays (:func:`fold.sweep_grid`); with --threads above
-    one, up to that many threads (never more than there are chunks)
-    evaluate chunks side by side.  Every chunk is evaluated before anything
-    is written, so a failing grid row writes no output.  Rows follow the
-    lexicographic grid order of the sweep axes and are identical for any
-    thread count.
+    one, up to that many threads (never more than there are chunks or
+    CPUs) evaluate chunks side by side.  Every chunk is evaluated before
+    anything is written, so a failing grid row writes no output.  Rows
+    follow the lexicographic grid order of the sweep axes and are
+    identical for any thread count.
     """
     import numpy as np
 
@@ -272,7 +272,8 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
     evaluate = functools.partial(
         _sweep_chunk, config=config, axes=axes, measure=measure
     )
-    workers = min(threads, len(chunks))
+    # pool.map submits every chunk, and each submission may start a thread
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers == 1:
         results = [evaluate(rows) for rows in chunks]
     else:
@@ -391,7 +392,7 @@ COMMANDS = {
         Option("--sweep", "sweep_path", str, REQUIRED, "Sweep spec (JSON)."),
         Option("--measure", "measure", MEASURES, "concurrence", "Entanglement measure."),
         Option("--format", "fmt", ("csv", "json"), "csv", "Output format."),
-        Option("--threads", "threads", int, 1, "Threads that evaluate grid chunks."),
+        Option("--threads", "threads", int, 1, "Threads that evaluate grid chunks (at most one per CPU)."),
         _OUTPUT,
     )),
     "schmidt": (schmidt, (

@@ -33,7 +33,9 @@ ANGLES = {
     "gamma": (0.0, False),
 }
 
-_PATH_RE = re.compile(rf"^particles\[(\d+)\]\.({'|'.join(ANGLES)})$")
+# fullmatch and [0-9], as the schema's ECMA-262 pattern reads: re.match
+# lets "$" pass a trailing newline, and \d any Unicode digit
+_PATH_RE = re.compile(rf"^particles\[([0-9]+)\]\.({'|'.join(ANGLES)})$")
 
 _PARTICLE_FIELDS = ("spin", *ANGLES)
 _BOUNDED = tuple(name for name, (_, bounded) in ANGLES.items() if bounded)
@@ -96,7 +98,7 @@ class EnsembleConfig:
 
 
 def parse_parameter_path(path: str, n_particles: int) -> Tuple[int, str]:
-    m = _PATH_RE.match(path)
+    m = _PATH_RE.fullmatch(path)
     if not m:
         raise ConfigError(
             f"bad parameter path {path!r}; expected particles[i].{'|'.join(ANGLES)}"

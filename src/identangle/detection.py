@@ -90,9 +90,9 @@ def project_onto_detectors(
     sector probabilities plus the leak miss one by more than
     ``TOL.normalization``.
     """
-    outcomes, _, p, leak = _project_batch(ensemble.n_up, *ensemble.angle_rows())
+    outcomes, weights, p, leak = _project_batch(ensemble.n_up, *ensemble.angle_rows())
     sectors: List[Sector] = []
-    for q, probability, state in _sector_walk(outcomes[0], p[0]):
+    for q, probability, state in _sector_walk(outcomes[0], weights[0], p[0]):
         amps = {
             detection_key(ensemble, alpha, q - alpha): value
             for alpha, value in state
@@ -150,7 +150,7 @@ def sector_entanglement(
     :func:`fold.sweep_grid`, which reads the same weights from the outcomes.
     """
     weights = np.square(schmidt_coefficients(state, ModeSplit()))
-    return float(weight_measure(weights, weights.size, measure))
+    return float(weight_measure(weights, measure))
 
 
 def entanglement_of_particles(

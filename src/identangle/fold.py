@@ -38,21 +38,16 @@ def wrap_phase(angle):
 MEASURES = ("entropy", "concurrence")
 
 
-def weight_measure(
-    weights: np.ndarray,
-    terms,
-    measure: str,
-) -> np.ndarray:
+def weight_measure(weights: np.ndarray, measure: str) -> np.ndarray:
     """Entanglement of each row of squared Schmidt coefficients.
 
     ``weights`` has shape (..., K), each row summing to one and padded with
-    zeros; ``terms`` (an int or an array of shape (...)) counts the Schmidt
-    terms of each row.  "entropy" is -sum(l * log2(l)) in bits, skipping
-    weights below the entropy cutoff to avoid 0*log(0) noise and clamped
-    to [0, log2(terms)].  "concurrence" is the cross-term
-    sqrt(sum_{i<j} l_i l_j) = sqrt((1 - sum l_i^2)/2), summed as pairwise
-    products: the subtraction would turn the normalization residue of
-    rank-1 rows into sqrt-amplified noise.
+    zeros; a row's Schmidt terms are its nonzero weights.  "entropy" is
+    -sum(l * log2(l)) in bits, skipping weights below the entropy cutoff to
+    avoid 0*log(0) noise and clamped to [0, log2(terms)].  "concurrence" is
+    the cross-term sqrt(sum_{i<j} l_i l_j) = sqrt((1 - sum l_i^2)/2), summed
+    as pairwise products: the subtraction would turn the normalization
+    residue of rank-1 rows into sqrt-amplified noise.
     """
     if measure not in MEASURES:
         raise ConsistencyError(
@@ -62,6 +57,7 @@ def weight_measure(
         # weights at or below the cutoff become 1, whose term is 0
         kept = np.where(weights > TOL.entropy_cutoff, weights, 1.0)
         s = -(kept * np.log2(kept)).sum(axis=-1)
+        terms = np.count_nonzero(weights, axis=-1)
         return np.minimum(np.maximum(s, 0.0), np.log2(np.maximum(terms, 1)))
     pairs = weights[..., 1:] * weights.cumsum(axis=-1)[..., :-1]
     return np.sqrt(pairs.sum(axis=-1))
@@ -211,7 +207,9 @@ def _project_batch(
     particles at L has amplitude U[alpha] * D[beta].
     Outcomes with |amplitude| <= ``TOL.pruning`` are dropped and the rest
     grouped into sectors by q = alpha + beta; a sector below
-    ``TOL.pruning`` reads as empty (probability 0).  Returns the outcome
+    ``TOL.pruning`` reads as empty (probability 0).  This is the one place
+    that decides which outcomes and sectors are zero: :func:`_sector_walk`
+    and :func:`_postselected` read its zeros.  Returns the outcome
     amplitudes (G, n_up+1, N-n_up+1), each sector's Schmidt weights across
     L|R (G, N+1, n_up+1) indexed by (q, alpha), the sector probabilities
     (G, N+1) and the leak (G,).  Sector q's Schmidt weights are its kept
@@ -328,30 +326,29 @@ def fermion_amplitude(
 
 
 def _sector_walk(
-    outcomes: np.ndarray, p: np.ndarray
+    outcomes: np.ndarray, weights: np.ndarray, p: np.ndarray
 ) -> List[Tuple[int, float, List[Tuple[int, complex]]]]:
     """The nonempty sectors of one projection of :func:`_project_batch`,
-    from its outcome amplitudes (n_up+1, N-n_up+1) and sector
-    probabilities (N+1,), as (q, p_q, state) with q descending.
+    from its outcome amplitudes (n_up+1, N-n_up+1), sector Schmidt weights
+    (N+1, n_up+1) and sector probabilities (N+1,), as (q, p_q, state) with
+    q descending.
 
-    A sector's state lists (alpha, amplitude) with alpha ascending: the
-    outcome amplitudes above ``TOL.pruning``, divided by sqrt(p_q) and
-    pruned again.  Raises ConsistencyError when a state is off unit norm by
-    more than ``TOL.normalization``.
+    A sector's state lists (alpha, amplitude / sqrt(p_q)) with alpha
+    ascending, over the outcomes whose Schmidt weight is nonzero: those the
+    projection kept.  Raises ConsistencyError when a state is off unit norm
+    by more than ``TOL.normalization``.
     """
-    outcomes = outcomes.tolist()
-    n_up, n_down = len(outcomes) - 1, len(outcomes[0]) - 1
+    outcomes, weights = outcomes.tolist(), weights.tolist()
     sectors = []
     for q, probability in reversed(list(enumerate(p.tolist()))):
         if probability == 0.0:
             continue
         root = math.sqrt(probability)
-        state = []
-        for alpha in range(max(0, q - n_down), min(q, n_up) + 1):
-            amp = outcomes[alpha][q - alpha]
-            value = amp / root
-            if abs(amp) > TOL.pruning and abs(value) > TOL.pruning:
-                state.append((alpha, value))
+        state = [
+            (alpha, outcomes[alpha][q - alpha] / root)
+            for alpha, weight in enumerate(weights[q])
+            if weight != 0.0
+        ]
         norm = math.sqrt(sum(abs(value) ** 2 for _, value in state))
         if abs(norm - 1.0) > TOL.normalization:
             raise ConsistencyError(f"sector q = {q} has norm {norm!r}")
@@ -409,12 +406,12 @@ def _postselected(weights: np.ndarray, p: np.ndarray, measure: str) -> np.ndarra
     sector Schmidt weights (G, N+1, n_up+1) and sector probabilities
     (G, N+1) of :func:`_project_batch`.
 
-    Each sector's measure is read from its Schmidt weights, one term per
-    nonzero weight.  A row whose sum(p) is at most ``TOL.pruning`` reads 0.
+    Each sector's measure is read from its Schmidt weights
+    (:func:`weight_measure`).  A row whose sum(p) is 0, nothing detected,
+    reads 0.
     """
-    terms = np.count_nonzero(weights, axis=2)
-    sector_values = weight_measure(weights, terms, measure)
+    sector_values = weight_measure(weights, measure)
     # postselected: sector weights renormalized over the detected probability
     total_p = p.sum(axis=1)[:, None]
-    share = np.divide(p, total_p, out=np.zeros_like(p), where=total_p > TOL.pruning)
+    share = np.divide(p, total_p, out=np.zeros_like(p), where=total_p > 0.0)
     return (share * sector_values).sum(axis=1)

@@ -10,11 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import DensityMatrix
 from .errors import BipartitionError, ConsistencyError, NormalizationError, SectorError
 from .fold import _project_batch, _require_fold_size, weight_measure
 from .states import (
@@ -28,20 +27,23 @@ from .states import (
 )
 from .tolerances import DEFAULT_TOLERANCES as TOL
 
+if TYPE_CHECKING:
+    from .algebra import DensityMatrix
+
 
 def von_neumann_entropy(
     rho: DensityMatrix,
 ) -> float:
     """Entropy -sum(l * log2(l)) in bits of the eigenvalues l of a
-    trace-1 density matrix (:func:`fold.weight_measure` with every eigenvalue
-    counted as a term)."""
+    trace-1 density matrix (:func:`fold.weight_measure`, each nonzero
+    eigenvalue a term)."""
     trace = rho.trace
     if abs(trace - 1.0) > TOL.trace_check:
         raise NormalizationError(
             f"entropy requires unit trace, got {trace!r}"
         )
     weights = rho.eigenvalues()
-    return float(weight_measure(weights, weights.size, "entropy"))
+    return float(weight_measure(weights, "entropy"))
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,7 @@ def concurrence_pure(
     state reads exactly 0.
     """
     weights = np.square(schmidt_coefficients(psi, bipartition))
-    return float(2.0 * weight_measure(weights, weights.size, "concurrence"))
+    return float(2.0 * weight_measure(weights, "concurrence"))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .measures import (
     three_boson_average_concurrence_coherences,
     two_boson_average_concurrence,
 )
-from .oracles import expansion_inner_product, project_by_substitution, rows_ensemble
 from .tolerances import comparison_from_env
 
 DEFAULT_SEED = 7
@@ -284,6 +283,8 @@ def amplitude_oracle_error(bra: Tuple[int, np.ndarray], ket: Tuple[int, np.ndarr
     """|fold amplitude - expansion oracle| of two boson (n_up, (4, N) angle
     rows) cases, the fold run as the ``amplitude`` command runs it: on their
     spin-up-first angle rows, row 0 the bra's."""
+    from .oracles import expansion_inner_product, rows_ensemble
+
     angles = np.stack([bra[1], ket[1]], axis=1)
     fast = fold_amplitude(bra[0], ket[0], *angles)
     return abs(fast - expansion_inner_product(rows_ensemble(*bra).kets(), rows_ensemble(*ket).kets()))
@@ -303,6 +304,8 @@ def _projection_oracle_errors(cases: Sequence[Tuple[int, np.ndarray]]) -> np.nda
     """:func:`projection_oracle_error` of each case, from one fold per (N,
     n_up) group; a fold's rows are independent, so each error is the one
     case's alone, bit for bit."""
+    from .oracles import project_by_substitution, rows_ensemble
+
     errors = np.empty(len(cases))
     for n_up, members, angles in _groups(cases):
         outcomes, _, _, leak = _project_batch(n_up, *angles)

@@ -897,6 +897,14 @@ def test_sweep_rejects_duplicate_fields(runner, tmp_path):
     assert_usage_error(run_sweep(runner, tmp_path, text), "axes[0]: duplicate field 'values'")
 
 
+def test_sweep_rejects_paths_the_schema_rejects(runner, tmp_path):
+    # a trailing newline would split the CSV header, and an Arabic-Indic
+    # digit is no ASCII index
+    for path in ("particles[0].theta\n", "particles[\u0661].theta"):
+        spec = {"axes": [{"path": path, "values": [0.1]}]}
+        assert_usage_error(run_sweep(runner, tmp_path, spec), "bad parameter path")
+
+
 def test_sweep_rejects_out_of_range_angles_before_evaluation(runner, tmp_path):
     for axis in (
         {"path": "particles[0].theta", "start": 0.0, "stop": 1.6, "steps": 5},
@@ -1004,13 +1012,14 @@ def test_sweep_rejects_repeated_path(runner, tmp_path):
 
 
 class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-    """Thread pool that records the worker counts it is asked for."""
+    """Thread pool that records the worker counts it is asked for and runs
+    at most two, whatever a faulty caller asks."""
 
     sizes = []
 
     def __init__(self, max_workers=None, **kwargs):
         RecordingPool.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers, **kwargs)
+        super().__init__(max_workers=min(max_workers, 2), **kwargs)
 
 
 @pytest.fixture
@@ -1031,6 +1040,22 @@ def test_sweep_pool_never_exceeds_chunk_count(runner, tmp_path, recording_pool):
     assert single.output == many.output
     # one chunk: evaluated inline, no pool
     assert recording_pool == []
+
+
+def test_sweep_pool_never_exceeds_cpu_count(runner, tmp_path, recording_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # one particle per spin block: 16 / 2^2 = 4 rows per chunk, so 13 rows
+    # make four chunks
+    monkeypatch.setattr(fold, "CHUNK_ENTRIES", 16)
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+    sweep = write(tmp_path, "sweep.json", {
+        "axes": [{"path": "particles[0].theta", "start": 0.1, "stop": 1.4, "steps": 13}]
+    })
+    assert len(fold.fold_chunks(1, 2, 13)) == 4
+    result = runner.invoke(main, ["sweep", "--config", cfg, "--sweep", sweep, "--threads", "1000"])
+    assert result.exit_code == 0, result.output
+    assert len(result.output.splitlines()) == 14
+    assert recording_pool == [2]
 
 
 def leaky_three_boson_config():
@@ -1058,7 +1083,9 @@ def project_row(config, values, paths):
     )
 
 
-def test_sweep_chunk_boundary_rows(runner, tmp_path, recording_pool):
+def test_sweep_chunk_boundary_rows(runner, tmp_path, recording_pool, monkeypatch):
+    # more CPUs than chunks, on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     config = leaky_three_boson_config()
     cfg = write(tmp_path, "cfg.json", config)
     # the larger spin block holds two particles

@@ -426,6 +426,44 @@ def test_sweep_grid_over_chunks_is_bit_identical_to_one_fold_per_chunk(rng):
             assert np.array_equal(value, whole[column])
 
 
+def test_the_sector_walk_and_the_average_read_the_projection_zeros(rng):
+    # thetas at 0 and pi/2 zero outcomes exactly, and phi down to 0.05
+    # leaves outcomes, sectors and whole rows below the pruning threshold
+    pruned_outcomes = pruned_sectors = undetected = detected = 0
+    for _ in range(240):
+        n_total = int(rng.integers(1, 13))
+        n_up = int(rng.integers(0, n_total + 1))
+        edges = rng.choice([0.0, math.pi / 2], n_total)
+        theta = np.where(rng.random(n_total) < 0.5, edges, rng.uniform(0.0, math.pi / 2, n_total))
+        phi = rng.uniform(0.05, rng.uniform(0.05, math.pi / 2), n_total)
+        omega, gamma = rng.uniform(0.0, 2 * math.pi, (2, n_total))
+        angles = [a[None] for a in (theta, omega, phi, gamma)]
+        outcomes, weights, p, _ = fold._project_batch(n_up, *angles)
+        walk = fold._sector_walk(outcomes[0], weights[0], p[0])
+        assert [q for q, _, _ in walk] == np.flatnonzero(p[0])[::-1].tolist()
+        for q, probability, state in walk:
+            root = math.sqrt(probability)
+            alphas = np.flatnonzero(weights[0, q]).tolist()
+            assert state == [(alpha, complex(outcomes[0, alpha, q - alpha]) / root) for alpha in alphas]
+        q_of, alpha_of = fold._sector_layout(n_up, n_total - n_up)
+        raw = np.zeros_like(weights[0])
+        raw[q_of, alpha_of] = np.abs(outcomes[0])
+        pruned_outcomes += np.count_nonzero(raw) - np.count_nonzero(weights[0])
+        pruned_sectors += np.count_nonzero(raw.sum(axis=1) > 0.0) - np.count_nonzero(p[0])
+        total = p[0].sum()
+        for measure in fold.MEASURES:
+            value = fold._postselected(weights, p, measure)[0]
+            if total == 0.0:
+                assert value == 0.0
+            else:
+                expected = sum(p[0] / total * fold.weight_measure(weights[0], measure))
+                assert abs(value - expected) <= 1e-12
+        undetected += total == 0.0
+        detected += total > 0.0
+    counts = (pruned_outcomes, pruned_sectors, undetected, detected)
+    assert min(counts) > 0, counts
+
+
 def test_sweep_grid_names_the_batch_row_of_a_later_chunk(monkeypatch):
     block = fold._detector_block
     cut = math.cos(1.0)

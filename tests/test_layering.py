@@ -159,6 +159,25 @@ def test_fold_commands_load_no_oracle_measure_or_object_model(tmp_path, command)
     assert not loaded & {"algebra", "detection", "measures", "oracles", "permanent", "verify"}, sorted(loaded)
 
 
+@pytest.mark.parametrize("args, banned", [
+    (["verify", "theorem1", "--cases", "1"], {"algebra", "detection", "oracles", "permanent"}),
+    (["verify", "n2-closed-form", "--cases", "1"], {"algebra", "detection", "oracles", "permanent"}),
+    (["verify", "n3-closed-form", "--cases", "1"], {"algebra", "detection", "oracles", "permanent"}),
+    (["verify", "schmidt"], {"algebra", "detection", "oracles", "permanent"}),
+    (["verify", "oracle", "--cases", "1"], {"algebra", "detection", "permanent"}),
+    (["schmidt", "--n-total", "3", "--n-up", "2", "--split", "2,1"],
+     {"algebra", "detection", "oracles", "permanent", "verify"}),
+], ids=["theorem1", "n2-closed-form", "n3-closed-form", "schmidt-suite", "oracle", "schmidt"])
+def test_verify_and_schmidt_load_no_object_model(tmp_path, args, banned):
+    # the oracles build kets from states alone, and the measures need the
+    # algebra only for an annotation
+    returncode, modules, stderr = launch(tmp_path, args)
+    assert returncode == 0, stderr
+    loaded = {name.partition(".")[2] for name in modules if name.startswith("identangle.")}
+    assert "measures" in loaded
+    assert not loaded & banned, sorted(loaded)
+
+
 def functions(module):
     """(qualified name, node) of every function and method defined at the
     top of a package module or of a class in it."""

@@ -156,7 +156,7 @@ def test_concurrence_entropy_verdicts_agree(rng):
 
 def test_weight_measure_rejects_an_unknown_measure():
     with pytest.raises(ConsistencyError, match="unknown measure 'negativity'"):
-        fold.weight_measure(np.array([[1.0, 0.0]]), 1, "negativity")
+        fold.weight_measure(np.array([[1.0, 0.0]]), "negativity")
 
 
 def test_schmidt_product_state_single_coefficient():

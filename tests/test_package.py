@@ -2,6 +2,8 @@
 command line's option values, kept as literals so that ``--help`` loads
 no numpy, are the values of the modules that define them."""
 
+import inspect
+
 import pytest
 
 import identangle
@@ -19,6 +21,16 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from identangle import *", namespace)
     assert set(identangle.__all__) <= namespace.keys()
+
+
+def test_every_class_and_function_comes_from_its_defining_module():
+    # a name mapped to a module that only re-exports it would load that
+    # module and everything it imports
+    for module, names in identangle._EXPORTS.items():
+        for name in names:
+            value = getattr(identangle, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == f"identangle.{module}", name
 
 
 def test_unknown_name_raises_attribute_error():

@@ -66,8 +66,20 @@ def test_path_pattern_names_the_parser_angles():
     pattern = AXIS["properties"]["path"]["pattern"]
     assert names.search(pattern).group(1).split("|") == list(ANGLES)
     assert names.search(config._PATH_RE.pattern).group(1).split("|") == list(ANGLES)
-    for path in ("particles[0].theta", "particles[12].gamma", "particles[0].spin", "particles[-1].phi", "particles[0].omega "):
-        assert bool(re.search(pattern, path)) == bool(config._PATH_RE.match(path)), path
+    for path in (
+        "particles[0].theta", "particles[12].gamma", "particles[0].spin", "particles[-1].phi",
+        "particles[0].omega ", "particles[0].theta\n", "particles[\u0661].theta",
+    ):
+        # a whole-string ASCII match is what ECMA-262 does with this pattern
+        assert bool(re.fullmatch(pattern, path, re.ASCII)) == parses_path(path), path
+
+
+def parses_path(path):
+    try:
+        config.parse_parameter_path(path, 100)
+    except ConfigError:
+        return False
+    return True
 
 
 def test_sweep_description_states_the_grid_cap():
