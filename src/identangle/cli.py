@@ -103,6 +103,11 @@ def _write_output(text: str, output: str):
         stream.write(text + "\n")
 
 
+def _float_json(value: float) -> str:
+    """``value`` as json.dumps renders it: its repr when finite."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
 def amplitude(config_path: str, bra_path: str, output: str):
     """Transition amplitude between two configured product states."""
     import numpy as np
@@ -121,8 +126,11 @@ def amplitude(config_path: str, bra_path: str, output: str):
     if ket_config.statistics is not bra_config.statistics:
         raise ConfigError("bra and ket configs disagree on statistics")
     boson = ket_config.statistics is Statistics.BOSON
-    # (4, 2, N): row 0 of each angle the bra's, row 1 the ket's
-    angles = np.array([bra_config.angles(), ket_config.angles()]).swapaxes(0, 1)
+    # (4, 2, N): row 0 of each angle the bra's, row 1 the ket's; a particle
+    # is its spin, then its angles
+    angles = np.array(
+        [[p[1:] for p in config.particles] for config in (bra_config, ket_config)]
+    ).transpose(2, 0, 1)
     fold = fold_amplitude if boson else fermion_amplitude
     value = fold(bra_config.n_up, ket_config.n_up, *angles)
     if not boson:
@@ -131,15 +139,15 @@ def amplitude(config_path: str, bra_path: str, output: str):
         flips = _odd_inversions(np.array([bra_config.source_order, ket_config.source_order]))
         if flips[0] != flips[1] and value != 0:
             value = -value
-    record = {
-        "amplitude": {"re": value.real, "im": value.imag},
-        # "ryser" names the permanent kernel that once computed boson values;
-        # it stays so that the record keeps its format
-        "method": "ryser" if boson else "determinant",
-        "statistics": ket_config.statistics.value,
-        "n_particles": ket_config.n_total,
-    }
-    _write_output(json.dumps(record, indent=2), output)
+    # the record as json.dumps(record, indent=2) renders it; "ryser" names the
+    # permanent kernel that once computed boson values, and stays so that the
+    # record keeps its format
+    _write_output(
+        f'{{\n  "amplitude": {{\n    "re": {_float_json(value.real)},\n    "im": {_float_json(value.imag)}\n  }},\n'
+        f'  "method": "{"ryser" if boson else "determinant"}",\n'
+        f'  "statistics": "{ket_config.statistics.value}",\n  "n_particles": {ket_config.n_total}\n}}',
+        output,
+    )
 
 
 #: the labels of an outcome key, L-up, L-down, R-up and R-down, each as
@@ -176,8 +184,8 @@ def _sector_json(
 
 def _project_json(config: EnsembleConfig) -> str:
     """The ``project`` record as json.dumps(record, indent=2) renders it,
-    from one fold (:func:`fold._project_batch`): sectors q descending,
-    the leak and both postselected measures."""
+    rendered from templates after one fold (:func:`fold._project_batch`):
+    sectors q descending, the leak and both postselected measures."""
     from .fold import _postselected, _project_batch, _sector_walk
 
     _require_bosons(config)
@@ -187,20 +195,16 @@ def _project_json(config: EnsembleConfig) -> str:
         _sector_json(q, probability, state, n_up, config.n_total - n_up)
         for q, probability, state in _sector_walk(outcomes[0], weights[0], p[0])
     ]
-    record = {
-        "n_particles": config.n_total,
-        "n_up": n_up,
-        "source_order": list(config.source_order),
-        "sectors": None,  # replaced by the rendered sectors
-        "leak": float(leak[0]),
-        "entanglement": {
-            measure: float(_postselected(weights, p, measure)[0])
-            for measure in MEASURES
-        },
-    }
     sectors_json = "[\n" + ",\n".join(sectors) + "\n  ]" if sectors else "[]"
-    return json.dumps(record, indent=2).replace(
-        '"sectors": null', '"sectors": ' + sectors_json, 1
+    source_order = ",\n".join(f"    {index}" for index in config.source_order)
+    entanglement = ",\n".join(
+        f'    "{measure}": {_float_json(float(_postselected(weights, p, measure)[0]))}'
+        for measure in MEASURES
+    )
+    return (
+        f'{{\n  "n_particles": {config.n_total},\n  "n_up": {n_up},\n'
+        f'  "source_order": [\n{source_order}\n  ],\n  "sectors": {sectors_json},\n'
+        f'  "leak": {_float_json(float(leak[0]))},\n  "entanglement": {{\n{entanglement}\n  }}\n}}'
     )
 
 
@@ -219,7 +223,8 @@ def _sweep_chunk(
     axes: List[SweepAxis],
     measure: str,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The grid rows ``rows`` as (axis values, p, leak, entanglement) arrays.
+    """The grid rows ``rows`` as (axis values, p, leak, entanglement) arrays,
+    the axis values in the config's unit.
 
     A failed consistency check names the first failing row and its axis
     values.
@@ -232,7 +237,8 @@ def _sweep_chunk(
     values = np.column_stack([axis.values[i] for axis, i in zip(axes, index)])
     angles = np.repeat(config.angles()[:, None], len(values), axis=1)
     for column, axis in enumerate(axes):
-        angles[axis.row, :, axis.particle] = values[:, column]
+        # in radians, as parse_ensemble_config stores a value given in the file
+        angles[axis.row, :, axis.particle] = values[:, column] * config.radians_per_unit
     try:
         p, leak, entanglement = sweep_grid(config.n_up, *angles, measure)
     except RowError as exc:
@@ -242,6 +248,47 @@ def _sweep_chunk(
         )
         raise ConsistencyError(f"grid row {rows.start + exc.row} ({point}): {exc}") from None
     return values, p, leak, entanglement
+
+
+def _sweep_json(paths: List[str], n: int, results) -> str:
+    """The sweep records as json.dumps(records, indent=2) renders them.
+
+    A record lists the axis values, the nonzero p_q keyed by q, the leak
+    and the entanglement of one grid row, in the order of ``results``
+    (:func:`_sweep_chunk` chunks).  Each chunk is laid out as one table of
+    text pieces, a row per record: the fixed text around each value, and
+    each value's JSON (repr for a finite float, json.dumps otherwise);
+    p_q = 0 leaves both pieces of its entry empty.
+    """
+    import numpy as np
+
+    keys = [json.dumps(path) for path in paths]
+    # every record but the first follows a ",\n", cut off the first at the end
+    axis_text = [f',\n  {{\n    "parameters": {{\n      {keys[0]}: '] + [f",\n      {key}: " for key in keys[1:]]
+    first_key = np.array([f'      "{q}": ' for q in range(n + 1)], dtype=object)
+    next_key = np.array([f',\n      "{q}": ' for q in range(n + 1)], dtype=object)
+    width = len(paths)
+    chunks = []
+    for values, p, leak, ent in results:
+        table = np.column_stack([values, p, leak, ent])
+        text = repr if np.isfinite(table).all() else _float_json
+        cells = np.array(list(map(text, table.ravel().tolist())), dtype=object).reshape(table.shape)
+        kept = p != 0.0
+        listed = kept.any(axis=1)
+        pieces = np.empty((len(table), 2 * width + 2 * (n + 1) + 6), dtype=object)
+        pieces[:, : 2 * width : 2] = axis_text
+        pieces[:, 1 : 2 * width : 2] = cells[:, :width]
+        pieces[:, 2 * width] = np.where(listed, '\n    },\n    "p": {\n', '\n    },\n    "p": {}')
+        first = kept & (np.cumsum(kept, axis=1) == 1)
+        pieces[:, 2 * width + 1 : -5 : 2] = np.where(kept, np.where(first, first_key, next_key), "")
+        pieces[:, 2 * width + 2 : -5 : 2] = np.where(kept, cells[:, width:-2], "")
+        pieces[:, -5] = np.where(listed, '\n    },\n    "leak": ', ',\n    "leak": ')
+        pieces[:, -4] = cells[:, -2]
+        pieces[:, -3] = ',\n    "entanglement": '
+        pieces[:, -2] = cells[:, -1]
+        pieces[:, -1] = "\n  }"
+        chunks.append("".join(pieces.ravel().tolist()))
+    return "[\n" + "".join(chunks)[2:] + "\n]"
 
 
 def sweep(config_path, sweep_path, measure, fmt, threads, output):
@@ -283,19 +330,7 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
             results = list(pool.map(evaluate, chunks))
 
     if fmt == "json":
-        records = [
-            {
-                "parameters": dict(zip(paths, point)),
-                "p": {str(q): value for q, value in enumerate(probs) if value != 0.0},
-                "leak": leak,
-                "entanglement": ent,
-            }
-            for values, p, leaks, ents in results
-            for point, probs, leak, ent in zip(
-                values.tolist(), p.tolist(), leaks.tolist(), ents.tolist()
-            )
-        ]
-        _write_output(json.dumps(records, indent=2), output)
+        _write_output(_sweep_json(paths, n, results), output)
         return
 
     header = paths + [f"p_{q}" for q in range(n + 1)] + ["leak", "entanglement"]

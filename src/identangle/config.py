@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import re
-from dataclasses import dataclass, make_dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
@@ -37,24 +36,31 @@ ANGLES = {
 # lets "$" pass a trailing newline, and \d any Unicode digit
 _PATH_RE = re.compile(rf"^particles\[([0-9]+)\]\.({'|'.join(ANGLES)})$")
 
-_PARTICLE_FIELDS = ("spin", *ANGLES)
+_PARTICLE_FIELDS = frozenset(("spin", *ANGLES))
 _BOUNDED = tuple(name for name, (_, bounded) in ANGLES.items() if bounded)
+_SPINS = {"up": Spin.UP, "down": Spin.DOWN}
 
-#: one parsed particle: its spin and one float field per angle
-ParticleConfig = make_dataclass(
-    "ParticleConfig", [("spin", Spin)] + [(name, float) for name in ANGLES], frozen=True
-)
-
-_angles_of = operator.attrgetter(*ANGLES)
-_bounded_of = operator.attrgetter(*_BOUNDED)
+#: one degree in radians, the unit of a config's angles when "degrees" is true
+DEGREE = math.pi / 180.0
 
 
-def _check_range(where: str, labels, values):
-    """Reject values of bounded angles outside [0, pi/2], naming the first
-    with its label."""
+class ParticleConfig(NamedTuple):
+    """One parsed particle: its spin, then its angles in radians in the
+    order of ``ANGLES``."""
+
+    spin: Spin
+    theta: float
+    omega: float
+    phi: float
+    gamma: float
+
+
+def _check_range(where: str, labels, values, bound: float = math.pi / 2, bound_text: str = "pi/2"):
+    """Reject values of bounded angles outside [0, ``bound``], naming the
+    first with its label."""
     for label, value in zip(labels, values):
-        if not 0.0 <= value <= math.pi / 2:
-            raise ConfigError(f"{where}: {label} must lie in [0, pi/2], got {value!r}")
+        if not 0.0 <= value <= bound:
+            raise ConfigError(f"{where}: {label} must lie in [0, {bound_text}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,9 @@ class EnsembleConfig:
     particles: Tuple[ParticleConfig, ...]
     statistics: Statistics = Statistics.BOSON
     source_order: Tuple[int, ...] = ()
+    #: the unit of the file's angles, which sweeps over the config read too;
+    #: the particles hold radians either way
+    degrees: bool = False
 
     @property
     def n_up(self) -> int:
@@ -77,10 +86,15 @@ class EnsembleConfig:
     def n_total(self) -> int:
         return len(self.particles)
 
+    @property
+    def radians_per_unit(self) -> float:
+        """One unit of the file's angles in radians: pi/180 or 1."""
+        return DEGREE if self.degrees else 1.0
+
     def angles(self) -> np.ndarray:
         """The stored particles' angles as a (4, N) array, one row per
         angle in the order of ``ANGLES`` (theta, omega, phi, gamma)."""
-        return np.array([_angles_of(p) for p in self.particles]).T
+        return np.array([p[1:] for p in self.particles]).T
 
     def locate(self, path: str) -> Tuple[int, str]:
         """Stored position and angle of a parameter path, whose
@@ -90,10 +104,10 @@ class EnsembleConfig:
 
     def with_value(self, path: str, value: float) -> "EnsembleConfig":
         """Copy of the config with the angle at ``path`` (file order, see
-        :meth:`locate`) set to ``value``."""
+        :meth:`locate`) set to ``value``, in radians."""
         index, attr = self.locate(path)
         particles = list(self.particles)
-        particles[index] = replace(particles[index], **{attr: value})
+        particles[index] = particles[index]._replace(**{attr: value})
         return replace(self, particles=tuple(particles))
 
 
@@ -166,10 +180,47 @@ def _reject_repeated(entry: dict, prefix: str):
         raise ConfigError(f"{prefix}duplicate field {entry.repeated!r}")
 
 
-def _reject_unknown(entry: dict, fields: Tuple[str, ...], prefix: str):
+def _reject_unknown(entry: dict, fields, prefix: str):
     for key in entry:
         if key not in fields:
             raise ConfigError(f"{prefix}unknown field {key!r}")
+
+
+#: what ``dict.get`` returns for a field the entry does not give
+_ABSENT = object()
+
+
+def _particle(i: int, entry, scale: float) -> ParticleConfig:
+    """The particle of config entry ``i``, its given angles times ``scale``.
+
+    Each field is checked once, in the order the errors are reported; a
+    message is built only for the check that fails.
+    """
+    if type(entry) is not dict or not entry.keys() <= _PARTICLE_FIELDS:
+        # a _RepeatedFields entry or a stray field: name the first fault
+        if not isinstance(entry, dict):
+            raise ConfigError(f"particles[{i}]: each particle must be an object")
+        _reject_repeated(entry, f"particles[{i}]: ")
+        _reject_unknown(entry, _PARTICLE_FIELDS, f"particles[{i}]: ")
+    spin = entry.get("spin")
+    spin = _SPINS.get(spin) if type(spin) is str else None
+    if spin is None:
+        raise ConfigError(f"particles[{i}]: field 'spin' must be 'up' or 'down'")
+    angles = [spin]
+    for name, (default, _) in ANGLES.items():
+        value = entry.get(name, _ABSENT)
+        if type(value) is float and -math.inf < value < math.inf:
+            angles.append(value * scale)
+        elif value is _ABSENT:
+            if default is None:
+                raise ConfigError(f"particles[{i}]: field {name!r} is required")
+            angles.append(default)
+        else:  # an int, or a value that is not a finite number
+            angles.append(_number(value, f"particles[{i}]: field {name!r}") * scale)
+    particle = ParticleConfig._make(angles)
+    if not (0.0 <= particle.theta <= math.pi / 2 and 0.0 <= particle.phi <= math.pi / 2):
+        _check_range(f"particles[{i}]", _BOUNDED, (particle.theta, particle.phi))
+    return particle
 
 
 def parse_ensemble_config(text: str) -> EnsembleConfig:
@@ -193,7 +244,6 @@ def parse_ensemble_config(text: str) -> EnsembleConfig:
     degrees = data.get("degrees", False)
     if not isinstance(degrees, bool):
         raise ConfigError(f"field 'degrees' must be true or false, got {degrees!r}")
-    scale = math.pi / 180.0 if degrees else 1.0
     stat_name = data.get("statistics", "boson")
     try:
         statistics = Statistics(stat_name)
@@ -202,28 +252,8 @@ def parse_ensemble_config(text: str) -> EnsembleConfig:
             f"statistics must be 'boson' or 'fermion', got {stat_name!r}"
         ) from None
 
-    particles: List[ParticleConfig] = []
-    for i, entry in enumerate(raw_particles):
-        where = f"particles[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}: each particle must be an object")
-        _reject_repeated(entry, f"{where}: ")
-        _reject_unknown(entry, _PARTICLE_FIELDS, f"{where}: ")
-        spin_name = entry.get("spin")
-        if spin_name not in ("up", "down"):
-            raise ConfigError(f"{where}: field 'spin' must be 'up' or 'down'")
-        angles = []
-        for name, (default, _) in ANGLES.items():
-            if name in entry:
-                angles.append(_number(entry[name], f"{where}: field {name!r}") * scale)
-            elif default is None:
-                raise ConfigError(f"{where}: field {name!r} is required")
-            else:
-                angles.append(default)
-        particle = ParticleConfig(Spin(spin_name), *angles)
-        _check_range(where, _BOUNDED, _bounded_of(particle))
-        particles.append(particle)
-
+    scale = DEGREE if degrees else 1.0
+    particles = [_particle(i, entry, scale) for i, entry in enumerate(raw_particles)]
     # stable sort: ups first, original order retained inside each group
     order = sorted(
         range(len(particles)), key=lambda i: particles[i].spin.index
@@ -232,6 +262,7 @@ def parse_ensemble_config(text: str) -> EnsembleConfig:
         particles=tuple(particles[i] for i in order),
         statistics=statistics,
         source_order=tuple(order),
+        degrees=degrees,
     )
 
 
@@ -240,7 +271,7 @@ def dump_ensemble_config(config: EnsembleConfig) -> str:
     payload = {
         "statistics": config.statistics.value,
         "particles": [
-            {"spin": p.spin.value, **dict(zip(ANGLES, _angles_of(p)))}
+            {"spin": p.spin.value, **dict(zip(ANGLES, p[1:]))}
             for p in config.particles
         ],
     }
@@ -249,7 +280,8 @@ def dump_ensemble_config(config: EnsembleConfig) -> str:
 
 class SweepAxis(NamedTuple):
     """One parsed sweep axis: its path, the stored index of the particle it
-    sets, the angle's row in :meth:`EnsembleConfig.angles` and its points."""
+    sets, the angle's row in :meth:`EnsembleConfig.angles` and its points,
+    in the config's unit (:attr:`EnsembleConfig.radians_per_unit`)."""
 
     path: str
     particle: int
@@ -265,9 +297,12 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> List[SweepAxis]:
     "steps": k} | {"path": ..., "values": [...]}]}.  ``particles[i]`` counts
     the config's particles in file order.  Multiple axes form the cross
     product, capped at 10^6 points; no two axes may sweep the same angle,
-    and no object may give a field twice.  A theta or phi range must start,
-    and stop when it has more than one step, in [0, pi/2]; its points are
-    clamped into that interval, and a values list is checked point by point.
+    and no object may give a field twice.  Axis values are in the config's
+    unit, degrees when its "degrees" is true and radians otherwise; each
+    axis keeps them as given.  A theta or phi range must start, and stop
+    when it has more than one step, in [0, pi/2] (in degrees [0, 90]); its
+    points are clamped into that interval, and a values list is checked
+    point by point.
     """
     data = _decode(text, "sweep JSON", "invalid sweep JSON: {0.msg}")
     if not isinstance(data, dict):
@@ -277,6 +312,7 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> List[SweepAxis]:
         raise ConfigError("sweep spec must be an object holding only 'axes'")
     if not isinstance(data["axes"], list) or not data["axes"]:
         raise ConfigError("sweep spec needs a non-empty 'axes' list")
+    bound, bound_text = (90.0, "90") if config.degrees else (math.pi / 2, "pi/2")
     axes: List[SweepAxis] = []
     # (particle, angle) -> index of the axis that sweeps it
     swept: Dict[Tuple[int, str], int] = {}
@@ -331,10 +367,10 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> List[SweepAxis]:
             checked = (start, stop)[:steps]
         grid = np.array(points)
         if attr in _BOUNDED:
-            _check_range(where, itertools.repeat(path), checked)
+            _check_range(where, itertools.repeat(path), checked, bound, bound_text)
             # start + k * h can pass an end on the bound by rounding; the points
             # run monotonically between the checked ends, so only such a point moves
-            np.clip(grid, 0.0, math.pi / 2, out=grid)
+            np.clip(grid, 0.0, bound, out=grid)
         axes.append(SweepAxis(path, particle, list(ANGLES).index(attr), grid))
     size = math.prod(len(axis.values) for axis in axes)
     if size > MAX_GRID_POINTS:

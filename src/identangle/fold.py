@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,43 +85,98 @@ def _block_layout(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return layout
 
 
-def _fock_block(c: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Unnormalized Fock amplitudes of one spin block over a batch of G states.
+def _fock_blocks(
+    c: np.ndarray,
+    s: np.ndarray,
+    r: np.ndarray,
+    blocks: Optional[Sequence[Tuple[int, int]]] = None,
+) -> List[np.ndarray]:
+    """Unnormalized Fock amplitudes of spin blocks, each over a batch of states.
 
-    ``c``, ``s`` and ``r`` have shape (G, n) and hold each particle's
-    amplitude on L, R and the remainder mode chi.  The block state
-    a'(k_1) ... a'(k_n)|vac> over the modes (L, R, chi) has amplitude
-    sqrt(a_L! a_R! a_chi!) times the coefficient of x^a_L y^a_R z^a_chi in
-    prod_k (c_k x + s_k y + r_k z), a_chi = n - a_L - a_R.  Returns these
-    amplitudes indexed [:, a_L, a_R], shape (G, n+1, n+1), zero where
-    a_L + a_R > n.
+    The rows of ``c``, ``s`` and ``r`` (R, n) hold particles' amplitudes on
+    L, R and the remainder mode chi, the rows of each block stacked in
+    turn: ``blocks`` lists each block's (end row, particle count), counts
+    descending, and block b is rows [end_{b-1}, end_b) with its particles
+    in the first n_b columns (default: one block of every row and column).
+    A block state a'(k_1) ... a'(k_n)|vac> over the modes (L, R, chi) has
+    amplitude sqrt(a_L! a_R! a_chi!) times the coefficient of
+    x^a_L y^a_R z^a_chi in prod_k (c_k x + s_k y + r_k z), a_chi = n - a_L
+    - a_R.  Returns these amplitudes for each block, indexed [:, a_L, a_R],
+    shape (rows_b, n_b+1, n_b+1), zero where a_L + a_R > n_b.
+
+    One loop folds every block: step k multiplies in particle k of each
+    block that has one.  With the largest block first, the rows still
+    folding are a prefix, and a block leaves the loop once its particles
+    run out; an empty block takes no step.
     """
-    g, n = c.shape
+    rows, width = c.shape
+    blocks = blocks or [(rows, width)]
+    # particle k's amplitudes of every row still folding at [k], shaped
+    # (rows, 1, 1) to scale whole arrays
+    cs, ss, rs = c.T[:, :, None, None], s.T[:, :, None, None], r.T[:, :, None, None]
     # after k particles only a_L, a_R <= k carry coefficients
-    coeffs = np.ones((g, 1, 1), dtype=complex)
-    # particle k's amplitudes at [k], shaped (G, 1, 1) to scale whole arrays
-    cs, ss, rs = (x.T[:, :, None, None] for x in (c, s, r))
-    for k in range(n):
-        nxt = np.zeros((g, k + 2, k + 2), dtype=complex)
-        nxt[:, :-1, :-1] = rs[k] * coeffs
-        nxt[:, 1:, :-1] += cs[k] * coeffs
-        nxt[:, :-1, 1:] += ss[k] * coeffs
-        coeffs = nxt
-    return coeffs * _block_layout(n)[2]
+    coeffs = np.ones((rows, 1, 1), dtype=complex)
+    # one buffer for every step's products, since a fresh large array costs
+    # more than the arithmetic that fills it
+    products = np.empty(rows * width * width, dtype=complex)
+    results = []
+    k = 0
+    # the smallest block left finishes next, its rows at the end
+    for b in range(len(blocks) - 1, -1, -1):
+        rows, n = blocks[b]
+        for k in range(k, n):
+            nxt = np.zeros((rows, k + 2, k + 2), dtype=complex)
+            product = products[: coeffs.size].reshape(coeffs.shape)
+            # each product goes to the ufunc's positional out; rows of 17 or
+            # more coefficients are long enough to write straight into nxt,
+            # shorter ones are faster written whole and copied
+            if k >= 16:
+                np.multiply(rs[k], coeffs, nxt[:, :-1, :-1])
+            else:
+                nxt[:, :-1, :-1] = np.multiply(rs[k], coeffs, product)
+            nxt[:, 1:, :-1] += np.multiply(cs[k], coeffs, product)
+            nxt[:, :-1, 1:] += np.multiply(ss[k], coeffs, product)
+            coeffs = nxt
+        k = n
+        start = blocks[b - 1][0] if b else 0
+        results.append(coeffs[start:] * _block_layout(n)[2])
+        if b:
+            coeffs, cs, ss, rs = coeffs[:start], cs[:, :start], ss[:, :start], rs[:, :start]
+    return results[::-1]
 
 
-def _detector_block(
-    c: np.ndarray, s: np.ndarray, r: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _split_fold(
+    c: np.ndarray, s: np.ndarray, r: np.ndarray, n_up: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fock amplitudes (:func:`_fock_blocks`) of the up and the down block
+    of a (G, N) batch, particles spin-up first, folded in one loop: the
+    larger block's rows stacked first, the other's after them."""
+    g, total = c.shape
+    up, down = slice(None, n_up), slice(n_up, None)
+    large, small = (up, down) if 2 * n_up >= total else (down, up)
+    sizes = [max(n_up, total - n_up), min(n_up, total - n_up)]
+    if not sizes[1]:  # an empty block is the vacuum, amplitude 1
+        (amps,) = _fock_blocks(c[:, large], s[:, large], r[:, large])
+        vacuum = np.ones((g, 1, 1), dtype=complex)
+        return (amps, vacuum) if large is up else (vacuum, amps)
+    # complex, as the products of the fold cast them
+    stacked = np.zeros((3, 2 * g, sizes[0]), dtype=complex)
+    stacked[:, :g] = (c[:, large], s[:, large], r[:, large])
+    stacked[:, g:, : sizes[1]] = (c[:, small], s[:, small], r[:, small])
+    first, second = _fock_blocks(*stacked, [(g, sizes[0]), (2 * g, sizes[1])])
+    return (first, second) if large is up else (second, first)
+
+
+def _detector_block(amps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Detector amplitudes of one spin block over a batch of G states.
 
-    From the Fock amplitudes of :func:`_fock_block`, returns the normalized
-    amplitudes B[:, a] of the outcomes a_L = a, a_R = n - a, shape
-    (G, n+1), their total weight (G,), and the weight of the outcomes with
-    a_chi > 0 (G,).  Raises RowError on the first state of vanishing norm.
+    From the block's Fock amplitudes (:func:`_fock_blocks`, shape
+    (G, n+1, n+1)), returns the normalized amplitudes B[:, a] of the
+    outcomes a_L = a, a_R = n - a, shape (G, n+1), their total weight (G,),
+    and the weight of the outcomes with a_chi > 0 (G,).  Raises RowError on
+    the first state of vanishing norm.
     """
-    left, right, _, leaks = _block_layout(c.shape[1])
-    amps = _fock_block(c, s, r)
+    left, right, _, leaks = _block_layout(amps.shape[1] - 1)
     weights = amps.real ** 2 + amps.imag ** 2
     detected = amps[:, left, right]
     detected_sq = weights[:, left, right].sum(axis=1)
@@ -226,8 +281,16 @@ def _project_batch(
     total = theta.shape[1]
     _require_fold_size("projection", total)
     c, s, r = _mode_amplitudes(theta, omega, phi, gamma)
-    up, up_detected, up_leaked = _detector_block(c[:, :n_up], s[:, :n_up], r[:, :n_up])
-    down, _, down_leaked = _detector_block(c[:, n_up:], s[:, n_up:], r[:, n_up:])
+    # both blocks fold in one loop for a single state, and for a batch while
+    # their stacked arrays stay within a quarter chunk (256 KB); past that,
+    # folding each block of a batch on its own measures faster
+    if len(c) == 1 or 2 * len(c) * (max(n_up, total - n_up) + 1) ** 2 <= CHUNK_ENTRIES // 4:
+        up_amps, down_amps = _split_fold(c, s, r, n_up)
+    else:
+        (up_amps,) = _fock_blocks(c[:, :n_up], s[:, :n_up], r[:, :n_up])
+        (down_amps,) = _fock_blocks(c[:, n_up:], s[:, n_up:], r[:, n_up:])
+    up, up_detected, up_leaked = _detector_block(up_amps)
+    down, _, down_leaked = _detector_block(down_amps)
     outcomes = up[:, :, None] * down[:, None, :]
     kept = outcomes.real ** 2 + outcomes.imag ** 2
     kept[np.abs(outcomes) <= TOL.pruning] = 0.0
@@ -261,7 +324,7 @@ def fold_amplitude(
     ket's, each spin-up first.  The overlap matrix is block-diagonal by
     spin, and each block has rank at most 3 (every mode lies in
     span{L, R, chi}), so its permanent is the sum of conj(F_bra) F_ket over
-    the Fock amplitudes of :func:`_fock_block`.  The product of the two
+    the Fock amplitudes of :func:`_fock_blocks`.  The product of the two
     block permanents is divided by sqrt(prod nu! prod mu!), nu and mu the
     repeat counts of exactly equal (c, s, r) within a block of the bra and
     of the ket, as in :func:`algebra.transition_amplitude`.  Different
@@ -273,8 +336,8 @@ def fold_amplitude(
         return 0j
     blocks = (slice(None, ket_n_up), slice(ket_n_up, None))
     value = 1.0
-    for block in blocks:
-        bra, ket = _fock_block(c[:, block], s[:, block], r[:, block])
+    # rows 0 and 1 of each block are the bra's and the ket's
+    for bra, ket in _split_fold(c, s, r, ket_n_up):
         value *= np.vdot(bra, ket)
     # factor by factor, since prod nu! * prod mu! can overflow a double
     root_repeats = 1.0
@@ -282,7 +345,8 @@ def fold_amplitude(
         triples = list(zip(*row))
         for block in blocks:
             for k in Counter(triples[block]).values():
-                root_repeats *= math.sqrt(math.factorial(k))
+                if k > 1:  # a factor sqrt(1!) = 1 leaves the product as it is
+                    root_repeats *= math.sqrt(math.factorial(k))
     return complex(value / root_repeats)
 
 

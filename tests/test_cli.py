@@ -17,7 +17,9 @@ import pytest
 from identangle import cli, detection, fold, measures, verify
 from identangle.algebra import transition_amplitude
 from identangle.cli import main
+from identangle.cli import MEASURES
 from identangle.config import (
+    ANGLES,
     MAX_GRID_POINTS,
     EnsembleConfig,
     dump_ensemble_config,
@@ -983,9 +985,9 @@ def test_verify_cases_outside_the_cap_is_usage_error(runner, monkeypatch):
 def test_probability_sum_invariant_exits_2(runner, tmp_path, monkeypatch):
     block = fold._detector_block
 
-    def skewed_block(c, s, r):
-        amps, detected, leaked = block(c, s, r)
-        return amps, detected, leaked + 1e-6
+    def skewed_block(amps):
+        detected_amps, detected, leaked = block(amps)
+        return detected_amps, detected, leaked + 1e-6
 
     monkeypatch.setattr(fold, "_detector_block", skewed_block)
     cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
@@ -1144,12 +1146,13 @@ def test_sweep_failure_names_first_failing_row(runner, tmp_path, monkeypatch):
     block = fold._detector_block
     cut = math.cos(1.0)
 
-    def skewed_block(c, s, r):
-        amps, detected, leaked = block(c, s, r)
-        # only the up block, and only where particle 0 has theta > 1
-        if c.shape[1] == 1 and r.shape[1] == 1:
-            leaked = leaked + 1e-6 * (abs(c[:, 0]) < cut)
-        return amps, detected, leaked
+    def skewed_block(amps):
+        detected_amps, detected, leaked = block(amps)
+        # only one-particle blocks, and only where that particle has theta > 1:
+        # its L amplitude c is the Fock amplitude at a_L = 1, a_R = 0
+        if amps.shape[1:] == (2, 2):
+            leaked = leaked + 1e-6 * (abs(amps[:, 1, 0]) < cut)
+        return detected_amps, detected, leaked
 
     monkeypatch.setattr(fold, "_detector_block", skewed_block)
     cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
@@ -1628,3 +1631,150 @@ def test_stdout_on_a_full_device_exits_2_with_one_line(tmp_path):
     assert child.returncode == 2, err
     assert err.startswith(b"error: cannot write output stdout: ")
     assert err.count(b"\n") == 1
+
+
+def degree_config():
+    # particle 2 leaks; angles in degrees
+    return {"degrees": True, "particles": [
+        {"spin": "up", "theta": 30, "omega": 40.5},
+        {"spin": "down", "theta": 60.25, "omega": 200, "phi": 90},
+        {"spin": "up", "theta": 10, "phi": 70, "gamma": 15},
+    ]}
+
+
+def project_record(runner, tmp_path, payload):
+    result = runner.invoke(main, ["project", "--config", write(tmp_path, "moved.json", payload)])
+    assert result.exit_code == 0, result.output
+    return json.loads(result.output)
+
+
+@pytest.mark.parametrize("index, angle, values", [
+    (0, "theta", [0, 12.5, 45, 90]),
+    (1, "omega", [-90, 0, 90, 400.25]),
+    (2, "phi", [0, 33, 89.5, 90]),
+    (2, "gamma", [-15, 0, 90, 720]),
+])
+def test_degree_sweep_rows_equal_project_of_the_moved_config(runner, tmp_path, index, angle, values):
+    payload = degree_config()
+    path = f"particles[{index}].{angle}"
+    cfg = write(tmp_path, "cfg.json", payload)
+    sweep = write(tmp_path, "sweep.json", {"axes": [{"path": path, "values": values}]})
+    for measure in MEASURES:
+        result = runner.invoke(main, ["sweep", "--config", cfg, "--sweep", sweep, "--measure", measure])
+        assert result.exit_code == 0, result.output
+        rows = [[float(v) for v in line.split(",")] for line in result.output.splitlines()[1:]]
+        # each value printed as the spec gives it, in degrees
+        assert [row[0] for row in rows] == values
+        for value, row in zip(values, rows):
+            moved = json.loads(json.dumps(payload))
+            moved["particles"][index][angle] = value
+            record = project_record(runner, tmp_path, moved)
+            p = {sector["q"]: sector["p"] for sector in record["sectors"]}
+            assert row[1:5] == [p.get(q, 0.0) for q in range(4)]
+            assert row[5:] == [record["leak"], record["entanglement"][measure]]
+    json_rows = json.loads(runner.invoke(main, ["sweep", "--config", cfg, "--sweep", sweep, "--format", "json"]).output)
+    assert [row["parameters"][path] for row in json_rows] == values
+
+
+def test_degree_sweep_ranges_are_checked_and_clamped_in_degrees(runner, tmp_path):
+    cfg = write(tmp_path, "cfg.json", degree_config())
+
+    def sweep(axis):
+        return runner.invoke(main, ["sweep", "--config", cfg, "--sweep", write(tmp_path, "sweep.json", {"axes": [axis]})])
+
+    # 170 steps from 0 to 90: the last point passes 90 by rounding and is clamped onto it
+    steps = 170
+    result = sweep({"path": "particles[0].theta", "start": 0, "stop": 90, "steps": steps})
+    assert result.exit_code == 0, result.output
+    printed = [float(line.split(",")[0]) for line in result.output.splitlines()[1:]]
+    h = 90.0 / (steps - 1)
+    assert printed == [min(k * h, 90.0) for k in range(steps)]
+    assert printed[-1] == 90.0 and (steps - 1) * h > 90.0
+    for axis in (
+        {"path": "particles[0].theta", "values": [30, 95]},
+        {"path": "particles[2].phi", "start": -1, "stop": 45, "steps": 3},
+        {"path": "particles[2].phi", "start": 0, "stop": 180, "steps": 3},
+    ):
+        assert_usage_error(sweep(axis), "axes[0]", "must lie in [0, 90]")
+    # a radian-sized value is a valid angle in degrees: no error, no unit guess
+    result = sweep({"path": "particles[0].theta", "values": [1.5707963267948966]})
+    assert result.exit_code == 0 and result.output.splitlines()[1].startswith("1.5707963267948966,")
+
+
+def reference_sweep_json(paths, rows):
+    """json.dumps of the sweep records of CSV rows (axis values, p_q, leak,
+    entanglement)."""
+    records = [
+        {
+            "parameters": dict(zip(paths, row[: len(paths)])),
+            "p": {str(q): v for q, v in enumerate(row[len(paths):-2]) if v != 0.0},
+            "leak": row[-2],
+            "entanglement": row[-1],
+        }
+        for row in rows
+    ]
+    return json.dumps(records, indent=2)
+
+
+def random_sweep_case(rng):
+    n_total = int(rng.integers(1, 7))
+    particles = []
+    for _ in range(n_total):
+        particle = {"spin": str(rng.choice(["up", "down"])), "theta": float(rng.choice([0.0, math.pi / 2, rng.uniform(0, math.pi / 2)]))}
+        draw = rng.random()
+        if draw < 0.2:
+            particle["phi"] = 0.0  # wholly in the remainder mode
+        elif draw < 0.5:
+            particle["phi"] = float(rng.uniform(0.0, math.pi / 2))
+        particle["omega"] = float(rng.uniform(-7, 7))
+        particles.append(particle)
+    if rng.random() < 0.1:
+        for particle in particles:
+            particle["phi"] = 0.0  # nothing detected: every p_q is 0
+    axes = []
+    parameters = [(i, angle) for i in range(n_total) for angle in ANGLES]
+    for k in rng.permutation(len(parameters))[: int(rng.integers(1, 3))]:
+        index, angle = parameters[k]
+        bounded = angle in ("theta", "phi")
+        high = math.pi / 2 if bounded else 9.0
+        path = f"particles[{index}].{angle}"
+        if rng.random() < 0.5:
+            axes.append({"path": path, "values": [float(rng.choice([0.0, high, rng.uniform(0, high)])) for _ in range(int(rng.integers(1, 5)))]})
+        else:
+            axes.append({"path": path, "start": 0.0, "stop": float(rng.uniform(0, high)), "steps": int(rng.integers(1, 6))})
+    return {"particles": particles}, {"axes": axes}
+
+
+def test_sweep_json_is_json_dumps_of_the_records(runner, tmp_path):
+    rng = np.random.default_rng(3000)
+    empty_p = zero_p = 0
+    for case in range(320):
+        config, spec = random_sweep_case(rng)
+        cfg = write(tmp_path, "cfg.json", config)
+        sweep = write(tmp_path, "sweep.json", spec)
+        measure = MEASURES[case % 2]
+        argv = ["sweep", "--config", cfg, "--sweep", sweep, "--measure", measure]
+        csv = runner.invoke(main, argv)
+        assert csv.exit_code == 0, (case, csv.output)
+        lines = csv.output.splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        result = runner.invoke(main, argv + ["--format", "json"])
+        assert result.exit_code == 0, (case, result.output)
+        paths = [axis["path"] for axis in spec["axes"]]
+        assert result.output == reference_sweep_json(paths, rows) + "\n", case
+        empty_p += any(not any(row[len(paths):-2]) for row in rows)
+        zero_p += any(0 < row[len(paths):-2].count(0.0) < len(row) - len(paths) - 2 for row in rows)
+    assert empty_p >= 10 and zero_p >= 10, (empty_p, zero_p)
+
+
+def test_sweep_json_of_non_finite_values_is_json_dumps():
+    paths = ["particles[0].theta", "particles[1].omega"]
+    values = np.array([[0.5, -0.0], [1e-300, 1e300], [0.25, 3.0]])
+    p = np.array([[0.5, -0.0, 0.25], [0.0, 0.0, 0.0], [math.nan, 1.0, 0.0]])
+    leak = np.array([0.25, 1.0, -0.0])
+    ent = np.array([math.inf, 0.0, -math.inf])
+    rows = np.column_stack([values, p, leak, ent]).tolist()
+    for chunks in ([(values, p, leak, ent)], [(values[:1], p[:1], leak[:1], ent[:1]), (values[1:], p[1:], leak[1:], ent[1:])]):
+        assert cli._sweep_json(paths, 2, chunks) == reference_sweep_json(paths, rows)
+    finite = [(values[:2], p[:2], leak[:2], np.zeros(2))]
+    assert cli._sweep_json(paths, 2, finite) == reference_sweep_json(paths, np.column_stack([values[:2], p[:2], leak[:2], np.zeros(2)]).tolist())

@@ -468,10 +468,11 @@ def test_sweep_grid_names_the_batch_row_of_a_later_chunk(monkeypatch):
     block = fold._detector_block
     cut = math.cos(1.0)
 
-    def skewed_block(c, s, r):
-        amps, detected, leaked = block(c, s, r)
-        # only where a particle has theta > 1, which the down one never has
-        return amps, detected, leaked + 1e-6 * (abs(c[:, 0]) < cut)
+    def skewed_block(amps):
+        detected_amps, detected, leaked = block(amps)
+        # only where a particle has theta > 1, which the down one never has:
+        # its L amplitude c is the Fock amplitude at a_L = 1, a_R = 0
+        return detected_amps, detected, leaked + 1e-6 * (abs(amps[:, 1, 0]) < cut)
 
     monkeypatch.setattr(fold, "_detector_block", skewed_block)
     # one up and one down particle: a chunk holds CHUNK_ENTRIES // 2^2 rows
@@ -489,7 +490,7 @@ def test_detector_block_names_first_vanishing_row():
     s = np.array([[0.8, 1.0], [0.0, 0.0], [1.0, 0.0]], dtype=complex)
     r = np.zeros((3, 2), dtype=complex)
     with pytest.raises(RowError, match="vanishing norm") as info:
-        fold._detector_block(c, s, r)
+        fold._detector_block(*fold._fock_blocks(c, s, r))
     assert info.value.row == 1
 
 
