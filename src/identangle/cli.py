@@ -112,7 +112,7 @@ def amplitude(config_path: str, bra_path: str, output: str):
     """Transition amplitude between two configured product states."""
     import numpy as np
 
-    from .config import parse_ensemble_config
+    from .config import parse_ensemble_config, stacked_angles
     from .fold import fermion_amplitude, fold_amplitude
     from .states import Statistics, _odd_inversions
 
@@ -126,11 +126,8 @@ def amplitude(config_path: str, bra_path: str, output: str):
     if ket_config.statistics is not bra_config.statistics:
         raise ConfigError("bra and ket configs disagree on statistics")
     boson = ket_config.statistics is Statistics.BOSON
-    # (4, 2, N): row 0 of each angle the bra's, row 1 the ket's; a particle
-    # is its spin, then its angles
-    angles = np.array(
-        [[p[1:] for p in config.particles] for config in (bra_config, ket_config)]
-    ).transpose(2, 0, 1)
+    # (4, 2, N): row 0 of each angle the bra's, row 1 the ket's
+    angles = stacked_angles([bra_config, ket_config])
     fold = fold_amplitude if boson else fermion_amplitude
     value = fold(bra_config.n_up, ket_config.n_up, *angles)
     if not boson:
@@ -250,45 +247,33 @@ def _sweep_chunk(
     return values, p, leak, entanglement
 
 
-def _sweep_json(paths: List[str], n: int, results) -> str:
+def _sweep_json(paths: List[str], results) -> str:
     """The sweep records as json.dumps(records, indent=2) renders them.
 
     A record lists the axis values, the nonzero p_q keyed by q, the leak
     and the entanglement of one grid row, in the order of ``results``
-    (:func:`_sweep_chunk` chunks).  Each chunk is laid out as one table of
-    text pieces, a row per record: the fixed text around each value, and
-    each value's JSON (repr for a finite float, json.dumps otherwise);
-    p_q = 0 leaves both pieces of its entry empty.
+    (:func:`_sweep_chunk` chunks), each rendered from a template: a value's
+    JSON is its repr when finite, json.dumps otherwise.
     """
     import numpy as np
 
     keys = [json.dumps(path) for path in paths]
-    # every record but the first follows a ",\n", cut off the first at the end
-    axis_text = [f',\n  {{\n    "parameters": {{\n      {keys[0]}: '] + [f",\n      {key}: " for key in keys[1:]]
-    first_key = np.array([f'      "{q}": ' for q in range(n + 1)], dtype=object)
-    next_key = np.array([f',\n      "{q}": ' for q in range(n + 1)], dtype=object)
     width = len(paths)
-    chunks = []
+    records = []
     for values, p, leak, ent in results:
         table = np.column_stack([values, p, leak, ent])
         text = repr if np.isfinite(table).all() else _float_json
-        cells = np.array(list(map(text, table.ravel().tolist())), dtype=object).reshape(table.shape)
-        kept = p != 0.0
-        listed = kept.any(axis=1)
-        pieces = np.empty((len(table), 2 * width + 2 * (n + 1) + 6), dtype=object)
-        pieces[:, : 2 * width : 2] = axis_text
-        pieces[:, 1 : 2 * width : 2] = cells[:, :width]
-        pieces[:, 2 * width] = np.where(listed, '\n    },\n    "p": {\n', '\n    },\n    "p": {}')
-        first = kept & (np.cumsum(kept, axis=1) == 1)
-        pieces[:, 2 * width + 1 : -5 : 2] = np.where(kept, np.where(first, first_key, next_key), "")
-        pieces[:, 2 * width + 2 : -5 : 2] = np.where(kept, cells[:, width:-2], "")
-        pieces[:, -5] = np.where(listed, '\n    },\n    "leak": ', ',\n    "leak": ')
-        pieces[:, -4] = cells[:, -2]
-        pieces[:, -3] = ',\n    "entanglement": '
-        pieces[:, -2] = cells[:, -1]
-        pieces[:, -1] = "\n  }"
-        chunks.append("".join(pieces.ravel().tolist()))
-    return "[\n" + "".join(chunks)[2:] + "\n]"
+        for row in table.tolist():
+            parameters = ",\n      ".join([f"{key}: {text(value)}" for key, value in zip(keys, row)])
+            probs = ",\n      ".join(
+                [f'"{q}": {text(value)}' for q, value in enumerate(row[width:-2]) if value != 0.0]
+            )
+            records.append(
+                f'  {{\n    "parameters": {{\n      {parameters}\n    }},\n    "p": '
+                + (f"{{\n      {probs}\n    }}" if probs else "{}")
+                + f',\n    "leak": {text(row[-2])},\n    "entanglement": {text(row[-1])}\n  }}'
+            )
+    return "[\n" + ",\n".join(records) + "\n]"
 
 
 def sweep(config_path, sweep_path, measure, fmt, threads, output):
@@ -330,7 +315,7 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
             results = list(pool.map(evaluate, chunks))
 
     if fmt == "json":
-        _write_output(_sweep_json(paths, n, results), output)
+        _write_output(_sweep_json(paths, results), output)
         return
 
     header = paths + [f"p_{q}" for q in range(n + 1)] + ["leak", "entanglement"]

@@ -13,7 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class EnsembleConfig:
     def angles(self) -> np.ndarray:
         """The stored particles' angles as a (4, N) array, one row per
         angle in the order of ``ANGLES`` (theta, omega, phi, gamma)."""
-        return np.array([p[1:] for p in self.particles]).T
+        return stacked_angles([self])[:, 0]
 
     def locate(self, path: str) -> Tuple[int, str]:
         """Stored position and angle of a parameter path, whose
@@ -109,6 +109,12 @@ class EnsembleConfig:
         particles = list(self.particles)
         particles[index] = particles[index]._replace(**{attr: value})
         return replace(self, particles=tuple(particles))
+
+
+def stacked_angles(configs: Sequence[EnsembleConfig]) -> np.ndarray:
+    """The angles of configs of one particle number as a (4, k, N) array:
+    ``[:, j]`` is ``configs[j].angles()``."""
+    return np.array([[p[1:] for p in config.particles] for config in configs]).transpose(2, 0, 1)
 
 
 def parse_parameter_path(path: str, n_particles: int) -> Tuple[int, str]:

@@ -126,14 +126,9 @@ def _fock_blocks(
         rows, n = blocks[b]
         for k in range(k, n):
             nxt = np.zeros((rows, k + 2, k + 2), dtype=complex)
+            # each product goes to ``product`` (the ufunc's positional out)
             product = products[: coeffs.size].reshape(coeffs.shape)
-            # each product goes to the ufunc's positional out; rows of 17 or
-            # more coefficients are long enough to write straight into nxt,
-            # shorter ones are faster written whole and copied
-            if k >= 16:
-                np.multiply(rs[k], coeffs, nxt[:, :-1, :-1])
-            else:
-                nxt[:, :-1, :-1] = np.multiply(rs[k], coeffs, product)
+            nxt[:, :-1, :-1] = np.multiply(rs[k], coeffs, product)
             nxt[:, 1:, :-1] += np.multiply(cs[k], coeffs, product)
             nxt[:, :-1, 1:] += np.multiply(ss[k], coeffs, product)
             coeffs = nxt
@@ -245,6 +240,17 @@ def _mode_amplitudes(
     return c, s, r
 
 
+#: complex entries (128 KiB) up to which a step's array of a batch's two
+#: blocks, folded stacked in one loop, may grow.  In fresh processes at
+#: N = 2..9 stacking took 0.85-0.99x the per-block time at 5,760-8,190
+#: entries (1.02-1.12x at N = 3, whose down block is one particle), and
+#: 1.03-2.1x from 10,800 entries on, where each stacked call took 67-740
+#: fresh pages from the allocator (minor page faults), each per-block call
+#: 3-670.  A single state (G = 1) always folds stacked: halving its steps
+#: paid at every N measured, up to 170.
+STACKED_ENTRIES = 1 << 13
+
+
 def _project_batch(
     n_up: int,
     theta: np.ndarray,
@@ -282,9 +288,8 @@ def _project_batch(
     _require_fold_size("projection", total)
     c, s, r = _mode_amplitudes(theta, omega, phi, gamma)
     # both blocks fold in one loop for a single state, and for a batch while
-    # their stacked arrays stay within a quarter chunk (256 KB); past that,
-    # folding each block of a batch on its own measures faster
-    if len(c) == 1 or 2 * len(c) * (max(n_up, total - n_up) + 1) ** 2 <= CHUNK_ENTRIES // 4:
+    # a step's stacked array stays within STACKED_ENTRIES
+    if len(c) == 1 or 2 * len(c) * (max(n_up, total - n_up) + 1) ** 2 <= STACKED_ENTRIES:
         up_amps, down_amps = _split_fold(c, s, r, n_up)
     else:
         (up_amps,) = _fock_blocks(c[:, :n_up], s[:, :n_up], r[:, :n_up])

@@ -1775,6 +1775,6 @@ def test_sweep_json_of_non_finite_values_is_json_dumps():
     ent = np.array([math.inf, 0.0, -math.inf])
     rows = np.column_stack([values, p, leak, ent]).tolist()
     for chunks in ([(values, p, leak, ent)], [(values[:1], p[:1], leak[:1], ent[:1]), (values[1:], p[1:], leak[1:], ent[1:])]):
-        assert cli._sweep_json(paths, 2, chunks) == reference_sweep_json(paths, rows)
+        assert cli._sweep_json(paths, chunks) == reference_sweep_json(paths, rows)
     finite = [(values[:2], p[:2], leak[:2], np.zeros(2))]
-    assert cli._sweep_json(paths, 2, finite) == reference_sweep_json(paths, np.column_stack([values[:2], p[:2], leak[:2], np.zeros(2)]).tolist())
+    assert cli._sweep_json(paths, finite) == reference_sweep_json(paths, np.column_stack([values[:2], p[:2], leak[:2], np.zeros(2)]).tolist())

@@ -144,8 +144,8 @@ def test_fold_amplitude_is_repr_identical_to_the_per_block_route():
 
 @pytest.mark.parametrize("n_up, n_total", [(0, 3), (2, 5), (7, 7), (1, 12), (30, 40), (60, 80)])
 def test_projection_is_bit_identical_to_the_per_block_loop(monkeypatch, n_up, n_total):
-    # a small batch folds both blocks in one loop, and (60, 80) at G = 6 each
-    # block on its own
+    # a small batch folds both blocks in one loop, and (30, 40) and (60, 80)
+    # at G = 6 each block on its own
     rng = np.random.default_rng(n_total)
     for g in (1, 6):
         angles = seeded_angles(rng, g, n_total)
