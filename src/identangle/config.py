@@ -42,6 +42,10 @@ _SPINS = {"up": Spin.UP, "down": Spin.DOWN}
 
 #: one degree in radians, the unit of a config's angles when "degrees" is true
 DEGREE = math.pi / 180.0
+#: the range of theta and phi in a config's unit, by its "degrees": the
+#: bound and its text; 90 * DEGREE is pi/2 exactly, so a checked angle in
+#: degrees lies in [0, pi/2] once scaled
+_RANGES = {False: (math.pi / 2, "pi/2"), True: (90.0, "90")}
 
 
 class ParticleConfig(NamedTuple):
@@ -55,7 +59,7 @@ class ParticleConfig(NamedTuple):
     gamma: float
 
 
-def _check_range(where: str, labels, values, bound: float = math.pi / 2, bound_text: str = "pi/2"):
+def _check_range(where: str, labels, values, bound: float, bound_text: str):
     """Reject values of bounded angles outside [0, ``bound``], naming the
     first with its label."""
     for label, value in zip(labels, values):
@@ -196,11 +200,13 @@ def _reject_unknown(entry: dict, fields, prefix: str):
 _ABSENT = object()
 
 
-def _particle(i: int, entry, scale: float) -> ParticleConfig:
-    """The particle of config entry ``i``, its given angles times ``scale``.
+def _particle(i: int, entry, degrees: bool) -> ParticleConfig:
+    """The particle of config entry ``i``, its given angles in radians.
 
-    Each field is checked once, in the order the errors are reported; a
-    message is built only for the check that fails.
+    Each field is checked once, in the order the errors are reported: every
+    number first, then theta's and phi's range in the file's unit, since
+    the message names the value the file holds; a message is built only for
+    the check that fails.
     """
     if type(entry) is not dict or not entry.keys() <= _PARTICLE_FIELDS:
         # a _RepeatedFields entry or a stray field: name the first fault
@@ -212,21 +218,28 @@ def _particle(i: int, entry, scale: float) -> ParticleConfig:
     spin = _SPINS.get(spin) if type(spin) is str else None
     if spin is None:
         raise ConfigError(f"particles[{i}]: field 'spin' must be 'up' or 'down'")
+    scale = DEGREE if degrees else 1.0
+    bound, bound_text = _RANGES[degrees]
     angles = [spin]
-    for name, (default, _) in ANGLES.items():
+    # the first given bounded angle outside [0, bound], in the file's unit
+    outside = None
+    for name, (default, bounded) in ANGLES.items():
         value = entry.get(name, _ABSENT)
-        if type(value) is float and -math.inf < value < math.inf:
-            angles.append(value * scale)
-        elif value is _ABSENT:
+        if value is _ABSENT:
             if default is None:
                 raise ConfigError(f"particles[{i}]: field {name!r} is required")
             angles.append(default)
-        else:  # an int, or a value that is not a finite number
-            angles.append(_number(value, f"particles[{i}]: field {name!r}") * scale)
-    particle = ParticleConfig._make(angles)
-    if not (0.0 <= particle.theta <= math.pi / 2 and 0.0 <= particle.phi <= math.pi / 2):
-        _check_range(f"particles[{i}]", _BOUNDED, (particle.theta, particle.phi))
-    return particle
+            continue
+        if not (type(value) is float and -math.inf < value < math.inf):
+            # an int, or a value that is not a finite number
+            value = _number(value, f"particles[{i}]: field {name!r}")
+        if bounded and outside is None and not 0.0 <= value <= bound:
+            outside = (name, value)
+        angles.append(value * scale)
+    if outside is not None:
+        name, value = outside
+        _check_range(f"particles[{i}]", [name], [value], bound, bound_text)
+    return ParticleConfig._make(angles)
 
 
 def parse_ensemble_config(text: str) -> EnsembleConfig:
@@ -258,8 +271,7 @@ def parse_ensemble_config(text: str) -> EnsembleConfig:
             f"statistics must be 'boson' or 'fermion', got {stat_name!r}"
         ) from None
 
-    scale = DEGREE if degrees else 1.0
-    particles = [_particle(i, entry, scale) for i, entry in enumerate(raw_particles)]
+    particles = [_particle(i, entry, degrees) for i, entry in enumerate(raw_particles)]
     # stable sort: ups first, original order retained inside each group
     order = sorted(
         range(len(particles)), key=lambda i: particles[i].spin.index
@@ -318,7 +330,7 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> List[SweepAxis]:
         raise ConfigError("sweep spec must be an object holding only 'axes'")
     if not isinstance(data["axes"], list) or not data["axes"]:
         raise ConfigError("sweep spec needs a non-empty 'axes' list")
-    bound, bound_text = (90.0, "90") if config.degrees else (math.pi / 2, "pi/2")
+    bound, bound_text = _RANGES[config.degrees]
     axes: List[SweepAxis] = []
     # (particle, angle) -> index of the axis that sweeps it
     swept: Dict[Tuple[int, str], int] = {}

@@ -326,33 +326,73 @@ def fold_amplitude(
     """Amplitude <bra|ket> between two symmetrized boson product states.
 
     Row 0 of the (2, N) angle arrays holds the bra's particles, row 1 the
-    ket's, each spin-up first.  The overlap matrix is block-diagonal by
-    spin, and each block has rank at most 3 (every mode lies in
-    span{L, R, chi}), so its permanent is the sum of conj(F_bra) F_ket over
-    the Fock amplitudes of :func:`_fock_blocks`.  The product of the two
-    block permanents is divided by sqrt(prod nu! prod mu!), nu and mu the
-    repeat counts of exactly equal (c, s, r) within a block of the bra and
-    of the ket, as in :func:`algebra.transition_amplitude`.  Different
-    n_up give exactly 0.  Raises SizeLimitError above N = 170.
+    ket's, each spin-up first: the one-pair case of :func:`fold_amplitudes`,
+    both computed by :func:`_pair_amplitudes`.  Different n_up give
+    exactly 0.  Raises SizeLimitError above N = 170.
     """
     _require_fold_size("amplitude", theta.shape[1])
     c, s, r = _mode_amplitudes(theta, omega, phi, gamma)
     if bra_n_up != ket_n_up:
         return 0j
-    blocks = (slice(None, ket_n_up), slice(ket_n_up, None))
-    value = 1.0
-    # rows 0 and 1 of each block are the bra's and the ket's
-    for bra, ket in _split_fold(c, s, r, ket_n_up):
-        value *= np.vdot(bra, ket)
-    # factor by factor, since prod nu! * prod mu! can overflow a double
-    root_repeats = 1.0
-    for row in zip(c.tolist(), s.tolist(), r.tolist()):
-        triples = list(zip(*row))
-        for block in blocks:
-            for k in Counter(triples[block]).values():
-                if k > 1:  # a factor sqrt(1!) = 1 leaves the product as it is
-                    root_repeats *= math.sqrt(math.factorial(k))
-    return complex(value / root_repeats)
+    return complex(_pair_amplitudes(ket_n_up, c, s, r)[0])
+
+
+def fold_amplitudes(
+    n_up: int,
+    theta: np.ndarray,
+    omega: np.ndarray,
+    phi: np.ndarray,
+    gamma: np.ndarray,
+) -> np.ndarray:
+    """Amplitudes <bra|ket> of G pairs of symmetrized boson product states
+    with n_up spin-up particles each, shape (G,).
+
+    Row [0, g] of the (2, G, N) angle arrays holds pair g's bra particles,
+    row [1, g] its ket's, each spin-up first; a RowError names the row of
+    the (2G, N) stack, bras first.  Raises SizeLimitError above N = 170.
+    """
+    _, g, total = theta.shape
+    _require_fold_size("amplitude", total)
+    c, s, r = _mode_amplitudes(
+        theta.reshape(2 * g, total), omega.reshape(2 * g, total),
+        phi.reshape(2 * g, total), gamma.reshape(2 * g, total),
+    )
+    return _pair_amplitudes(n_up, c, s, r)
+
+
+def _pair_amplitudes(n_up: int, c: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """<bra|ket> of each pair of the (2G, N) mode amplitudes of
+    :func:`_mode_amplitudes`: rows g and G + g are pair g's bra and ket.
+
+    All 2G states fold in one :func:`_split_fold` call, and each row's
+    arithmetic is that of a single pair, so a pair's amplitude does not
+    depend on G.  The overlap matrix is block-diagonal by spin, and each
+    block has rank at most 3 (every mode lies in span{L, R, chi}), so its
+    permanent is the sum of conj(F_bra) F_ket over the Fock amplitudes of
+    :func:`_fock_blocks`.  The product of the two block permanents is
+    divided by sqrt(prod nu! prod mu!), nu and mu the repeat counts of
+    exactly equal (c, s, r) within a block of the bra and of the ket, as in
+    :func:`algebra.transition_amplitude`.
+    """
+    g = len(c) // 2
+    blocks = (slice(None, n_up), slice(n_up, None))
+    folded = _split_fold(c, s, r, n_up)
+    rows = list(zip(c.tolist(), s.tolist(), r.tolist()))
+    values = np.empty(g, dtype=complex)
+    for pair in range(g):
+        value = 1.0
+        for amps in folded:
+            value *= np.vdot(amps[pair], amps[g + pair])
+        # factor by factor, since prod nu! * prod mu! can overflow a double
+        root_repeats = 1.0
+        for row in (pair, g + pair):
+            triples = list(zip(*rows[row]))
+            for block in blocks:
+                for k in Counter(triples[block]).values():
+                    if k > 1:  # a factor sqrt(1!) = 1 leaves the product as it is
+                        root_repeats *= math.sqrt(math.factorial(k))
+        values[pair] = value / root_repeats
+    return values
 
 
 def fermion_amplitude(

@@ -32,6 +32,11 @@ class Spin(enum.Enum):
     UP = "up"
     DOWN = "down"
 
+    # members are singletons compared by identity.  Enum's __hash__ hashes
+    # the name in Python, which every basis-label lookup paid; the identity
+    # hash runs in C.  No output depends on the order of a set of labels.
+    __hash__ = object.__hash__
+
     @property
     def index(self) -> int:
         return 0 if self is Spin.UP else 1
@@ -448,15 +453,30 @@ def _expansion_terms(
     equal rows merge in order of first appearance, their coefficients
     summed in permutation order, and terms that cancel are dropped.
     """
-    n = len(kets)
+    return _pattern_terms(_ket_pattern(kets), statistics)
+
+
+def _ket_pattern(kets: Sequence[SingleParticleKet]) -> Tuple[int, ...]:
+    """The equal-ket pattern: the index of each ket's first exactly equal
+    ket, one with the same (label, amplitude) pairs and so the same
+    :meth:`SingleParticleKet.signature`, unsorted."""
+    first: Dict[frozenset, int] = {}
+    return tuple(first.setdefault(frozenset(ket.items()), idx) for idx, ket in enumerate(kets))
+
+
+def _pattern_terms(
+    pattern: Tuple[int, ...], statistics: Statistics
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_expansion_terms` of kets with the equal-ket pattern
+    ``pattern`` (:func:`_ket_pattern`), which fixes its terms alone."""
+    n = len(pattern)
     if n == 0:
         raise ConsistencyError("at least one ket is required")
     if n > EXPANSION_SIZE_LIMIT:
         raise SizeLimitError(
             f"expand_first_quantized is capped at N <= {EXPANSION_SIZE_LIMIT}, got N = {n}"
         )
-    first: Dict[tuple, int] = {}
-    reps = np.array([first.setdefault(ket.signature(), idx) for idx, ket in enumerate(kets)])
+    reps = np.array(pattern)
     multiplicities = np.bincount(reps)
     base = 1.0 / math.sqrt(
         math.factorial(n) * math.prod(math.factorial(v) for v in multiplicities.tolist())
@@ -466,7 +486,7 @@ def _expansion_terms(
     coeffs = np.full(len(perms), base)
     if statistics is Statistics.FERMION:
         coeffs[odd] = -base
-    if len(first) < n:
+    if len(set(pattern)) < n:
         # equal rows share a base-n code; keep each row's first appearance
         codes = slots @ n ** np.arange(n)
         _, first_at, inverse = np.unique(codes, return_index=True, return_inverse=True)

@@ -70,6 +70,7 @@ def reference_parse(text):
         if not isinstance(degrees, bool):
             raise ConfigError(f"field 'degrees' must be true or false, got {degrees!r}")
         scale = math.pi / 180.0 if degrees else 1.0
+        bound, bound_text = (90.0, "90") if degrees else (math.pi / 2, "pi/2")
         stat = unwrap(data.get("statistics", "boson"))
         if stat not in ("boson", "fermion"):
             raise ConfigError(f"statistics must be 'boson' or 'fermion', got {stat!r}")
@@ -89,17 +90,19 @@ def reference_parse(text):
             entry = {k: unwrap(v) for k, v in entry.items()}
             if entry.get("spin") not in ("up", "down"):
                 raise ConfigError(f"{where}: field 'spin' must be 'up' or 'down'")
-            angles = []
+            angles, given = [], {}
             for name, (default, _) in ANGLES.items():
                 if name in entry:
-                    angles.append(number(entry[name], f"{where}: field {name!r}") * scale)
+                    given[name] = number(entry[name], f"{where}: field {name!r}")
+                    angles.append(given[name] * scale)
                 elif default is None:
                     raise ConfigError(f"{where}: field {name!r} is required")
                 else:
                     angles.append(default)
-            for label, value in (("theta", angles[0]), ("phi", angles[2])):
-                if not 0.0 <= value <= math.pi / 2:
-                    raise ConfigError(f"{where}: {label} must lie in [0, pi/2], got {value!r}")
+            # each given bounded angle in the file's unit
+            for label in ("theta", "phi"):
+                if label in given and not 0.0 <= given[label] <= bound:
+                    raise ConfigError(f"{where}: {label} must lie in [0, {bound_text}], got {given[label]!r}")
             particles.append((Spin(entry["spin"]), *angles))
         order = sorted(range(len(particles)), key=lambda i: particles[i][0].index)
         return tuple(particles[i] for i in order), Statistics(stat), tuple(order), degrees
@@ -164,11 +167,11 @@ REJECTIONS = [
     ('{"particles": [{"spin": "up", "theta": 2}]}',
      'particles[0]: theta must lie in [0, pi/2], got 2.0'),
     ('{"particles": [{"spin": "up", "theta": 95}], "degrees": true}',
-     'particles[0]: theta must lie in [0, pi/2], got 1.6580627893946132'),
+     'particles[0]: theta must lie in [0, 90], got 95.0'),
     ('{"particles": [{"spin": "up", "theta": 30, "phi": -1}], "degrees": true}',
-     'particles[0]: phi must lie in [0, pi/2], got -0.017453292519943295'),
+     'particles[0]: phi must lie in [0, 90], got -1.0'),
     ('{"particles": [{"spin": "up", "theta": 30, "phi": 90.5}], "degrees": true}',
-     'particles[0]: phi must lie in [0, pi/2], got 1.5795229730548683'),
+     'particles[0]: phi must lie in [0, 90], got 90.5'),
     ('{"particles": [{"spin": "up", "theta": 3.0, "gamma": "x"}]}',
      "particles[0]: field 'gamma' must be a number, got 'x'"),
     ('{"particles": [{"spin": "up", "theta": 0.3}], "degrees": "true"}',

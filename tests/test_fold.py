@@ -155,3 +155,24 @@ def test_projection_is_bit_identical_to_the_per_block_loop(monkeypatch, n_up, n_
             want = fold._project_batch(n_up, *angles)
         for a, b in zip(got, want):
             assert same_bits(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def test_fold_amplitude_is_its_row_of_fold_amplitudes():
+    # a pair's amplitude is the same to the bit, sign bits included, in a
+    # batch of any size: fold_amplitude is the batch of one
+    rng = np.random.default_rng(29)
+    pairs, n_ups = 0, set()
+    while pairs < 300:
+        n_total = int(rng.choice([int(rng.integers(1, 13)), int(rng.integers(13, 41)), int(rng.integers(41, 171))]))
+        n_total = n_total if pairs else fold.PROJECTION_SIZE_LIMIT
+        n_up = int(rng.choice([0, n_total, int(rng.integers(0, n_total + 1))]))
+        g = int(rng.integers(1, 13)) if n_total <= 40 else int(rng.integers(1, 4))
+        angles = np.stack(seeded_angles(rng, 2 * g, n_total)).reshape(4, 2, g, n_total)
+        batch = fold.fold_amplitudes(n_up, *angles)
+        assert batch.shape == (g,)
+        for pair in range(g):
+            one = fold.fold_amplitude(n_up, n_up, *angles[:, :, pair])
+            assert same_bits(np.array([one]), batch[pair : pair + 1]), (n_total, n_up, g, pair)
+        pairs += g
+        n_ups.add("none" if n_up == 0 else "all" if n_up == n_total else "some")
+    assert n_ups == {"none", "all", "some"}

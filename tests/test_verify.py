@@ -18,7 +18,7 @@ from identangle.detection import (
     sector_reduced_density,
 )
 from identangle.errors import NullStateError, SizeLimitError
-from identangle.fold import _project_batch, fold_amplitude
+from identangle.fold import _project_batch, fold_amplitudes
 from identangle.measures import (
     three_boson_average_concurrence,
     three_boson_average_concurrence_coherences,
@@ -281,8 +281,9 @@ def test_oracle_suite_errors_equal_case_by_case(monkeypatch, seed):
 
 
 def test_oracle_suite_checks_the_fold_amplitude(monkeypatch):
-    # the route the amplitude command runs, off by 1e-9 on every call
-    monkeypatch.setattr(verify, "fold_amplitude", lambda *args: fold_amplitude(*args) + 1e-9)
+    # the route the amplitude command runs, batched per (N, n_up) group,
+    # off by 1e-9 on every pair
+    monkeypatch.setattr(verify, "fold_amplitudes", lambda *args: fold_amplitudes(*args) + 1e-9)
     result = CliRunner().invoke(main, ["verify", "oracle", "--cases", "2"])
     assert result.exit_code == 1, result.output
     assert json.loads(result.output)["failures"] > 0
