@@ -214,59 +214,69 @@ def project(config_path: str, output: str):
     _write_output(_project_json(config), output)
 
 
+def _grid_row_error(axes: List[SweepAxis], row: int, exc: RowError) -> ConsistencyError:
+    """The error of grid row ``row``, named with its axis values."""
+    import numpy as np
+
+    index = np.unravel_index(row, [len(axis.values) for axis in axes])
+    point = ", ".join(f"{axis.path} = {axis.values[i].item()!r}" for axis, i in zip(axes, index))
+    return ConsistencyError(f"grid row {row} ({point}): {exc}")
+
+
 def _sweep_chunk(
-    rows: slice,
-    config: EnsembleConfig,
-    axes: List[SweepAxis],
-    measure: str,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The grid rows ``rows`` as (axis values, p, leak, entanglement) arrays,
-    the axis values in the config's unit.
+    rows: slice, grid, axes: List[SweepAxis], measure: str
+) -> Tuple[Tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The grid rows ``rows`` of ``grid`` (:class:`fold.GridSweep`) as
+    (each axis's value index, p, leak, entanglement) arrays.
 
     A failed consistency check names the first failing row and its axis
     values.
     """
     import numpy as np
 
-    from .fold import sweep_grid
-
     index = np.unravel_index(np.arange(rows.start, rows.stop), [len(axis.values) for axis in axes])
-    values = np.column_stack([axis.values[i] for axis, i in zip(axes, index)])
-    angles = np.repeat(config.angles()[:, None], len(values), axis=1)
-    for column, axis in enumerate(axes):
-        # in radians, as parse_ensemble_config stores a value given in the file
-        angles[axis.row, :, axis.particle] = values[:, column] * config.radians_per_unit
     try:
-        p, leak, entanglement = sweep_grid(config.n_up, *angles, measure)
+        return (index, *grid.rows(rows.start, rows.stop, measure))
     except RowError as exc:
-        point = ", ".join(
-            f"{axis.path} = {value!r}"
-            for axis, value in zip(axes, values[exc.row].tolist())
-        )
-        raise ConsistencyError(f"grid row {rows.start + exc.row} ({point}): {exc}") from None
-    return values, p, leak, entanglement
+        raise _grid_row_error(axes, rows.start + exc.row, exc) from None
 
 
-def _sweep_json(paths: List[str], results) -> str:
+def _row_texts(
+    values: List[np.ndarray], index: Sequence[np.ndarray], keys: Sequence[str], render, sep: str
+) -> List[str]:
+    """Each row's axis text: for every axis a, ``keys[a]`` and the
+    ``render`` of the row's value ``values[a][index[a]]``, joined by
+    ``sep``.  Each axis value the rows hold is rendered once, so there are
+    never more texts than rows."""
+    parts = []
+    for axis, key, i in zip(values, keys, index):
+        low = int(i.min())
+        texts = [key + render(value) for value in axis[low : int(i.max()) + 1].tolist()]
+        parts.append(map(texts.__getitem__, (i - low).tolist()))
+    return list(parts[0]) if len(parts) == 1 else list(map(sep.join, zip(*parts)))
+
+
+def _sweep_json(paths: List[str], values: List[np.ndarray], results) -> str:
     """The sweep records as json.dumps(records, indent=2) renders them.
 
     A record lists the axis values, the nonzero p_q keyed by q, the leak
     and the entanglement of one grid row, in the order of ``results``
-    (:func:`_sweep_chunk` chunks), each rendered from a template: a value's
-    JSON is its repr when finite, json.dumps otherwise.
+    (:func:`_sweep_chunk` chunks, each row's value on axis a being
+    ``values[a][index]``), each rendered from a template: a value's JSON
+    is its repr when finite, json.dumps otherwise.  Each chunk renders each
+    axis value it holds once (:func:`_row_texts`).
     """
     import numpy as np
 
-    keys = [json.dumps(path) for path in paths]
-    width = len(paths)
+    keys = [json.dumps(path) + ": " for path in paths]
     records = []
-    for values, p, leak, ent in results:
-        table = np.column_stack([values, p, leak, ent])
+    for index, p, leak, ent in results:
+        table = np.column_stack([p, leak, ent])
         text = repr if np.isfinite(table).all() else _float_json
-        for row in table.tolist():
-            parameters = ",\n      ".join([f"{key}: {text(value)}" for key, value in zip(keys, row)])
+        texts = _row_texts(values, index, keys, _float_json, ",\n      ")
+        for parameters, row in zip(texts, table.tolist()):
             probs = ",\n      ".join(
-                [f'"{q}": {text(value)}' for q, value in enumerate(row[width:-2]) if value != 0.0]
+                [f'"{q}": {text(value)}' for q, value in enumerate(row[:-2]) if value != 0.0]
             )
             records.append(
                 f'  {{\n    "parameters": {{\n      {parameters}\n    }},\n    "p": '
@@ -279,18 +289,20 @@ def _sweep_json(paths: List[str], results) -> str:
 def sweep(config_path, sweep_path, measure, fmt, threads, output):
     """Evaluate the projection over a parameter grid.
 
-    The grid is evaluated in the chunks of rows of :func:`fold.fold_chunks`,
-    each as numpy arrays (:func:`fold.sweep_grid`); with --threads above
-    one, up to that many threads (never more than there are chunks or
-    CPUs) evaluate chunks side by side.  Every chunk is evaluated before
-    anything is written, so a failing grid row writes no output.  Rows
-    follow the lexicographic grid order of the sweep axes and are
-    identical for any thread count.
+    The grid is evaluated as one :class:`fold.GridSweep`: each spin block's
+    fixed particles are folded once per sweep, and each chunk of rows
+    (:func:`fold.fold_chunks`) continues a block's fold once per distinct
+    setting of the axes that move it.  With --threads above one, up to
+    that many threads (never more than there are chunks or CPUs) evaluate
+    chunks side by side.  Every chunk is evaluated before anything is
+    written, so a failing grid row writes no output.  Rows follow the
+    lexicographic grid order of the sweep axes and are identical for any
+    thread count; each chunk formats each axis value it holds once.
     """
     import numpy as np
 
     from .config import parse_ensemble_config, parse_sweep_spec
-    from .fold import fold_chunks
+    from .fold import GridSweep, fold_chunks
 
     config = _read_input("config", config_path, parse_ensemble_config)
     _require_bosons(config)
@@ -300,10 +312,17 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
 
     paths = [axis.path for axis in axes]
     n = config.n_total
+    try:
+        # in radians, as parse_ensemble_config stores a value given in the file
+        grid = GridSweep(
+            config.n_up,
+            config.angles(),
+            [(axis.row, axis.particle, axis.values * config.radians_per_unit) for axis in axes],
+        )
+    except RowError as exc:
+        raise _grid_row_error(axes, exc.row, exc) from None
     chunks = fold_chunks(config.n_up, n, math.prod(len(axis.values) for axis in axes))
-    evaluate = functools.partial(
-        _sweep_chunk, config=config, axes=axes, measure=measure
-    )
+    evaluate = functools.partial(_sweep_chunk, grid=grid, axes=axes, measure=measure)
     # pool.map submits every chunk, and each submission may start a thread
     workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers == 1:
@@ -315,16 +334,18 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
             results = list(pool.map(evaluate, chunks))
 
     if fmt == "json":
-        _write_output(_sweep_json(paths, results), output)
+        _write_output(_sweep_json(paths, [axis.values for axis in axes], results), output)
         return
 
     header = paths + [f"p_{q}" for q in range(n + 1)] + ["leak", "entanglement"]
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    values, keys = [axis.values for axis in axes], [""] * len(axes)
+    row_format = ",%.17g" * (n + 3) + "\n"
     with _output_stream(output) as stream:
         stream.write(",".join(header) + "\n")
-        for values, p, leak, ent in results:
-            rows = np.column_stack([values, p, leak, ent]).tolist()
-            stream.write("".join(row_format % tuple(row) for row in rows))
+        for index, p, leak, ent in results:
+            rows = np.column_stack([p, leak, ent]).tolist()
+            prefixes = _row_texts(values, index, keys, "%.17g".__mod__, ",")
+            stream.write("".join([prefix + row_format % tuple(row) for prefix, row in zip(prefixes, rows)]))
 
 
 def schmidt(n_total, n_up, theta, omega, split, output):

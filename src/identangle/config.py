@@ -165,17 +165,43 @@ def _fields(pairs: List[Tuple[str, object]]) -> dict:
     return fields
 
 
-#: one decoder for every parse, since building one costs more than a small config
+#: one decoder of each kind for every parse, since building one costs more
+#: than a small config: the plain one, and one that marks repeated fields
+_PLAIN = json.JSONDecoder()
 _DECODER = json.JSONDecoder(object_pairs_hook=_fields)
 
 
-def _decode(text: str, label: str, syntax: str):
-    """``_DECODER.decode(text)``, each failure a ConfigError: ``syntax``
+def _member_count(data, entries: str) -> int:
+    """The members of a decoded root object and of each object in its
+    ``entries`` list; -1 for a root that is no object."""
+    if type(data) is not dict:
+        return -1
+    count = len(data)
+    items = data.get(entries)
+    if type(items) is list:
+        count += sum(len(item) for item in items if type(item) is dict)
+    return count
+
+
+def _decode(text: str, label: str, syntax: str, entries: str):
+    """The JSON value of ``text``, each object that repeats a field a
+    :class:`_RepeatedFields`, and each failure a ConfigError: ``syntax``
     formatted with the JSONDecodeError, or ``invalid <label>`` and the
     reason for deep nesting and over-long integer literals, which escape
-    the decoder as RecursionError and ValueError."""
+    the decoder as RecursionError and ValueError.
+
+    The text is decoded plainly first.  Each member of an object holds one
+    colon of the text, so when the colons number exactly the members of
+    the root and of each object in its ``entries`` list, no object repeats
+    a field (a repeat decodes to one member), no other object has a member
+    and no string holds a colon: the plain value is the marked one.
+    Otherwise the text is decoded again, marking repeats.
+    """
     try:
-        return _DECODER.decode(text)
+        data = _PLAIN.decode(text)
+        if text.count(":") != _member_count(data, entries):
+            data = _DECODER.decode(text)
+        return data
     except json.JSONDecodeError as exc:
         message = syntax.format(exc)
     except RecursionError:
@@ -252,7 +278,7 @@ def parse_ensemble_config(text: str) -> EnsembleConfig:
     given twice in one object, a non-boolean "degrees" and null values are
     errors.
     """
-    data = _decode(text, "JSON", "invalid JSON at line {0.lineno}, column {0.colno}: {0.msg}")
+    data = _decode(text, "JSON", "invalid JSON at line {0.lineno}, column {0.colno}: {0.msg}", "particles")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_repeated(data, "")
@@ -322,7 +348,7 @@ def parse_sweep_spec(text: str, config: EnsembleConfig) -> List[SweepAxis]:
     points are clamped into that interval, and a values list is checked
     point by point.
     """
-    data = _decode(text, "sweep JSON", "invalid sweep JSON: {0.msg}")
+    data = _decode(text, "sweep JSON", "invalid sweep JSON: {0.msg}", "axes")
     if not isinstance(data, dict):
         raise ConfigError("sweep spec must be an object holding only 'axes'")
     _reject_repeated(data, "")

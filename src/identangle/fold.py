@@ -2,8 +2,11 @@
 transition amplitudes of ensembles given as (G, N) angle rows, spin-up
 first.  Each spin block lies in span{L, R, chi}, so its state follows from
 its particles' (c, s, r) amplitudes: Fock amplitudes for bosons, minors for
-fermions.  Past numpy and the stdlib it imports only ``errors`` and
-``tolerances``; ``detection`` and ``measures`` build on it.
+fermions.  A sweep over a grid of angle values (:class:`GridSweep`) folds
+each block's fixed particles once and continues that fold per setting of
+the swept ones; every projection ends in one combine step
+(:func:`_combine`).  Past numpy and the stdlib it imports only ``errors``
+and ``tolerances``; ``detection`` and ``measures`` build on it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,6 +93,8 @@ def _fock_blocks(
     s: np.ndarray,
     r: np.ndarray,
     blocks: Optional[Sequence[Tuple[int, int]]] = None,
+    start: Optional[Sequence[np.ndarray]] = None,
+    raw: bool = False,
 ) -> List[np.ndarray]:
     """Unnormalized Fock amplitudes of spin blocks, each over a batch of states.
 
@@ -104,62 +109,129 @@ def _fock_blocks(
     - a_R.  Returns these amplitudes for each block, indexed [:, a_L, a_R],
     shape (rows_b, n_b+1, n_b+1), zero where a_L + a_R > n_b.
 
+    ``start``, one array per block, continues a fold instead of starting
+    from the vacuum: block b's coefficients of m_b particles folded before,
+    shape (1 or rows_b, m_b+1, m_b+1), as ``raw=True`` returns them; the
+    block's amplitudes are then those of its m_b + n_b particles.  ``raw``
+    returns the coefficients without the sqrt(a_L! a_R! a_chi!) scale.
+
     One loop folds every block: step k multiplies in particle k of each
     block that has one.  With the largest block first, the rows still
     folding are a prefix, and a block leaves the loop once its particles
-    run out; an empty block takes no step.
+    run out; an empty block takes no step.  Starts of different m_b are
+    zero-padded to the largest, which leaves each block's coefficients
+    as they are.
     """
     rows, width = c.shape
     blocks = blocks or [(rows, width)]
+    if start is None:
+        held = [0] * len(blocks)
+        coeffs = np.ones((rows, 1, 1), dtype=complex)
+    elif len(start) == 1:
+        # read only, so one block's start need not be copied to every row
+        held = [start[0].shape[1] - 1]
+        coeffs = np.broadcast_to(start[0], (rows, *start[0].shape[1:]))
+    else:
+        held = [state.shape[1] - 1 for state in start]
+        coeffs = np.zeros((rows, max(held) + 1, max(held) + 1), dtype=complex)
+        first = 0
+        for (end, _), state in zip(blocks, start):
+            coeffs[first:end, : state.shape[1], : state.shape[2]] = state
+            first = end
+    # the particles every start array holds, padded ones included
+    base = coeffs.shape[1] - 1
     # particle k's amplitudes of every row still folding at [k], shaped
     # (rows, 1, 1) to scale whole arrays
     cs, ss, rs = c.T[:, :, None, None], s.T[:, :, None, None], r.T[:, :, None, None]
-    # after k particles only a_L, a_R <= k carry coefficients
-    coeffs = np.ones((rows, 1, 1), dtype=complex)
     # one buffer for every step's products, since a fresh large array costs
     # more than the arithmetic that fills it
-    products = np.empty(rows * width * width, dtype=complex)
+    products = np.empty(rows * (base + width) ** 2, dtype=complex)
     results = []
     k = 0
     # the smallest block left finishes next, its rows at the end
     for b in range(len(blocks) - 1, -1, -1):
         rows, n = blocks[b]
         for k in range(k, n):
-            nxt = np.zeros((rows, k + 2, k + 2), dtype=complex)
-            # each product goes to ``product`` (the ufunc's positional out)
+            # with particle k folded in, a_L and a_R run up to base + k + 1
+            nxt = np.zeros((rows, base + k + 2, base + k + 2), dtype=complex)
+            # the first product goes straight into ``nxt``, the others to
+            # ``product`` (the ufunc's positional out)
+            np.multiply(rs[k], coeffs, nxt[:, :-1, :-1])
             product = products[: coeffs.size].reshape(coeffs.shape)
-            nxt[:, :-1, :-1] = np.multiply(rs[k], coeffs, product)
             nxt[:, 1:, :-1] += np.multiply(cs[k], coeffs, product)
             nxt[:, :-1, 1:] += np.multiply(ss[k], coeffs, product)
             coeffs = nxt
         k = n
-        start = blocks[b - 1][0] if b else 0
-        results.append(coeffs[start:] * _block_layout(n)[2])
+        first = blocks[b - 1][0] if b else 0
+        total = held[b] + n
+        amps = coeffs[first:, : total + 1, : total + 1]
+        results.append(amps if raw else amps * _block_layout(total)[2])
         if b:
-            coeffs, cs, ss, rs = coeffs[:start], cs[:, :start], ss[:, :start], rs[:, :start]
+            coeffs, cs, ss, rs = coeffs[:first], cs[:, :first], ss[:, :first], rs[:, :first]
     return results[::-1]
 
 
+#: one spin block of a batch: its particles' (c, s, r) arrays, (G, n) each
+_Block = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _split(c: np.ndarray, s: np.ndarray, r: np.ndarray, n_up: int) -> Tuple[_Block, _Block]:
+    """The up and the down block of (G, N) amplitudes, particles spin-up first."""
+    return (c[:, :n_up], s[:, :n_up], r[:, :n_up]), (c[:, n_up:], s[:, n_up:], r[:, n_up:])
+
+
 def _split_fold(
-    c: np.ndarray, s: np.ndarray, r: np.ndarray, n_up: int
+    up: _Block, down: _Block, start: Optional[Sequence[np.ndarray]] = None, raw: bool = False
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fock amplitudes (:func:`_fock_blocks`) of the up and the down block
-    of a (G, N) batch, particles spin-up first, folded in one loop: the
-    larger block's rows stacked first, the other's after them."""
-    g, total = c.shape
-    up, down = slice(None, n_up), slice(n_up, None)
-    large, small = (up, down) if 2 * n_up >= total else (down, up)
-    sizes = [max(n_up, total - n_up), min(n_up, total - n_up)]
-    if not sizes[1]:  # an empty block is the vacuum, amplitude 1
-        (amps,) = _fock_blocks(c[:, large], s[:, large], r[:, large])
-        vacuum = np.ones((g, 1, 1), dtype=complex)
-        return (amps, vacuum) if large is up else (vacuum, amps)
-    # complex, as the products of the fold cast them
-    stacked = np.zeros((3, 2 * g, sizes[0]), dtype=complex)
-    stacked[:, :g] = (c[:, large], s[:, large], r[:, large])
-    stacked[:, g:, : sizes[1]] = (c[:, small], s[:, small], r[:, small])
-    first, second = _fock_blocks(*stacked, [(g, sizes[0]), (2 * g, sizes[1])])
-    return (first, second) if large is up else (second, first)
+    """Fock amplitudes (:func:`_fock_blocks`) of an up and a down block,
+    folded in one loop: the block of more particles stacked first, the
+    other's rows after it.  ``start`` holds the up and the down block's
+    start, or is None for the vacuum; ``raw`` is that of
+    :func:`_fock_blocks`."""
+    parts = [(up, None), (down, None)] if start is None else [(up, start[0]), (down, start[1])]
+    if down[0].shape[1] > up[0].shape[1]:
+        parts.reverse()
+    (large, large_start), (small, small_start) = parts
+    (g, width), (h, n) = large[0].shape, small[0].shape
+    if start is None and not n:  # an empty block is the vacuum, amplitude 1
+        (amps,) = _fock_blocks(*large, raw=raw)
+        folded = [amps, np.ones((h, 1, 1), dtype=complex)]
+    else:
+        # complex, as the products of the fold cast them
+        stacked = np.zeros((3, g + h, width), dtype=complex)
+        stacked[:, :g] = large
+        stacked[:, g:, :n] = small
+        starts = None if start is None else [large_start, small_start]
+        folded = _fock_blocks(*stacked, [(g, width), (g + h, n)], starts, raw)
+    return (folded[0], folded[1]) if parts[0][0] is up else (folded[1], folded[0])
+
+
+#: complex entries (128 KiB) up to which a step's array of a batch's two
+#: blocks, folded stacked in one loop, may grow.  In fresh processes at
+#: N = 2..9 stacking took 0.85-0.99x the per-block time at 5,760-8,190
+#: entries (1.02-1.12x at N = 3, whose down block is one particle), and
+#: 1.03-2.1x from 10,800 entries on, where each stacked call took 67-740
+#: fresh pages from the allocator (minor page faults), each per-block call
+#: 3-670.  A single state (G = 1) always folds stacked: halving its steps
+#: paid at every N measured, up to 170.
+STACKED_ENTRIES = 1 << 13
+
+
+def _fold_pair(
+    up: _Block, down: _Block, start: Optional[Sequence[np.ndarray]] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fock amplitudes of an up and a down block: folded in one loop
+    (:func:`_split_fold`) when each block is a single state, or while a
+    step's stacked array stays within STACKED_ENTRIES, and each on its own
+    otherwise.  ``start`` is that of :func:`_split_fold`."""
+    rows = len(up[0]) + len(down[0])
+    held = (0, 0) if start is None else [state.shape[1] - 1 for state in start]
+    size = max(part[0].shape[1] + m for part, m in zip((up, down), held)) + 1
+    if rows == 2 or rows * size ** 2 <= STACKED_ENTRIES:
+        return _split_fold(up, down, start)
+    if start is None:
+        return _fock_blocks(*up)[0], _fock_blocks(*down)[0]
+    return _fock_blocks(*up, start=start[:1])[0], _fock_blocks(*down, start=start[1:])[0]
 
 
 def _detector_block(amps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,6 +283,32 @@ def _require_fold_size(what: str, total: int):
         )
 
 
+def _amplitudes(
+    theta: np.ndarray,
+    omega: np.ndarray,
+    phi: np.ndarray,
+    gamma: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_mode_amplitudes` without its check: the amplitudes stacked
+    (3, G, N), each particle's norm (G, N) and whether it lies within
+    ``TOL.normalization`` of one (G, N)."""
+    sin_phi = np.sin(phi)
+    phases = _phases(np.stack((omega, gamma)))
+    # c, s and r in one array, so that each later step is one call; c is
+    # real, stored as c + 0j, which the fold's products cast it to anyway
+    amps = np.empty((3, *theta.shape), dtype=complex)
+    amps[0] = sin_phi * np.cos(theta)
+    np.multiply(sin_phi * np.sin(theta), phases[0], out=amps[1])
+    np.multiply(np.cos(phi), phases[1], out=amps[2])
+    absolute = np.abs(amps)
+    pruned = absolute <= TOL.pruning
+    amps[pruned] = 0.0
+    absolute[pruned] = 0.0
+    squares = absolute ** 2
+    norm = np.sqrt(squares[0] + squares[1] + squares[2])
+    return amps, norm, np.abs(norm - 1.0) <= TOL.normalization
+
+
 def _mode_amplitudes(
     theta: np.ndarray,
     omega: np.ndarray,
@@ -224,31 +322,13 @@ def _mode_amplitudes(
     particle off unit norm by more than ``TOL.normalization`` raises
     RowError on its row.
     """
-    sin_phi = np.sin(phi)
-    c = sin_phi * np.cos(theta)
-    s = sin_phi * np.sin(theta) * _phases(omega)
-    r = np.cos(phi) * _phases(gamma)
-    for amps in (c, s, r):
-        amps[np.abs(amps) <= TOL.pruning] = 0.0
-    norm = np.sqrt(np.abs(c) ** 2 + np.abs(s) ** 2 + np.abs(r) ** 2)
-    unit = np.abs(norm - 1.0) <= TOL.normalization
+    amps, norm, unit = _amplitudes(theta, omega, phi, gamma)
     _require_rows(
         unit.all(axis=1),
         lambda row: "single-particle ket must be unit norm, "
         f"got {float(norm[row][~unit[row]][0])!r}",
     )
-    return c, s, r
-
-
-#: complex entries (128 KiB) up to which a step's array of a batch's two
-#: blocks, folded stacked in one loop, may grow.  In fresh processes at
-#: N = 2..9 stacking took 0.85-0.99x the per-block time at 5,760-8,190
-#: entries (1.02-1.12x at N = 3, whose down block is one particle), and
-#: 1.03-2.1x from 10,800 entries on, where each stacked call took 67-740
-#: fresh pages from the allocator (minor page faults), each per-block call
-#: 3-670.  A single state (G = 1) always folds stacked: halving its steps
-#: paid at every N measured, up to 170.
-STACKED_ENTRIES = 1 << 13
+    return amps[0], amps[1], amps[2]
 
 
 def _project_batch(
@@ -264,8 +344,25 @@ def _project_batch(
     Each particle's amplitudes on L, R and the remainder mode chi are those
     of :func:`_mode_amplitudes`.  Up and down particles never share a mode,
     so each state is a product of an up and a down block
-    (:func:`_detector_block`), and the outcome with alpha up and beta down
-    particles at L has amplitude U[alpha] * D[beta].
+    (:func:`_detector_block`), which :func:`_combine` joins.  Returns what
+    :func:`_combine` returns.
+    """
+    _require_fold_size("projection", theta.shape[1])
+    c, s, r = _mode_amplitudes(theta, omega, phi, gamma)
+    up_amps, down_amps = _fold_pair(*_split(c, s, r, n_up))
+    return _combine(n_up, _detector_block(up_amps), _detector_block(down_amps))
+
+
+def _combine(
+    n_up: int,
+    up_block: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    down_block: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Projection of G states, each the product of an up and a down block
+    given by :func:`_detector_block` (a block of one row stands for every
+    row): the outcome with alpha up and beta down particles at L has
+    amplitude U[alpha] * D[beta].
+
     Outcomes with |amplitude| <= ``TOL.pruning`` are dropped and the rest
     grouped into sectors by q = alpha + beta; a sector below
     ``TOL.pruning`` reads as empty (probability 0).  This is the one place
@@ -284,23 +381,14 @@ def _project_batch(
     zeroed: the projected state has unit norm, so a deviation above
     ``TOL.normalization`` raises RowError on the first failing row.
     """
-    total = theta.shape[1]
-    _require_fold_size("projection", total)
-    c, s, r = _mode_amplitudes(theta, omega, phi, gamma)
-    # both blocks fold in one loop for a single state, and for a batch while
-    # a step's stacked array stays within STACKED_ENTRIES
-    if len(c) == 1 or 2 * len(c) * (max(n_up, total - n_up) + 1) ** 2 <= STACKED_ENTRIES:
-        up_amps, down_amps = _split_fold(c, s, r, n_up)
-    else:
-        (up_amps,) = _fock_blocks(c[:, :n_up], s[:, :n_up], r[:, :n_up])
-        (down_amps,) = _fock_blocks(c[:, n_up:], s[:, n_up:], r[:, n_up:])
-    up, up_detected, up_leaked = _detector_block(up_amps)
-    down, _, down_leaked = _detector_block(down_amps)
+    up, up_detected, up_leaked = up_block
+    down, _, down_leaked = down_block
+    n_down = down.shape[1] - 1
     outcomes = up[:, :, None] * down[:, None, :]
     kept = outcomes.real ** 2 + outcomes.imag ** 2
     kept[np.abs(outcomes) <= TOL.pruning] = 0.0
-    q, alpha = _sector_layout(n_up, total - n_up)
-    by_sector = np.zeros((len(outcomes), total + 1, n_up + 1))
+    q, alpha = _sector_layout(n_up, n_down)
+    by_sector = np.zeros((len(outcomes), n_up + n_down + 1, n_up + 1))
     by_sector[:, q, alpha] = kept
     p = by_sector.sum(axis=2)
     # an outcome leaks when either block has a particle in its remainder mode
@@ -376,7 +464,7 @@ def _pair_amplitudes(n_up: int, c: np.ndarray, s: np.ndarray, r: np.ndarray) -> 
     """
     g = len(c) // 2
     blocks = (slice(None, n_up), slice(n_up, None))
-    folded = _split_fold(c, s, r, n_up)
+    folded = _split_fold(*_split(c, s, r, n_up))
     rows = list(zip(c.tolist(), s.tolist(), r.tolist()))
     values = np.empty(g, dtype=complex)
     for pair in range(g):
@@ -508,6 +596,171 @@ def sweep_grid(
             raise RowError(rows.start + exc.row, str(exc)) from None
         results.append((p, leak, _postselected(weights, p, measure)))
     return tuple(np.concatenate(parts) for parts in zip(*results))
+
+
+class _GridBlock(NamedTuple):
+    """A spin block of a :class:`GridSweep` that axes move.
+
+    The axes from the first to the last that move the block form one
+    digit of the lexicographic grid index: grid row g has setting
+    q = g // ``stride`` of it, and q % ``size`` repeats with period
+    ``size``.  Each swept particle's amplitudes are tabled once per
+    sweep, for every setting of its own axes.
+    """
+
+    stride: int
+    size: int
+    #: per swept particle, ascending: (stride within q, length, weight in
+    #: its table) of each of its axes, and the offset of its table
+    particles: Tuple[Tuple[Tuple[Tuple[int, int, int], ...], int], ...]
+    #: the tables of the swept particles, one after the other: (c, s, r)
+    #: (3, K) and whether each particle is within tolerance of unit norm (K,)
+    amplitudes: np.ndarray
+    unit: np.ndarray
+    #: unscaled coefficients of the block's fixed particles, folded once
+    #: (1, m+1, m+1)
+    state: np.ndarray
+
+    def settings(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The block's settings among grid rows [start, stop), in the order
+        of their first rows: their q (S,), and each swept particle's place
+        in the tables (S, n)."""
+        q0 = start // self.stride
+        keys = np.arange(q0, q0 + min(self.size, (stop - 1) // self.stride - q0 + 1))
+        places = np.empty((len(keys), len(self.particles)), dtype=np.intp)
+        for column, (axes, offset) in enumerate(self.particles):
+            places[:, column] = offset
+            for stride, length, weight in axes:
+                places[:, column] += keys // stride % length * weight
+        return keys, places
+
+    def first_row(self, q: int, start: int) -> int:
+        """The first row of setting ``q`` among rows [start, ...), counted
+        from start."""
+        return max(int(q) * self.stride, start) - start
+
+
+class GridSweep:
+    """The projection and postselected entanglement over a grid of angle
+    values, evaluated in two parts: one per sweep, one per chunk of rows.
+
+    ``angles`` (4, N) are a config's angles in radians, particles spin-up
+    first (n_up of them); each axis is (angle row, stored particle, values
+    in radians), and grid row g sets every axis to its value at g's place
+    in the lexicographic order of the axes.
+
+    Once per sweep, each spin block's fixed particles (those no axis moves)
+    are folded, a block no axis moves is projected whole, and each swept
+    particle's amplitudes are tabled for every setting of its own axes,
+    all of them checked for unit norm in one call.  Per chunk of rows
+    (:meth:`rows`), each moved block's fold continues from its fixed state
+    with its swept particles, once per distinct setting of the axes from
+    the first to the last that moves it, and :func:`_combine` joins the
+    blocks row by row.  A row equals :func:`_project_batch` of its
+    ensemble within rounding; only the order of the fold's products
+    differs, so the two agree to the bit where no swept particle precedes a
+    fixed one in its block.  Every check of :func:`_project_batch` runs in
+    the same order and raises RowError on the same first failing row.
+    """
+
+    def __init__(self, n_up: int, angles: np.ndarray, axes: Sequence[Tuple[int, int, np.ndarray]]):
+        total = angles.shape[1]
+        _require_fold_size("projection", total)
+        self.n_up, self.angles, self.axes = n_up, angles, axes
+        self.shape = [len(values) for _, _, values in axes]
+        spans = [(0, n_up), (n_up, total)]
+        swept = [sorted({particle for _, particle, _ in axes if lo <= particle < hi}) for lo, hi in spans]
+        fixed = [[k for k in range(lo, hi) if k not in moved] for (lo, hi), moved in zip(spans, swept)]
+        # the fixed particles' angles, then each swept particle's at every
+        # setting of its own axes (in C order), all amplitudes in one call
+        columns, owned = [angles[:, fixed[0] + fixed[1]]], {}
+        for particle in swept[0] + swept[1]:
+            own = owned[particle] = [a for a, axis in enumerate(axes) if axis[1] == particle]
+            points = np.unravel_index(np.arange(math.prod(self.shape[a] for a in own)), [self.shape[a] for a in own])
+            table = np.repeat(angles[:, particle : particle + 1], len(points[0]), axis=1)
+            for a, i in zip(own, points):
+                table[axes[a][0]] = axes[a][2][i]
+            columns.append(table)
+        amps, _, unit = _amplitudes(*np.concatenate(columns, axis=1)[:, None])
+        held = len(fixed[0]) + len(fixed[1])
+        if not unit[0, :held].all():
+            # every row fails: grid row 0 names its first failing particle,
+            # which a swept one may precede
+            raise self._norm_failure(0, 1)
+        states = _split_fold(*_split(*amps[:, :, :held], len(fixed[0])), raw=True)
+        #: per block: a _GridBlock, or what a block no axis moves projects
+        #: to once, the RowError it raised included
+        self.blocks: List[object] = []
+        end = held
+        for moved, state in zip(swept, states):
+            if not moved:
+                try:
+                    self.blocks.append(_detector_block(state * _block_layout(state.shape[1] - 1)[2]))
+                except RowError as exc:
+                    self.blocks.append(exc)
+                continue
+            ranks = [a for a, axis in enumerate(axes) if axis[1] in moved]
+            last = ranks[-1] + 1
+            particles, begin = [], end
+            for particle in moved:
+                own = owned[particle]
+                digits = tuple(
+                    (math.prod(self.shape[a + 1 : last]), self.shape[a], math.prod(self.shape[b] for b in own[j + 1 :]))
+                    for j, a in enumerate(own)
+                )
+                particles.append((digits, end - begin))
+                end += math.prod(self.shape[a] for a in own)
+            self.blocks.append(_GridBlock(
+                math.prod(self.shape[last:]),
+                math.prod(self.shape[ranks[0] : last]),
+                tuple(particles),
+                amps[:, 0, begin:end],
+                unit[0, begin:end],
+                state,
+            ))
+
+    def _norm_failure(self, start: int, stop: int) -> RowError:
+        """The RowError of the first of grid rows [start, stop) holding a
+        particle off unit norm, as the rows' own amplitudes report it,
+        counted from start."""
+        index = np.unravel_index(np.arange(start, stop), self.shape)
+        angles = np.repeat(self.angles[:, None], stop - start, axis=1)
+        for (row, particle, values), i in zip(self.axes, index):
+            angles[row, :, particle] = values[i]
+        try:
+            _mode_amplitudes(*angles)
+        except RowError as exc:
+            return exc
+        raise ConsistencyError("a swept particle's norm check failed in its table but not in its rows")
+
+    def rows(self, start: int, stop: int, measure: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sector probabilities (G, N+1), leak (G,) and postselected
+        ``measure`` (G,) of grid rows [start, stop).  A failed check raises
+        RowError naming the first failing of these rows, counted from
+        start."""
+        moved = [block for block in self.blocks if isinstance(block, _GridBlock)]
+        settings = [block.settings(start, stop) for block in moved]
+        if not all(block.unit[places].all() for block, (_, places) in zip(moved, settings)):
+            raise self._norm_failure(start, stop)
+        parts = [tuple(block.amplitudes[:, places]) for block, (_, places) in zip(moved, settings)]
+        starts = [block.state for block in moved]
+        folded = _fold_pair(*parts, starts) if len(moved) == 2 else _fock_blocks(*parts[0], start=starts)
+        projected, folds = [], iter(zip(folded, settings))
+        for block in self.blocks:
+            if isinstance(block, RowError):  # a block no axis moves fails on every row
+                raise RowError(0, str(block))
+            if not isinstance(block, _GridBlock):
+                projected.append(block)
+                continue
+            amps, (keys, _) = next(folds)
+            try:
+                detected = _detector_block(amps)
+            except RowError as exc:
+                raise RowError(block.first_row(keys[exc.row], start), str(exc)) from None
+            inverse = (np.arange(start, stop) // block.stride - keys[0]) % block.size
+            projected.append(tuple(part[inverse] for part in detected))
+        _, weights, p, leak = _combine(self.n_up, *projected)
+        return p, leak, _postselected(weights, p, measure)
 
 
 def _postselected(weights: np.ndarray, p: np.ndarray, measure: str) -> np.ndarray:

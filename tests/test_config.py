@@ -13,11 +13,13 @@ import math
 import numpy as np
 import pytest
 
+from identangle import config as config_module
 from identangle.config import (
     ANGLES,
     ParticleConfig,
     dump_ensemble_config,
     parse_ensemble_config,
+    parse_sweep_spec,
 )
 from identangle.errors import ConfigError
 from identangle.states import Spin, Statistics
@@ -306,3 +308,76 @@ def test_with_value_locate_and_dump_round_trip():
             assert (moved.statistics, moved.source_order, moved.degrees) == (
                 config.statistics, config.source_order, config.degrees
             )
+
+
+class CountingDecoder(json.JSONDecoder):
+    """The repeat-marking decoder, counting its decodes."""
+
+    calls = 0
+
+    def decode(self, s, *args, **kwargs):
+        CountingDecoder.calls += 1
+        return super().decode(s, *args, **kwargs)
+
+
+_CONFIG = '{"particles": [{"spin": "up", "theta": 0.3}, {"spin": "down", "theta": 0.5}]}'
+
+#: (parser, text, its ConfigError message or None, whether the colons
+#: outnumber the members of the root and its particles or axes)
+DECODE_CASES = [
+    ("config", _CONFIG, None, False),
+    ("config", '{"particles": [{"spin": "up", "theta": 0.3}], "statistics": "boson", "degrees": false}', None, False),
+    ("config", '{"particles": [{"spin": "up", "theta": 0.3}], "particles": [{"spin": "up", "theta": 0.4}]}',
+     "duplicate field 'particles'", True),
+    ("config", '{"particles": [{"spin": "up", "theta": 0.3, "theta": 0.4}]}',
+     "particles[0]: duplicate field 'theta'", True),
+    ("config", '{"particles": [{"spin": "up:", "theta": 0.3}]}',
+     "particles[0]: field 'spin' must be 'up' or 'down'", True),
+    ("config", '{"particles": [{"spin": "up", "theta": 0.3}], "statistics": "bo:son"}',
+     "statistics must be 'boson' or 'fermion', got 'bo:son'", True),
+    ("config", '{"particles": [{"spin": "up", "theta": {"a": 1}}]}',
+     "particles[0]: field 'theta' must be a number, got {'a': 1}", True),
+    ("config", '{"particles": [{"spin": "up", "theta": {"a": 1, "a": 2}}]}',
+     "particles[0]: field 'theta' must be a number, got {'a': 2}", True),
+    ("config", '{"particles": [{"spin": "up", "theta": {}}]}',
+     "particles[0]: field 'theta' must be a number, got {}", False),
+    ("config", '{"particles": {"spin": "up"}}', "config must hold a non-empty 'particles' list", True),
+    ("config", '[{"particles": 1}]', "config root must be a JSON object", True),
+    ("sweep", '{"axes": [{"path": "particles[0].theta", "values": [0.1, 0.2]}]}', None, False),
+    ("sweep", '{"axes": [{"path": "particles[0].theta", "values": [0.1]}], "axes": []}',
+     "duplicate field 'axes'", True),
+    ("sweep", '{"axes": [{"path": "particles[0].theta", "values": [0.1], "values": [0.2]}]}',
+     "axes[0]: duplicate field 'values'", True),
+    ("sweep", '{"axes": [{"path": "particles[0].theta:", "values": [0.1]}]}',
+     "bad parameter path 'particles[0].theta:'; expected particles[i].theta|omega|phi|gamma", True),
+    ("sweep", '{"axes": [{"path": "particles[0].theta", "values": [{"v": 0.1}]}]}',
+     "axes[0]: values[0] must be a number, got {'v': 0.1}", True),
+]
+
+
+def _parse(parser, text):
+    if parser == "config":
+        return parse_ensemble_config(text)
+    axes = parse_sweep_spec(text, parse_ensemble_config(_CONFIG))
+    return [(axis.path, axis.particle, axis.row, axis.values.tolist()) for axis in axes]
+
+
+@pytest.mark.parametrize("parser, text, message, twice", DECODE_CASES)
+def test_plain_decode_is_kept_only_where_no_field_can_repeat(monkeypatch, parser, text, message, twice):
+    monkeypatch.setattr(config_module, "_DECODER", CountingDecoder(object_pairs_hook=config_module._fields))
+    results = []
+    # as decoded, then as the repeat-marking decoder alone decodes it
+    for plain in (config_module._PLAIN, config_module._DECODER):
+        monkeypatch.setattr(config_module, "_PLAIN", plain)
+        CountingDecoder.calls = 0
+        try:
+            results.append(_parse(parser, text))
+        except ConfigError as exc:
+            results.append(str(exc))
+        if plain is not config_module._DECODER:
+            assert CountingDecoder.calls == int(twice), text
+    assert results[0] == results[1]
+    if message is None:
+        assert not isinstance(results[0], str)
+    else:
+        assert results[0] == message

@@ -76,9 +76,10 @@ def seeded_angles(rng, g, n):
     return theta, omega, phi, gamma
 
 
-def per_block_reference(c, s, r, blocks=None):
+def per_block_reference(c, s, r, blocks=None, start=None, raw=False):
     """:func:`fold._fock_blocks` by the per-block loop: each stacked block
-    folded on its own."""
+    folded on its own, from the vacuum and scaled."""
+    assert start is None and not raw
     blocks = [(len(c), c.shape[1])] if blocks is None else blocks
     starts = [0] + [end for end, _ in blocks[:-1]]
     return [per_block_fold(*(x[start:end, :n] for x in (c, s, r))) for start, (end, n) in zip(starts, blocks)]
