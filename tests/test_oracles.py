@@ -5,7 +5,9 @@ call into a memoized index layout, keyed by the expansion's shape, and a
 value pass over the kets' amplitudes.  The per-call functions below build
 the whole expansion on every call, as the oracles did before the split;
 both must give equal values, whether a call builds its layout or reuses
-one that kets of other amplitudes built.
+one that kets of other amplitudes built.  ``oracles.rows_kets`` builds the
+kets of angle rows in one pass; they must equal the kets of
+``rows_ensemble`` and of the former mode_ket arithmetic bit for bit.
 """
 
 import math
@@ -16,9 +18,10 @@ import numpy as np
 import pytest
 
 from identangle import oracles
-from identangle.errors import SizeLimitError
+from identangle.errors import ConsistencyError, SizeLimitError
 from identangle.oracles import LEAF_CHUNK, _basis, collect_expansion, expansion_inner_product
 from identangle.states import (
+    SingleParticleKet,
     SpatialMode,
     Spin,
     Statistics,
@@ -256,3 +259,84 @@ def test_worst_layouts_at_the_expansion_cap_fit_the_stated_bytes(statistics):
     assert math.factorial(6) * 3 ** 6 == oracles.MEMO_LEAVES
     assert nbytes(oracles._collect_layout.__wrapped__(statistics, codes, tuple(range(6)))) <= 1.6e6
     assert nbytes(oracles._inner_layout.__wrapped__(statistics, tuple(range(6)), tuple(range(6)))) <= 0.1e6
+
+
+# -- kets built from angle rows in one pass -----------------------------------
+
+
+def former_mode_ket(theta, omega, phi, gamma, spin):
+    """The ket of a mode as mode_ket built it through SpatialMode and the
+    checking SingleParticleKet constructor, with its arithmetic written out."""
+    mode = SpatialMode(theta, omega, phi, gamma)
+    sin_phi, cos_phi = math.sin(mode.phi), math.cos(mode.phi)
+    return SingleParticleKet({
+        ("L", spin): sin_phi * math.cos(mode.theta),
+        ("R", spin): sin_phi * math.sin(mode.theta) * complex(math.cos(mode.omega), math.sin(mode.omega)),
+        ("chi", spin): cos_phi * complex(math.cos(mode.gamma), math.sin(mode.gamma)),
+    })
+
+
+def bits(kets):
+    """Each ket's labels and the bit patterns of its amplitudes, in order."""
+    return [[(label, value.real.hex(), value.imag.hex()) for label, value in ket.items()] for ket in kets]
+
+
+def test_one_pass_kets_equal_the_ensemble_kets_bit_for_bit():
+    rng = np.random.default_rng(4111)
+    bounded_edges = [0.0, math.pi / 2, math.pi / 4, 1e-300]
+    phase_edges = [-1e-20, 0.0, 2 * math.pi, 7.5, -3.0, 1e3, math.pi]
+    seen = Counter()
+    for case in range(200):
+        n = 1 + case % 6
+        g = 1 + case % 3
+        angles = np.array([
+            rng.uniform(0.0, math.pi / 2, (g, n)),
+            rng.uniform(-10.0, 20.0, (g, n)),
+            np.where(rng.random((g, n)) < 0.5, rng.uniform(0.0, math.pi / 2, (g, n)), math.pi / 2),
+            rng.uniform(-10.0, 20.0, (g, n)),
+        ])
+        for row, edges in ((0, bounded_edges), (1, phase_edges), (2, bounded_edges), (3, phase_edges)):
+            edge = rng.random((g, n)) < 0.3
+            angles[row][edge] = rng.choice(edges, int(edge.sum()))
+        n_up = int(rng.integers(0, n + 1))
+        got = oracles.rows_kets(n_up, angles)
+        assert len(got) == g
+        for ensemble, kets in enumerate(got):
+            rows = angles[:, ensemble]
+            expected = oracles.rows_ensemble(n_up, rows).kets()
+            assert bits(kets) == bits(expected), (case, ensemble)
+            spins = [Spin.UP if j < n_up else Spin.DOWN for j in range(n)]
+            assert bits(kets) == bits([former_mode_ket(*column, spin) for column, spin in zip(rows.T.tolist(), spins)])
+            assert [ket.signature() for ket in kets] == [ket.signature() for ket in expected]
+        for name, row, values in (
+            ("theta 0", 0, [0.0]), ("theta pi/2", 0, [math.pi / 2]), ("phi pi/2", 2, [math.pi / 2]),
+            ("omega -1e-20", 1, [-1e-20]), ("gamma -1e-20", 3, [-1e-20]),
+        ):
+            seen[name] += bool(np.isin(angles[row], values).any())
+        seen["phase beyond 2 pi"] += bool((angles[1::2] > 2 * math.pi).any())
+    assert min(seen.values()) >= 10 and len(seen) == 6, seen
+
+
+def test_one_pass_kets_on_a_pair_block_follow_c_order():
+    # (4, 2, G, N) bra and ket rows: all G bras' kets, then the kets'
+    rng = np.random.default_rng(5)
+    angles = rng.uniform(0.0, 1.5, (4, 2, 3, 4))
+    got = oracles.rows_kets(2, angles)
+    expected = [oracles.rows_ensemble(2, angles[:, side, row]).kets() for side in range(2) for row in range(3)]
+    assert list(map(bits, got)) == list(map(bits, expected))
+
+
+@pytest.mark.parametrize("row, value, message", [
+    (0, math.nan, "theta must be finite, got nan"),
+    (1, math.inf, "omega must be finite, got inf"),
+    (3, -math.inf, "gamma must be finite, got -inf"),
+    (0, -0.1, r"theta must lie in \[0, pi/2\], got -0.1"),
+    (2, 1.6, r"phi must lie in \[0, pi/2\], got 1.6"),
+])
+def test_one_pass_kets_apply_the_mode_checks(row, value, message):
+    angles = np.full((4, 2, 3), 0.5)
+    angles[row, 1, 2] = value
+    with pytest.raises(ConsistencyError, match=message):
+        oracles.rows_kets(1, angles)
+    with pytest.raises(ConsistencyError, match=message):
+        oracles.rows_ensemble(1, angles[:, 1])

@@ -87,20 +87,29 @@ def n3_case(ensemble):
 
 
 def theorem1_draws(seed, cases):
+    """The theorem1 cases in draw order: every case's N, then for each N =
+    2..6 in turn its cases' n_up, forced spin groups, forced-theta choices,
+    thetas and omegas, one array each."""
     rng = np.random.default_rng(seed)
-    for _ in range(cases):
-        n_total = int(rng.integers(2, 7))
-        n_up = int(rng.integers(0, n_total + 1))
-        force_up = bool(rng.integers(0, 2))
-        modes = []
-        for j in range(n_total):
-            forced = (j < n_up) if force_up else (j >= n_up)
-            if forced:
-                theta = 0.0 if rng.random() < 0.5 else math.pi / 2
-            else:
-                theta = float(rng.uniform(0.0, math.pi / 2))
-            modes.append(SpatialMode(theta=theta, omega=float(rng.uniform(0, 2 * math.pi))))
-        yield ParticleEnsemble(n_up, tuple(modes))
+    n_totals = rng.integers(2, 7, cases)
+    for n_total in range(2, 7):
+        count = int(np.count_nonzero(n_totals == n_total))
+        n_ups = rng.integers(0, n_total + 1, count)
+        force_ups = rng.integers(0, 2, count)
+        at_zero = rng.random((count, n_total)) < 0.5
+        thetas = rng.uniform(0.0, math.pi / 2, (count, n_total))
+        omegas = rng.uniform(0.0, 2 * math.pi, (count, n_total))
+        for case in range(count):
+            n_up, force_up = int(n_ups[case]), bool(force_ups[case])
+            modes = []
+            for j in range(n_total):
+                forced = (j < n_up) if force_up else (j >= n_up)
+                if forced:
+                    theta = 0.0 if at_zero[case, j] else math.pi / 2
+                else:
+                    theta = float(thetas[case, j])
+                modes.append(SpatialMode(theta=theta, omega=float(omegas[case, j])))
+            yield ParticleEnsemble(n_up, tuple(modes))
 
 
 def n2_draws(seed, cases):
@@ -167,6 +176,17 @@ def test_closed_form_suites_equal_case_by_case(seed, suite, draws, case):
     max_error, failures = case_by_case(draws(seed), case)
     assert report["max_error"] == max_error
     assert report["failures"] == failures
+
+
+@pytest.mark.parametrize("seed, cases", [(3, 1), (11, 7), (7, 300)])
+def test_theorem1_cases_are_the_mirror_draws(monkeypatch, seed, cases):
+    reports = []
+    monkeypatch.setattr(verify, "_report", lambda suite, seed, errors, inputs: reports.append(inputs))
+    suite_theorem1(seed, cases=cases)
+    (inputs,) = reports
+    for case, ensemble in enumerate(theorem1_draws(seed, cases)):
+        assert inputs(case) == {"n_up": ensemble.n_up, **dict(zip(ANGLES, ensemble.angle_rows()[:, 0].tolist()))}, case
+    assert case == cases - 1
 
 
 def test_schmidt_mode_splits_equal_case_by_case(monkeypatch):
