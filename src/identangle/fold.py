@@ -5,17 +5,21 @@ its particles' (c, s, r) amplitudes: Fock amplitudes for bosons, minors for
 fermions.  A sweep over a grid of angle values (:class:`GridSweep`) folds
 each block's fixed particles once and continues that fold per setting of
 the swept ones; every projection ends in one combine step
-(:func:`_combine`).  Past numpy and the stdlib it imports only ``errors``
-and ``tolerances``; ``detection`` and ``measures`` build on it.
+(:func:`_combine`).  Batches of several (N, n_up) groups fold in one
+grouped call (:func:`_project_groups`, :func:`fold_amplitude_groups`),
+each row's arithmetic that of its group alone.  Past numpy and the
+stdlib it imports only ``errors`` and ``tolerances``; ``detection`` and
+``measures`` build on it.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 from collections import Counter
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,67 +175,78 @@ def _fock_blocks(
     return results[::-1]
 
 
-#: one spin block of a batch: its particles' (c, s, r) arrays, (G, n) each
-_Block = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: one spin block of a batch: its particles' (c, s, r) amplitudes, (3, G, n)
+_Block = np.ndarray
 
 
-def _split(c: np.ndarray, s: np.ndarray, r: np.ndarray, n_up: int) -> Tuple[_Block, _Block]:
-    """The up and the down block of (G, N) amplitudes, particles spin-up first."""
-    return (c[:, :n_up], s[:, :n_up], r[:, :n_up]), (c[:, n_up:], s[:, n_up:], r[:, n_up:])
+def _split(amps: np.ndarray, n_up: int) -> Tuple[_Block, _Block]:
+    """The up and the down block of (3, G, N) amplitudes, particles spin-up first."""
+    return amps[..., :n_up], amps[..., n_up:]
 
 
-def _split_fold(
-    up: _Block, down: _Block, start: Optional[Sequence[np.ndarray]] = None, raw: bool = False
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fock amplitudes (:func:`_fock_blocks`) of an up and a down block,
-    folded in one loop: the block of more particles stacked first, the
-    other's rows after it.  ``start`` holds the up and the down block's
-    start, or is None for the vacuum; ``raw`` is that of
-    :func:`_fock_blocks`."""
-    parts = [(up, None), (down, None)] if start is None else [(up, start[0]), (down, start[1])]
-    if down[0].shape[1] > up[0].shape[1]:
-        parts.reverse()
-    (large, large_start), (small, small_start) = parts
-    (g, width), (h, n) = large[0].shape, small[0].shape
-    if start is None and not n:  # an empty block is the vacuum, amplitude 1
-        (amps,) = _fock_blocks(*large, raw=raw)
-        folded = [amps, np.ones((h, 1, 1), dtype=complex)]
-    else:
-        # complex, as the products of the fold cast them
-        stacked = np.zeros((3, g + h, width), dtype=complex)
-        stacked[:, :g] = large
-        stacked[:, g:, :n] = small
-        starts = None if start is None else [large_start, small_start]
-        folded = _fock_blocks(*stacked, [(g, width), (g + h, n)], starts, raw)
-    return (folded[0], folded[1]) if parts[0][0] is up else (folded[1], folded[0])
-
-
-#: complex entries (128 KiB) up to which a step's array of a batch's two
-#: blocks, folded stacked in one loop, may grow.  In fresh processes at
-#: N = 2..9 stacking took 0.85-0.99x the per-block time at 5,760-8,190
+#: complex entries (128 KiB) up to which a step's array of stacked blocks,
+#: folded in one loop, may grow.  In fresh processes at N = 2..9 stacking
+#: a batch's two blocks took 0.85-0.99x the per-block time at 5,760-8,190
 #: entries (1.02-1.12x at N = 3, whose down block is one particle), and
 #: 1.03-2.1x from 10,800 entries on, where each stacked call took 67-740
 #: fresh pages from the allocator (minor page faults), each per-block call
-#: 3-670.  A single state (G = 1) always folds stacked: halving its steps
-#: paid at every N measured, up to 170.
+#: 3-670.  Up to four rows always fold stacked: halving a single state's
+#: steps paid at every N measured, up to 170, and a pair's bra and ket
+#: blocks (four rows) folded in 0.72-0.95x the time of two calls at N =
+#: 60-170.
 STACKED_ENTRIES = 1 << 13
 
 
-def _fold_pair(
-    up: _Block, down: _Block, start: Optional[Sequence[np.ndarray]] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fock amplitudes of an up and a down block: folded in one loop
-    (:func:`_split_fold`) when each block is a single state, or while a
-    step's stacked array stays within STACKED_ENTRIES, and each on its own
-    otherwise.  ``start`` is that of :func:`_split_fold`."""
-    rows = len(up[0]) + len(down[0])
-    held = (0, 0) if start is None else [state.shape[1] - 1 for state in start]
-    size = max(part[0].shape[1] + m for part, m in zip((up, down), held)) + 1
-    if rows == 2 or rows * size ** 2 <= STACKED_ENTRIES:
-        return _split_fold(up, down, start)
-    if start is None:
-        return _fock_blocks(*up)[0], _fock_blocks(*down)[0]
-    return _fock_blocks(*up, start=start[:1])[0], _fock_blocks(*down, start=start[1:])[0]
+def _fold_blocks(
+    blocks: Sequence[_Block], start: Optional[Sequence[np.ndarray]] = None, raw: bool = False
+) -> List[np.ndarray]:
+    """Fock amplitudes (:func:`_fock_blocks`) of any list of spin blocks, in
+    its order.  ``start`` holds each block's start, or is None for the
+    vacuum; ``raw`` is that of :func:`_fock_blocks`.
+
+    The blocks fold by particle count, most first, in packs of one
+    :func:`_fock_blocks` call each: a pack takes the next block while it
+    holds at most four rows (a single state, or a pair's bra and ket) or
+    its rows times (the most particles a block of it reaches + 1)^2 stay
+    within STACKED_ENTRIES.  Stacking leaves each row's arithmetic as it
+    is, so a block's amplitudes do not depend on the others.  From the
+    vacuum an empty block is the vacuum, amplitude 1, and takes no step.
+    """
+    shapes = [block[0].shape for block in blocks]
+    held = [0] * len(blocks) if start is None else [state.shape[1] - 1 for state in start]
+    results: List[np.ndarray] = [None] * len(blocks)
+    # each pack's blocks, then its rows and its (most particles + 1)
+    packs: List[Tuple[List[int], int, int]] = []
+    for b in sorted(range(len(blocks)), key=lambda b: shapes[b][1], reverse=True):
+        g, n = shapes[b]
+        if start is None and not n:
+            results[b] = np.ones((g, 1, 1), dtype=complex)
+            continue
+        if packs:
+            members, rows, size = packs[-1]
+            rows, size = rows + g, max(size, n + held[b] + 1)
+            if rows <= 4 or rows * size ** 2 <= STACKED_ENTRIES:
+                members.append(b)
+                packs[-1] = members, rows, size
+                continue
+        packs.append(([b], g, n + held[b] + 1))
+    for members, rows, _ in packs:
+        starts = None if start is None else [start[b] for b in members]
+        if len(members) == 1:
+            folded = _fock_blocks(*blocks[members[0]], start=starts, raw=raw)
+        else:
+            # complex, as the products of the fold cast them
+            stacked = np.zeros((3, rows, shapes[members[0]][1]), dtype=complex)
+            layout, end = [], 0
+            for b in members:
+                g, n = shapes[b]
+                stacked[:, end : end + g, :n] = blocks[b]
+                end += g
+                layout.append((end, n))
+            folded = _fock_blocks(*stacked, layout, starts, raw)
+        for b, amps in zip(members, folded):
+            results[b] = amps
+    return results
 
 
 def _detector_block(amps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,9 +329,9 @@ def _mode_amplitudes(
     omega: np.ndarray,
     phi: np.ndarray,
     gamma: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Amplitudes (c, s, r) on L, R and the remainder mode chi of the
-    particles with the given (G, N) mode angles.
+    particles with the given (G, N) mode angles, stacked (3, G, N).
 
     They are those of :func:`states.mode_ket`, pruned at ``TOL.pruning``; a
     particle off unit norm by more than ``TOL.normalization`` raises
@@ -328,7 +343,97 @@ def _mode_amplitudes(
         lambda row: "single-particle ket must be unit norm, "
         f"got {float(norm[row][~unit[row]][0])!r}",
     )
-    return amps[0], amps[1], amps[2]
+    return amps
+
+
+def _group_modes(what: str, groups: Sequence[Sequence[np.ndarray]]) -> List[np.ndarray]:
+    """:func:`_mode_amplitudes` (3, rows, N) of each group's angle rows:
+    its four (..., N) arrays, leading axes flattened into rows, in one
+    call.  Raises SizeLimitError for a group above N = 170 first.  With
+    several groups, all their particles are one row of the call, so a
+    failed norm check reads row 0 (:func:`_first_failure` names the
+    group's row)."""
+    for angles in groups:
+        _require_fold_size(what, angles[0].shape[-1])
+    if len(groups) == 1:
+        (angles,) = groups
+        if angles[0].ndim != 2:
+            angles = [angle.reshape(-1, angle.shape[-1]) for angle in angles]
+        return [_mode_amplitudes(*angles)]
+    flat = np.concatenate([np.reshape(angles, (4, -1)) for angles in groups], axis=1)
+    amps = _mode_amplitudes(*flat[:, None])
+    modes, end = [], 0
+    for angles in groups:
+        n, size = angles[0].shape[-1], angles[0].size
+        modes.append(amps[:, 0, end : end + size].reshape(3, -1, n))
+        end += size
+    return modes
+
+
+def _first_failure(evaluate: Callable[[Sequence], List], groups: Sequence) -> List:
+    """``evaluate(groups)``, whose checks run on all the groups at once; if
+    one fails with several groups, the error that evaluating them one at a
+    time raises first instead, so that a grouped call fails as the loop
+    over its groups would."""
+    try:
+        return evaluate(groups)
+    except (RowError, SizeLimitError):
+        if len(groups) == 1:
+            raise
+    for group in groups:
+        evaluate([group])
+    raise ConsistencyError("a check failed on stacked groups but on none of them alone")
+
+
+def _project_groups(
+    groups: Sequence[Tuple[int, Sequence[np.ndarray]]],
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Detector projections of several batches of ensembles, each given as
+    n_up and its four (G, N) mode angle arrays (or one (4, G, N) array),
+    particles spin-up first: per group what :func:`_combine` returns.
+
+    Each particle's amplitudes on L, R and the remainder mode chi are those
+    of :func:`_mode_amplitudes`.  Up and down particles never share a mode,
+    so each state is a product of an up and a down block, which
+    :func:`_combine` joins.  One :func:`_mode_amplitudes` call takes every
+    group's particles, one :func:`_fold_blocks` call folds every block, one
+    :func:`_detector_block` call reads the blocks of more than one row of
+    each size, another each block of one row, and one :func:`_combine`
+    call joins each group's blocks; every row's arithmetic is that of
+    its group alone (:func:`_project_batch`), so a row's projection does
+    not depend on the others.  A failed check raises what the groups, one
+    at a time, raise first.
+    """
+    return _first_failure(_projections, groups)
+
+
+def _projections(groups: Sequence[Tuple[int, Sequence[np.ndarray]]]) -> List[Tuple[np.ndarray, ...]]:
+    """:func:`_project_groups`, its checks run on all the groups at once."""
+    modes = _group_modes("projection", [angles for _, angles in groups])
+    folded = _fold_blocks([block for (n_up, _), amps in zip(groups, modes) for block in _split(amps, n_up)])
+    # the blocks of each size in order, a group's up block before its down
+    # block; a block of one row is read alone, since numpy sums a batch's
+    # weights term by term (fancy indexing lays them out by term), but a
+    # single row's pairwise
+    batches: Dict[Tuple[int, int], List[int]] = {}
+    for b, amps in enumerate(folded):
+        batches.setdefault((amps.shape[1], -1 if len(amps) > 1 else b), []).append(b)
+    detected: List[List[np.ndarray]] = [None] * len(folded)
+    for members in batches.values():
+        if len(members) == 1:
+            detected[members[0]] = _detector_block(folded[members[0]])
+            continue
+        stacked = [folded[b] for b in members]
+        ends = list(itertools.accumulate(map(len, stacked)))
+        try:
+            parts = _detector_block(np.concatenate(stacked))
+        except RowError as exc:
+            # named by its row in its own block
+            first = ([0] + ends)[bisect.bisect_right(ends, exc.row)]
+            raise RowError(exc.row - first, str(exc)) from None
+        for b, first, end in zip(members, [0] + ends, ends):
+            detected[b] = [part[first:end] for part in parts]
+    return [_combine(n_up, *detected[2 * g : 2 * g + 2]) for g, (n_up, _) in enumerate(groups)]
 
 
 def _project_batch(
@@ -339,18 +444,10 @@ def _project_batch(
     gamma: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Detector projection of G ensembles given their (G, N) mode angles,
-    particles ordered spin-up first.
-
-    Each particle's amplitudes on L, R and the remainder mode chi are those
-    of :func:`_mode_amplitudes`.  Up and down particles never share a mode,
-    so each state is a product of an up and a down block
-    (:func:`_detector_block`), which :func:`_combine` joins.  Returns what
-    :func:`_combine` returns.
+    particles ordered spin-up first: the one-group case of
+    :func:`_project_groups`.  Returns what :func:`_combine` returns.
     """
-    _require_fold_size("projection", theta.shape[1])
-    c, s, r = _mode_amplitudes(theta, omega, phi, gamma)
-    up_amps, down_amps = _fold_pair(*_split(c, s, r, n_up))
-    return _combine(n_up, _detector_block(up_amps), _detector_block(down_amps))
+    return _project_groups([(n_up, (theta, omega, phi, gamma))])[0]
 
 
 def _combine(
@@ -419,10 +516,10 @@ def fold_amplitude(
     exactly 0.  Raises SizeLimitError above N = 170.
     """
     _require_fold_size("amplitude", theta.shape[1])
-    c, s, r = _mode_amplitudes(theta, omega, phi, gamma)
+    amps = _mode_amplitudes(theta, omega, phi, gamma)
     if bra_n_up != ket_n_up:
         return 0j
-    return complex(_pair_amplitudes(ket_n_up, c, s, r)[0])
+    return complex(_pair_amplitudes([(ket_n_up, amps)])[0][0])
 
 
 def fold_amplitudes(
@@ -433,54 +530,68 @@ def fold_amplitudes(
     gamma: np.ndarray,
 ) -> np.ndarray:
     """Amplitudes <bra|ket> of G pairs of symmetrized boson product states
-    with n_up spin-up particles each, shape (G,).
+    with n_up spin-up particles each, shape (G,): the one-group case of
+    :func:`fold_amplitude_groups`.
 
     Row [0, g] of the (2, G, N) angle arrays holds pair g's bra particles,
     row [1, g] its ket's, each spin-up first; a RowError names the row of
     the (2G, N) stack, bras first.  Raises SizeLimitError above N = 170.
     """
-    _, g, total = theta.shape
-    _require_fold_size("amplitude", total)
-    c, s, r = _mode_amplitudes(
-        theta.reshape(2 * g, total), omega.reshape(2 * g, total),
-        phi.reshape(2 * g, total), gamma.reshape(2 * g, total),
-    )
-    return _pair_amplitudes(n_up, c, s, r)
+    return fold_amplitude_groups([(n_up, (theta, omega, phi, gamma))])[0]
 
 
-def _pair_amplitudes(n_up: int, c: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """<bra|ket> of each pair of the (2G, N) mode amplitudes of
-    :func:`_mode_amplitudes`: rows g and G + g are pair g's bra and ket.
+def fold_amplitude_groups(groups: Sequence[Tuple[int, Sequence[np.ndarray]]]) -> List[np.ndarray]:
+    """:func:`fold_amplitudes` of several groups of pairs, each given as
+    n_up and its four (2, G, N) angle arrays (or one (4, 2, G, N) array),
+    from one :func:`_mode_amplitudes` call and one :func:`_pair_amplitudes`
+    call.  A pair's amplitude does not depend on the other pairs, and a
+    failed check raises what the groups, one at a time, raise first."""
 
-    All 2G states fold in one :func:`_split_fold` call, and each row's
-    arithmetic is that of a single pair, so a pair's amplitude does not
-    depend on G.  The overlap matrix is block-diagonal by spin, and each
-    block has rank at most 3 (every mode lies in span{L, R, chi}), so its
-    permanent is the sum of conj(F_bra) F_ket over the Fock amplitudes of
-    :func:`_fock_blocks`.  The product of the two block permanents is
-    divided by sqrt(prod nu! prod mu!), nu and mu the repeat counts of
-    exactly equal (c, s, r) within a block of the bra and of the ket, as in
+    def evaluate(groups):
+        modes = _group_modes("amplitude", [angles for _, angles in groups])
+        return _pair_amplitudes([(n_up, amps) for (n_up, _), amps in zip(groups, modes)])
+
+    return _first_failure(evaluate, groups)
+
+
+def _pair_amplitudes(groups: Sequence[Tuple[int, np.ndarray]]) -> List[np.ndarray]:
+    """<bra|ket> of each pair of each group: n_up and the (3, 2G, N) mode
+    amplitudes of :func:`_mode_amplitudes`, rows g and G + g pair g's bra
+    and ket.
+
+    Every group's bra and ket blocks fold in one :func:`_fold_blocks` call,
+    and each row's arithmetic is that of a single pair, so a pair's
+    amplitude depends neither on G nor on the other groups.  The overlap
+    matrix is block-diagonal by spin, and each block has rank at most 3
+    (every mode lies in span{L, R, chi}), so its permanent is the sum of
+    conj(F_bra) F_ket over the Fock amplitudes of :func:`_fock_blocks`.
+    The product of the two block permanents is divided by sqrt(prod nu!
+    prod mu!), nu and mu the repeat counts of exactly equal (c, s, r)
+    within a block of the bra and of the ket, as in
     :func:`algebra.transition_amplitude`.
     """
-    g = len(c) // 2
-    blocks = (slice(None, n_up), slice(n_up, None))
-    folded = _split_fold(*_split(c, s, r, n_up))
-    rows = list(zip(c.tolist(), s.tolist(), r.tolist()))
-    values = np.empty(g, dtype=complex)
-    for pair in range(g):
-        value = 1.0
-        for amps in folded:
-            value *= np.vdot(amps[pair], amps[g + pair])
-        # factor by factor, since prod nu! * prod mu! can overflow a double
-        root_repeats = 1.0
-        for row in (pair, g + pair):
-            triples = list(zip(*rows[row]))
-            for block in blocks:
-                for k in Counter(triples[block]).values():
-                    if k > 1:  # a factor sqrt(1!) = 1 leaves the product as it is
-                        root_repeats *= math.sqrt(math.factorial(k))
-        values[pair] = value / root_repeats
-    return values
+    folded = _fold_blocks([block for n_up, amps in groups for block in _split(amps, n_up)])
+    results = []
+    for (n_up, amps), up, down in zip(groups, folded[::2], folded[1::2]):
+        g = amps.shape[1] // 2
+        spins = (slice(None, n_up), slice(n_up, None))
+        rows = list(zip(*amps.tolist()))
+        values = np.empty(g, dtype=complex)
+        for pair in range(g):
+            value = 1.0
+            for block in (up, down):
+                value *= np.vdot(block[pair], block[g + pair])
+            # factor by factor, since prod nu! * prod mu! can overflow a double
+            root_repeats = 1.0
+            for row in (pair, g + pair):
+                triples = list(zip(*rows[row]))
+                for spin in spins:
+                    for k in Counter(triples[spin]).values():
+                        if k > 1:  # a factor sqrt(1!) = 1 leaves the product as it is
+                            root_repeats *= math.sqrt(math.factorial(k))
+            values[pair] = value / root_repeats
+        results.append(values)
+    return results
 
 
 def fermion_amplitude(
@@ -566,6 +677,31 @@ def fold_chunks(n_up: int, n_total: int, rows: int) -> List[slice]:
     block = max(n_up, n_total - n_up) + 1
     size = max(1, CHUNK_ENTRIES // block ** 2)
     return [slice(start, min(start + size, rows)) for start in range(0, max(rows, 1), size)]
+
+
+def fold_packs(groups: Sequence[Tuple[int, int, int, int]]) -> Iterator[List[Tuple[int, slice]]]:
+    """The packs, one grouped fold each, in which groups of cases given as
+    (n_up, N, cases, rows per case) are folded: each pack lists (group,
+    slice of its cases) in order.  A case's folds hold its rows times
+    (n + 1)^2 complex entries, n its larger spin block's particle count,
+    and a pack takes cases, group by group, while its entries stay within
+    CHUNK_ENTRIES (at least one case): the rule of :func:`fold_chunks`
+    across groups."""
+    pack: List[Tuple[int, slice]] = []
+    room = CHUNK_ENTRIES
+    for group, (n_up, n_total, cases, rows) in enumerate(groups):
+        entries = rows * (max(n_up, n_total - n_up) + 1) ** 2
+        start = 0
+        while start < cases:
+            if pack and room < entries:
+                yield pack
+                pack, room = [], CHUNK_ENTRIES
+            take = min(cases - start, max(1, room // entries))
+            pack.append((group, slice(start, start + take)))
+            room -= take * entries
+            start += take
+    if pack:
+        yield pack
 
 
 def sweep_grid(
@@ -687,7 +823,7 @@ class GridSweep:
             # every row fails: grid row 0 names its first failing particle,
             # which a swept one may precede
             raise self._norm_failure(0, 1)
-        states = _split_fold(*_split(*amps[:, :, :held], len(fixed[0])), raw=True)
+        states = _fold_blocks(_split(amps[:, :, :held], len(fixed[0])), raw=True)
         #: per block: a _GridBlock, or what a block no axis moves projects
         #: to once, the RowError it raised included
         self.blocks: List[object] = []
@@ -742,9 +878,9 @@ class GridSweep:
         settings = [block.settings(start, stop) for block in moved]
         if not all(block.unit[places].all() for block, (_, places) in zip(moved, settings)):
             raise self._norm_failure(start, stop)
-        parts = [tuple(block.amplitudes[:, places]) for block, (_, places) in zip(moved, settings)]
+        parts = [block.amplitudes[:, places] for block, (_, places) in zip(moved, settings)]
         starts = [block.state for block in moved]
-        folded = _fold_pair(*parts, starts) if len(moved) == 2 else _fock_blocks(*parts[0], start=starts)
+        folded = _fold_blocks(parts, starts)
         projected, folds = [], iter(zip(folded, settings))
         for block in self.blocks:
             if isinstance(block, RowError):  # a block no axis moves fails on every row

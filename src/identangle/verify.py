@@ -10,16 +10,17 @@ draws, folds and scores its rows one :func:`fold.fold_chunks` chunk at a
 time, so its memory does not grow with ``cases``.  ``theorem1`` and
 ``oracle`` draw each particle number's cases in whole-array calls
 (:func:`_theorem1_draws`, :func:`random_rows`) into one block per N of a
-:class:`_Cases`, and fold them one chunk of each (N, n_up) group at a
-time (:meth:`_Cases.groups`); ``schmidt``'s ten mode splits are one fold.
-The oracle suite checks the ``amplitude`` fold route, one
-:func:`fold.fold_amplitudes` call per chunk of its pairs, and the
-``project`` fold route, one :func:`fold._project_batch` call per chunk,
-against expansion oracles whose kets :func:`oracles.rows_kets` builds
-from each chunk's angle rows, one pass per ensemble.  Every resizable
-suite takes its size as ``cases`` (:func:`run_suite` takes 1 to
-``MAX_CASES``), and none takes a tolerance: :func:`_report` alone counts
-failures.  These back the command-line ``verify`` command and the
+:class:`_Cases`, and fold all their (N, n_up) groups in packs of the
+chunk rule (:meth:`_Cases.packs`), one grouped fold per pack whose rows
+each get the arithmetic of their group alone; ``schmidt``'s ten mode
+splits are one fold.  The oracle suite checks the ``amplitude`` fold
+route, one :func:`fold.fold_amplitude_groups` call per pack of its pairs,
+and the ``project`` fold route, one :func:`fold._project_groups` call per
+pack, against expansion oracles whose kets :func:`oracles.rows_kets`
+builds from each group chunk's angle rows, one pass per ensemble.  Every
+resizable suite takes its size as ``cases`` (:func:`run_suite` takes 1
+to ``MAX_CASES``), and none takes a tolerance: :func:`_report` alone
+counts failures.  These back the command-line ``verify`` command and the
 acceptance tests.
 """
 
@@ -27,13 +28,22 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import ANGLES, Spin
 from .errors import ConfigError
-from .fold import _postselected, _project_batch, fold_amplitude, fold_amplitudes, fold_chunks, sweep_grid
+from .fold import (
+    _postselected,
+    _project_batch,
+    _project_groups,
+    fold_amplitude,
+    fold_amplitude_groups,
+    fold_chunks,
+    fold_packs,
+    sweep_grid,
+)
 from .measures import (
     LabelSplit,
     _schmidt_coefficients,
@@ -49,10 +59,12 @@ from .tolerances import comparison_from_env
 
 DEFAULT_SEED = 7
 #: largest ``cases`` :func:`run_suite` takes: every suite folds chunk by
-#: chunk and ``n2-closed-form`` (400 fold cases per unit) also draws so;
-#: ``theorem1`` and ``oracle`` hold their drawn cases as (4, cases, N)
-#: arrays, and at 1000 on a 2-core host ``oracle`` takes about 1.2 s in
-#: process (1.1-1.8 s and 40 MB max RSS as a command), ``theorem1`` 15 ms
+#: chunk (``theorem1`` and ``oracle`` in packs of the chunk rule across
+#: their (N, n_up) groups) and ``n2-closed-form`` (400 fold cases per unit)
+#: also draws so; ``theorem1`` and ``oracle`` hold their drawn cases as
+#: (4, cases, N) arrays, and at 1000 on a 2-vCPU host ``oracle`` takes
+#: about 0.73 s in process (0.91 s and 44 MB max RSS as a command),
+#: ``theorem1`` 5.2 ms
 MAX_CASES = 1000
 
 
@@ -90,21 +102,30 @@ class _Cases:
         row = case - self.starts[block]
         return int(n_up[row]), angles[..., row, :]
 
-    def groups(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        """n_up, the case indices in draw order and the (4, ..., G, N)
-        angle rows of each :func:`fold.fold_chunks` chunk of each (N, n_up)
-        group; one fold evaluates a chunk."""
+    def packs(self) -> Iterator[List[Tuple[int, np.ndarray, np.ndarray]]]:
+        """The cases' (N, n_up) groups in the packs of :func:`fold.fold_packs`,
+        one grouped fold each, a bra and a ket counting as two rows: n_up,
+        the case indices in draw order and the (4, ..., G, N) angle rows of
+        each group chunk of a pack."""
+        groups = []
         for (n_ups, angles), first in zip(self.blocks, self.starts):
-            n_total = angles.shape[-1]
             # the block's rows by n_up, each group in draw order
             order = np.argsort(n_ups, kind="stable")
-            stops = np.cumsum(np.bincount(n_ups, minlength=n_total + 1)).tolist()
+            stops = np.cumsum(np.bincount(n_ups, minlength=angles.shape[-1] + 1)).tolist()
             for n_up, (start, stop) in enumerate(zip([0] + stops, stops)):
-                if start == stop:
-                    continue
-                for chunk in fold_chunks(n_up, n_total, stop - start):
-                    rows = order[start:stop][chunk]
-                    yield n_up, first + rows, angles[..., rows, :]
+                if start < stop:
+                    groups.append((n_up, first, angles, order[start:stop]))
+        # a case is one row of a fold, a pair (2, ..., N) two
+        sizes = [
+            (n_up, angles.shape[-1], len(rows), math.prod(angles.shape[1:-2]))
+            for n_up, _, angles, rows in groups
+        ]
+        for pack in fold_packs(sizes):
+            chunks = []
+            for group, cases in pack:
+                n_up, first, angles, rows = groups[group]
+                chunks.append((n_up, first + rows[cases], angles[..., rows[cases], :]))
+            yield chunks
 
 
 def _angles(thetas, omegas) -> np.ndarray:
@@ -164,6 +185,16 @@ def _theorem1_draws(rng: np.random.Generator, cases: int) -> _Cases:
     return _Cases(blocks)
 
 
+def _theorem1_errors(weights: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``theorem1``'s error of each of G projections, from their sector
+    Schmidt weights (G, N+1, n_up+1) and probabilities (G, N+1): the larger
+    of the postselected concurrence and the largest second Schmidt weight
+    of any sector."""
+    # all weights but each sector's largest: their maximum is the largest second weight
+    seconds = np.sort(weights, axis=2)[:, :, :-1].max(axis=(1, 2), initial=0.0)
+    return np.maximum(_postselected(weights, p, "concurrence"), seconds)
+
+
 def suite_theorem1(
     seed: int = DEFAULT_SEED,
     cases: int = 1000,
@@ -174,11 +205,10 @@ def suite_theorem1(
     the larger of the two."""
     draws = _theorem1_draws(np.random.default_rng(seed), cases)
     errors = np.empty(cases)
-    for n_up, members, angles in draws.groups():
-        _, weights, p, _ = _project_batch(n_up, *angles)
-        # all weights but each sector's largest: their maximum is the largest second weight
-        seconds = np.sort(weights, axis=2)[:, :, :-1].max(axis=(1, 2), initial=0.0)
-        errors[members] = np.maximum(_postselected(weights, p, "concurrence"), seconds)
+    for pack in draws.packs():
+        projections = _project_groups([(n_up, angles) for n_up, _, angles in pack])
+        for (_, members, _), (_, weights, p, _) in zip(pack, projections):
+            errors[members] = _theorem1_errors(weights, p)
     return _report("theorem1", seed, errors, lambda case: _ensemble_inputs(draws[case]))
 
 
@@ -327,11 +357,13 @@ def _amplitude_oracle_errors(pairs: _Cases) -> np.ndarray:
     from .oracles import expansion_inner_product, rows_kets
 
     errors = np.empty(len(pairs))
-    for n_up, members, angles in pairs.groups():
-        # the chunk's bras' kets, then its kets' kets
-        kets = rows_kets(n_up, angles)
-        for row, (case, fast) in enumerate(zip(members.tolist(), fold_amplitudes(n_up, *angles).tolist())):
-            errors[case] = abs(fast - expansion_inner_product(kets[row], kets[len(members) + row]))
+    for pack in pairs.packs():
+        folded = fold_amplitude_groups([(n_up, angles) for n_up, _, angles in pack])
+        for (n_up, members, angles), values in zip(pack, folded):
+            # the chunk's bras' kets, then its kets' kets
+            kets = rows_kets(n_up, angles)
+            for row, (case, fast) in enumerate(zip(members.tolist(), values.tolist())):
+                errors[case] = abs(fast - expansion_inner_product(kets[row], kets[len(members) + row]))
     return errors
 
 
@@ -353,18 +385,19 @@ def _projection_oracle_errors(cases: _Cases) -> np.ndarray:
     from .oracles import rows_kets, substitution_sectors
 
     errors = np.empty(len(cases))
-    for n_up, members, angles in cases.groups():
-        outcomes, _, _, leak = _project_batch(n_up, *angles)
-        for row, (case, kets) in enumerate(zip(members.tolist(), rows_kets(n_up, angles))):
-            sectors, oracle_leak = substitution_sectors(kets)
-            reference = np.zeros_like(outcomes[row])
-            for q, amplitudes in sectors.items():
-                for key, value in amplitudes.items():
-                    alpha = key.count(("L", Spin.UP))
-                    reference[alpha, q - alpha] = value
-            errors[case] = max(
-                abs(float(leak[row]) - oracle_leak), float(np.abs(outcomes[row] - reference).max())
-            )
+    for pack in cases.packs():
+        projections = _project_groups([(n_up, angles) for n_up, _, angles in pack])
+        for (n_up, members, angles), (outcomes, _, _, leak) in zip(pack, projections):
+            for row, (case, kets) in enumerate(zip(members.tolist(), rows_kets(n_up, angles))):
+                sectors, oracle_leak = substitution_sectors(kets)
+                reference = np.zeros_like(outcomes[row])
+                for q, amplitudes in sectors.items():
+                    for key, value in amplitudes.items():
+                        alpha = key.count(("L", Spin.UP))
+                        reference[alpha, q - alpha] = value
+                errors[case] = max(
+                    abs(float(leak[row]) - oracle_leak), float(np.abs(outcomes[row] - reference).max())
+                )
     return errors
 
 

@@ -1475,7 +1475,7 @@ def test_phases_outside_the_period_agree_across_commands(runner, tmp_path):
 
 
 def test_project_makes_one_fold(runner, tmp_path, monkeypatch):
-    calls = {"batch": 0, "block": 0}
+    calls = {"batch": 0, "fold": 0, "block": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1484,13 +1484,14 @@ def test_project_makes_one_fold(runner, tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fold, "_project_batch", counted("batch", fold._project_batch))
+    monkeypatch.setattr(fold, "_fock_blocks", counted("fold", fold._fock_blocks))
     monkeypatch.setattr(
         fold, "_detector_block", counted("block", fold._detector_block)
     )
     cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
     result = runner.invoke(main, ["project", "--config", cfg])
     assert result.exit_code == 0, result.output
-    assert calls == {"batch": 1, "block": 2}
+    assert calls == {"batch": 1, "fold": 1, "block": 2}
 
 
 def test_project_sector_norm_check_exits_2(runner, tmp_path, monkeypatch):

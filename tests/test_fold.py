@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from identangle import fold
+from identangle.errors import RowError, SizeLimitError
 
 
 def per_block_fold(c, s, r):
@@ -177,3 +178,75 @@ def test_fold_amplitude_is_its_row_of_fold_amplitudes():
         pairs += g
         n_ups.add("none" if n_up == 0 else "all" if n_up == n_total else "some")
     assert n_ups == {"none", "all", "some"}
+
+
+def test_grouped_calls_are_bit_identical_to_the_group_loop():
+    # one grouped projection or amplitude call folds every group's blocks
+    # together; each group must read what its own call reads, to the bit
+    rng = np.random.default_rng(32)
+    seen = set()
+    for case in range(200):
+        groups, pairs = [], []
+        for _ in range(int(rng.integers(1, 26))):
+            n_total = int(rng.integers(1, 9))
+            n_up = int(rng.integers(0, n_total + 1))
+            g = int(rng.choice([1, 2, int(rng.integers(1, 7)), int(rng.integers(7, 60))]))
+            groups.append((n_up, np.stack(seeded_angles(rng, g, n_total))))
+            pairs.append((n_up, np.stack(seeded_angles(rng, 2 * g, n_total)).reshape(4, 2, g, n_total)))
+            seen.add((n_total, n_up))
+        projections = fold._project_groups(groups)
+        assert len(projections) == len(groups)
+        for got, (n_up, angles) in zip(projections, groups):
+            for a, b in zip(got, fold._project_batch(n_up, *angles)):
+                assert same_bits(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)), case
+        amplitudes = fold.fold_amplitude_groups(pairs)
+        assert len(amplitudes) == len(pairs)
+        for got, (n_up, angles) in zip(amplitudes, pairs):
+            assert same_bits(got, fold.fold_amplitudes(n_up, *angles)), case
+    assert seen == {(n, k) for n in range(1, 9) for k in range(n + 1)}
+
+
+def first_error(evaluate, groups):
+    """The error the loop over the groups, one call each, raises first."""
+    for n_up, angles in groups:
+        try:
+            evaluate(n_up, *angles)
+        except (RowError, SizeLimitError) as exc:
+            return exc
+    return None
+
+
+def test_grouped_calls_raise_the_group_loops_first_error():
+    # a NaN angle fails its particle's norm check; with failing rows in
+    # several groups, and a group above the size cap, a grouped call raises
+    # what its group loop raises first, with the same row and message
+    rng = np.random.default_rng(33)
+    failures = Counter()
+    for case in range(60):
+        groups, pairs = [], []
+        for _ in range(int(rng.integers(2, 8))):
+            n_total = int(rng.integers(1, 7)) if rng.random() < 0.9 else fold.PROJECTION_SIZE_LIMIT + 1
+            n_up = int(rng.integers(0, n_total + 1))
+            g = int(rng.integers(1, 6))
+            angles = np.stack(seeded_angles(rng, g, n_total))
+            pair_angles = np.stack(seeded_angles(rng, 2 * g, n_total)).reshape(4, 2, g, n_total)
+            for array in (angles, pair_angles):
+                if rng.random() < 0.4:
+                    array[(int(rng.integers(4)), *(int(rng.integers(k)) for k in array.shape[1:]))] = np.nan
+            groups.append((n_up, angles))
+            pairs.append((n_up, pair_angles))
+        for grouped, single, items in (
+            (fold._project_groups, fold._project_batch, groups),
+            (fold.fold_amplitude_groups, fold.fold_amplitudes, pairs),
+        ):
+            expected = first_error(single, items)
+            if expected is None:
+                grouped(items)
+                continue
+            with pytest.raises(type(expected)) as info:
+                grouped(items)
+            assert str(info.value) == str(expected), case
+            if isinstance(expected, RowError):
+                assert info.value.row == expected.row, case
+            failures[type(expected).__name__] += 1
+    assert failures["RowError"] >= 20 and failures["SizeLimitError"] >= 5, failures

@@ -3,6 +3,7 @@ replay, and the array oracles at the expansion cap N = 6."""
 
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from identangle.detection import (
     sector_reduced_density,
 )
 from identangle.errors import NullStateError, SizeLimitError
-from identangle.fold import _project_batch, fold_amplitudes
+from identangle.fold import _project_batch, _project_groups, fold_amplitude_groups
 from identangle.measures import (
     three_boson_average_concurrence,
     three_boson_average_concurrence_coherences,
@@ -300,10 +301,39 @@ def test_oracle_suite_errors_equal_case_by_case(monkeypatch, seed):
         assert error == expected, case
 
 
+def fingerprint(weights, p):
+    """A float per projection that changes with any bit of its sector
+    Schmidt weights or probabilities."""
+    return np.array([float(zlib.crc32(w.tobytes() + q.tobytes())) for w, q in zip(weights, p)])
+
+
+@pytest.mark.parametrize("seed", [4, 9])
+@pytest.mark.parametrize("error", [verify._theorem1_errors, fingerprint], ids=["error", "fingerprint"])
+def test_theorem1_suite_errors_equal_case_by_case(monkeypatch, seed, error):
+    # the suite folds its cases in grouped packs; every case's error, and
+    # every bit of the projection it reads, must be the one case's alone
+    captured = {}
+    report = verify._report
+
+    def capture(suite, seed, errors, inputs):
+        captured.update(errors=list(errors), inputs=inputs)
+        return report(suite, seed, errors, inputs)
+
+    monkeypatch.setattr(verify, "_report", capture)
+    monkeypatch.setattr(verify, "_theorem1_errors", error)
+    assert suite_theorem1(seed=seed, cases=150)["cases"] == 150
+    for case, value in enumerate(captured["errors"]):
+        n_up, rows = case_from(captured["inputs"](case))
+        _, weights, p, _ = _project_batch(n_up, *rows[:, None])
+        assert repr(value) == repr(error(weights, p)[0]), case
+
+
 def test_oracle_suite_checks_the_fold_amplitude(monkeypatch):
-    # the route the amplitude command runs, batched per (N, n_up) group,
-    # off by 1e-9 on every pair
-    monkeypatch.setattr(verify, "fold_amplitudes", lambda *args: fold_amplitudes(*args) + 1e-9)
+    # the route the amplitude command runs, batched per pack of (N, n_up)
+    # group chunks, off by 1e-9 on every pair
+    monkeypatch.setattr(
+        verify, "fold_amplitude_groups", lambda groups: [values + 1e-9 for values in fold_amplitude_groups(groups)]
+    )
     result = CliRunner().invoke(main, ["verify", "oracle", "--cases", "2"])
     assert result.exit_code == 1, result.output
     assert json.loads(result.output)["failures"] > 0
@@ -312,12 +342,13 @@ def test_oracle_suite_checks_the_fold_amplitude(monkeypatch):
 def test_oracle_suite_checks_the_fold_projection(monkeypatch):
     # the route the project command runs, one outcome amplitude off by 1e-9:
     # the reference read from the oracle's label counts must catch it
-    def shifted(*args):
-        outcomes, weights, p, leak = _project_batch(*args)
-        outcomes[0, 0, 0] += 1e-9
-        return outcomes, weights, p, leak
+    def shifted(groups):
+        projections = _project_groups(groups)
+        for outcomes, _, _, _ in projections:
+            outcomes[0, 0, 0] += 1e-9
+        return projections
 
-    monkeypatch.setattr(verify, "_project_batch", shifted)
+    monkeypatch.setattr(verify, "_project_groups", shifted)
     result = CliRunner().invoke(main, ["verify", "oracle", "--cases", "2"])
     assert result.exit_code == 1, result.output
     assert json.loads(result.output)["failures"] > 0
@@ -364,22 +395,37 @@ def test_n2_closed_form_report_does_not_depend_on_the_chunk_size(monkeypatch):
 
 @pytest.mark.parametrize("suite", [suite_theorem1, suite_oracle])
 def test_grouped_suites_fold_one_chunk_at_a_time(monkeypatch, suite):
-    folded = []
+    folded, calls = [], []
 
-    def recorded(n_up, *angles):
-        folded.append((n_up, *angles[0].shape))
-        return _project_batch(n_up, *angles)
+    def recorded(grouped, rows_per_case):
+        def wrapper(groups):
+            # (n_up, rows the folds hold, N, rows of one case) of each group
+            # chunk: a pair's bra and ket are two rows
+            chunks = [
+                (n_up, rows_per_case * angles.shape[-2], angles.shape[-1], rows_per_case)
+                for n_up, angles in groups
+            ]
+            folded.extend(chunks)
+            calls.append(chunks)
+            return grouped(groups)
+        return wrapper
 
-    monkeypatch.setattr(verify, "_project_batch", recorded)
+    monkeypatch.setattr(verify, "_project_groups", recorded(_project_groups, 1))
+    monkeypatch.setattr(verify, "fold_amplitude_groups", recorded(fold_amplitude_groups, 2))
     unpatched = suite(seed=11, cases=60)
-    groups = len(folded)
+    groups, packs = len(folded), len(calls)
     # 64 entries: from 16 rows of a one-particle block down to 1 row of a
-    # six-particle block
+    # six-particle block, and a pair of five-particle blocks on its own
     monkeypatch.setattr(fold, "CHUNK_ENTRIES", 64)
     assert suite(seed=11, cases=60) == unpatched
     assert len(folded) > 2 * groups
-    for n_up, rows, n_total in folded[groups:]:
-        assert fold.fold_chunks(n_up, n_total, rows) == [slice(0, rows)]
+    # a chunk the rule would split is a single case, which cannot be
+    for n_up, rows, n_total, per_case in folded[groups:]:
+        assert rows == per_case or fold.fold_chunks(n_up, n_total, rows) == [slice(0, rows)]
+    # a grouped call holds at most one chunk's entries, or a single case
+    for chunks in calls[packs:]:
+        entries = sum(rows * (max(n_up, n - n_up) + 1) ** 2 for n_up, rows, n, _ in chunks)
+        assert entries <= 64 or [rows for _, rows, _, _ in chunks] == [chunks[0][3]], chunks
 
 
 def test_suite_without_cases_has_no_worst_case():
