@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -374,7 +374,9 @@ def _first_failure(evaluate: Callable[[Sequence], List], groups: Sequence) -> Li
     """``evaluate(groups)``, whose checks run on all the groups at once; if
     one fails with several groups, the error that evaluating them one at a
     time raises first instead, so that a grouped call fails as the loop
-    over its groups would."""
+    over its groups would.  No groups evaluate to none."""
+    if not groups:
+        return []
     try:
         return evaluate(groups)
     except (RowError, SizeLimitError):
@@ -511,9 +513,9 @@ def fold_amplitude(
     """Amplitude <bra|ket> between two symmetrized boson product states.
 
     Row 0 of the (2, N) angle arrays holds the bra's particles, row 1 the
-    ket's, each spin-up first: the one-pair case of :func:`fold_amplitudes`,
-    both computed by :func:`_pair_amplitudes`.  Different n_up give
-    exactly 0.  Raises SizeLimitError above N = 170.
+    ket's, each spin-up first: one pair of :func:`fold_amplitude_groups`,
+    both from :func:`_pair_amplitudes`.  Different n_up give exactly 0.
+    Raises SizeLimitError above N = 170.
     """
     _require_fold_size("amplitude", theta.shape[1])
     amps = _mode_amplitudes(theta, omega, phi, gamma)
@@ -522,30 +524,14 @@ def fold_amplitude(
     return complex(_pair_amplitudes([(ket_n_up, amps)])[0][0])
 
 
-def fold_amplitudes(
-    n_up: int,
-    theta: np.ndarray,
-    omega: np.ndarray,
-    phi: np.ndarray,
-    gamma: np.ndarray,
-) -> np.ndarray:
-    """Amplitudes <bra|ket> of G pairs of symmetrized boson product states
-    with n_up spin-up particles each, shape (G,): the one-group case of
-    :func:`fold_amplitude_groups`.
-
-    Row [0, g] of the (2, G, N) angle arrays holds pair g's bra particles,
-    row [1, g] its ket's, each spin-up first; a RowError names the row of
-    the (2G, N) stack, bras first.  Raises SizeLimitError above N = 170.
-    """
-    return fold_amplitude_groups([(n_up, (theta, omega, phi, gamma))])[0]
-
-
 def fold_amplitude_groups(groups: Sequence[Tuple[int, Sequence[np.ndarray]]]) -> List[np.ndarray]:
-    """:func:`fold_amplitudes` of several groups of pairs, each given as
-    n_up and its four (2, G, N) angle arrays (or one (4, 2, G, N) array),
-    from one :func:`_mode_amplitudes` call and one :func:`_pair_amplitudes`
-    call.  A pair's amplitude does not depend on the other pairs, and a
-    failed check raises what the groups, one at a time, raise first."""
+    """Amplitudes <bra|ket> (G,) of each group of G boson pairs: n_up and
+    four (2, G, N) angle arrays (or one (4, 2, G, N) array), [0, g] pair
+    g's bra particles and [1, g] its ket's, spin-up first.  One
+    :func:`_mode_amplitudes` and one :func:`_pair_amplitudes` call take
+    every group; a pair's amplitude does not depend on the others, and a
+    failed check raises what the groups, one at a time, raise first (a
+    RowError names the group's row in its (2G, N) stack, bras first)."""
 
     def evaluate(groups):
         modes = _group_modes("amplitude", [angles for _, angles in groups])
@@ -673,35 +659,11 @@ def fold_chunks(n_up: int, n_total: int, rows: int) -> List[slice]:
     """The row slices, in order, in which ``rows`` ensembles of N =
     ``n_total`` particles, n_up of them up, are folded: CHUNK_ENTRIES //
     (n + 1)^2 rows each (at least one), so they follow from the block
-    sizes alone.  An empty batch is one empty slice."""
+    sizes alone.  An empty batch is one empty slice.  Only sweeps and
+    ``n2-closed-form``, whose rows grow with their input, chunk them."""
     block = max(n_up, n_total - n_up) + 1
     size = max(1, CHUNK_ENTRIES // block ** 2)
     return [slice(start, min(start + size, rows)) for start in range(0, max(rows, 1), size)]
-
-
-def fold_packs(groups: Sequence[Tuple[int, int, int, int]]) -> Iterator[List[Tuple[int, slice]]]:
-    """The packs, one grouped fold each, in which groups of cases given as
-    (n_up, N, cases, rows per case) are folded: each pack lists (group,
-    slice of its cases) in order.  A case's folds hold its rows times
-    (n + 1)^2 complex entries, n its larger spin block's particle count,
-    and a pack takes cases, group by group, while its entries stay within
-    CHUNK_ENTRIES (at least one case): the rule of :func:`fold_chunks`
-    across groups."""
-    pack: List[Tuple[int, slice]] = []
-    room = CHUNK_ENTRIES
-    for group, (n_up, n_total, cases, rows) in enumerate(groups):
-        entries = rows * (max(n_up, n_total - n_up) + 1) ** 2
-        start = 0
-        while start < cases:
-            if pack and room < entries:
-                yield pack
-                pack, room = [], CHUNK_ENTRIES
-            take = min(cases - start, max(1, room // entries))
-            pack.append((group, slice(start, start + take)))
-            room -= take * entries
-            start += take
-    if pack:
-        yield pack
 
 
 def sweep_grid(

@@ -10,25 +10,25 @@ draws, folds and scores its rows one :func:`fold.fold_chunks` chunk at a
 time, so its memory does not grow with ``cases``.  ``theorem1`` and
 ``oracle`` draw each particle number's cases in whole-array calls
 (:func:`_theorem1_draws`, :func:`random_rows`) into one block per N of a
-:class:`_Cases`, and fold all their (N, n_up) groups in packs of the
-chunk rule (:meth:`_Cases.packs`), one grouped fold per pack whose rows
-each get the arithmetic of their group alone; ``schmidt``'s ten mode
-splits are one fold.  The oracle suite checks the ``amplitude`` fold
-route, one :func:`fold.fold_amplitude_groups` call per pack of its pairs,
-and the ``project`` fold route, one :func:`fold._project_groups` call per
-pack, against expansion oracles whose kets :func:`oracles.rows_kets`
-builds from each group chunk's angle rows, one pass per ensemble.  Every
-resizable suite takes its size as ``cases`` (:func:`run_suite` takes 1
-to ``MAX_CASES``), and none takes a tolerance: :func:`_report` alone
-counts failures.  These back the command-line ``verify`` command and the
-acceptance tests.
+:class:`_Cases`, and fold all their (N, n_up) groups
+(:meth:`_Cases.groups`) in one grouped call, whose rows each get the
+arithmetic of their group alone and whose folds stay within
+``fold.STACKED_ENTRIES`` entries a step; ``schmidt``'s ten mode splits
+are one fold.  The oracle suite checks the ``amplitude`` fold route, one
+:func:`fold.fold_amplitude_groups` call for all its pairs, and the
+``project`` fold route, one :func:`fold._project_groups` call, against
+expansion oracles whose kets :func:`oracles.rows_kets` builds from each
+group's angle rows, one pass per ensemble.  Every resizable suite takes
+its size as ``cases`` (:func:`run_suite` takes 1 to ``MAX_CASES``), and
+none takes a tolerance: :func:`_report` alone counts failures.  These
+back the command-line ``verify`` command and the acceptance tests.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .fold import (
     fold_amplitude,
     fold_amplitude_groups,
     fold_chunks,
-    fold_packs,
     sweep_grid,
 )
 from .measures import (
@@ -58,13 +57,13 @@ from .measures import (
 from .tolerances import comparison_from_env
 
 DEFAULT_SEED = 7
-#: largest ``cases`` :func:`run_suite` takes: every suite folds chunk by
-#: chunk (``theorem1`` and ``oracle`` in packs of the chunk rule across
-#: their (N, n_up) groups) and ``n2-closed-form`` (400 fold cases per unit)
-#: also draws so; ``theorem1`` and ``oracle`` hold their drawn cases as
-#: (4, cases, N) arrays, and at 1000 on a 2-vCPU host ``oracle`` takes
-#: about 0.73 s in process (0.91 s and 44 MB max RSS as a command),
-#: ``theorem1`` 5.2 ms
+#: largest ``cases`` :func:`run_suite` takes: every fold step stays within
+#: ``fold.STACKED_ENTRIES`` entries (or four rows), ``n2-closed-form`` (400
+#: fold cases per unit) draws and folds chunk by chunk, and ``theorem1``
+#: and ``oracle`` hold their drawn cases as (4, cases, N) arrays and their
+#: results as one grouped call's; at 1000 on a 2-vCPU host ``oracle``
+#: takes about 0.7 s in process (0.9 s and 44 MB max RSS as a command),
+#: ``theorem1`` 5 ms
 MAX_CASES = 1000
 
 
@@ -102,30 +101,18 @@ class _Cases:
         row = case - self.starts[block]
         return int(n_up[row]), angles[..., row, :]
 
-    def packs(self) -> Iterator[List[Tuple[int, np.ndarray, np.ndarray]]]:
-        """The cases' (N, n_up) groups in the packs of :func:`fold.fold_packs`,
-        one grouped fold each, a bra and a ket counting as two rows: n_up,
-        the case indices in draw order and the (4, ..., G, N) angle rows of
-        each group chunk of a pack."""
+    def groups(self) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+        """The cases' (N, n_up) groups, n_up ascending within each N: n_up,
+        the case indices in draw order and the (4, ..., G, N) angle rows."""
         groups = []
         for (n_ups, angles), first in zip(self.blocks, self.starts):
             # the block's rows by n_up, each group in draw order
             order = np.argsort(n_ups, kind="stable")
-            stops = np.cumsum(np.bincount(n_ups, minlength=angles.shape[-1] + 1)).tolist()
-            for n_up, (start, stop) in enumerate(zip([0] + stops, stops)):
-                if start < stop:
-                    groups.append((n_up, first, angles, order[start:stop]))
-        # a case is one row of a fold, a pair (2, ..., N) two
-        sizes = [
-            (n_up, angles.shape[-1], len(rows), math.prod(angles.shape[1:-2]))
-            for n_up, _, angles, rows in groups
-        ]
-        for pack in fold_packs(sizes):
-            chunks = []
-            for group, cases in pack:
-                n_up, first, angles, rows = groups[group]
-                chunks.append((n_up, first + rows[cases], angles[..., rows[cases], :]))
-            yield chunks
+            stops = np.cumsum(np.bincount(n_ups, minlength=angles.shape[-1] + 1))[:-1]
+            for n_up, rows in enumerate(np.split(order, stops)):
+                if len(rows):
+                    groups.append((n_up, first + rows, angles[..., rows, :]))
+        return groups
 
 
 def _angles(thetas, omegas) -> np.ndarray:
@@ -204,11 +191,11 @@ def suite_theorem1(
     weight zero) and the average entanglement at zero; a case's error is
     the larger of the two."""
     draws = _theorem1_draws(np.random.default_rng(seed), cases)
+    groups = draws.groups()
     errors = np.empty(cases)
-    for pack in draws.packs():
-        projections = _project_groups([(n_up, angles) for n_up, _, angles in pack])
-        for (_, members, _), (_, weights, p, _) in zip(pack, projections):
-            errors[members] = _theorem1_errors(weights, p)
+    projections = _project_groups([(n_up, angles) for n_up, _, angles in groups])
+    for (_, members, _), (_, weights, p, _) in zip(groups, projections):
+        errors[members] = _theorem1_errors(weights, p)
     return _report("theorem1", seed, errors, lambda case: _ensemble_inputs(draws[case]))
 
 
@@ -351,19 +338,19 @@ def amplitude_oracle_error(bra: Tuple[int, np.ndarray], ket: Tuple[int, np.ndarr
 
 def _amplitude_oracle_errors(pairs: _Cases) -> np.ndarray:
     """:func:`amplitude_oracle_error` of each pair of bra and ket rows of
-    equal n_up, from one :func:`fold.fold_amplitudes` call per chunk of
-    each (N, n_up) group; a pair's fold amplitude does not depend on the
+    equal n_up, from one :func:`fold.fold_amplitude_groups` call over
+    every (N, n_up) group; a pair's fold amplitude does not depend on the
     others, so each error is the one pair's alone, bit for bit."""
     from .oracles import expansion_inner_product, rows_kets
 
     errors = np.empty(len(pairs))
-    for pack in pairs.packs():
-        folded = fold_amplitude_groups([(n_up, angles) for n_up, _, angles in pack])
-        for (n_up, members, angles), values in zip(pack, folded):
-            # the chunk's bras' kets, then its kets' kets
-            kets = rows_kets(n_up, angles)
-            for row, (case, fast) in enumerate(zip(members.tolist(), values.tolist())):
-                errors[case] = abs(fast - expansion_inner_product(kets[row], kets[len(members) + row]))
+    groups = pairs.groups()
+    folded = fold_amplitude_groups([(n_up, angles) for n_up, _, angles in groups])
+    for (n_up, members, angles), values in zip(groups, folded):
+        # the group's bras' kets, then its kets' kets
+        kets = rows_kets(n_up, angles)
+        for row, (case, fast) in enumerate(zip(members.tolist(), values.tolist())):
+            errors[case] = abs(fast - expansion_inner_product(kets[row], kets[len(members) + row]))
     return errors
 
 
@@ -379,25 +366,26 @@ def projection_oracle_error(
 
 
 def _projection_oracle_errors(cases: _Cases) -> np.ndarray:
-    """:func:`projection_oracle_error` of each case, from one fold per chunk
-    of each (N, n_up) group; a fold's rows are independent, so each error
-    is the one case's alone, bit for bit."""
+    """:func:`projection_oracle_error` of each case, from one
+    :func:`fold._project_groups` call over every (N, n_up) group; a fold's
+    rows are independent, so each error is the one case's alone, bit for
+    bit."""
     from .oracles import rows_kets, substitution_sectors
 
     errors = np.empty(len(cases))
-    for pack in cases.packs():
-        projections = _project_groups([(n_up, angles) for n_up, _, angles in pack])
-        for (n_up, members, angles), (outcomes, _, _, leak) in zip(pack, projections):
-            for row, (case, kets) in enumerate(zip(members.tolist(), rows_kets(n_up, angles))):
-                sectors, oracle_leak = substitution_sectors(kets)
-                reference = np.zeros_like(outcomes[row])
-                for q, amplitudes in sectors.items():
-                    for key, value in amplitudes.items():
-                        alpha = key.count(("L", Spin.UP))
-                        reference[alpha, q - alpha] = value
-                errors[case] = max(
-                    abs(float(leak[row]) - oracle_leak), float(np.abs(outcomes[row] - reference).max())
-                )
+    groups = cases.groups()
+    projections = _project_groups([(n_up, angles) for n_up, _, angles in groups])
+    for (n_up, members, angles), (outcomes, _, _, leak) in zip(groups, projections):
+        for row, (case, kets) in enumerate(zip(members.tolist(), rows_kets(n_up, angles))):
+            sectors, oracle_leak = substitution_sectors(kets)
+            reference = np.zeros_like(outcomes[row])
+            for q, amplitudes in sectors.items():
+                for key, value in amplitudes.items():
+                    alpha = key.count(("L", Spin.UP))
+                    reference[alpha, q - alpha] = value
+            errors[case] = max(
+                abs(float(leak[row]) - oracle_leak), float(np.abs(outcomes[row] - reference).max())
+            )
     return errors
 
 

@@ -170,7 +170,7 @@ def test_fold_amplitude_is_its_row_of_fold_amplitudes():
         n_up = int(rng.choice([0, n_total, int(rng.integers(0, n_total + 1))]))
         g = int(rng.integers(1, 13)) if n_total <= 40 else int(rng.integers(1, 4))
         angles = np.stack(seeded_angles(rng, 2 * g, n_total)).reshape(4, 2, g, n_total)
-        batch = fold.fold_amplitudes(n_up, *angles)
+        batch = fold.fold_amplitude_groups([(n_up, angles)])[0]
         assert batch.shape == (g,)
         for pair in range(g):
             one = fold.fold_amplitude(n_up, n_up, *angles[:, :, pair])
@@ -202,8 +202,13 @@ def test_grouped_calls_are_bit_identical_to_the_group_loop():
         amplitudes = fold.fold_amplitude_groups(pairs)
         assert len(amplitudes) == len(pairs)
         for got, (n_up, angles) in zip(amplitudes, pairs):
-            assert same_bits(got, fold.fold_amplitudes(n_up, *angles)), case
+            assert same_bits(got, fold.fold_amplitude_groups([(n_up, angles)])[0]), case
     assert seen == {(n, k) for n in range(1, 9) for k in range(n + 1)}
+
+
+def test_grouped_calls_of_no_groups_return_none():
+    assert fold._project_groups([]) == []
+    assert fold.fold_amplitude_groups([]) == []
 
 
 def first_error(evaluate, groups):
@@ -237,7 +242,7 @@ def test_grouped_calls_raise_the_group_loops_first_error():
             pairs.append((n_up, pair_angles))
         for grouped, single, items in (
             (fold._project_groups, fold._project_batch, groups),
-            (fold.fold_amplitude_groups, fold.fold_amplitudes, pairs),
+            (fold.fold_amplitude_groups, lambda n_up, *angles: fold.fold_amplitude_groups([(n_up, angles)])[0], pairs),
         ):
             expected = first_error(single, items)
             if expected is None:

@@ -395,37 +395,30 @@ def test_n2_closed_form_report_does_not_depend_on_the_chunk_size(monkeypatch):
 
 @pytest.mark.parametrize("suite", [suite_theorem1, suite_oracle])
 def test_grouped_suites_fold_one_chunk_at_a_time(monkeypatch, suite):
-    folded, calls = [], []
+    # a suite folds all its (N, n_up) groups in one grouped call per kind,
+    # whose fold steps stack blocks only within STACKED_ENTRIES entries
+    calls = []
+    fock_blocks = fold._fock_blocks
 
-    def recorded(grouped, rows_per_case):
-        def wrapper(groups):
-            # (n_up, rows the folds hold, N, rows of one case) of each group
-            # chunk: a pair's bra and ket are two rows
-            chunks = [
-                (n_up, rows_per_case * angles.shape[-2], angles.shape[-1], rows_per_case)
-                for n_up, angles in groups
-            ]
-            folded.extend(chunks)
-            calls.append(chunks)
-            return grouped(groups)
-        return wrapper
+    def recorded(c, s, r, blocks=None, start=None, raw=False):
+        assert start is None  # from the vacuum: n particles reach n + 1 outcomes a side
+        calls.append((blocks is None, len(c), c.shape[1] + 1, fold.STACKED_ENTRIES))
+        return fock_blocks(c, s, r, blocks, start, raw)
 
-    monkeypatch.setattr(verify, "_project_groups", recorded(_project_groups, 1))
-    monkeypatch.setattr(verify, "fold_amplitude_groups", recorded(fold_amplitude_groups, 2))
+    monkeypatch.setattr(fold, "_fock_blocks", recorded)
     unpatched = suite(seed=11, cases=60)
-    groups, packs = len(folded), len(calls)
-    # 64 entries: from 16 rows of a one-particle block down to 1 row of a
-    # six-particle block, and a pair of five-particle blocks on its own
-    monkeypatch.setattr(fold, "CHUNK_ENTRIES", 64)
+    default = len(calls)
+    # 64 entries: from 16 rows of one-particle blocks down to a block alone
+    monkeypatch.setattr(fold, "STACKED_ENTRIES", 64)
     assert suite(seed=11, cases=60) == unpatched
-    assert len(folded) > 2 * groups
-    # a chunk the rule would split is a single case, which cannot be
-    for n_up, rows, n_total, per_case in folded[groups:]:
-        assert rows == per_case or fold.fold_chunks(n_up, n_total, rows) == [slice(0, rows)]
-    # a grouped call holds at most one chunk's entries, or a single case
-    for chunks in calls[packs:]:
-        entries = sum(rows * (max(n_up, n - n_up) + 1) ** 2 for n_up, rows, n, _ in chunks)
-        assert entries <= 64 or [rows for _, rows, _, _ in chunks] == [chunks[0][3]], chunks
+    assert len(calls) > default
+    # a call holds one block, which is never split, or at most four rows
+    # (a single state, or a pair's bra and ket), or its step arrays stay
+    # within the bound in force
+    for alone, rows, size, bound in calls:
+        assert alone or rows <= 4 or rows * size ** 2 <= bound, (rows, size, bound)
+    # and at the default bound, groups do stack
+    assert any(not alone and rows > 4 for alone, rows, _, _ in calls[:default])
 
 
 def test_suite_without_cases_has_no_worst_case():
