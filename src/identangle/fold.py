@@ -7,7 +7,7 @@ each block's fixed particles once and continues that fold per setting of
 the swept ones; every projection ends in one combine step
 (:func:`_combine`).  Batches of several (N, n_up) groups fold in one
 grouped call (:func:`_project_groups`, :func:`fold_amplitude_groups`),
-each row's arithmetic that of its group alone.  Past numpy and the
+each row's arithmetic that of the row alone.  Past numpy and the
 stdlib it imports only ``errors`` and ``tolerances``; ``detection`` and
 ``measures`` build on it.
 """
@@ -78,15 +78,16 @@ def _require_rows(ok: np.ndarray, message: Callable[[int], str]):
 
 
 @functools.lru_cache(maxsize=PROJECTION_SIZE_LIMIT + 1)
-def _block_layout(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Constants of the n-particle fold: the outcome indices (a, n - a),
-    the sqrt(a_L! a_R! a_chi!) scale and the a_chi > 0 mask."""
+def _block_layout(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constants of the n-particle fold: in its (n+1)^2 coefficients,
+    flattened, the indices of the outcomes (a, n - a), a ascending, and of
+    the a_chi > 0 entries; and the sqrt(a_L! a_R! a_chi!) scale."""
     a = np.arange(n + 1)
     # a_chi, clipped to 0 where a_L + a_R > n and the coefficients vanish
     a_chi = np.clip(n - np.add.outer(a, a), 0, None)
     root_fact = np.sqrt([float(math.factorial(k)) for k in a])
     scale = np.outer(root_fact, root_fact) * root_fact[a_chi]
-    layout = (a, n - a, scale, a_chi > 0)
+    layout = (a * n + n, np.flatnonzero(a_chi), scale)
     for array in layout:  # shared by every caller
         array.setflags(write=False)
     return layout
@@ -256,13 +257,15 @@ def _detector_block(amps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     (G, n+1, n+1)), returns the normalized amplitudes B[:, a] of the
     outcomes a_L = a, a_R = n - a, shape (G, n+1), their total weight (G,),
     and the weight of the outcomes with a_chi > 0 (G,).  Raises RowError on
-    the first state of vanishing norm.
+    the first state of vanishing norm.  A row's values do not depend on G.
     """
-    left, right, _, leaks = _block_layout(amps.shape[1] - 1)
-    weights = amps.real ** 2 + amps.imag ** 2
-    detected = amps[:, left, right]
-    detected_sq = weights[:, left, right].sum(axis=1)
-    leaked_sq = weights[:, leaks].sum(axis=1)
+    outcomes, leaks, _ = _block_layout(amps.shape[1] - 1)
+    rows = amps.reshape(-1, amps.shape[1] ** 2)
+    # ``take`` lays each row's terms out in C order, so that every row sums
+    # pairwise (fancy indexing lays a batch out term by term)
+    detected, leaked = rows.take(outcomes, axis=1), rows.take(leaks, axis=1)
+    detected_sq = (detected.real ** 2 + detected.imag ** 2).sum(axis=1)
+    leaked_sq = (leaked.real ** 2 + leaked.imag ** 2).sum(axis=1)
     norm_sq = detected_sq + leaked_sq
     _require_rows(norm_sq > TOL.pruning, lambda row: "input state has vanishing norm")
     return (
@@ -399,36 +402,30 @@ def _project_groups(
     so each state is a product of an up and a down block, which
     :func:`_combine` joins.  One :func:`_mode_amplitudes` call takes every
     group's particles, one :func:`_fold_blocks` call folds every block, one
-    :func:`_detector_block` call reads the blocks of more than one row of
-    each size, another each block of one row, and one :func:`_combine`
-    call joins each group's blocks; every row's arithmetic is that of
-    its group alone (:func:`_project_batch`), so a row's projection does
-    not depend on the others.  A failed check raises what the groups, one
-    at a time, raise first.
+    :func:`_detector_block` call reads the blocks of each size, and one
+    :func:`_combine` call joins each group's blocks; every row's
+    arithmetic is that of the row alone (:func:`_project_batch` of one
+    row), so a row's projection does not depend on the others, at any N.
+    A failed check raises what the groups, one at a time, raise first.
     """
     return _first_failure(_projections, groups)
 
 
 def _projections(groups: Sequence[Tuple[int, Sequence[np.ndarray]]]) -> List[Tuple[np.ndarray, ...]]:
-    """:func:`_project_groups`, its checks run on all the groups at once."""
+    """:func:`_project_groups`, its checks run on all the groups at once.
+    The blocks are batched by size alone, a group's up block before its
+    down block; a batch of one block is read without a copy."""
     modes = _group_modes("projection", [angles for _, angles in groups])
     folded = _fold_blocks([block for (n_up, _), amps in zip(groups, modes) for block in _split(amps, n_up)])
-    # the blocks of each size in order, a group's up block before its down
-    # block; a block of one row is read alone, since numpy sums a batch's
-    # weights term by term (fancy indexing lays them out by term), but a
-    # single row's pairwise
-    batches: Dict[Tuple[int, int], List[int]] = {}
+    batches: Dict[int, List[int]] = {}
     for b, amps in enumerate(folded):
-        batches.setdefault((amps.shape[1], -1 if len(amps) > 1 else b), []).append(b)
+        batches.setdefault(amps.shape[1], []).append(b)
     detected: List[List[np.ndarray]] = [None] * len(folded)
     for members in batches.values():
-        if len(members) == 1:
-            detected[members[0]] = _detector_block(folded[members[0]])
-            continue
         stacked = [folded[b] for b in members]
         ends = list(itertools.accumulate(map(len, stacked)))
         try:
-            parts = _detector_block(np.concatenate(stacked))
+            parts = _detector_block(np.concatenate(stacked) if len(stacked) > 1 else stacked[0])
         except RowError as exc:
             # named by its row in its own block
             first = ([0] + ends)[bisect.bisect_right(ends, exc.row)]

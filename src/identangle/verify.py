@@ -12,7 +12,7 @@ time, so its memory does not grow with ``cases``.  ``theorem1`` and
 (:func:`_theorem1_draws`, :func:`random_rows`) into one block per N of a
 :class:`_Cases`, and fold all their (N, n_up) groups
 (:meth:`_Cases.groups`) in one grouped call, whose rows each get the
-arithmetic of their group alone and whose folds stay within
+arithmetic of the row alone, at every N, and whose folds stay within
 ``fold.STACKED_ENTRIES`` entries a step; ``schmidt``'s ten mode splits
 are one fold.  The oracle suite checks the ``amplitude`` fold route, one
 :func:`fold.fold_amplitude_groups` call for all its pairs, and the

@@ -1488,10 +1488,16 @@ def test_project_makes_one_fold(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(
         fold, "_detector_block", counted("block", fold._detector_block)
     )
-    cfg = write(tmp_path, "cfg.json", two_boson_config(0.2, 0.9))
-    result = runner.invoke(main, ["project", "--config", cfg])
-    assert result.exit_code == 0, result.output
-    assert calls == {"batch": 1, "fold": 1, "block": 2}
+    unequal = two_boson_config(0.2, 0.9)
+    unequal["particles"].append({"spin": "up", "theta": 0.5, "phi": 1.2})
+    # two one-particle blocks share a _detector_block call; blocks of two
+    # particles and of one are read apart
+    for payload, blocks in ((two_boson_config(0.2, 0.9), 1), (unequal, 2)):
+        calls.update(batch=0, fold=0, block=0)
+        cfg = write(tmp_path, "cfg.json", payload)
+        result = runner.invoke(main, ["project", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert calls == {"batch": 1, "fold": 1, "block": blocks}
 
 
 def test_project_sector_norm_check_exits_2(runner, tmp_path, monkeypatch):
@@ -1676,20 +1682,33 @@ def degree_config():
     ]}
 
 
+def large_block_config():
+    # two down particles, then nine up ones: the swept last one follows its
+    # block's eight fixed particles; particles 4 and 7 leak; angles in degrees
+    up = [{"spin": "up", "theta": 5 + 9.5 * j, "omega": 37 * j, **({"phi": 70 + j} if j in (2, 5) else {})} for j in range(9)]
+    return {"degrees": True, "particles": [
+        {"spin": "down", "theta": 60.25, "omega": 200},
+        {"spin": "down", "theta": 20, "gamma": 15},
+    ] + up}
+
+
 def project_record(runner, tmp_path, payload):
     result = runner.invoke(main, ["project", "--config", write(tmp_path, "moved.json", payload)])
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
 
 
-@pytest.mark.parametrize("index, angle, values", [
-    (0, "theta", [0, 12.5, 45, 90]),
-    (1, "omega", [-90, 0, 90, 400.25]),
-    (2, "phi", [0, 33, 89.5, 90]),
-    (2, "gamma", [-15, 0, 90, 720]),
-])
-def test_degree_sweep_rows_equal_project_of_the_moved_config(runner, tmp_path, index, angle, values):
-    payload = degree_config()
+@pytest.mark.parametrize("config, index, angle, values", [
+    (degree_config, 0, "theta", [0, 12.5, 45, 90]),
+    (degree_config, 1, "omega", [-90, 0, 90, 400.25]),
+    (degree_config, 2, "phi", [0, 33, 89.5, 90]),
+    (degree_config, 2, "gamma", [-15, 0, 90, 720]),
+    # one chunk holds every setting of a nine-particle block
+    (large_block_config, 10, "theta", [0, 12.5, 45, 71, 90]),
+], ids=["0-theta-values0", "1-omega-values1", "2-phi-values2", "2-gamma-values3", "large-block-10-theta"])
+def test_degree_sweep_rows_equal_project_of_the_moved_config(runner, tmp_path, config, index, angle, values):
+    payload = config()
+    n = len(payload["particles"])
     path = f"particles[{index}].{angle}"
     cfg = write(tmp_path, "cfg.json", payload)
     sweep = write(tmp_path, "sweep.json", {"axes": [{"path": path, "values": values}]})
@@ -1704,8 +1723,8 @@ def test_degree_sweep_rows_equal_project_of_the_moved_config(runner, tmp_path, i
             moved["particles"][index][angle] = value
             record = project_record(runner, tmp_path, moved)
             p = {sector["q"]: sector["p"] for sector in record["sectors"]}
-            assert row[1:5] == [p.get(q, 0.0) for q in range(4)]
-            assert row[5:] == [record["leak"], record["entanglement"][measure]]
+            assert row[1 : n + 2] == [p.get(q, 0.0) for q in range(n + 1)]
+            assert row[n + 2 :] == [record["leak"], record["entanglement"][measure]]
     json_rows = json.loads(runner.invoke(main, ["sweep", "--config", cfg, "--sweep", sweep, "--format", "json"]).output)
     assert [row["parameters"][path] for row in json_rows] == values
 

@@ -406,12 +406,37 @@ def random_batch(rng, rows, n_total):
     )
 
 
-def test_sweep_grid_over_chunks_is_bit_identical_to_one_fold_per_chunk(rng):
-    # three particles, two of them up: a chunk holds CHUNK_ENTRIES // 3^2 rows
-    n_up, chunk = 2, fold.CHUNK_ENTRIES // 3 ** 2
-    angles = random_batch(rng, 2 * chunk + 5, 3)
-    chunks = fold.fold_chunks(n_up, 3, 2 * chunk + 5)
-    assert [(rows.start, rows.stop) for rows in chunks] == [(0, chunk), (chunk, 2 * chunk), (2 * chunk, 2 * chunk + 5)]
+def test_sweep_grid_over_chunks_is_bit_identical_to_one_fold_per_chunk(rng, monkeypatch):
+    # three particles, two of them up, in chunks of CHUNK_ENTRIES // 3^2
+    # rows; then blocks of 7 to 14 particles, whose weights summed term by
+    # term and pairwise can differ in the last bit, in chunks of three rows
+    for n_total, n_up, chunk in ((3, 2, None), (9, 7, 3), (12, 1, 3), (14, 7, 3), (14, 14, 3)):
+        check_rows_are_folded_alone(rng, monkeypatch, n_total, n_up, chunk)
+
+
+def check_rows_are_folded_alone(rng, monkeypatch, n_total, n_up, chunk):
+    block = max(n_up, n_total - n_up) + 1
+    if chunk is None:
+        chunk = fold.CHUNK_ENTRIES // block ** 2
+    else:
+        monkeypatch.setattr(fold, "CHUNK_ENTRIES", chunk * block ** 2)
+    # the last chunk holds one row
+    count = 2 * chunk + 1
+    angles = random_batch(rng, count, n_total)
+    # every third row keeps all its particles at the detectors
+    angles[2][::3] = math.pi / 2
+    chunks = fold.fold_chunks(n_up, n_total, count)
+    assert [(rows.start, rows.stop) for rows in chunks] == [(0, chunk), (chunk, 2 * chunk), (2 * chunk, count)]
+    # a row's projection is that of the row alone: in a batch of its own
+    # group, and among groups of the swapped spin split and of N = 4
+    whole = fold._project_batch(n_up, *angles)
+    groups = [(n_total - n_up, random_batch(rng, 3, n_total)), (n_up, angles), (1, random_batch(rng, 2, 4))]
+    grouped = fold._project_groups(groups)[1]
+    for g in sorted({*range(0, count, max(1, count // 16)), count - 1}):
+        alone = fold._project_batch(n_up, *(a[g : g + 1] for a in angles))
+        for batch in (whole, grouped):
+            for part, value in zip(batch, alone):
+                assert np.array_equal(part[g : g + 1], value)
     for measure in fold.MEASURES:
         got = sweep_grid(n_up, *angles, measure)
         per_chunk = []
@@ -419,11 +444,11 @@ def test_sweep_grid_over_chunks_is_bit_identical_to_one_fold_per_chunk(rng):
             _, weights, p, leak = fold._project_batch(n_up, *(a[rows] for a in angles))
             per_chunk.append((p, leak, fold._postselected(weights, p, measure)))
         # and one fold of the whole batch: a fold's rows are independent
-        _, weights, p, leak = fold._project_batch(n_up, *angles)
-        whole = (p, leak, fold._postselected(weights, p, measure))
+        _, weights, p, leak = whole
+        expected = (p, leak, fold._postselected(weights, p, measure))
         for column, (value, parts) in enumerate(zip(got, zip(*per_chunk))):
             assert np.array_equal(value, np.concatenate(parts))
-            assert np.array_equal(value, whole[column])
+            assert np.array_equal(value, expected[column])
 
 
 def test_the_sector_walk_and_the_average_read_the_projection_zeros(rng):
