@@ -231,15 +231,6 @@ def project(config_path: str, output: str):
     _write_pieces(_project_json(config), output)
 
 
-def _grid_row_error(axes: List[SweepAxis], row: int, exc: RowError) -> ConsistencyError:
-    """The error of grid row ``row``, named with its axis values."""
-    import numpy as np
-
-    index = np.unravel_index(row, [len(axis.values) for axis in axes])
-    point = ", ".join(f"{axis.path} = {axis.values[i].item()!r}" for axis, i in zip(axes, index))
-    return ConsistencyError(f"grid row {row} ({point}): {exc}")
-
-
 def _sweep_chunk(
     rows: slice, grid, axes: List[SweepAxis], measure: str
 ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
@@ -255,7 +246,8 @@ def _sweep_chunk(
     try:
         return (index, *grid.rows(rows.start, rows.stop, measure))
     except RowError as exc:
-        raise _grid_row_error(axes, rows.start + exc.row, exc) from None
+        point = ", ".join(f"{axis.path} = {axis.values[i[exc.row]].item()!r}" for axis, i in zip(axes, index))
+        raise ConsistencyError(f"grid row {rows.start + exc.row} ({point}): {exc}") from None
 
 
 def _row_texts(
@@ -312,8 +304,10 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
     The grid is evaluated as one :class:`fold.GridSweep`: each spin block's
     fixed particles are folded once per sweep, and each chunk of rows
     (:func:`fold.fold_chunks`) continues a block's fold once per distinct
-    setting of the axes that move it.  With --threads above one, up to
-    that many threads (never more than there are chunks or CPUs) evaluate
+    setting of the axes that move it.  A chunk whose settings fail a check
+    is evaluated again, row by row, by :func:`fold.sweep_grid`, which
+    names the first failing row.  With --threads above one, up to that
+    many threads (never more than there are chunks or CPUs) evaluate
     chunks side by side.  Every chunk is evaluated before anything is
     written, so a failing grid row writes no output; the CSV rows or JSON
     records are then rendered and written a chunk at a time.  Rows follow
@@ -333,15 +327,12 @@ def sweep(config_path, sweep_path, measure, fmt, threads, output):
 
     paths = [axis.path for axis in axes]
     n = config.n_total
-    try:
-        # in radians, as parse_ensemble_config stores a value given in the file
-        grid = GridSweep(
-            config.n_up,
-            config.angles(),
-            [(axis.row, axis.particle, axis.values * config.radians_per_unit) for axis in axes],
-        )
-    except RowError as exc:
-        raise _grid_row_error(axes, exc.row, exc) from None
+    # in radians, as parse_ensemble_config stores a value given in the file
+    grid = GridSweep(
+        config.n_up,
+        config.angles(),
+        [(axis.row, axis.particle, axis.values * config.radians_per_unit) for axis in axes],
+    )
     chunks = fold_chunks(config.n_up, n, math.prod(len(axis.values) for axis in axes))
     evaluate = functools.partial(_sweep_chunk, grid=grid, axes=axes, measure=measure)
     # pool.map submits every chunk, and each submission may start a thread

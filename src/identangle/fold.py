@@ -4,11 +4,13 @@ first.  Each spin block lies in span{L, R, chi}, so its state follows from
 its particles' (c, s, r) amplitudes: Fock amplitudes for bosons, minors for
 fermions.  A sweep over a grid of angle values (:class:`GridSweep`) folds
 each block's fixed particles once and continues that fold per setting of
-the swept ones; every projection ends in one combine step
+the swept ones; a chunk of its rows whose settings fail a check is
+evaluated again, row by row, by :func:`sweep_grid`, which names the first
+failing row.  Every projection ends in one combine step
 (:func:`_combine`).  Batches of several (N, n_up) groups fold in one
 grouped call (:func:`_project_groups`, :func:`fold_amplitude_groups`),
-each row's arithmetic that of the row alone.  Past numpy and the
-stdlib it imports only ``errors`` and ``tolerances``; ``detection`` and
+each row's arithmetic that of the row alone.  Past numpy and the stdlib
+it imports only ``errors`` and ``tolerances``; ``detection`` and
 ``measures`` build on it.
 """
 
@@ -698,41 +700,17 @@ class _GridBlock(NamedTuple):
 
     The axes from the first to the last that move the block form one
     digit of the lexicographic grid index: grid row g has setting
-    q = g // ``stride`` of it, and q % ``size`` repeats with period
-    ``size``.  Each swept particle's amplitudes are tabled once per
-    sweep, for every setting of its own axes.
+    g // ``stride`` of it, which repeats with period ``size``.
     """
 
     stride: int
     size: int
-    #: per swept particle, ascending: (stride within q, length, weight in
-    #: its table) of each of its axes, and the offset of its table
-    particles: Tuple[Tuple[Tuple[Tuple[int, int, int], ...], int], ...]
-    #: the tables of the swept particles, one after the other: (c, s, r)
-    #: (3, K) and whether each particle is within tolerance of unit norm (K,)
-    amplitudes: np.ndarray
-    unit: np.ndarray
+    #: per swept particle, ascending: its axes and the offset of its table
+    #: in the sweep's tables
+    particles: Tuple[Tuple[Tuple[int, ...], int], ...]
     #: unscaled coefficients of the block's fixed particles, folded once
     #: (1, m+1, m+1)
     state: np.ndarray
-
-    def settings(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The block's settings among grid rows [start, stop), in the order
-        of their first rows: their q (S,), and each swept particle's place
-        in the tables (S, n)."""
-        q0 = start // self.stride
-        keys = np.arange(q0, q0 + min(self.size, (stop - 1) // self.stride - q0 + 1))
-        places = np.empty((len(keys), len(self.particles)), dtype=np.intp)
-        for column, (axes, offset) in enumerate(self.particles):
-            places[:, column] = offset
-            for stride, length, weight in axes:
-                places[:, column] += keys // stride % length * weight
-        return keys, places
-
-    def first_row(self, q: int, start: int) -> int:
-        """The first row of setting ``q`` among rows [start, ...), counted
-        from start."""
-        return max(int(q) * self.stride, start) - start
 
 
 class GridSweep:
@@ -746,16 +724,17 @@ class GridSweep:
 
     Once per sweep, each spin block's fixed particles (those no axis moves)
     are folded, a block no axis moves is projected whole, and each swept
-    particle's amplitudes are tabled for every setting of its own axes,
-    all of them checked for unit norm in one call.  Per chunk of rows
-    (:meth:`rows`), each moved block's fold continues from its fixed state
-    with its swept particles, once per distinct setting of the axes from
-    the first to the last that moves it, and :func:`_combine` joins the
-    blocks row by row.  A row equals :func:`_project_batch` of its
-    ensemble within rounding; only the order of the fold's products
-    differs, so the two agree to the bit where no swept particle precedes a
-    fixed one in its block.  Every check of :func:`_project_batch` runs in
-    the same order and raises RowError on the same first failing row.
+    particle's amplitudes are tabled for every setting of its own axes.
+    Per chunk of rows (:meth:`rows`), each moved block's fold continues
+    from its fixed state with its swept particles, once per distinct
+    setting of the axes from the first to the last that moves it, and
+    :func:`_combine` joins the blocks row by row.  A row equals
+    :func:`_project_batch` of its ensemble within rounding; only the order
+    of the fold's products differs, so the two agree to the bit where no
+    swept particle precedes a fixed one in its block.  A chunk whose
+    settings fail a check (the single-particle norm, a vanishing block
+    norm or ``sum p_q + leak = 1``) is evaluated again, row by row, by
+    :func:`sweep_grid`, which names the first failing row.
     """
 
     def __init__(self, n_up: int, angles: np.ndarray, axes: Sequence[Tuple[int, int, np.ndarray]]):
@@ -768,94 +747,79 @@ class GridSweep:
         fixed = [[k for k in range(lo, hi) if k not in moved] for (lo, hi), moved in zip(spans, swept)]
         # the fixed particles' angles, then each swept particle's at every
         # setting of its own axes (in C order), all amplitudes in one call
-        columns, owned = [angles[:, fixed[0] + fixed[1]]], {}
+        columns, tables = [angles[:, fixed[0] + fixed[1]]], {}
+        held = offset = len(fixed[0]) + len(fixed[1])
         for particle in swept[0] + swept[1]:
-            own = owned[particle] = [a for a, axis in enumerate(axes) if axis[1] == particle]
+            own = tuple(a for a, axis in enumerate(axes) if axis[1] == particle)
+            tables[particle] = own, offset
             points = np.unravel_index(np.arange(math.prod(self.shape[a] for a in own)), [self.shape[a] for a in own])
             table = np.repeat(angles[:, particle : particle + 1], len(points[0]), axis=1)
             for a, i in zip(own, points):
                 table[axes[a][0]] = axes[a][2][i]
             columns.append(table)
+            offset += len(points[0])
         amps, _, unit = _amplitudes(*np.concatenate(columns, axis=1)[:, None])
-        held = len(fixed[0]) + len(fixed[1])
-        if not unit[0, :held].all():
-            # every row fails: grid row 0 names its first failing particle,
-            # which a swept one may precede
-            raise self._norm_failure(0, 1)
+        #: the swept particles' tables: (c, s, r) (3, K), and whether each is
+        #: within tolerance of unit norm (K,)
+        self.amplitudes, self.unit = amps[:, 0], unit[0]
+        #: False when the fixed particles fail a check, and so every row;
+        #: ``blocks`` is then never read
+        self.passes = bool(self.unit[:held].all())
         states = _fold_blocks(_split(amps[:, :, :held], len(fixed[0])), raw=True)
-        #: per block: a _GridBlock, or what a block no axis moves projects
-        #: to once, the RowError it raised included
+        #: per block: a _GridBlock, or what a block no axis moves projects to
         self.blocks: List[object] = []
-        end = held
         for moved, state in zip(swept, states):
-            if not moved:
-                try:
-                    self.blocks.append(_detector_block(state * _block_layout(state.shape[1] - 1)[2]))
-                except RowError as exc:
-                    self.blocks.append(exc)
+            if moved:
+                ranks = [a for a, axis in enumerate(axes) if axis[1] in moved]
+                self.blocks.append(_GridBlock(
+                    math.prod(self.shape[ranks[-1] + 1 :]),
+                    math.prod(self.shape[ranks[0] : ranks[-1] + 1]),
+                    tuple(tables[particle] for particle in moved),
+                    state,
+                ))
                 continue
-            ranks = [a for a, axis in enumerate(axes) if axis[1] in moved]
-            last = ranks[-1] + 1
-            particles, begin = [], end
-            for particle in moved:
-                own = owned[particle]
-                digits = tuple(
-                    (math.prod(self.shape[a + 1 : last]), self.shape[a], math.prod(self.shape[b] for b in own[j + 1 :]))
-                    for j, a in enumerate(own)
-                )
-                particles.append((digits, end - begin))
-                end += math.prod(self.shape[a] for a in own)
-            self.blocks.append(_GridBlock(
-                math.prod(self.shape[last:]),
-                math.prod(self.shape[ranks[0] : last]),
-                tuple(particles),
-                amps[:, 0, begin:end],
-                unit[0, begin:end],
-                state,
-            ))
+            try:
+                self.blocks.append(_detector_block(state * _block_layout(state.shape[1] - 1)[2]))
+            except RowError:
+                self.passes = False
 
-    def _norm_failure(self, start: int, stop: int) -> RowError:
-        """The RowError of the first of grid rows [start, stop) holding a
-        particle off unit norm, as the rows' own amplitudes report it,
-        counted from start."""
+    def rows(self, start: int, stop: int, measure: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sector probabilities (G, N+1), leak (G,) and postselected
+        ``measure`` (G,) of grid rows [start, stop).  If a check fails on
+        them, what :func:`sweep_grid` returns or raises for their angle
+        rows: a RowError names the first failing row, counted from start."""
+        moved = [block for block in self.blocks if isinstance(block, _GridBlock)]
+        # each block's settings among the rows, by their first rows in order:
+        # each swept particle's place in the tables (S, n)
+        places = []
+        for block in moved:
+            first = start // block.stride * block.stride
+            firsts = np.arange(first, min(stop, first + block.size * block.stride), block.stride)
+            index = np.unravel_index(firsts, self.shape)
+            places.append(np.array([
+                offset + np.ravel_multi_index([index[a] for a in own], [self.shape[a] for a in own])
+                for own, offset in block.particles
+            ]).T)
+        if self.passes and all(self.unit[at].all() for at in places):
+            folded = iter(_fold_blocks([self.amplitudes[:, at] for at in places], [block.state for block in moved]))
+            projected = []
+            try:
+                for block in self.blocks:
+                    if isinstance(block, _GridBlock):
+                        inverse = (np.arange(start, stop) // block.stride - start // block.stride) % block.size
+                        block = tuple(part[inverse] for part in _detector_block(next(folded)))
+                    projected.append(block)
+                _, weights, p, leak = _combine(self.n_up, *projected)
+            except RowError:
+                pass
+            else:
+                return p, leak, _postselected(weights, p, measure)
+        # a check failed: the rows' own angles, folded row by row
         index = np.unravel_index(np.arange(start, stop), self.shape)
         angles = np.repeat(self.angles[:, None], stop - start, axis=1)
         for (row, particle, values), i in zip(self.axes, index):
             angles[row, :, particle] = values[i]
-        try:
-            _mode_amplitudes(*angles)
-        except RowError as exc:
-            return exc
-        raise ConsistencyError("a swept particle's norm check failed in its table but not in its rows")
-
-    def rows(self, start: int, stop: int, measure: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sector probabilities (G, N+1), leak (G,) and postselected
-        ``measure`` (G,) of grid rows [start, stop).  A failed check raises
-        RowError naming the first failing of these rows, counted from
-        start."""
-        moved = [block for block in self.blocks if isinstance(block, _GridBlock)]
-        settings = [block.settings(start, stop) for block in moved]
-        if not all(block.unit[places].all() for block, (_, places) in zip(moved, settings)):
-            raise self._norm_failure(start, stop)
-        parts = [block.amplitudes[:, places] for block, (_, places) in zip(moved, settings)]
-        starts = [block.state for block in moved]
-        folded = _fold_blocks(parts, starts)
-        projected, folds = [], iter(zip(folded, settings))
-        for block in self.blocks:
-            if isinstance(block, RowError):  # a block no axis moves fails on every row
-                raise RowError(0, str(block))
-            if not isinstance(block, _GridBlock):
-                projected.append(block)
-                continue
-            amps, (keys, _) = next(folds)
-            try:
-                detected = _detector_block(amps)
-            except RowError as exc:
-                raise RowError(block.first_row(keys[exc.row], start), str(exc)) from None
-            inverse = (np.arange(start, stop) // block.stride - keys[0]) % block.size
-            projected.append(tuple(part[inverse] for part in detected))
-        _, weights, p, leak = _combine(self.n_up, *projected)
-        return p, leak, _postselected(weights, p, measure)
+        return sweep_grid(self.n_up, *angles, measure)
 
 
 def _postselected(weights: np.ndarray, p: np.ndarray, measure: str) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 A sweep folds each spin block's fixed particles once and continues that
 fold per setting of the axes that move the block, so its rows must match
-``fold._project_batch`` of each row's ensemble within ``tol.comparison``,
-report the first failing row of every run-time check as the per-row route
-does, and print the same bytes for any thread count.
+``fold._project_batch`` of each row's ensemble within ``tol.comparison``
+and print the same bytes for any thread count.  A chunk whose settings
+fail a run-time check is evaluated again, row by row, by
+``fold.sweep_grid``, which names the first failing row; a chunk that
+passes never reaches it.
 """
 
 import json
@@ -92,13 +94,13 @@ def random_axis(rng, path, degrees):
 
 
 def random_spec(rng, particles, degrees):
-    """One or two axes, and the kind of spec they make."""
+    """One to three axes, and the kind of spec they make."""
     blocks = {spin: [i for i, p in enumerate(particles) if p["spin"] == spin] for spin in ("up", "down")}
     kinds = ["one"]
     if len(particles) > 1:
         kinds.append("two particles")
     if blocks["up"] and blocks["down"]:
-        kinds.append("both blocks")
+        kinds += ["both blocks", "three axes, interleaved"]
     kind = str(rng.choice(kinds + ["one angle pair"]))
     angles = list(ANGLES)
     first = int(rng.integers(len(particles)))
@@ -110,6 +112,11 @@ def random_spec(rng, particles, degrees):
     elif kind == "both blocks":
         up, down = int(rng.choice(blocks["up"])), int(rng.choice(blocks["down"]))
         paths = [f"particles[{up}].{rng.choice(angles)}", f"particles[{down}].{rng.choice(angles)}"]
+    elif kind == "three axes, interleaved":
+        # axes 0 and 2 move one block, axis 1 the other
+        outer, inner = (blocks["up"], blocks["down"]) if rng.random() < 0.5 else (blocks["down"], blocks["up"])
+        (a, b), (x, y) = rng.choice(outer, 2), rng.choice(angles, 2, replace=False)
+        paths = [f"particles[{a}].{x}", f"particles[{int(rng.choice(inner))}].{rng.choice(angles)}", f"particles[{b}].{y}"]
     else:
         second = int(rng.choice([i for i in range(len(particles)) if i != first]))
         paths = [f"particles[{first}].{rng.choice(angles)}", f"particles[{second}].{rng.choice(angles)}"]
@@ -153,7 +160,7 @@ def test_sweep_rows_match_the_per_row_projection(runner, tmp_path):
         seen.add("degrees" if degrees else "")
         specs += 1
     assert seen >= {
-        "one", "one angle pair", "two particles", "both blocks", "N > 60", "N <= 60",
+        "one", "one angle pair", "two particles", "both blocks", "three axes, interleaved", "N > 60", "N <= 60",
         "a block no axis moves", "both spins first", "phi axis with leak", "degrees",
     }, seen
 
@@ -248,6 +255,13 @@ THREE = {"particles": [
     {"spin": "down", "theta": 0.8, "omega": 1.5, "phi": 1.2},
 ]}
 MANY_THETAS = [0.3, 0.5, 1.3, 0.5, 1.4, 0.2]
+# the down block of THREE moves with axes 0 and 2, so its settings change
+# every row; the up block's runs of four rows cross the chunk boundaries
+INTERLEAVED = [
+    {"path": "particles[0].theta", "values": [0.3, 1.2]},
+    {"path": "particles[1].omega", "values": [0.1, 1.2, 0.3]},
+    {"path": "particles[2].theta", "values": [0.3, 0.5, 1.45, 0.4]},
+]
 
 #: (what fails, the patch, config, axes)
 FAILURES = [
@@ -276,6 +290,7 @@ FAILURES = [
         {"path": "particles[1].theta", "values": [0.1, 1.2, 0.3]},
         {"path": "particles[2].theta", "values": [0.3, 1.55, 0.5, 1.56]},
     ]),
+    ("vanishing down block, moved by axes 0 and 2", ("_detector_block", vanishing_block(3, 0.1)), THREE, INTERLEAVED),
     ("vanishing block no axis moves, after a norm failure", ("_detector_block", vanishing_block(2, 1.0)), THREE, [
         {"path": "particles[2].omega", "values": [0.1, 0.2, 2.2]},
     ]),
@@ -304,3 +319,34 @@ def test_each_check_names_the_first_failing_row_as_the_per_row_route(runner, tmp
         assert result.exit_code == 2, result.output
         assert result.output == expected + "\n"
         assert not out.exists()
+
+
+def test_only_a_failing_chunk_runs_again_row_by_row(runner, tmp_path, monkeypatch):
+    # three rows per chunk: the down block of THREE holds two particles
+    monkeypatch.setattr(fold, "CHUNK_ENTRIES", 27)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sweep_grid, calls = fold.sweep_grid, []
+
+    def counted(n_up, theta, omega, *rest):
+        calls.append(omega[:, 2].tolist())
+        return sweep_grid(n_up, theta, omega, *rest)
+
+    monkeypatch.setattr(fold, "sweep_grid", counted)
+    cfg = write(tmp_path, "cfg.json", THREE)
+    one = write(tmp_path, "one.json", {"axes": [
+        {"path": "particles[2].omega", "values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 2.2, 0.8]},
+    ]})
+    interleaved = write(tmp_path, "interleaved.json", {"axes": INTERLEAVED})
+    for sweep in (one, interleaved):
+        for threads in ("1", "2"):
+            result = runner.invoke(main, ["sweep", "--config", cfg, "--sweep", sweep, "--threads", threads])
+            assert result.exit_code == 0, result.output
+    assert calls == []
+    # the particle at omega = 2.2 fails its norm check in row 7, the third chunk's second row
+    monkeypatch.setattr(fold, "_phases", skewed_phases(2.0, 2.5))
+    for threads in ("1", "2"):
+        calls.clear()
+        result = runner.invoke(main, ["sweep", "--config", cfg, "--sweep", one, "--threads", threads])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: grid row 7 (particles[2].omega = 2.2): ")
+        assert calls == [[0.7, 2.2, 0.8]]
