@@ -93,7 +93,8 @@ def schmidt_decompose(
     """
     m, split, basis_keys = _schmidt_matrix(psi, bipartition, "schmidt_decompose")
     u, s, vh = np.linalg.svd(m)
-    keep = _kept(s)
+    order, rows = _kept(s)
+    keep = order[rows > 0.0]
     left_keys, right_keys = basis_keys()
     _, n_left, n_right = split
     left = tuple(
@@ -112,20 +113,45 @@ def schmidt_coefficients(
 ) -> Tuple[float, ...]:
     """Schmidt coefficients of a normalized pure state, descending: the
     ``coefficients`` of :func:`schmidt_decompose`, with the same checks,
-    without building its basis kets."""
-    m, _, _ = _schmidt_matrix(psi, bipartition, "schmidt_coefficients")
-    # the full SVD, as schmidt_decompose runs it: LAPACK's values-only
-    # route can differ from it in the last bit
-    _, s, _ = np.linalg.svd(m)
-    return tuple(s[_kept(s)].tolist())
+    without building its basis kets.  This is the one-case call of
+    :func:`schmidt_coefficient_rows`."""
+    row = schmidt_coefficient_rows([(psi, bipartition)])[0]
+    return tuple(row[row > 0.0].tolist())
 
 
-def _kept(values: np.ndarray) -> np.ndarray:
-    """Indices of the values above ``TOL.schmidt_cutoff``, largest first
-    (ties in index order): the one rule that cuts and orders Schmidt
-    coefficients."""
-    order = np.argsort(-values, kind="stable")
-    return order[values[order] > TOL.schmidt_cutoff]
+def schmidt_coefficient_rows(cases: Sequence[Tuple[SymmetricKet, Bipartition]]) -> np.ndarray:
+    """(C, K) Schmidt coefficients of C (unit ket, bipartition) cases, with
+    the checks of :func:`schmidt_coefficients`: row c holds case c's
+    coefficients, descending, then zeros up to K, the largest number of
+    singular values of any case's matrix.
+
+    Each matrix shape's matrices go through one full SVD call, and LAPACK
+    factors each of them on its own, so every row is its case's SVD alone,
+    bit for bit.
+    """
+    matrices = [_schmidt_matrix(psi, bipartition, "schmidt_coefficients")[0] for psi, bipartition in cases]
+    values = np.zeros((len(matrices), max((min(m.shape) for m in matrices), default=0)))
+    shapes: Dict[Tuple[int, int], List[int]] = {}
+    for case, m in enumerate(matrices):
+        shapes.setdefault(m.shape, []).append(case)
+    for members in shapes.values():
+        # the full SVD, as schmidt_decompose runs it: LAPACK's values-only
+        # route can differ from it in the last bit
+        _, s, _ = np.linalg.svd(np.array([matrices[case] for case in members]))
+        values[members, : s.shape[1]] = s
+    # the padding zeros sort after every singular value and are cut
+    return _kept(values)[1]
+
+
+def _kept(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(order, rows) of values along their last axis, the one rule that
+    cuts and orders Schmidt coefficients: ``order`` sorts each row largest
+    first (ties in index order), and ``rows`` holds the values in that
+    order where they are above ``TOL.schmidt_cutoff`` and 0 where they are
+    cut, so a row's kept values lead it and are its nonzero entries."""
+    order = np.argsort(-values, axis=-1, kind="stable")
+    rows = np.take_along_axis(values, order, axis=-1)
+    return order, np.where(rows > TOL.schmidt_cutoff, rows, 0.0)
 
 
 #: the keys of a coefficient matrix's rows and columns, built when called
@@ -406,8 +432,8 @@ def label_split_coefficients(n_total: int, n_up: int, n_left: int) -> Tuple[floa
 def _schmidt_coefficients(weights) -> Tuple[float, ...]:
     """Square roots of Schmidt weights, cut and ordered by :func:`_kept`
     as :func:`schmidt_decompose` cuts them."""
-    values = np.sqrt(weights)
-    return tuple(values[_kept(values)].tolist())
+    row = _kept(np.sqrt(weights))[1]
+    return tuple(row[row > 0.0].tolist())
 
 
 def verify_schmidt_equivalence(

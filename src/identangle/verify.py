@@ -13,9 +13,13 @@ time, so its memory does not grow with ``cases``.  ``theorem1`` and
 :class:`_Cases`, and fold all their (N, n_up) groups
 (:meth:`_Cases.groups`) in one grouped call, whose rows each get the
 arithmetic of the row alone, at every N, and whose folds stay within
-``fold.STACKED_ENTRIES`` entries a step; ``schmidt``'s ten mode splits
-are one fold.  The oracle suite checks the ``amplitude`` fold route, one
-:func:`fold.fold_amplitude_groups` call for all its pairs, and the
+``fold.STACKED_ENTRIES`` entries a step.  ``schmidt`` is an array
+program but for building its 85 label-split matrices, one per case, from
+one Dicke state per (N, n_up): it runs one SVD call per matrix shape
+(:func:`measures.schmidt_coefficient_rows`), takes its closed form from a
+table of binomials, folds its ten mode splits at once and scores every
+case as rows of arrays.  The oracle suite checks the ``amplitude`` fold
+route, one :func:`fold.fold_amplitude_groups` call for all its pairs, and the
 ``project`` fold route, one :func:`fold._project_groups` call, against
 expansion oracles whose kets :func:`oracles.rows_kets` builds from each
 group's angle rows, one pass per ensemble.  Every resizable suite takes
@@ -45,10 +49,11 @@ from .fold import (
 )
 from .measures import (
     LabelSplit,
-    _schmidt_coefficients,
+    _kept,
     coefficient_distance,
     dicke_state,
     label_split_coefficients,
+    schmidt_coefficient_rows,
     schmidt_coefficients,
     three_boson_average_concurrence,
     three_boson_average_concurrence_coherences,
@@ -286,11 +291,45 @@ def label_split_error(
 ) -> float:
     """Largest deviation of the label-split Schmidt coefficients of the
     Dicke state (n_total, n_up) across n_left | n_total - n_left, by SVD,
-    from the binomial closed form."""
+    from the binomial closed form: the one-case replay of a ``schmidt``
+    label-split case."""
     state = dicke_state(n_total, n_up)
     coefficients = schmidt_coefficients(state, LabelSplit(n_left, n_total - n_left))
     expected = label_split_coefficients(n_total, n_up, n_left)
     return coefficient_distance(coefficients, expected)
+
+
+#: ``schmidt``'s label-split cases, (n_total, n_up, n_left) at N = 2..6
+_LABEL_SPLITS = [(n, n_up, n_left) for n in range(2, 7) for n_up in range(n + 1) for n_left in range(1, n)]
+#: C(n, j) at n, j = 0..6 (0 for j > n), exact as doubles
+_BINOMIALS = np.array([[math.comb(n, j) for j in range(7)] for n in range(7)], dtype=float)
+
+
+def _label_split_rows(n_total: np.ndarray, n_up: np.ndarray, n_left: np.ndarray) -> np.ndarray:
+    """:func:`measures.label_split_coefficients` of each case, cut and
+    ordered by :func:`measures._kept`, as (C, 7) rows of zero-padded
+    coefficients.  The weight of k spin-up particles on the left, at
+    k = 0..6, is C(n_left, k) C(n_right, n_up - k) / C(n_total, n_up) from
+    :data:`_BINOMIALS`: a product of integers up to 400, exact, and one
+    correctly rounded division, as in the closed form's integer route."""
+    k = np.arange(7)
+    # spin-up particles on the right, none where that is negative
+    right = n_up[:, None] - k
+    on_right = np.where(right < 0, 0.0, _BINOMIALS[(n_total - n_left)[:, None], np.maximum(right, 0)])
+    weights = _BINOMIALS[n_left[:, None], k] * on_right / _BINOMIALS[n_total, n_up][:, None]
+    return _kept(np.sqrt(weights))[1]
+
+
+def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`measures.coefficient_distance` of each pair of rows of two
+    arrays of zero-padded descending coefficients: the largest |a - b| of
+    each row, the narrower array padded with zeros."""
+    width = max(a.shape[1], b.shape[1])
+
+    def padded(rows: np.ndarray) -> np.ndarray:
+        return np.concatenate([rows, np.zeros((len(rows), width - rows.shape[1]))], axis=1)
+
+    return np.abs(padded(a) - padded(b)).max(axis=1)
 
 
 def suite_schmidt(
@@ -300,29 +339,32 @@ def suite_schmidt(
     N = 2..6, plus the mode-splitting equivalence for the three-particle
     pattern: a mode-split case's error is the
     :func:`measures.verify_schmidt_equivalence` ``max_abs_diff`` of (3, 2) at
-    its shared angles, split (2, 1), from one fold of all ten cases."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    inputs = []
-    for n_total in range(2, 7):
-        for n_up in range(0, n_total + 1):
-            for n_left in range(1, n_total):
-                errors.append(label_split_error(n_total, n_up, n_left))
-                inputs.append({"n_total": n_total, "n_up": n_up, "n_left": n_left})
+    its shared angles, split (2, 1), from one fold of all ten cases.
+
+    An array program: the label splits' coefficients come from one
+    :func:`measures.schmidt_coefficient_rows` call over one Dicke state per
+    (N, n_up), one SVD call per matrix shape; each case's error equals
+    :func:`label_split_error` of its inputs bit for bit.  The ten
+    (theta, omega) pairs are one ``rng.uniform`` call with per-column
+    bounds, the stream of one scalar draw each, theta first."""
+    states = {(n, n_up): dicke_state(n, n_up) for n in range(2, 7) for n_up in range(n + 1)}
+    splits = [(states[n, n_up], LabelSplit(n_left, n - n_left)) for n, n_up, n_left in _LABEL_SPLITS]
+    svd = schmidt_coefficient_rows(splits)
+    label_errors = _row_distances(svd, _label_split_rows(*np.array(_LABEL_SPLITS).T))
     # mode splitting at shared random angles reproduces the input form
-    shared = []
-    for _ in range(10):
-        theta = float(rng.uniform(0.1, math.pi / 2 - 0.1))
-        omega = float(rng.uniform(0.0, 2.0 * math.pi))
-        shared.append((theta, omega))
-        inputs.append({"theta": theta, "omega": omega})
+    shared = np.random.default_rng(seed).uniform([0.1, 0.0], [math.pi / 2 - 0.1, 2.0 * math.pi], (10, 2))
     # a case's three particles all at its angles
-    thetas, omegas = np.repeat(np.array(shared).T[:, :, None], 3, axis=2)
+    thetas, omegas = np.repeat(shared.T[:, :, None], 3, axis=2)
     _, weights, _, _ = _project_batch(2, *_angles(thetas, omegas))
-    expected = label_split_coefficients(3, 2, 2)
-    for sector in weights[:, 2]:
-        errors.append(coefficient_distance(_schmidt_coefficients(sector), expected))
-    return _report("schmidt", seed, errors, inputs.__getitem__)
+    expected = np.array([label_split_coefficients(3, 2, 2)])
+    mode_errors = _row_distances(_kept(np.sqrt(weights[:, 2]))[1], expected)
+
+    def inputs(case: int) -> Dict:
+        if case < len(_LABEL_SPLITS):
+            return dict(zip(("n_total", "n_up", "n_left"), _LABEL_SPLITS[case]))
+        return dict(zip(("theta", "omega"), shared[case - len(_LABEL_SPLITS)].tolist()))
+
+    return _report("schmidt", seed, np.concatenate([label_errors, mode_errors]), inputs)
 
 
 def amplitude_oracle_error(bra: Tuple[int, np.ndarray], ket: Tuple[int, np.ndarray]) -> float:

@@ -286,14 +286,14 @@ def test_schmidt_bipartition_errors(rng):
 
 
 def test_schmidt_coefficients_are_the_decomposition_coefficients(rng):
-    # one matrix and one SVD per split: the coefficients agree bit for bit
+    # one matrix and one SVD per split: the coefficients agree bit for bit,
+    # alone and in one batch of label and mode splits of mixed shapes,
+    # whose stacked SVD calls must give each matrix its values alone
+    cases = []
     for n_total in range(2, 7):
         for n_up in range(0, n_total + 1):
             state = dicke_state(n_total, n_up)
-            for n_left in range(1, n_total):
-                split = LabelSplit(n_left, n_total - n_left)
-                assert schmidt_coefficients(state, split) == schmidt_decompose(state, split).coefficients
-    sectors = 0
+            cases += [(state, LabelSplit(n_left, n_total - n_left)) for n_left in range(1, n_total)]
     for _ in range(40):
         n_total = int(rng.integers(2, 7))
         modes = tuple(
@@ -305,9 +305,22 @@ def test_schmidt_coefficients_are_the_decomposition_coefficients(rng):
             )
         )
         for sector in project_onto_detectors(ParticleEnsemble(int(rng.integers(0, n_total + 1)), modes)).sectors:
-            sectors += 1
-            assert schmidt_coefficients(sector.state, ModeSplit()) == schmidt_decompose(sector.state, ModeSplit()).coefficients
-    assert sectors > 100
+            cases.append((sector.state, ModeSplit()))
+    assert len(cases) > 185
+    # shuffled, so a shape's cases are not consecutive
+    cases = [cases[i] for i in rng.permutation(len(cases))]
+    rows = measures.schmidt_coefficient_rows(cases)
+    kinds = {}
+    for row, (state, split) in zip(rows, cases):
+        expected = schmidt_decompose(state, split).coefficients
+        assert schmidt_coefficients(state, split) == expected
+        assert tuple(row[: len(expected)].tolist()) == expected
+        assert not row[len(expected) :].any()
+        shape = measures._schmidt_matrix(state, split, "test")[0].shape
+        kinds.setdefault(shape, set()).add(type(split))
+    assert len(kinds) > 15
+    assert sum(len(both) == 2 for both in kinds.values()) > 2
+    assert rows.shape[1] == max(min(shape) for shape in kinds)
 
 
 def test_schmidt_routes_reject_a_non_unit_ket_and_an_unknown_split():

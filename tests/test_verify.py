@@ -205,6 +205,31 @@ def test_schmidt_mode_splits_equal_case_by_case(monkeypatch):
             assert error == report.max_abs_diff
 
 
+def test_schmidt_label_splits_equal_case_by_case(monkeypatch):
+    # the 85 label splits share their Dicke states, SVD calls and closed
+    # form; each must read what label_split_error reads alone
+    reports = []
+    monkeypatch.setattr(verify, "_report", lambda suite, seed, errors, inputs: reports.append((errors, inputs)))
+    for seed in range(1, 41):
+        suite_schmidt(seed)
+        errors, inputs = reports.pop()
+        label_splits = [(error, inputs(case)) for case, error in enumerate(errors) if "n_left" in inputs(case)]
+        assert len(label_splits) == 85
+        for error, split in label_splits:
+            assert error == label_split_error(split["n_total"], split["n_up"], split["n_left"]), split
+
+
+def test_schmidt_suite_builds_no_basis_ket_and_no_density_matrix(monkeypatch):
+    def reference_route(*args, **kwargs):
+        raise AssertionError("reference route in verify schmidt")
+
+    monkeypatch.setattr(algebra.DensityMatrix, "__init__", reference_route)
+    for name in ("_basis_ket", "schmidt_decompose"):
+        monkeypatch.setattr(measures, name, reference_route)
+    report = suite_schmidt()
+    assert (report["cases"], report["failures"]) == (95, 0)
+
+
 def test_schmidt_and_theorem1_take_their_weights_from_the_fold(monkeypatch):
     # the density-matrix, SVD and key-based projection routes are references
     # only: neither command may reach them
