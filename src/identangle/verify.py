@@ -20,9 +20,11 @@ one Dicke state per (N, n_up): it runs one SVD call per matrix shape
 table of binomials, folds its ten mode splits at once and scores every
 case as rows of arrays.  The oracle suite checks the ``amplitude`` fold
 route, one :func:`fold.fold_amplitude_groups` call for all its pairs, and the
-``project`` fold route, one :func:`fold._project_groups` call, against
-expansion oracles whose kets :func:`oracles.rows_kets` builds from each
-group's angle rows, one pass per ensemble.  Every resizable suite takes
+``project`` fold route, one :func:`fold._project_groups` call, against the
+expansion oracles as array programs: one :func:`oracles.inner_product_rows`
+or :func:`oracles.substitution_rows` call per particle number, each making
+one value pass per expansion layout over the angle rows of its cases, and
+no per-case Python.  Every resizable suite takes
 its size as ``cases`` (:func:`run_suite` takes 1 to ``MAX_CASES``), and
 none takes a tolerance: :func:`_report` alone counts failures.  These
 back the command-line ``verify`` command and the acceptance tests.
@@ -36,13 +38,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ANGLES, Spin
-from .errors import ConfigError
+from .config import ANGLES
+from .errors import ConfigError, ConsistencyError
 from .fold import (
     _postselected,
     _project_batch,
     _project_groups,
-    fold_amplitude,
     fold_amplitude_groups,
     fold_chunks,
     sweep_grid,
@@ -67,7 +68,7 @@ DEFAULT_SEED = 7
 #: fold cases per unit) draws and folds chunk by chunk, and ``theorem1``
 #: and ``oracle`` hold their drawn cases as (4, cases, N) arrays and their
 #: results as one grouped call's; at 1000 on a 2-vCPU host ``oracle``
-#: takes about 0.7 s in process (0.9 s and 44 MB max RSS as a command),
+#: takes about 0.26 s in process (0.47 s and 46 MB max RSS as a command),
 #: ``theorem1`` 5 ms
 MAX_CASES = 1000
 
@@ -369,31 +370,31 @@ def suite_schmidt(
 
 def amplitude_oracle_error(bra: Tuple[int, np.ndarray], ket: Tuple[int, np.ndarray]) -> float:
     """|fold amplitude - expansion oracle| of two boson (n_up, (4, N) angle
-    rows) cases, the fold run as the ``amplitude`` command runs it: on their
-    spin-up-first angle rows, row 0 the bra's."""
-    from .oracles import expansion_inner_product, rows_kets
-
-    angles = np.stack([bra[1], ket[1]], axis=1)
-    fast = fold_amplitude(bra[0], ket[0], *angles)
-    return abs(fast - expansion_inner_product(rows_kets(bra[0], bra[1])[0], rows_kets(ket[0], ket[1])[0]))
+    rows) cases of equal n_up: the one-pair call of
+    :func:`_amplitude_oracle_errors`, whose fold is the ``amplitude``
+    command's."""
+    if bra[0] != ket[0]:
+        raise ConsistencyError(f"bra and ket differ in n_up ({bra[0]} vs {ket[0]})")
+    angles = np.stack([bra[1], ket[1]], axis=1)[:, :, None]
+    return float(_amplitude_oracle_errors(_Cases([(np.array([bra[0]]), angles)]))[0])
 
 
 def _amplitude_oracle_errors(pairs: _Cases) -> np.ndarray:
-    """:func:`amplitude_oracle_error` of each pair of bra and ket rows of
-    equal n_up, from one :func:`fold.fold_amplitude_groups` call over
-    every (N, n_up) group; a pair's fold amplitude does not depend on the
-    others, so each error is the one pair's alone, bit for bit."""
-    from .oracles import expansion_inner_product, rows_kets
+    """The error of each pair of bra and ket rows of equal n_up: the
+    modulus of its fold amplitude, from one :func:`fold.fold_amplitude_groups`
+    call over every (N, n_up) group, less its
+    :func:`oracles.inner_product_rows` amplitude, one call per N.  Neither
+    value of a pair depends on the others, so each error is the one
+    pair's alone, bit for bit."""
+    from .oracles import inner_product_rows
 
-    errors = np.empty(len(pairs))
     groups = pairs.groups()
-    folded = fold_amplitude_groups([(n_up, angles) for n_up, _, angles in groups])
-    for (n_up, members, angles), values in zip(groups, folded):
-        # the group's bras' kets, then its kets' kets
-        kets = rows_kets(n_up, angles)
-        for row, (case, fast) in enumerate(zip(members.tolist(), values.tolist())):
-            errors[case] = abs(fast - expansion_inner_product(kets[row], kets[len(members) + row]))
-    return errors
+    fast = np.empty(len(pairs), dtype=complex)
+    for (_, members, _), values in zip(groups, fold_amplitude_groups([(n_up, angles) for n_up, _, angles in groups])):
+        fast[members] = values
+    difference = fast - np.concatenate([inner_product_rows(n_up, angles) for n_up, angles in pairs.blocks])
+    # the modulus as Python's abs takes it
+    return np.hypot(difference.real, difference.imag)
 
 
 def projection_oracle_error(
@@ -409,26 +410,27 @@ def projection_oracle_error(
 
 def _projection_oracle_errors(cases: _Cases) -> np.ndarray:
     """:func:`projection_oracle_error` of each case, from one
-    :func:`fold._project_groups` call over every (N, n_up) group; a fold's
-    rows are independent, so each error is the one case's alone, bit for
-    bit."""
-    from .oracles import rows_kets, substitution_sectors
+    :func:`fold._project_groups` call over every (N, n_up) group and one
+    :func:`oracles.substitution_rows` call per N; a case's fold and oracle
+    values do not depend on the others, so each error is the one case's
+    alone, bit for bit."""
+    from .oracles import substitution_rows
 
-    errors = np.empty(len(cases))
     groups = cases.groups()
     projections = _project_groups([(n_up, angles) for n_up, _, angles in groups])
-    for (n_up, members, angles), (outcomes, _, _, leak) in zip(groups, projections):
-        for row, (case, kets) in enumerate(zip(members.tolist(), rows_kets(n_up, angles))):
-            sectors, oracle_leak = substitution_sectors(kets)
-            reference = np.zeros_like(outcomes[row])
-            for q, amplitudes in sectors.items():
-                for key, value in amplitudes.items():
-                    alpha = key.count(("L", Spin.UP))
-                    reference[alpha, q - alpha] = value
-            errors[case] = max(
-                abs(float(leak[row]) - oracle_leak), float(np.abs(outcomes[row] - reference).max())
-            )
-    return errors
+    # each block's fold outcomes, zero past a case's as the oracle's are
+    folded = [np.zeros((len(n_up),) + (angles.shape[-1] + 1,) * 2, dtype=complex) for n_up, angles in cases.blocks]
+    leaks = np.empty(len(cases))
+    for (n_up, members, _), (outcomes, _, _, leak) in zip(groups, projections):
+        block = bisect.bisect_right(cases.starts, members[0]) - 1
+        folded[block][members - cases.starts[block], : n_up + 1, : outcomes.shape[2]] = outcomes
+        leaks[members] = leak
+    errors = []
+    for (n_up, angles), outcomes, start in zip(cases.blocks, folded, cases.starts):
+        reference, oracle_leak = substitution_rows(n_up, angles)
+        deviation = np.abs(outcomes - reference).max(axis=(1, 2))
+        errors.append(np.maximum(np.abs(leaks[start : start + len(n_up)] - oracle_leak), deviation))
+    return np.concatenate(errors)
 
 
 def suite_oracle(

@@ -5,9 +5,12 @@ call into a memoized index layout, keyed by the expansion's shape, and a
 value pass over the kets' amplitudes.  The per-call functions below build
 the whole expansion on every call, as the oracles did before the split;
 both must give equal values, whether a call builds its layout or reuses
-one that kets of other amplitudes built.  ``oracles.rows_kets`` builds the
-kets of angle rows in one pass; they must equal the kets of
-``rows_ensemble`` and of the former mode_ket arithmetic bit for bit.
+one that kets of other amplitudes built.  The value passes take a batch of
+cases that share a layout: each case's values must be those of its
+one-case call bit for bit, in any batch.  ``oracles.mode_amplitudes``
+builds the amplitudes of angle rows in whole-array calls; they must equal
+the kets of ``rows_ensemble`` and of the former mode_ket arithmetic bit for
+bit.
 """
 
 import math
@@ -229,6 +232,8 @@ def test_layouts_are_read_only():
     inner = oracles._inner_layout(Statistics.FERMION, (0, 1, 2), (0, 1, 2))
     arrays = [inner.ket_slots, inner.ket_coeffs, *(array for block in inner.blocks for array in block)]
     arrays += [array for chunk in collect.chunks for array in chunk if isinstance(array, np.ndarray)]
+    rows = oracles._substitution_layout(2, ((True, True, False),) * 3, (0, 0, 2))
+    arrays += [collect.labels, rows.gather, rows.outcome]
     assert arrays and not any(array.flags.writeable for array in arrays)
 
 
@@ -261,7 +266,7 @@ def test_worst_layouts_at_the_expansion_cap_fit_the_stated_bytes(statistics):
     assert nbytes(oracles._inner_layout.__wrapped__(statistics, tuple(range(6)), tuple(range(6)))) <= 0.1e6
 
 
-# -- kets built from angle rows in one pass -----------------------------------
+# -- the oracles of angle rows -------------------------------------------
 
 
 def former_mode_ket(theta, omega, phi, gamma, spin):
@@ -281,10 +286,24 @@ def bits(kets):
     return [[(label, value.real.hex(), value.imag.hex()) for label, value in ket.items()] for ket in kets]
 
 
-def test_one_pass_kets_equal_the_ensemble_kets_bit_for_bit():
+def table_kets(amps, n_up):
+    """The kets that (N, 3) mode amplitudes stand for: each particle's
+    nonzero amplitudes on L, R and the remainder, spin-up particles first."""
+    spins = [Spin.UP if j < n_up else Spin.DOWN for j in range(len(amps))]
+    kets = []
+    for row, spin in zip(amps.tolist(), spins):
+        ket = SingleParticleKet.__new__(SingleParticleKet)
+        ket._amps = {(kind, spin): value for kind, value in zip(("L", "R", "chi"), row) if value != 0}
+        kets.append(ket)
+    return kets
+
+
+def test_mode_amplitudes_equal_the_ensemble_kets_bit_for_bit():
+    # numpy's sin, cos and products against the math and cmath arithmetic
+    # of states._mode_ket: equal on this platform, and pinned here
     rng = np.random.default_rng(4111)
     bounded_edges = [0.0, math.pi / 2, math.pi / 4, 1e-300]
-    phase_edges = [-1e-20, 0.0, 2 * math.pi, 7.5, -3.0, 1e3, math.pi]
+    phase_edges = [-1e-20, 0.0, -0.0, 2 * math.pi, 7.5, -3.0, 1e3, math.pi]
     seen = Counter()
     for case in range(200):
         n = 1 + case % 6
@@ -299,31 +318,35 @@ def test_one_pass_kets_equal_the_ensemble_kets_bit_for_bit():
             edge = rng.random((g, n)) < 0.3
             angles[row][edge] = rng.choice(edges, int(edge.sum()))
         n_up = int(rng.integers(0, n + 1))
-        got = oracles.rows_kets(n_up, angles)
-        assert len(got) == g
-        for ensemble, kets in enumerate(got):
+        got = oracles.mode_amplitudes(angles)
+        assert got.shape == (g, n, 3)
+        for ensemble in range(g):
             rows = angles[:, ensemble]
+            kets = table_kets(got[ensemble], n_up)
             expected = oracles.rows_ensemble(n_up, rows).kets()
             assert bits(kets) == bits(expected), (case, ensemble)
             spins = [Spin.UP if j < n_up else Spin.DOWN for j in range(n)]
             assert bits(kets) == bits([former_mode_ket(*column, spin) for column, spin in zip(rows.T.tolist(), spins)])
-            assert [ket.signature() for ket in kets] == [ket.signature() for ket in expected]
+            # a pruned amplitude is +0, as the one-case tables' zeros are
+            assert not np.signbit(got[ensemble][got[ensemble] == 0].view(float)).any()
         for name, row, values in (
             ("theta 0", 0, [0.0]), ("theta pi/2", 0, [math.pi / 2]), ("phi pi/2", 2, [math.pi / 2]),
             ("omega -1e-20", 1, [-1e-20]), ("gamma -1e-20", 3, [-1e-20]),
         ):
             seen[name] += bool(np.isin(angles[row], values).any())
         seen["phase beyond 2 pi"] += bool((angles[1::2] > 2 * math.pi).any())
-    assert min(seen.values()) >= 10 and len(seen) == 6, seen
+        seen["phase -0.0"] += bool((np.signbit(angles[1::2]) & (angles[1::2] == 0)).any())
+    assert min(seen.values()) >= 10 and len(seen) == 7, seen
 
 
-def test_one_pass_kets_on_a_pair_block_follow_c_order():
-    # (4, 2, G, N) bra and ket rows: all G bras' kets, then the kets'
+def test_mode_amplitudes_keep_the_leading_axes():
+    # (4, 2, G, N) bra and ket rows give (2, G, N, 3) amplitudes
     rng = np.random.default_rng(5)
     angles = rng.uniform(0.0, 1.5, (4, 2, 3, 4))
-    got = oracles.rows_kets(2, angles)
-    expected = [oracles.rows_ensemble(2, angles[:, side, row]).kets() for side in range(2) for row in range(3)]
-    assert list(map(bits, got)) == list(map(bits, expected))
+    got = oracles.mode_amplitudes(angles)
+    for side in range(2):
+        for row in range(3):
+            assert got[side, row].tobytes() == oracles.mode_amplitudes(angles[:, side, row]).tobytes()
 
 
 @pytest.mark.parametrize("row, value, message", [
@@ -333,10 +356,149 @@ def test_one_pass_kets_on_a_pair_block_follow_c_order():
     (0, -0.1, r"theta must lie in \[0, pi/2\], got -0.1"),
     (2, 1.6, r"phi must lie in \[0, pi/2\], got 1.6"),
 ])
-def test_one_pass_kets_apply_the_mode_checks(row, value, message):
+def test_mode_amplitudes_apply_the_mode_checks(row, value, message):
     angles = np.full((4, 2, 3), 0.5)
     angles[row, 1, 2] = value
     with pytest.raises(ConsistencyError, match=message):
-        oracles.rows_kets(1, angles)
+        oracles.mode_amplitudes(angles)
     with pytest.raises(ConsistencyError, match=message):
         oracles.rows_ensemble(1, angles[:, 1])
+
+
+def test_value_pass_arithmetic_matches_python():
+    # the normalization squares moduli as Python's abs(v) ** 2 does, and a
+    # lone pair multiplies as Python's complex product (numpy's unfused loop)
+    rng = np.random.default_rng(12)
+    values = (rng.normal(size=20000) + 1j * rng.normal(size=20000)) * np.exp(rng.uniform(-30, 3, 20000))
+    others = rng.normal(size=20000) + 1j * rng.normal(size=20000)
+    assert [x.hex() for x in oracles._squares(values).tolist()] == [(abs(v) ** 2).hex() for v in values.tolist()]
+    lone = oracles._lone_product(values, others).tolist()
+    assert [(z.real.hex(), z.imag.hex()) for z in lone] == [
+        ((v * w).real.hex(), (v * w).imag.hex()) for v, w in zip(values.tolist(), others.tolist())
+    ]
+
+
+def edge_rows(rng, cases, n):
+    """(4, cases, N) angle rows that mix the shapes a layout depends on:
+    theta at 0 and pi/2 (a pruned label), leaking and non-leaking
+    particles, and a particle that repeats its neighbour's mode."""
+    theta = rng.uniform(0.05, 1.5, (cases, n))
+    edge = rng.random((cases, n))
+    theta[edge < 0.15] = 0.0
+    theta[edge > 0.85] = math.pi / 2
+    phi = np.where(rng.random((cases, n)) < 0.5, rng.uniform(0.2, 1.4, (cases, n)), math.pi / 2)
+    rows = np.array([theta, rng.uniform(0.0, 2 * math.pi, (cases, n)), phi, rng.uniform(0.0, 2 * math.pi, (cases, n))])
+    if n > 1:
+        copy = np.flatnonzero(rng.random(cases) < 0.3)
+        j = rng.integers(0, n - 1, len(copy))
+        rows[:, copy, j + 1] = rows[:, copy, j]
+    return rows
+
+
+def outcome_array(sectors, n):
+    """substitution_sectors' amplitudes placed by their spin-up and
+    spin-down counts at L, zero elsewhere."""
+    array = np.zeros((n + 1, n + 1), dtype=complex)
+    for amplitudes in sectors.values():
+        for key, value in amplitudes.items():
+            array[key.count(("L", Spin.UP)), key.count(("L", Spin.DOWN))] = value
+    return array
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_row_oracles_equal_their_one_case_calls_in_any_batch(n):
+    # one call over a group mixing layouts, each case alone, and the one-case
+    # oracle on the case's kets: the same bits (the pairs at N = 6 are one,
+    # since an N = 6 inner product takes about 6 ms)
+    rng = np.random.default_rng(300 + n)
+    cases = 50 if n < 6 else 6
+    n_up = rng.integers(0, n + 1, cases)
+    rows = edge_rows(rng, cases, n)
+    reference, leak = oracles.substitution_rows(n_up, rows)
+    shapes, seen = set(), Counter()
+    for c in range(cases):
+        alone = oracles.substitution_rows(n_up[c : c + 1], rows[:, c : c + 1])
+        assert alone[0].tobytes() == reference[c : c + 1].tobytes() and alone[1].tobytes() == leak[c : c + 1].tobytes()
+        kets = oracles.rows_ensemble(int(n_up[c]), rows[:, c]).kets()
+        sectors, expected_leak = oracles.substitution_sectors(kets)
+        assert reference[c].tobytes() == outcome_array(sectors, n).tobytes(), c
+        assert leak[c].hex() == expected_leak.hex(), c
+        pattern = oracles._ket_pattern(kets)
+        shapes.add((int(n_up[c]), pattern, tuple(tuple(ket.labels()) for ket in kets)))
+        seen["repeat"] += pattern != tuple(range(n))
+        seen.update(name for name, present in features(kets).items() if present and name != "repeat")
+    # the group mixes layouts: repeated modes, pruned labels, leaking and
+    # non-leaking particles
+    assert len(shapes) >= min(cases, 5)
+    wanted = {"leak", "pruned"} | ({"repeat", "mixed"} if n > 1 else set())
+    assert all(seen[name] >= (3 if n < 6 else 1) for name in wanted), seen
+
+    pairs = 30 if n < 6 else 1
+    n_up = rng.integers(0, n + 1, pairs)
+    angles = np.stack([edge_rows(rng, pairs, n), edge_rows(rng, pairs, n)], axis=1)
+    values = oracles.inner_product_rows(n_up, angles)
+    for c in range(pairs):
+        alone = oracles.inner_product_rows(n_up[c : c + 1], angles[:, :, c : c + 1])
+        bras, kets = (oracles.rows_ensemble(int(n_up[c]), angles[:, side, c]).kets() for side in range(2))
+        expected = expansion_inner_product(bras, kets)
+        assert alone.tobytes() == values[c : c + 1].tobytes(), c
+        assert (values[c].real.hex(), values[c].imag.hex()) == (expected.real.hex(), expected.imag.hex()), c
+
+
+def test_inner_product_rows_of_one_label_kets():
+    # N = 1 kets on one shared label: the one-case call multiplies that lone
+    # pair in numpy's unfused loop, which a batch of pairs does not take
+    rng = np.random.default_rng(8)
+    count = 40
+    theta = np.full((2, count), math.pi / 2)
+    theta[:, 20:30] = 0.0
+    theta[0, 30:] = 0.0
+    angles = np.array([theta, rng.uniform(0.0, 2 * math.pi, (2, count)), np.full((2, count), math.pi / 2), np.zeros((2, count))])
+    n_up = rng.integers(0, 2, count)
+    values = oracles.inner_product_rows(n_up, angles[..., None])
+    fused = 0
+    for c in range(count):
+        bra, ket = (oracles.rows_ensemble(int(n_up[c]), angles[:, side, c, None]).kets() for side in range(2))
+        expected = expansion_inner_product(bra, ket)
+        assert (values[c].real.hex(), values[c].imag.hex()) == (expected.real.hex(), expected.imag.hex()), c
+        if c < 20:
+            # each ket's one amplitude, on R
+            (_, b), (_, k) = *bra[0].items(), *ket[0].items()
+            fused += (np.array([b.conjugate()]) * np.array([k]))[0] != expected
+    # the fused product would have moved a bit of some of these
+    assert fused > 0
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_collect_core_batches_equal_one_case_calls(statistics):
+    # kets of one drawn shape at many amplitudes share a layout: their
+    # amplitude tables in one value pass, and each alone, give each case
+    # the bits of its one-case collect_expansion, in layouts of one chunk
+    # a case and of several
+    rng = np.random.default_rng(77 if statistics is Statistics.BOSON else 78)
+    batched = chunked = 0
+    for n in range(1, 7):
+        for _ in range(6 if n < 6 else 2):
+            shape = draw_shape(rng, n, n < 6)
+            members = {}
+            for kets in (kets_of(rng, shape) for _ in range(50 if n < 6 else 3)):
+                basis, layout, amps = oracles._collect_inputs(kets, statistics)
+                if layout is not None:
+                    members.setdefault(id(layout), (layout, []))[1].append((kets, basis, amps))
+            for layout, group in members.values():
+                totals = oracles._collect_values(layout, np.stack([amps for _, _, amps in group]))
+                for row, (kets, basis, amps) in enumerate(group):
+                    assert oracles._collect_values(layout, amps[None]).tobytes() == totals[row : row + 1].tobytes()
+                    expected = collect_expansion(kets, statistics)
+                    got = {
+                        tuple(basis[c] for c in labels): value
+                        for labels, value in zip(layout.labels.tolist(), totals[row].tolist())
+                        if abs(value) > TOL.pruning
+                    }
+                    assert got.keys() == expected.keys()
+                    assert all(got[key].real.hex() == value.real.hex() and got[key].imag.hex() == value.imag.hex()
+                               for key, value in expected.items())
+                batched += len(group) > 1
+                chunked += len(group) > 1 and len(layout.chunks) > 1
+    # batches of many layouts, among them layouts of several chunks a case
+    assert batched >= 20 and chunked >= 5, (batched, chunked)

@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from identangle import algebra, detection, fold, measures, verify
+from identangle import algebra, detection, fold, measures, oracles, verify
 from identangle.algebra import transition_amplitude
 from identangle.cli import main
 from identangle.config import ANGLES
@@ -18,7 +18,7 @@ from identangle.detection import (
     project_onto_detectors,
     sector_reduced_density,
 )
-from identangle.errors import NullStateError, SizeLimitError
+from identangle.errors import ConsistencyError, NullStateError, SizeLimitError
 from identangle.fold import _project_batch, _project_groups, fold_amplitude_groups
 from identangle.measures import (
     three_boson_average_concurrence,
@@ -326,6 +326,39 @@ def test_oracle_suite_errors_equal_case_by_case(monkeypatch, seed):
         assert error == expected, case
 
 
+def test_amplitude_replay_needs_equal_n_up():
+    # the one-pair call folds and expands a pair of one n_up
+    rows = np.full((4, 3), 0.5)
+    with pytest.raises(ConsistencyError, match="differ in n_up"):
+        amplitude_oracle_error((1, rows), (2, rows))
+
+
+def test_oracle_value_pass_batches_move_no_bit(monkeypatch):
+    # the default run builds and memoizes every layout the suite needs, and
+    # a layout's chunks fix each case's sum order; at LEAF_CHUNK = 32 the
+    # value passes then split each layout's cases into other batches (two
+    # N = 2 inner products of four entries a batch, one of 36 alone), and
+    # every case keeps its bits
+    default = suite_oracle(seed=4, cases=8)
+    batches = []
+    split = oracles._batches
+
+    def recorded(cases, entries):
+        slices = split(cases, entries)
+        batches.append([len(range(cases)[part]) for part in slices])
+        return slices
+
+    monkeypatch.setattr(oracles, "LEAF_CHUNK", 32)
+    monkeypatch.setattr(oracles, "_batches", recorded)
+    misses = oracles._collect_layout.cache_info().misses, oracles._inner_layout.cache_info().misses
+    assert suite_oracle(seed=4, cases=8) == default
+    # no layout was rebuilt under the patched bound
+    assert (oracles._collect_layout.cache_info().misses, oracles._inner_layout.cache_info().misses) == misses
+    # some splits hold several cases a batch, some one
+    assert any(len(sizes) > 1 and max(sizes) > 1 for sizes in batches), batches
+    assert any(len(sizes) > 1 and max(sizes) == 1 for sizes in batches), batches
+
+
 def fingerprint(weights, p):
     """A float per projection that changes with any bit of its sector
     Schmidt weights or probabilities."""
@@ -452,6 +485,7 @@ def test_suite_without_cases_has_no_worst_case():
         "suite": "n2-closed-form", "cases": 0, "failures": 0, "max_error": 0.0, "worst_case": None
     }
     assert suite_theorem1(cases=0)["worst_case"] is None
+    assert suite_oracle(cases=0)["worst_case"] is None
 
 
 def test_report_counts_and_reports_a_nan_error():
